@@ -35,7 +35,6 @@ from .spectra import (
     value_to_string,
 )
 from .switching import (
-    SwitchingWitness,
     biregular_profile,
     regular_profile,
     search_class_by_degree_profile,
@@ -251,10 +250,6 @@ def _parse_profile(text: str):
     raise UsageError(f"unknown profile {text!r} (use regular or biregular:a,b)")
 
 
-def _witness_payload(w: SwitchingWitness) -> dict:
-    return w.serialize()
-
-
 def _cmd_switch_search(args) -> CommandResult:
     b = _parse_string(args.string)
     g = build_chain_graph(b)
@@ -271,7 +266,7 @@ def _cmd_switch_search(args) -> CommandResult:
         "profile": label,
         "count": res.match_count,
         "subsets_examined": res.subsets_examined,
-        "witnesses": [_witness_payload(w) for w in res.witnesses],
+        "witnesses": [w.serialize() for w in res.witnesses],
     }
     lines = [
         f"string: {b.caret()}   profile {label}",
@@ -344,14 +339,21 @@ def _cmd_verify_tables(args) -> CommandResult:
 # Driver
 # ---------------------------------------------------------------------------
 
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seidelchain",
         description="Exact Seidel spectra and switching classes of chain graphs.",
     )
     parser.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for switch-search")
+    parser.add_argument("--threads", type=_threads, default=1,
+                        help="parallel workers for switch-search (at least 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="reserved; no command uses randomness")
     sub = parser.add_subparsers(dest="command", required=True)

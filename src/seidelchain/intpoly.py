@@ -2,10 +2,13 @@
 
 Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
-The root machinery (integer-root stripping, Yun square-free decomposition,
-Sturm isolation, sign-certified bisection) assumes monic inputs whose
-remaining roots are all real, which holds for characteristic polynomials of
-symmetric integer matrices.
+Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
+rest on integer pseudo-division; Fraction appears only as the rational points
+of sign evaluation, root isolation and refinement.  The root machinery
+(integer-root stripping, square-free decomposition, Sturm isolation,
+sign-certified bisection) assumes monic inputs whose remaining roots are all
+real, which holds for characteristic polynomials of symmetric integer
+matrices.
 """
 
 from __future__ import annotations
@@ -153,138 +156,76 @@ def integer_roots(p: IntPoly, bound: int | None = None) -> tuple[dict[int, int],
 
 
 # ---------------------------------------------------------------------------
-# Rational-coefficient helpers (only used to build exact gcds / Sturm chains)
+# Pseudo-division, gcds, square-free decomposition and Sturm chains
 # ---------------------------------------------------------------------------
 
-def _f_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(q, r) with c*a = q*b + r and deg r < deg b, for some integer c > 0.
 
-
-def _f_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _f_trim(a[:])
-    b = _f_trim(b[:])
+    Each step scales the running remainder by lc(b) / gcd(lc(r), lc(b)),
+    made positive, so r is a positive multiple of the rational remainder
+    and keeps its sign pattern.
+    """
+    r, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = a[-1] / b[-1]
+    lb = b[-1]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        g = gcd(r[-1], lb)
+        scale, coef = lb // g, r[-1] // g
+        if scale < 0:
+            scale, coef = -scale, -coef
+        if scale != 1:
+            r = [scale * c for c in r]
+            q = [scale * c for c in q]
+        shift = len(r) - len(b)
         q[shift] = coef
         for i, c in enumerate(b):
-            a[shift + i] -= coef * c
-        _f_trim(a)
-    return q, a
-
-
-def _to_fractions(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p]
-
-
-def _int_scaled(p: list[Fraction], keep_sign: bool) -> IntPoly:
-    """Clear denominators and divide out the content (positive scaling only).
-
-    With keep_sign=False the leading coefficient is additionally normalized
-    positive ("primitive part"); with keep_sign=True the sign pattern of p is
-    preserved exactly, which Sturm chains require.
-    """
-    if not p:
-        return ()
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = tuple(int(c * den) for c in p)
-    g = content(ints)
-    if not keep_sign and ints[-1] < 0:
-        g = -g
-    return tuple(c // g for c in ints)
+            r[shift + i] -= coef * c
+        r = list(poly_trim(r))
+    return tuple(q), tuple(r)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient."""
-    fa, fb = _to_fractions(poly_trim(a)), _to_fractions(poly_trim(b))
-    while fb:
-        _, r = _f_divmod(fa, fb)
-        fa, fb = fb, _f_trim(r)
-    return _int_scaled(fa, keep_sign=False)
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, primitive(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact quotient a / b up to primitive scaling; raises on a remainder."""
-    q, r = _f_divmod(_to_fractions(poly_trim(a)), _to_fractions(poly_trim(b)))
-    if _f_trim(r):
+    q, r = _pseudo_divmod(a, b)
+    if r:
         raise ValueError("polynomial division is not exact")
-    return _int_scaled(q, keep_sign=False)
-
-
-def _f_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _f_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _f_trim(out)
-
-
-def _f_monic(p: list[Fraction]) -> list[Fraction]:
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _f_gcd_monic(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _f_trim(a[:]), _f_trim(b[:])
-    while b:
-        _, r = _f_divmod(a, b)
-        a, b = b, _f_trim(r)
-    return _f_monic(a)
-
-
-def _f_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _f_divmod(a[:], b)
-    if _f_trim(r):
-        raise ValueError("polynomial division is not exact")
-    return _f_trim(q)
+    return primitive(q)
 
 
 def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun decomposition: [(f_i, i)] with p ~ prod f_i^i, each f_i square-free.
+    """Musser decomposition: [(f_i, i)] with p ~ prod f_i^i, each f_i square-free.
 
-    Runs exactly over the rationals (rescaling intermediates would corrupt
-    the c - b' update); factors come back as primitive integer polynomials
-    with positive leading coefficient, pairwise coprime.
+    Uses only gcds and exact quotients, which ignore integer scaling, so it
+    runs over the integers; factors come back as primitive integer
+    polynomials with positive leading coefficient, pairwise coprime.
     """
     p = primitive(p)
     if poly_degree(p) < 1:
         return []
-    fp = _to_fractions(p)
-    fdp = _f_derivative(fp)
-    fa = _f_gcd_monic(fp, fdp)
-    if len(fa) == 1:
-        return [(p, 1)]
-    fb = _f_div_exact(fp, fa)
-    fc = _f_div_exact(fdp, fa)
-    fd = _f_sub(fc, _f_derivative(fb))
+    a = poly_gcd(p, poly_derivative(p))
+    w = poly_div_exact(p, a)
     out: list[tuple[IntPoly, int]] = []
     i = 1
-    while len(fb) > 1:
-        ff = _f_gcd_monic(fb, fd) if fd else _f_monic(fb)
-        if len(ff) > 1:
-            out.append((_int_scaled(ff, keep_sign=False), i))
-        fb = _f_div_exact(fb, ff)
-        fc = _f_div_exact(fd, ff) if fd else []
-        fd = _f_sub(fc, _f_derivative(fb))
+    while poly_degree(w) > 0:
+        y = poly_gcd(w, a)
+        f = poly_div_exact(w, y)
+        if poly_degree(f) > 0:
+            out.append((f, i))
+        w, a = y, poly_div_exact(a, y)
         i += 1
     return out
 
-
-# ---------------------------------------------------------------------------
-# Sturm isolation and certified bisection
-# ---------------------------------------------------------------------------
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
     chain = [primitive(p)]
@@ -292,13 +233,18 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     if dp:
         chain.append(dp)
     while poly_degree(chain[-1]) > 0:
-        _, r = _f_divmod(_to_fractions(chain[-2]), _to_fractions(chain[-1]))
-        r = _f_trim(r)
+        _, r = _pseudo_divmod(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_int_scaled([-c for c in r], keep_sign=True))
+        # Divide by the positive content only: the sign of -r must survive.
+        g = content(r)
+        chain.append(tuple(-c // g for c in r))
     return chain
 
+
+# ---------------------------------------------------------------------------
+# Sturm isolation and certified bisection
+# ---------------------------------------------------------------------------
 
 def _variations(chain: list[IntPoly], x: Fraction) -> int:
     signs = [s for s in (sign_at(q, x) for q in chain) if s != 0]

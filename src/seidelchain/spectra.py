@@ -111,17 +111,6 @@ class Surd:
         return f"({self.a}{s}√{self.d})/{self.c}"
 
 
-_STURM_CACHE: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-
-def _cached_sturm(poly: tuple[int, ...]) -> list[tuple[int, ...]]:
-    chain = _STURM_CACHE.get(poly)
-    if chain is None:
-        chain = intpoly.sturm_chain(poly)
-        _STURM_CACHE[poly] = chain
-    return chain
-
-
 @dataclass(frozen=True)
 class RootInterval:
     """A real algebraic number: the unique root of `poly` inside (lo, hi).
@@ -161,7 +150,7 @@ class RootInterval:
         hi = min(self.hi, other.hi)
         if lo >= hi:
             return False
-        return intpoly.count_roots_between(_cached_sturm(self.poly), lo, hi) == 1
+        return intpoly.count_roots_between(intpoly.sturm_chain(self.poly), lo, hi) == 1
 
     def __hash__(self) -> int:
         return hash(("rootinterval", self.poly))
@@ -223,12 +212,6 @@ def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
         if vhi < ulo:
             return 1
     raise ArithmeticError("could not separate two distinct eigenvalues")
-
-
-def value_to_float(v: Eigenvalue) -> float:
-    if isinstance(v, int):
-        return float(v)
-    return float(v)
 
 
 def _decimal_string(fr: Fraction) -> str:
@@ -401,7 +384,7 @@ class ExactSpectrum:
     def to_floats(self) -> list[float]:
         out: list[float] = []
         for v, m in self.entries:
-            out.extend([value_to_float(v)] * m)
+            out.extend([float(v)] * m)
         return out
 
     def serialize(self) -> list[dict]:
@@ -603,7 +586,7 @@ def _reciprocal_abs(v: Eigenvalue) -> Union[Fraction, Surd, RootInterval]:
     y_lo, y_hi = -1 / v.lo, -1 / v.hi
     # Re-isolate with dyadic endpoints: the target lies in (0, 1), and it is
     # the unique reversed-poly root inside (y_lo, y_hi).
-    chain = _cached_sturm(rev)
+    chain = intpoly.sturm_chain(rev)
     for lo, hi in intpoly.isolate_real_roots(rev, bound=1):
         a, b = max(lo, y_lo), min(hi, y_hi)
         if a < b and intpoly.count_roots_between(chain, a, b) == 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -168,8 +169,12 @@ def search_class_by_degree_profile(
     (in enumeration order) plus the total count, or all matches when
     all_witnesses is set.  With threads > 1 the rank range is partitioned
     and merged back in rank order, so results are identical to a serial run;
-    the profile must then be picklable.
+    the profile must then be picklable.  threads must be at least 1 and is
+    clamped to os.cpu_count().
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    threads = min(threads, os.cpu_count() or 1)
     if g.n > SEARCH_CAP:
         raise ValueError(f"switching search is capped at {SEARCH_CAP} vertices")
     total = 1 << max(g.n - 1, 0)

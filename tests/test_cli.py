@@ -162,6 +162,20 @@ def test_threads_flag_deterministic():
 # Errors and exit codes
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(threads):
+    code, text = _run(["--threads", threads, "switch-search", "0 1^2 0^2 1",
+                       "--profile", "regular"])
+    assert code == 2
+    assert text == ""
+
+
+def test_threads_above_cpu_count_runs():
+    # n = 6, far below the subset count at which a worker pool starts.
+    argv = ["switch-search", "0 1^2 0^2 1", "--profile", "regular", "--all"]
+    assert _run(["--threads", "1000000"] + argv) == _run(argv)
+
+
 def test_bad_string_is_usage_error():
     code, doc = _run_json(["spectrum", "110"])
     assert code == 2

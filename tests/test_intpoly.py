@@ -104,6 +104,89 @@ def test_square_free_decomposition():
     assert intpoly.square_free_decomposition(p) == [((-2, 0, 1), 2)]
 
 
+def test_pseudo_divmod_scales_by_a_negative_leading_coefficient():
+    # x^3 + 1 divided by 1 - 2x leaves 9/8 over the rationals.  lc(b) = -2 at
+    # each of the three steps, so each must flip its scale to keep c > 0 and
+    # the remainder positive.
+    a, b = (1, 0, 0, 1), (1, -2)
+    q, r = intpoly._pseudo_divmod(a, b)
+    qb_r = intpoly.poly_add(intpoly.poly_mul(q, b), r)
+    c = qb_r[-1] // a[-1]
+    assert c > 0
+    assert qb_r == tuple(c * x for x in a)
+    assert len(r) == 1 and r[0] > 0
+    assert intpoly.poly_div_exact(intpoly.poly_mul(a, b), b) == a
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: sympy, on seeded random products of powers of small
+# integer polynomials (non-monic and negative leading coefficients included)
+# ---------------------------------------------------------------------------
+
+def _random_factor(rng):
+    while True:
+        f = intpoly.poly_trim(tuple(rng.randint(-5, 5) for _ in range(rng.randint(2, 4))))
+        if len(f) > 1:
+            return f
+
+
+def _random_product(rng):
+    p = (rng.choice((-3, -2, -1, 1, 2, 3)),)
+    for _ in range(rng.randint(1, 4)):
+        p = intpoly.poly_mul(p, intpoly.poly_pow(_random_factor(rng), rng.randint(1, 3)))
+    return p
+
+
+def _to_sympy(sympy, p):
+    return sympy.Poly(list(reversed(p)), sympy.Symbol("x"), domain="ZZ")
+
+
+def _from_sympy(poly):
+    return intpoly.poly_trim(tuple(int(c) for c in reversed(poly.all_coeffs())))
+
+
+def test_square_free_decomposition_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for _ in range(200):
+        p = _random_product(rng)
+        _, factors = _to_sympy(sympy, p).sqf_list()
+        want = [(intpoly.primitive(_from_sympy(f)), m) for f, m in factors]
+        assert intpoly.square_free_decomposition(p) == sorted(want, key=lambda fm: fm[1])
+
+
+def test_poly_gcd_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6)
+    for _ in range(200):
+        shared = _random_product(rng)
+        a = intpoly.poly_mul(_random_product(rng), shared)
+        b = intpoly.poly_mul(_random_product(rng), shared)
+        want = _from_sympy(sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b)))
+        assert intpoly.poly_gcd(a, b) == intpoly.primitive(want)
+
+
+def test_sturm_root_count_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        p = _from_sympy(_to_sympy(sympy, _random_product(rng)).sqf_part())
+        if len(p) < 2:
+            continue
+        chain = intpoly.sturm_chain(p)
+        for _ in range(5):
+            lo, hi = sorted(Fraction(rng.randint(-96, 96), 16) for _ in range(2))
+            if lo == hi or intpoly.sign_at(p, lo) == 0 or intpoly.sign_at(p, hi) == 0:
+                continue
+            want = _to_sympy(sympy, p).count_roots(
+                sympy.Rational(lo.numerator, lo.denominator),
+                sympy.Rational(hi.numerator, hi.denominator))
+            assert intpoly.count_roots_between(chain, lo, hi) == want
+            checked += 1
+    assert checked > 500
+
+
 # ---------------------------------------------------------------------------
 # Sturm isolation and certified refinement
 # ---------------------------------------------------------------------------

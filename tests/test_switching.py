@@ -138,6 +138,22 @@ def test_search_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_search_rejects_threads_below_one(threads):
+    g = chain_graph("0 1^2 0^2 1")
+    with pytest.raises(ValueError, match="threads"):
+        search_class_by_degree_profile(g, regular_profile, threads=threads)
+
+
+def test_search_accepts_thread_counts_above_cpu_count():
+    # n = 12: 2^11 subsets, below the 4096 at which a worker pool starts.
+    g = chain_graph("0 1^2 0^4 1^5")
+    serial = search_class_by_degree_profile(g, regular_profile, all_witnesses=True)
+    assert serial.match_count == 120
+    assert search_class_by_degree_profile(
+        g, regular_profile, all_witnesses=True, threads=10 ** 9) == serial
+
+
 def test_search_cap():
     with pytest.raises(ValueError):
         search_class_by_degree_profile(Graph.empty(31), regular_profile)
