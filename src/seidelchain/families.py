@@ -28,13 +28,6 @@ from .spectra import (
 )
 
 
-def integer_sqrt(x: int) -> int:
-    """Exact floor square root of a nonnegative integer."""
-    if x < 0:
-        raise ValueError("integer_sqrt of a negative number")
-    return math.isqrt(x)
-
-
 def is_perfect_square(x: int) -> bool:
     if x < 0:
         raise ValueError("is_perfect_square of a negative number")

@@ -26,6 +26,24 @@ CANONICAL_CAP = 20
 CERTIFICATE_CAP = 16
 
 
+def check_search_size(n: int) -> None:
+    """Refuse a switching search on more than SEARCH_CAP vertices."""
+    if n > SEARCH_CAP:
+        raise ValueError(f"switching search is capped at {SEARCH_CAP} vertices")
+
+
+def check_certificate_size(n: int) -> None:
+    """Refuse a class certificate on more than CERTIFICATE_CAP vertices."""
+    if n > CERTIFICATE_CAP:
+        raise ValueError(f"class certificates are capped at {CERTIFICATE_CAP} vertices")
+
+
+def check_same_order(n: int, m: int) -> None:
+    """Refuse to compare graphs on different numbers of vertices."""
+    if n != m:
+        raise ValueError("graphs must have the same number of vertices")
+
+
 def _as_mask(subset, n: int) -> int:
     if isinstance(subset, int):
         mask = subset
@@ -175,8 +193,7 @@ def search_class_by_degree_profile(
     if threads < 1:
         raise ValueError("threads must be at least 1")
     threads = min(threads, os.cpu_count() or 1)
-    if g.n > SEARCH_CAP:
-        raise ValueError(f"switching search is capped at {SEARCH_CAP} vertices")
+    check_search_size(g.n)
     total = 1 << max(g.n - 1, 0)
     if threads <= 1 or total < 4096:
         chunks = [_search_chunk(g.rows, g.n, 0, total, profile, all_witnesses)]
@@ -375,8 +392,7 @@ def class_certificate(g: Graph) -> ClassCertificate:
     the twin-component automorphisms, which covers every isomorphism type in
     the class at a fraction of the 2^(n-1) enumeration.
     """
-    if g.n > CERTIFICATE_CAP:
-        raise ValueError(f"class certificates are capped at {CERTIFICATE_CAP} vertices")
+    check_certificate_size(g.n)
     prefilter = degree_multiset_prefilter(g)
     comps = _twin_components(g)
     sizes = [len(c) for c in comps]
@@ -406,8 +422,7 @@ def switching_equivalent(g: Graph, h: Graph, mode: str = "switching-isomorphism"
     "switching-isomorphism" allows relabeling and compares class
     certificates (capped at 16 vertices).
     """
-    if g.n != h.n:
-        raise ValueError("graphs must have the same number of vertices")
+    check_same_order(g.n, h.n)
     if mode == "switching-only":
         n = g.n
         if n <= 1:

@@ -1,9 +1,12 @@
 import io
 import json
+import time
 
 import pytest
 
+from seidelchain import cli
 from seidelchain.cli import run
+from seidelchain.switching import check_certificate_size, check_search_size
 
 
 def _run(argv):
@@ -219,3 +222,59 @@ def test_bad_profile_degrees():
 def test_even_r_usage_error():
     code, doc = _run_json(["cospectral", "--r", "2"])
     assert code == 2
+
+
+def test_seed_option_is_gone():
+    code, text = _run(["--seed", "3", "spectrum", "0 1"])
+    assert code == 2
+    assert text == ""
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["switch-search", "0^100000 1", "--profile", "regular"], check_search_size),
+    (["equivalent", "0^100000 1", "0^100000 1"], check_certificate_size),
+])
+def test_oversized_input_refused_before_graph_build(argv, check):
+    with pytest.raises(ValueError) as refusal:
+        check(100001)
+    start = time.perf_counter()
+    code, doc = _run_json(argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert doc["error"] == {"code": "cap-exceeded", "message": str(refusal.value)}
+
+
+@pytest.mark.parametrize("mode", ["iso", "plain"])
+def test_equivalent_different_vertex_counts_is_usage_error(mode):
+    code, doc = _run_json(["equivalent", "0 1", "0 1^2", "--mode", mode])
+    assert code == 2
+    assert doc["error"] == {"code": "usage",
+                            "message": "graphs must have the same number of vertices"}
+
+
+def test_failed_verification_prints_report_and_error(monkeypatch):
+    report = cli.verify_tables()
+    report["cospectral"]["rows"][0]["pass"] = False
+    report["cospectral"]["passed"] -= 1
+    report["all_pass"] = False
+    monkeypatch.setattr(cli, "verify_tables", lambda: report)
+    error = {"code": "verification-failed",
+             "message": "one or more golden table rows did not reproduce"}
+
+    code, doc = _run_json(["verify-tables"])
+    assert code == 1
+    assert doc == {"status": "error", "error": error, "payload": report}
+
+    code, text = _run(["verify-tables"])
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[0] == "cospectral table: 9/10 rows pass"
+    assert lines[-2:] == ["all pass: False",
+                          "error [verification-failed]: " + error["message"]]
+
+    code, text = _run(["--format", "csv", "verify-tables"])
+    assert code == 1
+    lines = text.splitlines()
+    assert lines[0] == "table,row,pass"
+    assert lines[1] == "cospectral,0 1^3 0^3 1^7,False"
+    assert len(lines) == 21

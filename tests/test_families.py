@@ -11,7 +11,6 @@ from seidelchain import (
     exact_spectrum,
     generate_cospectral_pair,
     generate_integral_family,
-    integer_sqrt,
     integral_family_params,
     is_perfect_square,
     mirror_chain_family,
@@ -32,12 +31,8 @@ def test_perfect_square_basics():
     assert not is_perfect_square(20)
     big = (10 ** 30 + 7) ** 2
     assert is_perfect_square(big) and not is_perfect_square(big + 1)
-    assert integer_sqrt(big) == 10 ** 30 + 7
-    assert integer_sqrt(17) == 4
     with pytest.raises(ValueError):
         is_perfect_square(-4)
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
 
 
 def test_family_discriminants_are_squares():
