@@ -29,6 +29,7 @@ from .families import (
     scan_seidel_integral,
 )
 from .spectra import (
+    check_quotient_order,
     equiangular_params,
     exact_spectrum,
     quotient_matrix,
@@ -75,6 +76,13 @@ def _parse_string(text: str) -> BlockString:
         raise ComputeError("usage", f"bad block string {text!r}: {exc}") from exc
 
 
+def _parse_quotient_string(text: str) -> BlockString:
+    """A parsed block string whose quotient order is within the cap."""
+    b = _parse_string(text)
+    _guarded("cap-exceeded", check_quotient_order, b.k)
+    return b
+
+
 def _spectrum_text(serialized: list[dict]) -> str:
     return ", ".join(f"{e['value']} (x{e['mult']})" for e in serialized)
 
@@ -84,7 +92,7 @@ def _spectrum_text(serialized: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(args) -> dict:
-    b = _parse_string(args.string)
+    b = _parse_quotient_string(args.string)
     sp = exact_spectrum(b)
     return {
         "string": b.caret(),
@@ -97,7 +105,7 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_quotient(args) -> dict:
-    b = _parse_string(args.string)
+    b = _parse_quotient_string(args.string)
     q = quotient_matrix(b)
     return {
         "string": b.caret(),
@@ -108,7 +116,7 @@ def _cmd_quotient(args) -> dict:
 
 
 def _cmd_equiangular(args) -> dict:
-    b = _parse_string(args.string)
+    b = _parse_quotient_string(args.string)
     ep = _guarded("degenerate", equiangular_params, exact_spectrum(b))
     return {
         "string": b.caret(),

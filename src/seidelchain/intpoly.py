@@ -6,15 +6,18 @@ Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
 rest on integer pseudo-division; Fraction appears only as the rational points
 of sign evaluation, root isolation and refinement.  The root machinery
 (integer-root stripping, square-free decomposition, Sturm isolation,
-sign-certified bisection) assumes monic inputs whose remaining roots are all
+sign-certified refinement) assumes monic inputs whose remaining roots are all
 real, which holds for characteristic polynomials of symmetric integer
-matrices.
+matrices.  Float guesses may steer integer-root stripping and refinement, but
+every root they lead to is certified exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, isfinite
+from operator import mul
 
 IntPoly = tuple[int, ...]
 
@@ -119,20 +122,42 @@ def primitive(p: IntPoly) -> IntPoly:
     return tuple(c // g for c in p)
 
 
-def cauchy_bound(p: IntPoly) -> int:
-    """Integer B with every real root of p inside (-B, B) (p nonconstant)."""
+def _iroot_ceil(a: int, i: int) -> int:
+    """Least integer r >= 0 with r**i >= a, for an integer a >= 0."""
+    if a <= 1:
+        return a
+    r = 1 << -(-a.bit_length() // i)  # r**i > a
+    while True:  # integer Newton from above converges to the floor root
+        s = ((i - 1) * r + a // r ** (i - 1)) // i
+        if s >= r:
+            break
+        r = s
+    return r if r ** i >= a else r + 1
+
+
+def root_bound(p: IntPoly) -> int:
+    """Integer B with every complex root of p strictly inside |z| < B (p nonconstant).
+
+    Fujiwara's bound 2 * max |c_{d-i} / c_d|^(1/i), each term rounded up with
+    exact integer i-th roots.
+    """
+    d = len(p) - 1
     lead = abs(p[-1])
-    top = max(abs(c) for c in p[:-1]) if len(p) > 1 else 0
-    return 1 + (top + lead - 1) // lead
+    top = max(_iroot_ceil(-(-abs(p[d - i]) // lead), i) for i in range(1, d + 1))
+    return max(2 * top, 1)
 
 
-def integer_roots(p: IntPoly, bound: int | None = None) -> tuple[dict[int, int], IntPoly]:
-    """Strip all integer roots of a monic integer polynomial.
+def integer_roots(p: IntPoly, bound: int | None = None,
+                  guesses: list[float] | None = None) -> tuple[dict[int, int], IntPoly]:
+    """Strip integer roots of a monic integer polynomial.
 
-    Candidate roots are 0 plus the divisors of the running constant term that
-    fall inside [-bound, bound] (defaulting to the Cauchy bound); -1 is always
-    tried first.  Returns ({root: multiplicity}, residual factor); the
-    residual has no integer roots, hence (being monic) no rational roots.
+    0 is stripped first and -1 is always tried next.  Without guesses the
+    other candidates are every integer in [-bound, bound] (bound defaults to
+    root_bound), so all integer roots are found.  With float guesses they are
+    only the distinct roundings of the guesses inside [-bound, bound], and
+    completeness is up to the caller to certify.  Every candidate dividing
+    the running constant term is tried by exact synthetic division.  Returns
+    ({root: multiplicity}, residual factor).
     """
     p = poly_trim(p)
     if not p or p[-1] != 1:
@@ -143,9 +168,14 @@ def integer_roots(p: IntPoly, bound: int | None = None) -> tuple[dict[int, int],
         p = p[1:]
     if len(p) == 1:
         return roots, p
-    b = bound if bound is not None else cauchy_bound(p)
-    candidates = [-1] + [d for d in range(-b, b + 1) if d not in (0, -1)]
-    for d in candidates:
+    b = bound if bound is not None else root_bound(p)
+    if guesses is None:
+        rest = (d for d in range(-b, b + 1) if d not in (0, -1))
+    else:
+        rest = sorted({d for d in map(round, guesses) if -b <= d <= b} - {0, -1})
+    for d in itertools.chain((-1,), rest):
+        if len(p) == 1:
+            break
         while len(p) > 1 and p[0] % d == 0:
             q, rem = synthetic_div(p, d)
             if rem != 0:
@@ -265,7 +295,7 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fract
     p = primitive(p)
     if poly_degree(p) < 1:
         return []
-    b = Fraction(bound if bound is not None else cauchy_bound(p))
+    b = Fraction(bound if bound is not None else root_bound(p))
     chain = sturm_chain(p)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-b, b)]
@@ -287,8 +317,18 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fract
 
 
 def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
-                width: Fraction = Fraction(1, 2 ** 40)) -> tuple[Fraction, Fraction, int, int]:
-    """Shrink an isolating interval by sign bisection to the requested width.
+                width: Fraction = Fraction(1, 2 ** 40),
+                guess: float | None = None) -> tuple[Fraction, Fraction, int, int]:
+    """Shrink an isolating interval to the requested width.
+
+    The result is the cell of the grid lo + j * (hi - lo) / 2^m that holds
+    the root, with m the least depth at which a cell is no wider than width:
+    the cell that sign bisection reaches.  (lo, hi) holds exactly one root,
+    so the exact sign at a grid point tells on which side of it the root
+    lies.  The search starts at the cell of guess and gallops outward, then
+    bisects the bracket: a good float guess costs about two sign evaluations
+    beyond the endpoints, a bad one at most about 2m, and guess=None exactly
+    m.  The cell is the same for every guess.
 
     Returns (lo, hi, sign at lo, sign at hi); the differing endpoint signs are
     the certificate that a root lies inside.
@@ -296,16 +336,44 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
     s_lo, s_hi = sign_at(p, lo), sign_at(p, hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("interval endpoints do not certify a sign change")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(p, mid)
-        if s_mid == 0:
+    ratio = (hi - lo) / width
+    steps = -(-ratio.numerator // ratio.denominator)
+    if steps <= 1:
+        return lo, hi, s_lo, s_hi
+    cells = 1 << (steps - 1).bit_length()
+    step = (hi - lo) / cells
+
+    def below(j: int) -> bool:
+        """True when the root lies below grid point j."""
+        s = sign_at(p, lo + j * step)
+        if s == 0:
             raise ValueError("rational root encountered during refinement")
-        if s_mid == s_lo:
-            lo = mid
+        return s != s_lo
+
+    a, b = 0, cells  # the root lies between grid points a and b
+    if guess is not None and isfinite(guess):
+        j = min(max(floor((Fraction(guess) - lo) / step), 0), cells - 1)
+        if j > 0 and below(j):
+            b, gap = j, 1
+            while b - gap > a:
+                if not below(b - gap):
+                    a = b - gap
+                    break
+                b, gap = b - gap, 2 * gap
         else:
-            hi = mid
-    return lo, hi, s_lo, s_hi
+            a, gap = j, 1
+            while a + gap < b:
+                if below(a + gap):
+                    b = a + gap
+                    break
+                a, gap = a + gap, 2 * gap
+    while b - a > 1:
+        mid = (a + b) // 2
+        if below(mid):
+            b = mid
+        else:
+            a = mid
+    return lo + a * step, lo + b * step, s_lo, s_hi
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +385,8 @@ def char_poly_ints(matrix) -> IntPoly:
 
     Faddeev-LeVerrier trace recursion; every division is exact over the
     integers, so coefficients come out as exact arbitrary-precision integers.
+    The running matrix M_k is kept as a list of columns, so each entry of
+    A M_k is one dot product of a row of A with a column of M_k.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
@@ -324,16 +394,15 @@ def char_poly_ints(matrix) -> IntPoly:
         raise ValueError("matrix is not square")
     if n == 0:
         return (1,)
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     coeffs_desc = [1]
     for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
+        cols = [[sum(map(mul, row, col)) for row in a] for col in cols]
+        tr = sum(cols[i][i] for i in range(n))
         if tr % k:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
         ck = -(tr // k)
         coeffs_desc.append(ck)
         for i in range(n):
-            am[i][i] += ck
-        m = am
+            cols[i][i] += ck
     return tuple(reversed(coeffs_desc))

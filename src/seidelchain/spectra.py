@@ -3,8 +3,17 @@
 The Seidel matrix of a simple graph is J - I - 2A: -1 on edges, +1 on
 non-edges, 0 on the diagonal.  For a chain graph with 2k cells the spectrum
 splits as spectrum(Q) together with -1 repeated n - 2k times, where Q is the
-2k x 2k quotient matrix of the cell partition, so exact spectra cost O(k^3)
-bigint work instead of O(n^3).
+2k x 2k quotient matrix of the cell partition, so the cost of an exact
+spectrum depends on k, not on n: the Faddeev-LeVerrier characteristic
+polynomial does O(k^4) bigint work.
+
+Roots are located by guess, then certified.  One float eigensolve of the
+symmetric form of Q gives a guess for every eigenvalue.  Integer roots are
+the rounded guesses that exact synthetic division confirms; the residual is
+split square-free, isolated by Sturm sequences, and each root is refined to
+its dyadic cell starting from its guess.  Completeness is certified exactly:
+if any residual root turns out to be an integer, the integer-root strip is
+redone as a scan of every integer in [-n, n].
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c,
 or sign-certified root intervals of an integer polynomial factor (width at
@@ -13,6 +22,7 @@ most 2^-40).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -127,8 +137,9 @@ class RootInterval:
 
     @classmethod
     def from_isolating(cls, poly: tuple[int, ...], lo: Fraction, hi: Fraction,
-                       width: Fraction = INTERVAL_WIDTH) -> RootInterval:
-        lo, hi, s_lo, s_hi = intpoly.refine_root(poly, lo, hi, width)
+                       width: Fraction = INTERVAL_WIDTH, guess: float | None = None) -> RootInterval:
+        """Refine an isolating interval; guess (a float near the root) only saves work."""
+        lo, hi, s_lo, s_hi = intpoly.refine_root(poly, lo, hi, width, guess)
         return cls(poly, lo, hi, s_lo, s_hi)
 
     def refined(self, width: Fraction) -> RootInterval:
@@ -286,6 +297,12 @@ class QuotientMatrix:
     size: int
     entries: tuple[tuple[int, ...], ...]
     cell_sizes: tuple[int, ...]
+
+
+def check_quotient_order(k: int) -> None:
+    """Refuse a block string with k blocks whose 2k x 2k quotient is over the cap."""
+    if 2 * k > CHAR_POLY_ORDER_CAP:
+        raise ValueError(f"quotient order {2 * k} exceeds cap {CHAR_POLY_ORDER_CAP}")
 
 
 def quotient_matrix(b: BlockString) -> QuotientMatrix:
@@ -490,35 +507,94 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     return ExactSpectrum(tuple((v, m) for v, m in merged))
 
 
+def _quotient_guesses(q: QuotientMatrix) -> list[float]:
+    """Float eigenvalues of q, ascending, from numpy's eigvalsh.
+
+    q = Sigma D - I, where D holds the cell sizes and Sigma the cell signs
+    (the signs of q's entries, +1 on the diagonal), is similar to the
+    symmetric D^1/2 Sigma D^1/2 - I.
+    """
+    root = np.sqrt(np.array(q.cell_sizes, dtype=float))
+    sigma = np.sign(np.array(q.entries, dtype=float))
+    np.fill_diagonal(sigma, 1.0)
+    return np.linalg.eigvalsh(sigma * np.outer(root, root) - np.eye(q.size)).tolist()
+
+
+def _guess_in(guesses: list[float], lo: Fraction, hi: Fraction) -> float | None:
+    """The first of the sorted guesses inside [lo, hi], if any.
+
+    The interval may also hold guesses of other factors' roots; a wrong
+    pick costs refine_root more sign evaluations, never a different cell.
+    """
+    i = bisect.bisect_left(guesses, float(lo))
+    return guesses[i] if i < len(guesses) and guesses[i] <= float(hi) else None
+
+
+class _MissedIntegerRoot(ArithmeticError):
+    """A residual root is an integer, so the integer-root strip was incomplete."""
+
+    def __init__(self) -> None:
+        super().__init__("rational root escaped integer stripping")
+
+
+def _quotient_roots(coeffs: tuple[int, ...], bound: int,
+                    guesses: list[float] | None) -> list[tuple[Eigenvalue, int]]:
+    """(value, multiplicity) of every root of a monic quotient charpoly.
+
+    Every root lies in [-bound, bound].  Without guesses every integer there
+    is tried, so the residual has no rational root.  With guesses only their
+    roundings are tried, and completeness is certified afterwards: each
+    residual root must end in an irrational surd or in a certified cell with
+    no integer root inside (a rational root of a monic integer polynomial is
+    an integer).  Otherwise _MissedIntegerRoot is raised.
+    """
+    int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=guesses)
+    counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
+    found = sum(int_roots.values())
+    rest = sorted(guesses or ())
+    factors = intpoly.square_free_decomposition(residual) if intpoly.poly_degree(residual) >= 1 else []
+    for factor, mult in factors:
+        deg = intpoly.poly_degree(factor)
+        if deg == 2:
+            c0, c1, c2 = factor
+            if c2 != 1:
+                raise ArithmeticError("residual factor is not monic")
+            disc = c1 * c1 - 4 * c0
+            if math.isqrt(disc) ** 2 == disc:
+                raise _MissedIntegerRoot()
+            counts.append((Surd.make(-c1, 1, disc, 2), mult))
+            counts.append((Surd.make(-c1, -1, disc, 2), mult))
+        else:
+            try:
+                cells = [RootInterval.from_isolating(factor, lo, hi, guess=_guess_in(rest, lo, hi))
+                         for lo, hi in intpoly.isolate_real_roots(factor, bound=bound)]
+            except ValueError as exc:  # a rational root sits on a dyadic point
+                raise _MissedIntegerRoot() from exc
+            for cell in cells:
+                z = math.floor(cell.lo) + 1
+                if z < cell.hi and intpoly.poly_eval(factor, z) == 0:
+                    raise _MissedIntegerRoot()
+                counts.append((cell, mult))
+        found += deg * mult
+    if found != len(coeffs) - 1:
+        raise ArithmeticError("failed to account for every quotient eigenvalue")
+    return counts
+
+
 def quotient_spectrum(b: BlockString) -> ExactSpectrum:
-    """Exact eigenvalue multiset of the quotient matrix (2k values with multiplicity)."""
+    """Exact eigenvalue multiset of the quotient matrix (2k values with multiplicity).
+
+    The cap is checked before any work.  The float guesses steer the search
+    for roots; if they miss an integer root, the strip is redone as a scan.
+    """
+    check_quotient_order(b.k)
     q = quotient_matrix(b)
-    if q.size > CHAR_POLY_ORDER_CAP:
-        raise ValueError(f"quotient order {q.size} exceeds cap {CHAR_POLY_ORDER_CAP}")
     cp = char_poly(q)
     # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
-    bound = b.n
-    int_roots, residual = intpoly.integer_roots(cp.coeffs, bound=bound)
-    counts: list[tuple[Eigenvalue, int]] = [(z, m) for z, m in int_roots.items()]
-    found = sum(int_roots.values())
-    if intpoly.poly_degree(residual) >= 1:
-        for factor, mult in intpoly.square_free_decomposition(residual):
-            deg = intpoly.poly_degree(factor)
-            if deg == 1:
-                raise ArithmeticError("rational root escaped integer stripping")
-            if deg == 2:
-                c0, c1, c2 = factor
-                if c2 != 1:
-                    raise ArithmeticError("residual factor is not monic")
-                disc = c1 * c1 - 4 * c0
-                counts.append((Surd.make(-c1, 1, disc, 2), mult))
-                counts.append((Surd.make(-c1, -1, disc, 2), mult))
-            else:
-                for lo, hi in intpoly.isolate_real_roots(factor, bound=bound):
-                    counts.append((RootInterval.from_isolating(factor, lo, hi), mult))
-            found += deg * mult
-    if found != cp.degree:
-        raise ArithmeticError("failed to account for every quotient eigenvalue")
+    try:
+        counts = _quotient_roots(cp.coeffs, b.n, _quotient_guesses(q))
+    except _MissedIntegerRoot:
+        counts = _quotient_roots(cp.coeffs, b.n, None)
     return spectrum_from_counts(counts)
 
 

@@ -7,12 +7,16 @@ import random
 from seidelchain import BlockString, Graph
 
 
-def random_block_string(rng: random.Random, max_k: int = 6, max_n: int = 60) -> BlockString:
-    k = rng.randint(1, max_k)
-    n = rng.randint(2 * k, max_n)
+def cut_block_string(rng: random.Random, k: int, n: int) -> BlockString:
+    """A block string with k blocks on n vertices, cut uniformly at random."""
     cuts = sorted(rng.sample(range(1, n), 2 * k - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     return BlockString(tuple((parts[2 * i], parts[2 * i + 1]) for i in range(k)))
+
+
+def random_block_string(rng: random.Random, max_k: int = 6, max_n: int = 60) -> BlockString:
+    k = rng.randint(1, max_k)
+    return cut_block_string(rng, k, rng.randint(2 * k, max_n))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -17,6 +17,7 @@ from seidelchain.cli import run
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 _THREADED = ["switch-search", "0 1^5 0^5 1^4", "--profile", "regular", "--all"]
+_OVER_QUOTIENT_CAP = " ".join(["0 1"] * 130)  # quotient order 260 > 256
 
 COMMANDS = [
     ["spectrum", "01^5 0^5 1^4"],
@@ -70,6 +71,9 @@ COMMANDS = [
     ["switch-search", "0^999 1", "--profile", "biregular:3,4", "--all"],
     ["equivalent", "0^999 1", "0^999 1"],
     ["equiangular", "01"],
+    ["spectrum", _OVER_QUOTIENT_CAP],
+    ["quotient", _OVER_QUOTIENT_CAP],
+    ["equiangular", _OVER_QUOTIENT_CAP],
 ]
 
 CASES = [["--format", fmt] + argv for argv in COMMANDS for fmt in ("json", "text", "csv")]

@@ -1,8 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import cut_block_string, random_block_string
 from seidelchain import intpoly, parse_block_string, quotient_matrix
 
 
@@ -233,3 +238,116 @@ def test_poly_helpers():
     assert intpoly.poly_derivative((5, 3, 1)) == (3, 2)
     assert intpoly.poly_trim((0, 0)) == ()
     assert intpoly.primitive((-4, -2)) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Root bound, guided integer-root strip and guided refinement
+# ---------------------------------------------------------------------------
+
+def test_root_bound_encloses_every_root():
+    rng = random.Random(13)
+    for _ in range(300):
+        p = _random_product(rng)
+        if len(p) < 2:
+            continue
+        b = intpoly.root_bound(p)
+        assert max(abs(z) for z in np.roots(list(reversed(p)))) < b
+    assert intpoly.root_bound((-2, -3, 0, 1)) == 4  # 2 * ceil(sqrt(3))
+    assert intpoly.root_bound((0, 0, 1)) == 1
+
+
+def test_integer_roots_default_bound_is_small():
+    b = cut_block_string(random.Random(24), 24, 200)
+    p = intpoly.char_poly_ints(quotient_matrix(b).entries)
+    assert intpoly.root_bound(p) < 1000
+    start = time.perf_counter()
+    got = intpoly.integer_roots(p)
+    assert time.perf_counter() - start < 1.0
+    assert got == intpoly.integer_roots(p, bound=b.n)
+
+
+def test_integer_roots_tries_only_rounded_guesses():
+    # (x + 1)(x - 3)(x - 7)(x^2 - 2)
+    p = (1,)
+    for f in ((1, 1), (-3, 1), (-7, 1), (-2, 0, 1)):
+        p = intpoly.poly_mul(p, f)
+    assert intpoly.integer_roots(p, guesses=[-1.2, 2.9, 7.4, -1.41, 1.41]) == ({-1: 1, 3: 1, 7: 1}, (-2, 0, 1))
+    # A guess that rounds to the wrong integer leaves that root in the residual.
+    roots, residual = intpoly.integer_roots(p, guesses=[3.6, 7.0])
+    assert roots == {-1: 1, 7: 1}
+    assert residual == intpoly.poly_mul((-3, 1), (-2, 0, 1))
+    # Guesses outside [-bound, bound] are not tried.
+    assert intpoly.integer_roots(p, bound=5, guesses=[3.0, 7.0])[0] == {-1: 1, 3: 1}
+
+
+def test_char_poly_against_sympy_on_quotients():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8)
+    for k in range(1, 9):
+        for _ in range(2):
+            b = random_block_string(rng, max_k=k, max_n=80)
+            entries = quotient_matrix(b).entries
+            want = _from_sympy(sympy.Matrix(entries).charpoly(sympy.Symbol("x")))
+            assert intpoly.char_poly_ints(entries) == want
+
+
+def _bisect_reference(p, lo, hi, width):
+    """Plain sign bisection: the cell refine_root must return for every guess."""
+    s_lo, s_hi = intpoly.sign_at(p, lo), intpoly.sign_at(p, hi)
+    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
+        raise ValueError("interval endpoints do not certify a sign change")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = intpoly.sign_at(p, mid)
+        if s_mid == 0:
+            raise ValueError("rational root encountered during refinement")
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, s_lo, s_hi
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-12, 12), min_size=3, max_size=7).filter(lambda c: c[-1] != 0),
+    depth=st.integers(0, 44),
+    pick=st.integers(0, 10),
+    t=st.fractions(0, 1, max_denominator=1 << 20),
+    off=st.floats(1e-9, 1e3),
+)
+def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, off):
+    p = tuple(coeffs)
+    p = intpoly.poly_div_exact(p, intpoly.poly_gcd(p, intpoly.poly_derivative(p)))
+    assume(intpoly.poly_degree(p) >= 1)
+    try:
+        intervals = intpoly.isolate_real_roots(p)
+    except ValueError:  # a rational root on a bisection point
+        assume(False)
+    assume(intervals)
+    lo, hi = intervals[pick % len(intervals)]
+    width = Fraction(1, 1 << depth)
+    want = _outcome(_bisect_reference, p, lo, hi, width)
+    guesses = [None, float(lo + t * (hi - lo)), float(lo) - off, float(hi) + off,
+               1e300, -1e300, float("inf"), float("nan")]
+    for guess in guesses:
+        assert _outcome(intpoly.refine_root, p, lo, hi, width, guess) == want, guess
+
+
+def test_refine_root_from_a_good_guess_needs_few_signs(monkeypatch):
+    calls = []
+    sign_at = intpoly.sign_at
+    monkeypatch.setattr(intpoly, "sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
+    p = (-2, 0, 1)
+    got = intpoly.refine_root(p, Fraction(1), Fraction(2), guess=2 ** 0.5)
+    assert len(calls) == 4  # two endpoints, then the two ends of the guessed cell
+    calls.clear()
+    assert intpoly.refine_root(p, Fraction(1), Fraction(2)) == got
+    assert len(calls) == 2 + 40

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_block_string
+from conftest import cut_block_string, random_block_string
 from seidelchain import (
+    BlockString,
     Graph,
     RootInterval,
     Surd,
@@ -21,12 +23,23 @@ from seidelchain import (
     seidel_matrix,
     spectrum_from_counts,
 )
-from seidelchain import intpoly
+from seidelchain import intpoly, spectra
 from seidelchain.spectra import (
     value_cmp,
     value_to_string,
     values_equal,
 )
+
+
+class _Spy:
+    """Counts the calls of a wrapped function."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +280,84 @@ def test_numeric_spectrum_cap():
         numeric_spectrum(seidel_matrix(Graph.empty(2001)))
 
 
-def test_exact_spectrum_quotient_order_cap():
-    from seidelchain import BlockString
+def test_exact_spectrum_quotient_order_cap(monkeypatch):
     big = BlockString(((1, 1),) * 129)  # 2k = 258
-    with pytest.raises(ValueError):
+    built = _Spy(spectra.quotient_matrix)
+    monkeypatch.setattr(spectra, "quotient_matrix", built)
+    with pytest.raises(ValueError, match="quotient order 258 exceeds cap 256"):
         quotient_spectrum(big)
+    assert built.calls == 0  # refused before the quotient is built
+    spectra.check_quotient_order(128)
+
+
+# ---------------------------------------------------------------------------
+# Guess-then-certify root location against the scan-and-bisect path
+# ---------------------------------------------------------------------------
+
+# The shapes of the large-spectrum benchmark: k = 8..16 up to n = 2*10^4,
+# and few-block strings with n = 10^5..10^6.
+_LARGE_SHAPES = ((8, 20_000), (10, 2_000), (12, 500), (14, 100), (16, 64), (2, 100_000), (2, 300_000))
+
+
+def _scan_and_bisect(monkeypatch, strings):
+    """Serialized spectra with no float guesses: every integer in [-n, n] tried, plain bisection."""
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_quotient_guesses", lambda q: None)
+        return [exact_spectrum(b).serialize() for b in strings]
+
+
+def test_guided_path_equals_scan_and_bisect(monkeypatch):
+    rng = random.Random(2026)
+    strings = [random_block_string(rng, max_k=8, max_n=rng.choice((30, 60, 300))) for _ in range(150)]
+    strings += [cut_block_string(rng, k, n) for k, n in _LARGE_SHAPES]
+    strings.append(BlockString(((999_999, 1),)))
+    assert [exact_spectrum(b).serialize() for b in strings] == _scan_and_bisect(monkeypatch, strings)
+
+
+@pytest.mark.parametrize("text, missed", [
+    ("0 1^2 0^2 1", 3),     # the residual keeps (x - 3)^2: its linear square-free factor is isolated
+    ("0 1 0 1 0 1^3", -3),  # n = 8: isolation on [-8, 8] bisects at -3
+    ("0 1 0 1 0^2 1", 3),   # n = 7: 3 ends inside a certified cell of a quartic residual
+])
+def test_guesses_that_miss_an_integer_root_fall_back_to_the_scan(monkeypatch, text, missed):
+    b = parse_block_string(text)
+    want = exact_spectrum(b).serialize()
+    assert any(e["value"] == f"int:{missed}" for e in want)
+    true_guesses = spectra._quotient_guesses
+
+    def misrounded(q):
+        # The guesses of `missed` now round to its neighbour.
+        return [g + 0.7 if round(g) == missed else g for g in true_guesses(q)]
+
+    strip = _Spy(intpoly.integer_roots)
+    monkeypatch.setattr(spectra, "_quotient_guesses", misrounded)
+    monkeypatch.setattr(intpoly, "integer_roots", strip)
+    assert exact_spectrum(b).serialize() == want
+    assert strip.calls == 2  # the guided strip, then the scan
+
+
+@pytest.mark.parametrize("bad", [lambda gs: [g + 100.3 for g in gs], lambda gs: [], lambda gs: [0.0] * 40])
+def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
+    rng = random.Random(31)
+    strings = [random_block_string(rng, max_k=5, max_n=40) for _ in range(20)]
+    want = _scan_and_bisect(monkeypatch, strings)
+    true_guesses = spectra._quotient_guesses
+    monkeypatch.setattr(spectra, "_quotient_guesses", lambda q: bad(true_guesses(q)))
+    assert [exact_spectrum(b).serialize() for b in strings] == want
+
+
+def test_missed_pair_of_integer_roots_is_caught_by_the_discriminant():
+    # (x + 1)(x - 2)(x - 5): guesses that miss 2 and 5 leave x^2 - 7x + 10,
+    # whose discriminant 9 is a square.
+    p = intpoly.poly_mul(intpoly.poly_mul((1, 1), (-2, 1)), (-5, 1))
+    with pytest.raises(spectra._MissedIntegerRoot):
+        spectra._quotient_roots(p, 8, [-1.0, 9.0, 9.0])
+    assert spectra._quotient_roots(p, 8, None) == [(-1, 1), (2, 1), (5, 1)]
+
+
+def test_integer_roots_of_huge_n_without_a_scan():
+    b = parse_block_string("0^1000000000 1")
+    start = time.perf_counter()
+    sp = exact_spectrum(b)
+    assert time.perf_counter() - start < 0.1
+    assert sp.serialize() == [{"value": "int:-1", "mult": 10 ** 9}, {"value": "int:1000000000", "mult": 1}]
