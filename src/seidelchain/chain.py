@@ -123,28 +123,41 @@ class ChainGraph(Graph):
         return self.block_string.cells()
 
 
+def cell_signs(b: BlockString) -> tuple[tuple[int, ...], ...]:
+    """The Seidel sign of each pair of the 2k cells, in string order.
+
+    sigma = -1 exactly when one cell is the i-th 0-cell and the other the
+    j-th 1-cell with i <= j (the cells are joined by every edge), else +1,
+    also on the diagonal.  Cell p is the 0-cell of block p // 2 for even p
+    and its 1-cell for odd p, so i <= j says the 0-cell comes first: a
+    0-cell meets every later 1-cell, and a 1-cell every earlier 0-cell.
+    """
+    m = 2 * b.k
+    at_ones, at_zeros = (1, -1) * b.k, (-1, 1) * b.k
+    return tuple(
+        (1,) * (p + 1) + at_ones[p + 1:] if p % 2 == 0 else at_zeros[:p] + (1,) * (m - p)
+        for p in range(m)
+    )
+
+
 def build_chain_graph(b: BlockString) -> ChainGraph:
     """Construct the chain graph of a block string.
 
-    Edge rule: a vertex of the i-th 0-cell is adjacent to a vertex of the
-    j-th 1-cell iff i <= j.  The result is connected: every 1-cell sees the
-    first 0-cell and every 0-cell is seen by the last 1-cell.
+    Every vertex of a cell is joined to every vertex of each cell with sign
+    -1 (cell_signs): a vertex of the i-th 0-cell is adjacent to a vertex of
+    the j-th 1-cell iff i <= j.  The result is connected: every 1-cell sees
+    the first 0-cell and every 0-cell is seen by the last 1-cell.
     """
-    n = b.n
     cells = b.cells()
-    rows = [0] * n
-    zero_cells = [(idx // 2 + 1, start, size) for idx, (lab, start, size) in enumerate(cells) if lab == "0"]
-    one_cells = [(idx // 2 + 1, start, size) for idx, (lab, start, size) in enumerate(cells) if lab == "1"]
-    for i, s_start, s_size in zero_cells:
-        for j, t_start, t_size in one_cells:
-            if i <= j:
-                t_mask = ((1 << t_size) - 1) << t_start
-                s_mask = ((1 << s_size) - 1) << s_start
-                for v in range(s_start, s_start + s_size):
-                    rows[v] |= t_mask
-                for w in range(t_start, t_start + t_size):
-                    rows[w] |= s_mask
-    return ChainGraph(n, tuple(rows), b)
+    masks = [((1 << size) - 1) << start for _lab, start, size in cells]
+    rows: list[int] = []
+    for (_lab, _start, size), signs in zip(cells, cell_signs(b)):
+        row = 0
+        for mask, sigma in zip(masks, signs):
+            if sigma < 0:
+                row |= mask
+        rows.extend([row] * size)
+    return ChainGraph(b.n, tuple(rows), b)
 
 
 def chain_graph(text: str) -> ChainGraph:

@@ -38,6 +38,7 @@ from .spectra import (
 from .switching import (
     biregular_profile,
     check_certificate_size,
+    check_plain_size,
     check_same_order,
     check_search_size,
     regular_profile,
@@ -206,8 +207,8 @@ def _cmd_equivalent(args) -> dict:
     bb = _parse_string(args.string_b)
     mode = {"iso": "switching-isomorphism", "plain": "switching-only"}[args.mode]
     _guarded("usage", check_same_order, ba.n, bb.n)
-    if mode == "switching-isomorphism":
-        _guarded("cap-exceeded", check_certificate_size, ba.n)
+    check = check_certificate_size if mode == "switching-isomorphism" else check_plain_size
+    _guarded("cap-exceeded", check, ba.n)
     return {
         "string_a": ba.caret(),
         "string_b": bb.caret(),

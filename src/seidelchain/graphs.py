@@ -45,24 +45,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    @classmethod
-    def path(cls, n: int) -> Graph:
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def cycle(cls, n: int) -> Graph:
-        if n < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def complete(cls, n: int) -> Graph:
-        full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -71,18 +53,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            row = self.rows[v] >> (v + 1)
-            w = v + 1
-            while row:
-                if row & 1:
-                    out.append((v, w))
-                row >>= 1
-                w += 1
-        return out
 
     def relabel(self, perm: list[int] | tuple[int, ...]) -> Graph:
         """Image under the vertex map v -> perm[v]."""

@@ -40,10 +40,6 @@ def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
-def poly_sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return poly_add(a, tuple(-c for c in b))
-
-
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     if not a or not b:
         return ()
@@ -53,13 +49,6 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return poly_trim(out)
-
-
-def poly_pow(a: IntPoly, e: int) -> IntPoly:
-    out: IntPoly = (1,)
-    for _ in range(e):
-        out = poly_mul(out, a)
-    return out
 
 
 def poly_derivative(p: IntPoly) -> IntPoly:

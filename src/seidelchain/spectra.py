@@ -17,7 +17,7 @@ redone as a scan of every integer in [-n, n].
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c,
 or sign-certified root intervals of an integer polynomial factor (width at
-most 2^-40).
+most 2^-40).  They compare by representation, not by value.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -32,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from . import intpoly
-from .chain import BlockString
+from .chain import BlockString, cell_signs
 from .graphs import Graph
 
 CHAR_POLY_ORDER_CAP = 256
@@ -126,7 +127,10 @@ class RootInterval:
     """A real algebraic number: the unique root of `poly` inside (lo, hi).
 
     poly is primitive, square-free, and has no rational roots; sign_lo and
-    sign_hi record the certifying sign change at the endpoints.
+    sign_hi record the certifying sign change at the endpoints.  Equality is
+    field equality: refinement from [-n, n] always ends in the same dyadic
+    cell of a root (refine_root), and distinct roots of one factor never
+    share a cell.
     """
 
     poly: tuple[int, ...]
@@ -152,20 +156,6 @@ class RootInterval:
         r = self.refined(Fraction(1, 1 << bits))
         return r.lo, r.hi
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootInterval):
-            return NotImplemented
-        if self.poly != other.poly:
-            return False
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo >= hi:
-            return False
-        return intpoly.count_roots_between(intpoly.sturm_chain(self.poly), lo, hi) == 1
-
-    def __hash__(self) -> int:
-        return hash(("rootinterval", self.poly))
-
     def __float__(self) -> float:
         return float((self.lo + self.hi) / 2)
 
@@ -176,36 +166,6 @@ class RootInterval:
 Eigenvalue = Union[int, Surd, RootInterval]
 
 
-def _surd_poly_value(poly: tuple[int, ...], v: Surd) -> tuple[Fraction, Fraction]:
-    """Evaluate an integer polynomial at a surd as (rational, coeff of sqrt(d))."""
-    rat, rad = Fraction(0), Fraction(0)
-    av, sv = Fraction(v.a, v.c), Fraction(v.sign, v.c)
-    for c in reversed(poly):
-        # (rat + rad*sqrt(d)) * (av + sv*sqrt(d)) + c
-        rat, rad = rat * av + rad * sv * v.d + c, rat * sv + rad * av
-    return rat, rad
-
-
-def values_equal(u: Eigenvalue, v: Eigenvalue) -> bool:
-    """Exact equality across eigenvalue representations."""
-    if isinstance(u, int) and isinstance(v, int):
-        return u == v
-    if isinstance(u, Surd) and isinstance(v, Surd):
-        return u == v
-    if isinstance(u, RootInterval) and isinstance(v, RootInterval):
-        return u == v
-    if isinstance(u, int) or isinstance(v, int):
-        return False  # surds and root intervals are irrational
-    if isinstance(u, Surd):
-        u, v = v, u
-    # u: RootInterval, v: Surd
-    rat, rad = _surd_poly_value(u.poly, v)
-    if rat != 0 or rad != 0:
-        return False
-    vlo, vhi = v.bounds(80)
-    return vlo < u.hi and u.lo < vhi
-
-
 def value_bounds(v: Eigenvalue, bits: int = 40) -> tuple[Fraction, Fraction]:
     if isinstance(v, int):
         return Fraction(v), Fraction(v)
@@ -213,7 +173,7 @@ def value_bounds(v: Eigenvalue, bits: int = 40) -> tuple[Fraction, Fraction]:
 
 
 def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
-    if values_equal(u, v):
+    if u == v:
         return 0
     for bits in (40, 80, 160, 320, 640):
         ulo, uhi = value_bounds(u, bits)
@@ -308,30 +268,17 @@ def check_quotient_order(k: int) -> None:
 def quotient_matrix(b: BlockString) -> QuotientMatrix:
     """The 2k x 2k quotient matrix of a block string's cell partition.
 
-    Diagonal entry for cell C_p is |C_p| - 1; the (p, q) entry is
-    sigma * |C_q| where sigma is -1 exactly when one cell is the i-th 0-cell
-    and the other the j-th 1-cell with i <= j (an adjacent pair of cells).
+    Q = Sigma D - I, with Sigma the cell signs (chain.cell_signs) and D the
+    diagonal of cell sizes: the (p, q) entry is sigma_pq * |C_q|, and the
+    diagonal entry for cell C_p is |C_p| - 1.
     """
-    cells = [(lab, size) for lab, _start, size in b.cells()]
-    m = len(cells)
+    sizes = tuple(size for _lab, _start, size in b.cells())
     rows = []
-    for p in range(m):
-        lab_p = cells[p][0]
-        block_p = p // 2 + 1
-        row = []
-        for q in range(m):
-            lab_q, size_q = cells[q]
-            if p == q:
-                row.append(size_q - 1)
-                continue
-            if lab_p == lab_q:
-                row.append(size_q)
-                continue
-            i = block_p if lab_p == "0" else q // 2 + 1
-            j = q // 2 + 1 if lab_q == "1" else block_p
-            row.append(-size_q if i <= j else size_q)
+    for p, signs in enumerate(cell_signs(b)):
+        row = list(map(operator.mul, signs, sizes))
+        row[p] -= 1
         rows.append(tuple(row))
-    return QuotientMatrix(m, tuple(rows), tuple(size for _lab, size in cells))
+    return QuotientMatrix(len(sizes), tuple(rows), sizes)
 
 
 @dataclass(frozen=True)
@@ -369,7 +316,15 @@ def char_poly(m) -> CharPoly:
 
 @dataclass(frozen=True)
 class ExactSpectrum:
-    """Eigenvalue multiset: ((value, multiplicity), ...) sorted ascending."""
+    """Eigenvalue multiset: ((value, multiplicity), ...) sorted ascending.
+
+    Spectra, like their values, compare by representation.  That is exact
+    for the values of computed spectra: every rational eigenvalue is an int,
+    the roots of distinct square-free factors are distinct, and a root
+    interval is the canonical cell of its root.  The one value equality it
+    misses is a root interval equal to a surd, which no library path
+    compares.
+    """
 
     entries: tuple[tuple[Eigenvalue, int], ...]
 
@@ -391,7 +346,7 @@ class ExactSpectrum:
 
     def multiplicity(self, value: Eigenvalue) -> int:
         for v, m in self.entries:
-            if values_equal(v, value):
+            if v == value:
                 return m
         return 0
 
@@ -406,19 +361,6 @@ class ExactSpectrum:
 
     def serialize(self) -> list[dict]:
         return [{"value": value_to_string(v), "mult": m} for v, m in self.entries]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactSpectrum):
-            return NotImplemented
-        if len(self.entries) != len(other.entries):
-            return False
-        return all(
-            m1 == m2 and values_equal(v1, v2)
-            for (v1, m1), (v2, m2) in zip(self.entries, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(m for _v, m in self.entries))
 
     def __str__(self) -> str:
         parts = []
@@ -492,19 +434,16 @@ def _power_bounds(lo: Fraction, hi: Fraction, power: int) -> tuple[Fraction, Fra
 
 
 def spectrum_from_counts(counts) -> ExactSpectrum:
-    """Build a sorted ExactSpectrum from (value, multiplicity) pairs, merging equals."""
-    merged: list[list] = []
+    """Build a sorted ExactSpectrum from (value, multiplicity) pairs, merging equals.
+
+    Values merge when their representations are equal (see ExactSpectrum).
+    """
+    merged: dict[Eigenvalue, int] = {}
     for v, m in counts:
-        if m == 0:
-            continue
-        for slot in merged:
-            if values_equal(slot[0], v):
-                slot[1] += m
-                break
-        else:
-            merged.append([v, m])
-    merged.sort(key=functools.cmp_to_key(lambda x, y: value_cmp(x[0], y[0])))
-    return ExactSpectrum(tuple((v, m) for v, m in merged))
+        if m:
+            merged[v] = merged.get(v, 0) + m
+    order = sorted(merged, key=functools.cmp_to_key(value_cmp))
+    return ExactSpectrum(tuple((v, merged[v]) for v in order))
 
 
 def _quotient_guesses(q: QuotientMatrix) -> list[float]:
@@ -602,15 +541,16 @@ def exact_spectrum(b: BlockString) -> ExactSpectrum:
     """Exact Seidel spectrum of the chain graph of b.
 
     Computed as the quotient spectrum plus the eigenvalue -1 with
-    multiplicity n - 2k; the result always carries -1 with multiplicity at
-    least n - 2k + 1.
+    multiplicity n - 2k.  The quotient always has the eigenvalue -1, since
+    Q + I = Sigma D is singular, so the result carries -1 with multiplicity
+    at least n - 2k + 1 and needs no second merge.
     """
-    qs = quotient_spectrum(b)
-    counts = list(qs.entries)
-    extra = b.n - 2 * b.k
-    if extra:
-        counts.append((-1, extra))
-    sp = spectrum_from_counts(counts)
+    entries = list(quotient_spectrum(b).entries)
+    i = next((i for i, (v, _m) in enumerate(entries) if v == -1), None)
+    if i is None:
+        raise ArithmeticError("quotient spectrum lacks the eigenvalue -1")
+    entries[i] = (-1, entries[i][1] + b.n - 2 * b.k)
+    sp = ExactSpectrum(tuple(entries))
     sp.validate()
     return sp
 

@@ -24,6 +24,7 @@ from .graphs import Graph
 SEARCH_CAP = 30
 CANONICAL_CAP = 20
 CERTIFICATE_CAP = 16
+PLAIN_CAP = 2000
 
 
 def check_search_size(n: int) -> None:
@@ -36,6 +37,12 @@ def check_certificate_size(n: int) -> None:
     """Refuse a class certificate on more than CERTIFICATE_CAP vertices."""
     if n > CERTIFICATE_CAP:
         raise ValueError(f"class certificates are capped at {CERTIFICATE_CAP} vertices")
+
+
+def check_plain_size(n: int) -> None:
+    """Refuse a switching-only (plain) equivalence check on more than PLAIN_CAP vertices."""
+    if n > PLAIN_CAP:
+        raise ValueError(f"switching-only equivalence is capped at {PLAIN_CAP} vertices")
 
 
 def check_same_order(n: int, m: int) -> None:
@@ -418,12 +425,13 @@ def switching_equivalent(g: Graph, h: Graph, mode: str = "switching-isomorphism"
 
     "switching-only" keeps labels fixed: h must literally equal some
     switching of g.  The switching subset is then forced by the first Seidel
-    row (the diagonal conjugation signs), so this is an O(n^2) check.
-    "switching-isomorphism" allows relabeling and compares class
-    certificates (capped at 16 vertices).
+    row (the diagonal conjugation signs), so this is an O(n^2) check,
+    capped at 2000 vertices.  "switching-isomorphism" allows relabeling and
+    compares class certificates (capped at 16 vertices).
     """
     check_same_order(g.n, h.n)
     if mode == "switching-only":
+        check_plain_size(g.n)
         n = g.n
         if n <= 1:
             return g.rows == h.rows

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from seidelchain import BlockString, Graph
+from seidelchain import BlockString, Graph, intpoly
 
 
 def cut_block_string(rng: random.Random, k: int, n: int) -> BlockString:
@@ -17,6 +17,21 @@ def cut_block_string(rng: random.Random, k: int, n: int) -> BlockString:
 def random_block_string(rng: random.Random, max_k: int = 6, max_n: int = 60) -> BlockString:
     k = rng.randint(1, max_k)
     return cut_block_string(rng, k, rng.randint(2 * k, max_n))
+
+
+def poly_pow(p: tuple[int, ...], e: int) -> tuple[int, ...]:
+    out: tuple[int, ...] = (1,)
+    for _ in range(e):
+        out = intpoly.poly_mul(out, p)
+    return out
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

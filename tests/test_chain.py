@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_block_string
+from conftest import cycle_graph, path_graph, random_block_string
 from seidelchain import (
     BlockString,
     Graph,
@@ -12,6 +12,7 @@ from seidelchain import (
     is_chain_graph,
     parse_block_string,
 )
+from seidelchain.chain import cell_signs
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,36 @@ def test_neighborhood_nesting():
             assert g.rows[s2] & ~g.rows[s1] == 0
 
 
+def _edge_rule_rows(b: BlockString) -> tuple[int, ...]:
+    """Adjacency rows built vertex pair by vertex pair from the rule i <= j."""
+    labels = []
+    for i, (s, t) in enumerate(b.blocks):
+        labels += [("0", i)] * s + [("1", i)] * t
+    rows = [0] * b.n
+    for v, (lab_v, i) in enumerate(labels):
+        for w, (lab_w, j) in enumerate(labels):
+            if lab_v == "0" and lab_w == "1" and i <= j:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+    return tuple(rows)
+
+
+def test_cell_signs_follow_the_edge_rule():
+    rng = random.Random(10)
+    for _ in range(30):
+        b = random_block_string(rng, max_k=5, max_n=30)
+        rows = _edge_rule_rows(b)
+        assert build_chain_graph(b).rows == rows
+        starts = [start for _lab, start, _size in b.cells()]
+        signs = cell_signs(b)
+        assert len(signs) == 2 * b.k
+        for p, sp in enumerate(starts):
+            assert signs[p][p] == 1
+            for q, sq in enumerate(starts):
+                if p != q:
+                    assert signs[p][q] == (-1 if rows[sp] >> sq & 1 else 1)
+
+
 def test_bipartite_between_cell_classes():
     rng = random.Random(8)
     for _ in range(20):
@@ -166,10 +197,10 @@ def test_built_graphs_are_chain_graphs():
 
 
 def test_forbidden_subgraphs_detected():
-    assert not is_chain_graph(Graph.cycle(5))
-    assert not is_chain_graph(Graph.cycle(3))
+    assert not is_chain_graph(cycle_graph(5))
+    assert not is_chain_graph(cycle_graph(3))
     assert not is_chain_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))  # 2K2
-    assert is_chain_graph(Graph.path(4))
+    assert is_chain_graph(path_graph(4))
     assert is_chain_graph(Graph.empty(1))
 
 

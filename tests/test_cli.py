@@ -6,7 +6,7 @@ import pytest
 
 from seidelchain import cli
 from seidelchain.cli import run
-from seidelchain.switching import check_certificate_size, check_search_size
+from seidelchain.switching import check_certificate_size, check_plain_size, check_search_size
 
 
 def _run(argv):
@@ -233,6 +233,8 @@ def test_seed_option_is_gone():
 @pytest.mark.parametrize("argv, check", [
     (["switch-search", "0^100000 1", "--profile", "regular"], check_search_size),
     (["equivalent", "0^100000 1", "0^100000 1"], check_certificate_size),
+    (["equivalent", "0^2000 1", "0^2000 1", "--mode", "plain"], check_plain_size),
+    (["equivalent", "0^100000 1", "0^100000 1", "--mode", "plain"], check_plain_size),
 ])
 def test_oversized_input_refused_before_graph_build(argv, check):
     with pytest.raises(ValueError) as refusal:

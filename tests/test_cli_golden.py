@@ -70,6 +70,7 @@ COMMANDS = [
     ["switch-search", "0^999 1", "--profile", "regular"],
     ["switch-search", "0^999 1", "--profile", "biregular:3,4", "--all"],
     ["equivalent", "0^999 1", "0^999 1"],
+    ["equivalent", "0^2000 1", "0^2000 1", "--mode", "plain"],
     ["equiangular", "01"],
     ["spectrum", _OVER_QUOTIENT_CAP],
     ["quotient", _OVER_QUOTIENT_CAP],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cut_block_string, random_block_string
+from conftest import cut_block_string, poly_pow, random_block_string
 from seidelchain import intpoly, parse_block_string, quotient_matrix
 
 
@@ -24,7 +24,7 @@ def _poly_det(m):
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         term = intpoly.poly_mul(m[0][j], _poly_det(minor))
-        acc = intpoly.poly_add(acc, term) if j % 2 == 0 else intpoly.poly_sub(acc, term)
+        acc = intpoly.poly_add(acc, term if j % 2 == 0 else tuple(-c for c in term))
     return acc
 
 
@@ -138,7 +138,7 @@ def _random_factor(rng):
 def _random_product(rng):
     p = (rng.choice((-3, -2, -1, 1, 2, 3)),)
     for _ in range(rng.randint(1, 4)):
-        p = intpoly.poly_mul(p, intpoly.poly_pow(_random_factor(rng), rng.randint(1, 3)))
+        p = intpoly.poly_mul(p, poly_pow(_random_factor(rng), rng.randint(1, 3)))
     return p
 
 
@@ -234,7 +234,6 @@ def test_sign_at_matches_eval():
 
 def test_poly_helpers():
     assert intpoly.poly_mul((1, 1), (1, 1)) == (1, 2, 1)
-    assert intpoly.poly_pow((1, 1), 3) == (1, 3, 3, 1)
     assert intpoly.poly_derivative((5, 3, 1)) == (3, 2)
     assert intpoly.poly_trim((0, 0)) == ()
     assert intpoly.primitive((-4, -2)) == (2, 1)

@@ -3,8 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cut_block_string, random_block_string
+from conftest import cut_block_string, poly_pow, random_block_string
 from seidelchain import (
     BlockString,
     Graph,
@@ -24,11 +26,7 @@ from seidelchain import (
     spectrum_from_counts,
 )
 from seidelchain import intpoly, spectra
-from seidelchain.spectra import (
-    value_cmp,
-    value_to_string,
-    values_equal,
-)
+from seidelchain.spectra import value_cmp, value_to_string
 
 
 class _Spy:
@@ -136,7 +134,7 @@ def test_full_char_poly_factors_through_quotient():
         g = build_chain_graph(b)
         full = char_poly(seidel_matrix(g)).coeffs
         quot = char_poly(quotient_matrix(b)).coeffs
-        lifted = intpoly.poly_mul(quot, intpoly.poly_pow((1, 1), b.n - 2 * b.k))
+        lifted = intpoly.poly_mul(quot, poly_pow((1, 1), b.n - 2 * b.k))
         assert full == lifted
 
 
@@ -151,6 +149,21 @@ def test_exact_matches_numeric_oracle():
         assert len(approx) == len(numeric)
         for a, x in zip(approx, numeric):
             assert abs(a - x) < 1e-8
+
+
+def test_exact_spectrum_assembles_once(monkeypatch):
+    assembled = _Spy(spectra.spectrum_from_counts)
+    monkeypatch.setattr(spectra, "spectrum_from_counts", assembled)
+    for text in ("01", "0^3 1^7", "010101", "0 1^2 0^3 1^4 0 1"):
+        assembled.calls = 0
+        exact_spectrum(parse_block_string(text))
+        assert assembled.calls == 1
+
+
+def test_exact_spectrum_needs_the_quotient_eigenvalue_minus_one(monkeypatch):
+    monkeypatch.setattr(spectra, "quotient_spectrum", lambda b: spectrum_from_counts([(-2, 1), (2, 1)]))
+    with pytest.raises(ArithmeticError, match="lacks the eigenvalue -1"):
+        exact_spectrum(parse_block_string("0^3 1^7"))
 
 
 def test_minus_one_multiplicity():
@@ -224,7 +237,35 @@ def test_value_comparison_and_sorting():
     assert value_cmp(root5, 2) > 0
     assert value_cmp(root5, 3) < 0
     assert value_cmp(root5, root5) == 0
-    assert values_equal(2, 2) and not values_equal(2, root5)
+    assert spectrum_from_counts([(2, 1), (2, 1)]).entries == ((2, 2),)
+    assert spectrum_from_counts([(root5, 1), (2, 1)]).entries == ((2, 1), (root5, 1))
+
+
+def test_root_intervals_compare_by_cell():
+    sp = exact_spectrum(parse_block_string("010101"))
+    again = exact_spectrum(parse_block_string("0 1 0 1 0 1"))
+    cells = [v for v, _m in sp.entries if isinstance(v, RootInterval)]
+    assert len(cells) >= 2
+    assert sp == again and hash(sp) == hash(again)
+    assert len(set(cells)) == len(cells)  # distinct roots, distinct cells
+    assert all(value_cmp(u, v) < 0 for u, v in zip(cells, cells[1:]))
+
+
+_BLOCKS = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=_BLOCKS, data=st.data())
+def test_merging_split_and_shuffled_entries_rebuilds_the_spectrum(blocks, data):
+    sp = exact_spectrum(BlockString(tuple(blocks)))
+    pieces = []
+    for v, m in sp.entries:
+        cuts = sorted(data.draw(st.sets(st.integers(1, m - 1), max_size=3)) if m > 1 else ())
+        pieces += [(v, b - a) for a, b in zip([0, *cuts], [*cuts, m])]
+        pieces += [(v, 0)] * data.draw(st.integers(0, 1))
+    merged = spectrum_from_counts(data.draw(st.permutations(pieces)))
+    assert merged == sp and hash(merged) == hash(sp)
+    assert merged.serialize() == sp.serialize()
 
 
 def test_value_serialization():

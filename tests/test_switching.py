@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_block_string, random_graph, random_subset_mask
+from conftest import path_graph, random_block_string, random_graph, random_subset_mask
 from seidelchain import (
     Graph,
     biregular_profile,
@@ -193,7 +193,7 @@ def test_canonical_label_returns_canonical_graph():
 
 
 def test_canonical_label_distinguishes():
-    p4 = Graph.path(4)
+    p4 = path_graph(4)
     k13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert canonical_bits(p4) != canonical_bits(k13)
     a = chain_graph("01^3 0^3 1^7")
@@ -284,7 +284,7 @@ def test_table_pair_not_switching_isomorphic():
 
 
 def test_relabeling_breaks_plain_mode_only():
-    p4 = Graph.path(4)
+    p4 = path_graph(4)
     g = p4.relabel([1, 0, 2, 3])
     assert not switching_equivalent(p4, g, "switching-only")
     assert switching_equivalent(p4, g, "switching-isomorphism")
@@ -293,5 +293,7 @@ def test_relabeling_breaks_plain_mode_only():
 def test_switching_equivalent_errors():
     with pytest.raises(ValueError):
         switching_equivalent(Graph.empty(3), Graph.empty(4))
+    with pytest.raises(ValueError, match="capped at 2000 vertices"):
+        switching_equivalent(Graph.empty(2001), Graph.empty(2001), "switching-only")
     with pytest.raises(ValueError):
         switching_equivalent(Graph.empty(3), Graph.empty(3), "bogus")
