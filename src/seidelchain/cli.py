@@ -190,8 +190,7 @@ def _cmd_switch_search(args) -> dict:
     profile, label = _parse_profile(args.profile)
     _guarded("cap-exceeded", check_search_size, b.n)
     res = search_class_by_degree_profile(
-        build_chain_graph(b), profile, all_witnesses=args.all, threads=args.threads,
-    )
+        build_chain_graph(b), profile, all_witnesses=args.all)
     return {
         "string": b.caret(),
         "n": b.n,
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text", "csv"), default="text")
     parser.add_argument("--threads", type=_threads, default=1,
-                        help="parallel workers for switch-search (at least 1)")
+                        help="accepted for compatibility; has no effect (at least 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help, handler, text, rows=_csv_rows):

@@ -45,14 +45,8 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
-
-    def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
 
     def relabel(self, perm: list[int] | tuple[int, ...]) -> Graph:
         """Image under the vertex map v -> perm[v]."""

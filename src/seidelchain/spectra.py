@@ -37,6 +37,7 @@ from .chain import BlockString, cell_signs
 from .graphs import Graph
 
 CHAR_POLY_ORDER_CAP = 256
+MATRIX_CAP = 2000
 INTERVAL_WIDTH = Fraction(1, 2 ** 40)
 
 
@@ -238,8 +239,18 @@ class SeidelMatrix:
                     raise ValueError("matrix must be symmetric")
 
 
+def check_matrix_size(n: int) -> None:
+    """Refuse a Seidel matrix or numeric spectrum on more than MATRIX_CAP vertices."""
+    if n > MATRIX_CAP:
+        raise ValueError(f"numeric_spectrum is capped at {MATRIX_CAP} vertices")
+
+
 def seidel_matrix(g: Graph) -> SeidelMatrix:
-    """Seidel matrix of any simple graph: -1 on edges, +1 on non-edges."""
+    """Seidel matrix of any simple graph: -1 on edges, +1 on non-edges.
+
+    The size cap is checked before any row is built.
+    """
+    check_matrix_size(g.n)
     rows = []
     for v in range(g.n):
         adj = g.rows[v]
@@ -446,17 +457,15 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     return ExactSpectrum(tuple((v, merged[v]) for v in order))
 
 
-def _quotient_guesses(q: QuotientMatrix) -> list[float]:
-    """Float eigenvalues of q, ascending, from numpy's eigvalsh.
+def _quotient_guesses(b: BlockString) -> list[float]:
+    """Float eigenvalues of quotient_matrix(b), ascending, from numpy's eigvalsh.
 
-    q = Sigma D - I, where D holds the cell sizes and Sigma the cell signs
-    (the signs of q's entries, +1 on the diagonal), is similar to the
-    symmetric D^1/2 Sigma D^1/2 - I.
+    Q = Sigma D - I, where D holds the cell sizes and Sigma the cell signs
+    (chain.cell_signs), is similar to the symmetric D^1/2 Sigma D^1/2 - I.
     """
-    root = np.sqrt(np.array(q.cell_sizes, dtype=float))
-    sigma = np.sign(np.array(q.entries, dtype=float))
-    np.fill_diagonal(sigma, 1.0)
-    return np.linalg.eigvalsh(sigma * np.outer(root, root) - np.eye(q.size)).tolist()
+    root = np.sqrt(np.array([size for _lab, _start, size in b.cells()], dtype=float))
+    sigma = np.array(cell_signs(b), dtype=float)
+    return np.linalg.eigvalsh(sigma * np.outer(root, root) - np.eye(len(root))).tolist()
 
 
 def _guess_in(guesses: list[float], lo: Fraction, hi: Fraction) -> float | None:
@@ -531,7 +540,7 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     cp = char_poly(q)
     # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
     try:
-        counts = _quotient_roots(cp.coeffs, b.n, _quotient_guesses(q))
+        counts = _quotient_roots(cp.coeffs, b.n, _quotient_guesses(b))
     except _MissedIntegerRoot:
         counts = _quotient_roots(cp.coeffs, b.n, None)
     return spectrum_from_counts(counts)
@@ -557,8 +566,7 @@ def exact_spectrum(b: BlockString) -> ExactSpectrum:
 
 def numeric_spectrum(s: SeidelMatrix) -> list[float]:
     """Floating-point eigenvalues, ascending; the independent numeric oracle."""
-    if s.n > 2000:
-        raise ValueError("numeric_spectrum is capped at 2000 vertices")
+    check_matrix_size(s.n)
     try:
         vals = np.linalg.eigvalsh(np.array(s.entries, dtype=float))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails

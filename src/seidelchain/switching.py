@@ -2,21 +2,24 @@
 
 Switching a graph on a vertex subset U complements every edge/non-edge
 between U and its complement; at the Seidel level this conjugates S by the
-diagonal sign matrix that is -1 on U.  Switching classes are enumerated over
-the 2^(n-1) subsets that exclude vertex 0 (U and its complement switch to the
-same graph), in Gray-code order with O(n) incremental degree updates.
+diagonal sign matrix that is -1 on U.  A switching class is given by the
+2^(n-1) subsets that exclude vertex 0 (U and its complement switch to the
+same graph).  Twins are interchangeable, so subsets are enumerated by orbit
+under permutations of twins: one representative per vector of per-component
+counts, weighted by the orbit size.  The work follows the number of orbits,
+for a chain graph with cells C_1..C_2k at most |C_1| * prod_{i>1} (|C_i| + 1).
+A graph without twins, such as the half graph of the unit-cell string
+(01)^k, has 2^(n-1) one-subset orbits.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import os
+import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable
+from itertools import combinations, product
+from typing import Callable, Iterator
 
 from .chain import ChainGraph
 from .graphs import Graph
@@ -63,6 +66,13 @@ def _as_mask(subset, n: int) -> int:
     return mask
 
 
+def _switched_rows(g: Graph, u: int) -> tuple[int, ...]:
+    """Adjacency rows of g switched on the vertex mask u: each row flips its
+    bits on the other side of the cut."""
+    comp = ((1 << g.n) - 1) ^ u
+    return tuple(row ^ comp if (u >> v) & 1 else row ^ u for v, row in enumerate(g.rows))
+
+
 def switch_on_subset(g: Graph, subset) -> Graph:
     """Switch g on a subset (bitmask or iterable of vertices).
 
@@ -70,18 +80,108 @@ def switch_on_subset(g: Graph, subset) -> Graph:
     is complemented.  Involution: switching twice on the same subset, or on
     the complement subset, restores g.
     """
-    u = _as_mask(subset, g.n)
-    full = (1 << g.n) - 1
-    comp = full & ~u
-    rows = []
+    return Graph(g.n, _switched_rows(g, _as_mask(subset, g.n)))
+
+
+def _switched_degrees(g: Graph, u: int) -> tuple[int, ...]:
+    """Degree multiset, non-increasing, of g switched on the vertex mask u:
+    the bit counts of _switched_rows(g, u), taken without building the rows."""
+    comp = ((1 << g.n) - 1) ^ u
+    degrees = [(row ^ comp if u >> v & 1 else row ^ u).bit_count() for v, row in enumerate(g.rows)]
+    degrees.sort(reverse=True)
+    return tuple(degrees)
+
+
+# ---------------------------------------------------------------------------
+# Twin orbits of the switching subsets
+# ---------------------------------------------------------------------------
+
+def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
+    return (rows[u] ^ rows[v]) & ~((1 << u) | (1 << v)) == 0
+
+
+def _twin_components(g: Graph) -> list[list[int]]:
+    """Partition vertices into components of the pairwise-twin relation.
+
+    Transpositions of twins are automorphisms, and transpositions spanning a
+    component generate its full symmetric group, so subsets with equal
+    per-component intersection counts switch to isomorphic graphs.
+    """
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if _are_twins(g.rows, u, v):
+                parent[find(u)] = find(v)
+    comps: dict[int, list[int]] = {}
     for v in range(g.n):
-        row = g.rows[v]
-        out = full & ~(1 << v)
-        if (u >> v) & 1:
-            rows.append((row & u) | (~row & comp & out))
-        else:
-            rows.append((row & comp) | (~row & u & out))
-    return Graph(g.n, tuple(rows))
+        comps.setdefault(find(v), []).append(v)
+    return sorted(comps.values())
+
+
+def _free_twins(components: list[list[int]]) -> list[list[int]]:
+    """Each twin component's free vertices: those other than vertex 0."""
+    return [[v for v in comp if v] for comp in components]
+
+
+def _twin_orbits(free: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The orbits of the subsets excluding vertex 0 under permutations of twins.
+
+    An orbit is the set of subsets with counts[i] of the free vertices
+    free[i] of the i-th twin component (_free_twins).  For each count
+    vector, yields (counts, representative mask, orbit size
+    prod C(|free_i|, counts_i)); the sizes sum to 2^(n-1).  All subsets of
+    one orbit switch to isomorphic graphs, so the representative stands for
+    the degree multiset of the whole orbit.  The three products run in
+    lockstep, so no orbit costs a Python-level loop over the components.
+    """
+    counts = product(*(range(len(f) + 1) for f in free))
+    masks = product(*([sum(1 << v for v in f[:c]) for c in range(len(f) + 1)] for f in free))
+    sizes = product(*([math.comb(len(f), c) for c in range(len(f) + 1)] for f in free))
+    return zip(counts, map(sum, masks), map(math.prod, sizes))
+
+
+def _orbit_masks(free: list[list[int]], counts: tuple[int, ...]) -> Iterator[int]:
+    """Every subset of the orbit with the given counts."""
+    parts = [[sum(1 << v for v in pick) for pick in combinations(f, c)]
+             for f, c in zip(free, counts)]
+    return map(sum, product(*parts))
+
+
+def _least_gray_mask(free: list[list[int]], counts: tuple[int, ...]) -> int:
+    """The subset of the orbit with the least Gray rank, without listing the orbit.
+
+    Bit v - 1 of the rank is the parity of the chosen vertices >= v.  Going
+    down from the top vertex, each vertex is chosen exactly when that keeps
+    its rank bit 0, unless its component's count forces the other choice.
+    """
+    left = list(counts)
+    room = [len(f) for f in free]
+    mask = parity = 0
+    for v, i in sorted(((v, i) for i, f in enumerate(free) for v in f), reverse=True):
+        room[i] -= 1
+        if left[i] > room[i] or (left[i] and parity):
+            mask |= 1 << v
+            left[i] -= 1
+            parity ^= 1
+    return mask
+
+
+def _gray_rank(mask: int) -> int:
+    """Position of a subset excluding vertex 0 in the Gray-code order of the
+    switching subsets: the inverse of rank r -> (r ^ (r >> 1)) << 1, the
+    prefix XOR of mask >> 1, taken in doubling steps."""
+    rank, shift = mask >> 1, 1
+    while rank >> shift:
+        rank ^= rank >> shift
+        shift <<= 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +216,10 @@ def regular_profile(degrees: tuple[int, ...]) -> bool:
     return len(set(degrees)) == 1
 
 
-def _biregular(values: frozenset, degrees: tuple[int, ...]) -> bool:
-    return set(degrees) == values
-
-
 def biregular_profile(a: int, b: int) -> Callable[[tuple[int, ...]], bool]:
     """Exactly the two distinct degrees {a, b}."""
-    return functools.partial(_biregular, frozenset((a, b)))
+    values = {a, b}
+    return lambda degrees: set(degrees) == values
 
 
 def _cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
@@ -134,98 +231,41 @@ def _cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
     )
 
 
-def _search_chunk(rows: tuple[int, ...], n: int, start: int, stop: int,
-                  profile, collect_all: bool):
-    """Scan Gray-coded subset ranks [start, stop) of subsets excluding vertex 0.
-
-    Returns (matching (rank, mask, degrees) triples, match count).
-    """
-    base_deg = [r.bit_count() for r in rows]
-    neighbors = [[w for w in range(n) if (rows[v] >> w) & 1] for v in range(n)]
-    u_mask = (start ^ (start >> 1)) << 1
-    counts = [(rows[v] & u_mask).bit_count() for v in range(n)]
-    size = u_mask.bit_count()
-    matches: list[tuple[int, int, tuple[int, ...]]] = []
-    count = 0
-    for rank in range(start, stop):
-        degs = sorted(
-            (
-                n - size - base_deg[v] + 2 * counts[v]
-                if (u_mask >> v) & 1
-                else base_deg[v] + size - 2 * counts[v]
-            )
-            for v in range(n)
-        )
-        degs.reverse()
-        dm = tuple(degs)
-        if profile(dm):
-            count += 1
-            if collect_all or not matches:
-                matches.append((rank, u_mask, dm))
-        nxt = rank + 1
-        if nxt >= stop:
-            break
-        flip = (nxt & -nxt).bit_length()  # 1 + trailing zeros of nxt, vertex index
-        bit = 1 << flip
-        if u_mask & bit:
-            u_mask &= ~bit
-            size -= 1
-            delta = -1
-        else:
-            u_mask |= bit
-            size += 1
-            delta = 1
-        for w in neighbors[flip]:
-            counts[w] += delta
-    return matches, count
-
-
 def search_class_by_degree_profile(
     g: Graph,
     profile: Callable[[tuple[int, ...]], bool],
     *,
     all_witnesses: bool = False,
-    threads: int = 1,
 ) -> SearchResult:
-    """Exhaustively switch g on all 2^(n-1) subsets excluding vertex 0.
+    """Search the 2^(n-1) switchings of g on subsets excluding vertex 0.
 
-    Degrees are updated incrementally from per-vertex cut counts along a
-    Gray-code walk, never by rebuilding the graph.  Returns the first match
-    (in enumeration order) plus the total count, or all matches when
-    all_witnesses is set.  With threads > 1 the rank range is partitioned
-    and merged back in rank order, so results are identical to a serial run;
-    the profile must then be picklable.  threads must be at least 1 and is
-    clamped to os.cpu_count().
+    The profile sees the degree multiset of one representative per twin
+    orbit, and a match counts the whole orbit.  Witnesses are matching
+    subsets in Gray-code order: the first one (least Gray rank), or every
+    one when all_witnesses is set.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    threads = min(threads, os.cpu_count() or 1)
     check_search_size(g.n)
-    total = 1 << max(g.n - 1, 0)
-    if threads <= 1 or total < 4096:
-        chunks = [_search_chunk(g.rows, g.n, 0, total, profile, all_witnesses)]
-    else:
-        bounds = [total * i // threads for i in range(threads + 1)]
-        args = [
-            (g.rows, g.n, bounds[i], bounds[i + 1], profile, all_witnesses)
-            for i in range(threads)
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_search_chunk_star, args))
-    witnesses: list[SwitchingWitness] = []
+    free = _free_twins(_twin_components(g))
+    hits: list[tuple[int, int, tuple[int, ...]]] = []  # (Gray rank, subset, degrees)
     match_count = 0
-    for matches, count in chunks:
-        match_count += count
-        for _rank, mask, dm in matches:
-            if all_witnesses or not witnesses:
-                witnesses.append(SwitchingWitness(mask, dm, _cell_split(g, mask)))
-    if not all_witnesses:
-        witnesses = witnesses[:1]
-    return SearchResult(tuple(witnesses), match_count, total)
-
-
-def _search_chunk_star(args):
-    return _search_chunk(*args)
+    for counts, mask, size in _twin_orbits(free):
+        dm = _switched_degrees(g, mask)
+        if not profile(dm):
+            continue
+        match_count += size
+        # A one-subset orbit (every orbit of a twin-free graph) is its representative.
+        if size == 1:
+            subsets = (mask,)
+        elif all_witnesses:
+            subsets = _orbit_masks(free, counts)
+        else:
+            subsets = (_least_gray_mask(free, counts),)
+        hits.extend((_gray_rank(m), m, dm) for m in subsets)
+        if not all_witnesses:
+            hits = [min(hits)]
+    hits.sort()
+    witnesses = tuple(SwitchingWitness(m, dm, _cell_split(g, m)) for _rank, m, dm in hits)
+    return SearchResult(witnesses, match_count, 1 << max(g.n - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +303,6 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                 break
         if not changed:
             return cells
-
-
-def _are_twins(rows: tuple[int, ...], u: int, v: int) -> bool:
-    return (rows[u] ^ rows[v]) & ~((1 << u) | (1 << v)) == 0
 
 
 def _canonical_search(g: Graph) -> tuple[int, list[int]]:
@@ -355,36 +391,14 @@ class ClassCertificate:
         }
 
 
-def _twin_components(g: Graph) -> list[list[int]]:
-    """Partition vertices into components of the pairwise-twin relation.
-
-    Transpositions of twins are automorphisms, and transpositions spanning a
-    component generate its full symmetric group, so subsets with equal
-    per-component intersection counts switch to isomorphic graphs.
-    """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if _are_twins(g.rows, u, v):
-                parent[find(u)] = find(v)
-    comps: dict[int, list[int]] = {}
-    for v in range(g.n):
-        comps.setdefault(find(v), []).append(v)
-    return sorted(comps.values())
-
-
-def degree_multiset_prefilter(g: Graph) -> Counter:
-    """Multiset of switched degree sequences over all 2^(n-1) switchings."""
-    matches, _count = _search_chunk(g.rows, g.n, 0, 1 << max(g.n - 1, 0),
-                                    lambda dm: True, True)
-    return Counter(dm for _rank, _mask, dm in matches)
+def degree_multiset_prefilter(g: Graph, *, free: list[list[int]] | None = None) -> Counter:
+    """Multiset of switched degree sequences over all 2^(n-1) switchings
+    (free: g's _free_twins, if the caller has them already)."""
+    free = _free_twins(_twin_components(g)) if free is None else free
+    prefilter: Counter = Counter()
+    for _counts, mask, size in _twin_orbits(free):
+        prefilter[_switched_degrees(g, mask)] += size
+    return prefilter
 
 
 def _prefilter_hash(prefilter: Counter) -> str:
@@ -395,28 +409,22 @@ def _prefilter_hash(prefilter: Counter) -> str:
 def class_certificate(g: Graph) -> ClassCertificate:
     """Deterministic certificate deciding switching-isomorphism equivalence.
 
-    The canonical matrix is minimized over one switching subset per orbit of
-    the twin-component automorphisms, which covers every isomorphism type in
-    the class at a fraction of the 2^(n-1) enumeration.
+    The canonical matrix is minimized over one switching subset per twin
+    orbit, which covers every isomorphism type in the class at a fraction
+    of the 2^(n-1) enumeration.
     """
     check_certificate_size(g.n)
-    prefilter = degree_multiset_prefilter(g)
-    comps = _twin_components(g)
-    sizes = [len(c) for c in comps]
-    best: int | None = None
-    for counts in product(*(range(s + 1) for s in sizes)):
-        # A subset and its complement switch identically; keep one per pair.
-        comp_counts = tuple(s - c for s, c in zip(sizes, counts))
-        if comp_counts < counts:
-            continue
-        mask = 0
-        for comp, c in zip(comps, counts):
-            for v in comp[:c]:
-                mask |= 1 << v
-        bits = canonical_bits(switch_on_subset(g, mask))
-        if best is None or bits < best:
-            best = bits
-    assert best is not None
+    components = _twin_components(g)
+    free = _free_twins(components)
+    prefilter = degree_multiset_prefilter(g, free=free)
+    sizes = tuple(len(c) for c in components)
+    # A subset and its complement switch identically, so of two orbits whose
+    # counts on the whole components are complementary one is enough.
+    best = min(
+        canonical_bits(switch_on_subset(g, mask))
+        for counts, mask, _size in _twin_orbits(free)
+        if tuple(s - c for s, c in zip(sizes, counts)) >= counts
+    )
     return ClassCertificate(g.n, best, _prefilter_hash(prefilter))
 
 

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
-from seidelchain import BlockString, Graph, intpoly
+from seidelchain import (
+    BlockString,
+    ChainGraph,
+    Graph,
+    SearchResult,
+    SwitchingWitness,
+    degree_sequence,
+    intpoly,
+    switch_on_subset,
+)
 
 
 def cut_block_string(rng: random.Random, k: int, n: int) -> BlockString:
@@ -46,3 +56,26 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 def random_subset_mask(rng: random.Random, n: int) -> int:
     return rng.randrange(1 << n)
+
+
+def _cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
+    if not isinstance(g, ChainGraph):
+        return None
+    return tuple(sum(mask >> v & 1 for v in range(start, start + size))
+                 for _lab, start, size in g.cells())
+
+
+@functools.lru_cache(maxsize=16)
+def _gray_walk(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, switched degree sequence) of every subset excluding vertex 0, in
+    Gray-code order, each switched graph rebuilt from scratch."""
+    masks = ((rank ^ (rank >> 1)) << 1 for rank in range(1 << max(g.n - 1, 0)))
+    return tuple((mask, tuple(degree_sequence(switch_on_subset(g, mask)))) for mask in masks)
+
+
+def brute_switch_search(g: Graph, profile, all_witnesses: bool = False) -> SearchResult:
+    """Brute-force oracle for search_class_by_degree_profile."""
+    walk = _gray_walk(g)
+    hits = [SwitchingWitness(mask, degrees, _cell_split(g, mask))
+            for mask, degrees in walk if profile(degrees)]
+    return SearchResult(tuple(hits if all_witnesses else hits[:1]), len(hits), len(walk))

@@ -174,7 +174,7 @@ def test_threads_below_one_is_usage_error(threads):
 
 
 def test_threads_above_cpu_count_runs():
-    # n = 6, far below the subset count at which a worker pool starts.
+    # --threads is validated but has no effect on the search.
     argv = ["switch-search", "0 1^2 0^2 1", "--profile", "regular", "--all"]
     assert _run(["--threads", "1000000"] + argv) == _run(argv)
 

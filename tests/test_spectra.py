@@ -321,6 +321,14 @@ def test_numeric_spectrum_cap():
         numeric_spectrum(seidel_matrix(Graph.empty(2001)))
 
 
+def test_seidel_matrix_refuses_over_the_cap_before_building_rows():
+    g = Graph.empty(2001)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        seidel_matrix(g)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_exact_spectrum_quotient_order_cap(monkeypatch):
     big = BlockString(((1, 1),) * 129)  # 2k = 258
     built = _Spy(spectra.quotient_matrix)
@@ -343,7 +351,7 @@ _LARGE_SHAPES = ((8, 20_000), (10, 2_000), (12, 500), (14, 100), (16, 64), (2, 1
 def _scan_and_bisect(monkeypatch, strings):
     """Serialized spectra with no float guesses: every integer in [-n, n] tried, plain bisection."""
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_quotient_guesses", lambda q: None)
+        m.setattr(spectra, "_quotient_guesses", lambda b: None)
         return [exact_spectrum(b).serialize() for b in strings]
 
 
@@ -366,9 +374,9 @@ def test_guesses_that_miss_an_integer_root_fall_back_to_the_scan(monkeypatch, te
     assert any(e["value"] == f"int:{missed}" for e in want)
     true_guesses = spectra._quotient_guesses
 
-    def misrounded(q):
+    def misrounded(b):
         # The guesses of `missed` now round to its neighbour.
-        return [g + 0.7 if round(g) == missed else g for g in true_guesses(q)]
+        return [g + 0.7 if round(g) == missed else g for g in true_guesses(b)]
 
     strip = _Spy(intpoly.integer_roots)
     monkeypatch.setattr(spectra, "_quotient_guesses", misrounded)
@@ -383,7 +391,7 @@ def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
     strings = [random_block_string(rng, max_k=5, max_n=40) for _ in range(20)]
     want = _scan_and_bisect(monkeypatch, strings)
     true_guesses = spectra._quotient_guesses
-    monkeypatch.setattr(spectra, "_quotient_guesses", lambda q: bad(true_guesses(q)))
+    monkeypatch.setattr(spectra, "_quotient_guesses", lambda b: bad(true_guesses(b)))
     assert [exact_spectrum(b).serialize() for b in strings] == want
 
 

@@ -1,9 +1,14 @@
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import path_graph, random_block_string, random_graph, random_subset_mask
+from conftest import brute_switch_search, path_graph, random_graph, random_subset_mask
 from seidelchain import (
+    BlockString,
     Graph,
     biregular_profile,
     build_chain_graph,
@@ -19,6 +24,7 @@ from seidelchain import (
     switch_on_subset,
     switching_equivalent,
 )
+from seidelchain.switching import _gray_rank, _least_gray_mask, _orbit_masks, degree_multiset_prefilter
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +94,66 @@ def test_search_degrees_match_rebuild_oracle():
             assert list(w.degrees) == rebuilt
 
 
+@st.composite
+def _small_graphs(draw) -> Graph:
+    """A random graph on at most 9 vertices, or a chain graph on at most 14."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+    n = draw(st.integers(2, 14))
+    k = draw(st.integers(1, n // 2))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2 * k - 1, max_size=2 * k - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return build_chain_graph(BlockString(tuple(zip(parts[::2], parts[1::2]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_small_graphs(), data=st.data())
+def test_search_and_prefilter_equal_brute_force(g, data):
+    # The biregular degrees are those of one switching, so it matches at least once.
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    degrees = degree_sequence(switch_on_subset(g, mask))
+    for profile in (regular_profile, biregular_profile(degrees[0], degrees[-1]), lambda dm: True):
+        for all_witnesses in (False, True):
+            res = search_class_by_degree_profile(g, profile, all_witnesses=all_witnesses)
+            assert res == brute_switch_search(g, profile, all_witnesses)
+    every = brute_switch_search(g, lambda dm: True, all_witnesses=True)
+    assert degree_multiset_prefilter(g) == Counter(w.degrees for w in every.witnesses)
+
+
+def test_least_gray_mask_is_the_orbit_minimum():
+    # Components with interleaved vertices, unlike the contiguous cells of a chain graph.
+    rng = random.Random(41)
+    for _ in range(500):
+        vertices = list(range(1, rng.randint(1, 13)))
+        rng.shuffle(vertices)
+        free = []
+        while vertices:
+            cut = rng.randint(1, len(vertices))
+            free.append(sorted(vertices[:cut]))
+            vertices = vertices[cut:]
+        counts = tuple(rng.randint(0, len(f)) for f in free)
+        least = min(_orbit_masks(free, counts), key=_gray_rank)
+        assert _least_gray_mask(free, counts) == least
+
+
+def test_search_n30_chain_follows_orbits_not_subsets():
+    # 0^3 1^10 0^10 1^7 has 3 * 11 * 11 * 8 twin orbits among its 2^29
+    # subsets.  Four are regular: the last two cells (20-regular, one
+    # subset) and three 15-regular orbits of 1333584 + 4445280 + 2222640.
+    g = chain_graph("0^3 1^10 0^10 1^7")
+    start = time.perf_counter()
+    res = search_class_by_degree_profile(g, regular_profile)
+    assert time.perf_counter() - start < 1.0
+    assert res.subsets_examined == 1 << 29
+    assert res.match_count == 1 + 1333584 + 4445280 + 2222640
+    (witness,) = res.witnesses
+    assert list(witness.degrees) == degree_sequence(switch_on_subset(g, witness.subset))
+    assert witness.degrees == (15,) * 30
+
+
 def test_search_regular_finds_the_ten_regular_switching():
     # Independently verified: switching 0 1^5 0^5 1^4 on the union of its
     # last two cells (9 vertices) is 10-regular, and it is the only regular
@@ -122,36 +188,13 @@ def test_search_regular_mirror_s1():
 
 
 def test_search_first_match_default():
-    g = chain_graph("0 1^2 0^2 1")
-    res = search_class_by_degree_profile(g, regular_profile)
-    assert len(res.witnesses) == 1
-    full = search_class_by_degree_profile(g, regular_profile, all_witnesses=True)
-    assert res.witnesses[0] == full.witnesses[0]
-    assert res.match_count == full.match_count
-
-
-def test_search_parallel_matches_serial():
-    g = chain_graph("01^5 0^5 1^4")
-    serial = search_class_by_degree_profile(g, biregular_profile(7, 8), all_witnesses=True)
-    parallel = search_class_by_degree_profile(
-        g, biregular_profile(7, 8), all_witnesses=True, threads=3)
-    assert serial == parallel
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_search_rejects_threads_below_one(threads):
-    g = chain_graph("0 1^2 0^2 1")
-    with pytest.raises(ValueError, match="threads"):
-        search_class_by_degree_profile(g, regular_profile, threads=threads)
-
-
-def test_search_accepts_thread_counts_above_cpu_count():
-    # n = 12: 2^11 subsets, below the 4096 at which a worker pool starts.
-    g = chain_graph("0 1^2 0^4 1^5")
-    serial = search_class_by_degree_profile(g, regular_profile, all_witnesses=True)
-    assert serial.match_count == 120
-    assert search_class_by_degree_profile(
-        g, regular_profile, all_witnesses=True, threads=10 ** 9) == serial
+    for string, count in (("0 1^2 0^2 1", 5), ("0 1^2 0^4 1^5", 120)):
+        g = chain_graph(string)
+        res = search_class_by_degree_profile(g, regular_profile)
+        assert len(res.witnesses) == 1
+        full = search_class_by_degree_profile(g, regular_profile, all_witnesses=True)
+        assert res.witnesses[0] == full.witnesses[0]
+        assert res.match_count == full.match_count == len(full.witnesses) == count
 
 
 def test_search_cap():
