@@ -219,24 +219,37 @@ def value_to_string(v: Eigenvalue) -> str:
 # Matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeidelMatrix:
-    """Symmetric {-1, 0, +1} matrix with zero diagonal: J - I - 2A."""
+    """Symmetric {-1, 0, +1} matrix with zero diagonal: J - I - 2A.
+
+    entries is a read-only n x n int8 numpy array, copied from any n x n
+    array-like of integers.  A matrix compares by identity.
+    """
 
     n: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        try:
+            m = np.asarray(self.entries)
+        except ValueError:  # ragged rows
+            m = None
+        # For n = 0, any empty input (such as ()) is the 0 x 0 matrix.
+        if m is None or m.shape != (self.n, self.n) and (self.n > 0 or m.size > 0):
             raise ValueError("entries are not an n x n matrix")
-        for i in range(self.n):
-            if self.entries[i][i] != 0:
-                raise ValueError("diagonal must be zero")
-            for j in range(i + 1, self.n):
-                if self.entries[i][j] not in (-1, 1):
-                    raise ValueError("off-diagonal entries must be -1 or +1")
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("matrix must be symmetric")
+        m = m.reshape(self.n, self.n)
+        if m.diagonal().any():
+            raise ValueError("diagonal must be zero")
+        bad = np.abs(m) != 1  # the zero diagonal included
+        # A bad entry below the diagonal only faces a +-1 above it: asymmetry.
+        if np.count_nonzero(bad) > self.n and np.triu(bad, 1).any():
+            raise ValueError("off-diagonal entries must be -1 or +1")
+        if (m != m.T).any():
+            raise ValueError("matrix must be symmetric")
+        entries = m.astype(np.int8)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
 
 def check_matrix_size(n: int) -> None:
@@ -248,17 +261,12 @@ def check_matrix_size(n: int) -> None:
 def seidel_matrix(g: Graph) -> SeidelMatrix:
     """Seidel matrix of any simple graph: -1 on edges, +1 on non-edges.
 
-    The size cap is checked before any row is built.
+    Built as 1 - 2A from g.adjacency(), after the size cap is checked.
     """
     check_matrix_size(g.n)
-    rows = []
-    for v in range(g.n):
-        adj = g.rows[v]
-        rows.append(tuple(
-            0 if w == v else (-1 if (adj >> w) & 1 else 1)
-            for w in range(g.n)
-        ))
-    return SeidelMatrix(g.n, tuple(rows))
+    s = 1 - 2 * g.adjacency().view(np.int8)
+    np.fill_diagonal(s, 0)
+    return SeidelMatrix(g.n, s)
 
 
 @dataclass(frozen=True)
@@ -307,7 +315,9 @@ class CharPoly:
         return len(self.coeffs) - 1
 
 
-def _matrix_entries(m) -> tuple[tuple[int, ...], ...]:
+def _matrix_entries(m) -> np.ndarray | tuple[tuple[int, ...], ...]:
+    # char_poly_ints reads every entry with int(), so the Seidel array is
+    # passed as it is, and only after the order cap.
     if isinstance(m, (SeidelMatrix, QuotientMatrix)):
         return m.entries
     return tuple(tuple(int(x) for x in row) for row in m)
@@ -568,10 +578,10 @@ def numeric_spectrum(s: SeidelMatrix) -> list[float]:
     """Floating-point eigenvalues, ascending; the independent numeric oracle."""
     check_matrix_size(s.n)
     try:
-        vals = np.linalg.eigvalsh(np.array(s.entries, dtype=float))
+        vals = np.linalg.eigvalsh(s.entries.astype(float))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ValueError(f"eigensolver did not converge: {exc}") from exc
-    return [float(x) for x in np.sort(vals)]
+    return vals.tolist()
 
 
 def is_integral(sp: ExactSpectrum) -> bool:

@@ -440,16 +440,9 @@ def switching_equivalent(g: Graph, h: Graph, mode: str = "switching-isomorphism"
     check_same_order(g.n, h.n)
     if mode == "switching-only":
         check_plain_size(g.n)
-        n = g.n
-        if n <= 1:
-            return g.rows == h.rows
-        # d_0 = +1; d_j is the product of the (0, j) Seidel signs of g and h.
-        mask = 0
-        for j in range(1, n):
-            sg = -1 if (g.rows[0] >> j) & 1 else 1
-            sh = -1 if (h.rows[0] >> j) & 1 else 1
-            if sg * sh == -1:
-                mask |= 1 << j
+        # d_0 = +1, and d_j = -1 exactly where the (0, j) Seidel signs of g
+        # and h differ: where their first rows differ (bit 0 is never set).
+        mask = g.rows[0] ^ h.rows[0] if g.n else 0
         return switch_on_subset(g, mask).rows == h.rows
     if mode == "switching-isomorphism":
         cg, ch = class_certificate(g), class_certificate(h)

@@ -2,9 +2,9 @@
 
 `bench/tracing.py` wraps library functions by name and fails a traced run
 when a layer is never called in its home workload.  A tiny traced run of each
-spectrum workload (one short pass, no files written) makes a change that
-renames a traced function, or stops calling a traced layer, fail here rather
-than in a later benchmark run.  It also checks every result of the run.
+workload (one short pass, no files written) makes a change that renames a
+traced function, or stops calling a traced layer, fail here rather than in a
+later benchmark run.  It also checks every result of the run.
 """
 
 import importlib.util
@@ -41,7 +41,7 @@ def bench_run():
     sys.path[:] = saved_path
 
 
-@pytest.mark.parametrize("workload", ["spectrum_small", "spectrum_large"])
+@pytest.mark.parametrize("workload", ["spectrum_small", "spectrum_large", "oracle_crosscheck", "cli_mix"])
 def test_tiny_traced_run_is_correct_and_calls_every_layer(bench_run, workload):
     out = bench_run.run_benchmark(workload, seed=7, seconds=1, trace=True, tiny=True)
     result = out["result"]

@@ -2,15 +2,17 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cut_block_string, poly_pow, random_block_string
+from conftest import cut_block_string, poly_pow, random_block_string, random_graph
 from seidelchain import (
     BlockString,
     Graph,
     RootInterval,
+    SeidelMatrix,
     Surd,
     build_chain_graph,
     char_poly,
@@ -46,25 +48,25 @@ class _Spy:
 
 def test_seidel_k2():
     s = seidel_matrix(chain_graph("01"))
-    assert s.entries == ((0, -1), (-1, 0))
+    assert s.entries.tolist() == [[0, -1], [-1, 0]]
 
 
 def test_seidel_empty_graph():
     s = seidel_matrix(Graph.empty(3))
-    assert s.entries == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    assert s.entries.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_seidel_block_template():
     # 0 1^2 0^2 1: cells {0}, {1,2}, {3,4}, {5}; edges 0-1, 0-2, 0-5, 3-5, 4-5.
     s = seidel_matrix(chain_graph("0 1^2 0^2 1"))
-    assert s.entries == (
-        (0, -1, -1, 1, 1, -1),
-        (-1, 0, 1, 1, 1, 1),
-        (-1, 1, 0, 1, 1, 1),
-        (1, 1, 1, 0, 1, -1),
-        (1, 1, 1, 1, 0, -1),
-        (-1, 1, 1, -1, -1, 0),
-    )
+    assert s.entries.tolist() == [
+        [0, -1, -1, 1, 1, -1],
+        [-1, 0, 1, 1, 1, 1],
+        [-1, 1, 0, 1, 1, 1],
+        [1, 1, 1, 0, 1, -1],
+        [1, 1, 1, 1, 0, -1],
+        [-1, 1, 1, -1, -1, 0],
+    ]
 
 
 def test_seidel_entry_identities():
@@ -72,8 +74,50 @@ def test_seidel_entry_identities():
     for _ in range(10):
         g = build_chain_graph(random_block_string(rng, max_k=4, max_n=25))
         s = seidel_matrix(g)
-        assert sum(s.entries[i][i] for i in range(s.n)) == 0
-        assert sum(x * x for row in s.entries for x in row) == s.n * (s.n - 1)
+        entries = s.entries.tolist()
+        assert sum(entries[i][i] for i in range(s.n)) == 0
+        assert sum(x * x for row in entries for x in row) == s.n * (s.n - 1)
+
+
+@pytest.mark.parametrize("n,entries,message", [
+    (2, ((0, 1),), "entries are not an n x n matrix"),
+    (2, ((0, 1), (1,)), "entries are not an n x n matrix"),
+    (2, ((0, 1, 1), (1, 0, 1)), "entries are not an n x n matrix"),
+    (2, ((1, 1), (1, 0)), "diagonal must be zero"),
+    (3, ((0, 1, 1), (1, 0, 1), (1, 1, -1)), "diagonal must be zero"),
+    (2, ((0, 2), (2, 0)), "off-diagonal entries must be -1 or +1"),
+    (3, ((0, 1, 0), (1, 0, 1), (0, 1, 0)), "off-diagonal entries must be -1 or +1"),
+    (2, ((0, 1), (-1, 0)), "matrix must be symmetric"),
+    # A bad entry below the diagonal shows as asymmetry.
+    (3, ((0, 1, 1), (1, 0, 1), (3, 1, 0)), "matrix must be symmetric"),
+])
+def test_seidel_matrix_rejects(n, entries, message):
+    with pytest.raises(ValueError) as exc:
+        SeidelMatrix(n, entries)
+    assert str(exc.value) == message
+
+
+def test_seidel_matrix_entries_are_a_read_only_int8_copy():
+    source = np.array([[0, -1], [-1, 0]])
+    s = SeidelMatrix(2, source)
+    source[0, 1] = 1
+    assert s.entries.dtype == np.int8 and not s.entries.flags.writeable
+    assert s.entries.tolist() == [[0, -1], [-1, 0]]
+    assert SeidelMatrix(0, ()).entries.shape == (0, 0)
+    assert seidel_matrix(Graph.empty(0)).entries.shape == (0, 0)
+
+
+def test_seidel_matrix_matches_the_entrywise_rule():
+    rng = random.Random(27)
+    graphs = [random_graph(rng, rng.randint(1, 40)) for _ in range(30)]
+    graphs += [build_chain_graph(random_block_string(rng, max_k=5, max_n=80)) for _ in range(20)]
+    for g in graphs:
+        rule = [[0 if w == v else (-1 if (row >> w) & 1 else 1) for w in range(g.n)]
+                for v, row in enumerate(g.rows)]
+        s = seidel_matrix(g)
+        assert s.entries.tolist() == rule
+        reference = np.linalg.eigvalsh(np.array(rule, dtype=float))
+        assert np.abs(np.array(numeric_spectrum(s)) - reference).max() < 1e-12
 
 
 def test_quotient_matrix_examples():
@@ -93,19 +137,21 @@ def test_quotient_row_sums_are_equitable():
     for _ in range(15):
         b = random_block_string(rng, max_k=4, max_n=25)
         g = build_chain_graph(b)
-        s = seidel_matrix(g)
+        s = seidel_matrix(g).entries.tolist()
         q = quotient_matrix(b)
         cells = [(start, size) for _lab, start, size in b.cells()]
         for p, (p_start, p_size) in enumerate(cells):
             for qq, (q_start, q_size) in enumerate(cells):
                 for v in range(p_start, p_start + p_size):
-                    row_sum = sum(s.entries[v][w] for w in range(q_start, q_start + q_size))
+                    row_sum = sum(s[v][w] for w in range(q_start, q_start + q_size))
                     assert row_sum == q.entries[p][qq]
 
 
 def test_char_poly_order_cap():
     with pytest.raises(ValueError):
         char_poly([[0] * 257 for _ in range(257)])
+    with pytest.raises(ValueError, match="exceeds cap 256"):
+        char_poly(seidel_matrix(Graph.empty(257)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +365,34 @@ def test_equiangular_degenerate():
 def test_numeric_spectrum_cap():
     with pytest.raises(ValueError):
         numeric_spectrum(seidel_matrix(Graph.empty(2001)))
+
+
+def _few_block_string(n: int) -> BlockString:
+    return BlockString(((n // 3, n // 5), (n // 4, n - n // 3 - n // 5 - n // 4)))
+
+
+def test_oracle_graph_and_seidel_matrix_at_the_cap_are_fast():
+    b = _few_block_string(2000)
+    start = time.perf_counter()
+    s = seidel_matrix(build_chain_graph(b))
+    assert time.perf_counter() - start < 0.2
+    assert s.n == 2000
+
+
+def test_oracle_refusal_over_the_cap_is_fast():
+    text = _few_block_string(2001).caret()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="capped at 2000 vertices"):
+        seidel_matrix(build_chain_graph(parse_block_string(text)))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_numeric_spectrum_at_the_cap_matches_exact():
+    b = _few_block_string(2000)
+    numeric = numeric_spectrum(seidel_matrix(build_chain_graph(b)))
+    exact = exact_spectrum(b).to_floats()
+    assert len(numeric) == len(exact) == 2000
+    assert max(abs(a - x) for a, x in zip(exact, numeric)) < 1e-9 * 2000
 
 
 def test_seidel_matrix_refuses_over_the_cap_before_building_rows():

@@ -59,8 +59,8 @@ def test_switch_is_seidel_conjugation():
         n = rng.randint(2, 12)
         g = random_graph(rng, n)
         u = random_subset_mask(rng, n)
-        s = seidel_matrix(g).entries
-        s2 = seidel_matrix(switch_on_subset(g, u)).entries
+        s = seidel_matrix(g).entries.tolist()
+        s2 = seidel_matrix(switch_on_subset(g, u)).entries.tolist()
         d = [-1 if (u >> v) & 1 else 1 for v in range(n)]
         for i in range(n):
             for j in range(n):
