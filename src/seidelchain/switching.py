@@ -9,7 +9,8 @@ under permutations of twins: one representative per vector of per-component
 counts, weighted by the orbit size.  The work follows the number of orbits,
 for a chain graph with cells C_1..C_2k at most |C_1| * prod_{i>1} (|C_i| + 1).
 A graph without twins, such as the half graph of the unit-cell string
-(01)^k, has 2^(n-1) one-subset orbits.
+(01)^k, has 2^(n-1) one-subset orbits.  The class certificate's canonical
+form needs no orbit walk: one switching on N(v) per twin component.
 """
 
 from __future__ import annotations
@@ -409,22 +410,28 @@ def _prefilter_hash(prefilter: Counter) -> str:
 def class_certificate(g: Graph) -> ClassCertificate:
     """Deterministic certificate deciding switching-isomorphism equivalence.
 
-    The canonical matrix is minimized over one switching subset per twin
-    orbit, which covers every isomorphism type in the class at a fraction
-    of the 2^(n-1) enumeration.
+    The least canonical form over the 2^(n-1) switchings is the least
+    canonical form of g switched on N(v), over one vertex v per twin
+    component, so it takes one canonical search per component:
+
+    - The least form has a vertex with no neighbours.  The first refinement
+      of _canonical_search orders cells by degree, so a graph with an
+      isolated vertex puts it first and its leading n-1 bits are 0, while a
+      graph without one has a 1 among those bits.  Every class holds a
+      graph with an isolated vertex (the next point).
+    - The only switching that isolates v is the one on N(v), or on its
+      complement: switching on U gives v the neighbours N(v) xor U when v
+      is not in U.
+    - Swapping two twins is an automorphism of g that carries N(u) to N(v),
+      so twins give isomorphic switched graphs.
     """
     check_certificate_size(g.n)
     components = _twin_components(g)
-    free = _free_twins(components)
-    prefilter = degree_multiset_prefilter(g, free=free)
-    sizes = tuple(len(c) for c in components)
-    # A subset and its complement switch identically, so of two orbits whose
-    # counts on the whole components are complementary one is enough.
-    best = min(
-        canonical_bits(switch_on_subset(g, mask))
-        for counts, mask, _size in _twin_orbits(free)
-        if tuple(s - c for s, c in zip(sizes, counts)) >= counts
-    )
+    prefilter = degree_multiset_prefilter(g, free=_free_twins(components))
+    if components:
+        best = min(canonical_bits(switch_on_subset(g, g.rows[comp[0]])) for comp in components)
+    else:
+        best = canonical_bits(g)
     return ClassCertificate(g.n, best, _prefilter_hash(prefilter))
 
 

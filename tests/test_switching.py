@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_switch_search, path_graph, random_graph, random_subset_mask
+from conftest import brute_switch_search, cycle_graph, path_graph, random_graph, random_subset_mask
 from seidelchain import (
     BlockString,
+    ClassCertificate,
     Graph,
     biregular_profile,
     build_chain_graph,
@@ -24,7 +25,14 @@ from seidelchain import (
     switch_on_subset,
     switching_equivalent,
 )
-from seidelchain.switching import _gray_rank, _least_gray_mask, _orbit_masks, degree_multiset_prefilter
+from seidelchain import switching
+from seidelchain.switching import (
+    _gray_rank,
+    _least_gray_mask,
+    _orbit_masks,
+    _twin_components,
+    degree_multiset_prefilter,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +103,14 @@ def test_search_degrees_match_rebuild_oracle():
 
 
 @st.composite
-def _small_graphs(draw) -> Graph:
-    """A random graph on at most 9 vertices, or a chain graph on at most 14."""
+def _small_graphs(draw, max_chain_n: int = 14) -> Graph:
+    """A random graph on at most 9 vertices, or a chain graph on at most max_chain_n."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 9))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
-    n = draw(st.integers(2, 14))
+    n = draw(st.integers(2, max_chain_n))
     k = draw(st.integers(1, n // 2))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2 * k - 1, max_size=2 * k - 1)))
     parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
@@ -262,12 +270,63 @@ def _brute_min_canonical(g: Graph) -> int:
     return best
 
 
-def test_certificate_matches_brute_force():
-    rng = random.Random(37)
-    for _ in range(8):
-        n = rng.randint(2, 7)
-        g = random_graph(rng, n)
-        assert class_certificate(g).canonical_bits == _brute_min_canonical(g)
+@settings(max_examples=60, deadline=None)
+@given(g=_small_graphs(max_chain_n=10))
+def test_certificate_matches_brute_force(g):
+    assert class_certificate(g).canonical_bits == _brute_min_canonical(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_small_graphs(), data=st.data())
+def test_canonical_leading_row_is_zero_iff_isolated_vertex(g, data):
+    # Switching on N(v) isolates v, so half the examples have an isolated vertex.
+    if data.draw(st.booleans()):
+        g = switch_on_subset(g, g.rows[data.draw(st.integers(0, g.n - 1))])
+    n = g.n
+    leading_zero = canonical_bits(g) >> (n * (n - 1) // 2 - (n - 1)) == 0
+    assert leading_zero == (0 in g.degrees())
+
+
+def test_certificate_runs_one_canonical_search_per_twin_component(monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h.n)
+        return canonical_bits(h)
+
+    monkeypatch.setattr(switching, "canonical_bits", counting)
+    rng = random.Random(42)
+    graphs = [chain_graph("0^4 1^4 0^4 1^4"), chain_graph("0^2 1^3 0^3 1^4"), cycle_graph(9),
+              Graph.empty(1), Graph.empty(5)]
+    graphs += [random_graph(rng, rng.randint(1, 10), p) for p in (0.2, 0.5, 0.8) for _ in range(5)]
+    for g in graphs:
+        calls.clear()
+        class_certificate(g)
+        assert len(calls) == len(_twin_components(g))
+
+
+def test_certificate_smallest_orders_pinned():
+    empty_hash = {0: "b94b1cb7d1cbc4e4", 1: "502b58bc64726f44", 2: "e8c77b88c32296c8"}
+    for n, digest in empty_hash.items():
+        assert class_certificate(Graph.empty(n)) == ClassCertificate(n, 0, digest)
+    k2 = Graph.from_edges(2, [(0, 1)])
+    assert class_certificate(k2) == ClassCertificate(2, 0, empty_hash[2])
+
+
+def test_certificate_rook_graph_at_the_cap():
+    # The 4x4 rook's graph (K4 x K4) has no twins: 16 canonical searches
+    # and the 2^15 prefilter orbits.  One canonical search per orbit, 2^15
+    # of them, took about 50 s a certificate on a 2-core VM.
+    rook = Graph.from_edges(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                                 if u // 4 == v // 4 or u % 4 == v % 4])
+    rng = random.Random(43)
+    perm = list(range(16))
+    rng.shuffle(perm)
+    start = time.perf_counter()
+    cert = class_certificate(rook)
+    assert time.perf_counter() - start < 10.0
+    assert class_certificate(rook.relabel(perm)) == cert
+    assert class_certificate(switch_on_subset(rook, random_subset_mask(rng, 16))) == cert
 
 
 def test_certificate_invariance():
