@@ -3,20 +3,21 @@
 Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
 Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
-rest on integer pseudo-division; Fraction appears only as the rational points
-of sign evaluation, root isolation and refinement.  The root machinery
-(integer-root stripping, square-free decomposition, Sturm isolation,
-sign-certified refinement) assumes monic inputs whose remaining roots are all
-real, which holds for characteristic polynomials of symmetric integer
-matrices.  Float guesses may steer integer-root stripping and refinement, but
-every root they lead to is certified exactly.
+rest on integer pseudo-division.  Sign evaluation, root isolation and
+refinement run on integer grids too: a rational point is a numerator over a
+common denominator, and a Fraction is built only for the endpoints returned.
+The root machinery (integer-root stripping, square-free decomposition, Sturm
+isolation, sign-certified refinement) assumes monic inputs whose remaining
+roots are all real, which holds for characteristic polynomials of symmetric
+integer matrices.  Float guesses may steer integer-root stripping and
+refinement, but every root they lead to is certified exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import floor, gcd, isfinite
+from math import gcd, isfinite
 from operator import mul
 
 IntPoly = tuple[int, ...]
@@ -66,18 +67,19 @@ def poly_degree(p: IntPoly) -> int:
     return len(p) - 1
 
 
-def sign_at(p: IntPoly, x: Fraction) -> int:
-    """Sign of p(x) at a rational point, computed with integer arithmetic."""
-    num, den = x.numerator, x.denominator
-    d = len(p) - 1
-    if d < 0:
-        return 0
+def sign_at(p: IntPoly, x, den: int = 1) -> int:
+    """Sign of p(x / den) at a rational point, computed with integer arithmetic.
+
+    x is an int or a Fraction, den a positive int: a point of an integer grid
+    is passed as its numerator and denominator, with no Fraction built.
+    """
+    if den == 1:
+        x, den = x.numerator, x.denominator
     acc = 0
     den_pow = 1
-    for i in range(d, -1, -1):
-        acc = acc * num + p[i] * den_pow
-        if i:
-            den_pow *= den
+    for c in reversed(p):
+        acc = acc * x + c * den_pow
+        den_pow *= den
     return (acc > 0) - (acc < 0)
 
 
@@ -265,49 +267,64 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 # Sturm isolation and certified bisection
 # ---------------------------------------------------------------------------
 
-def _variations(chain: list[IntPoly], x: Fraction) -> int:
-    signs = [s for s in (sign_at(q, x) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain: list[IntPoly], x, den: int = 1) -> tuple[int, int]:
+    """(Sturm sign variations of chain at x / den, sign of chain[0] there)."""
+    signs = [sign_at(q, x, den) for q in chain]
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
-def count_roots_between(chain: list[IntPoly], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi], via Sturm sign variations."""
-    return _variations(chain, lo) - _variations(chain, hi)
+def count_roots_between(chain: list[IntPoly], lo, hi) -> int:
+    """Distinct real roots in (lo, hi], via Sturm sign variations (lo, hi ints or Fractions)."""
+    return _sign_variations(chain, lo)[0] - _sign_variations(chain, hi)[0]
 
 
-def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fraction, Fraction, int, int]]:
     """Disjoint open intervals, each containing exactly one real root of p.
 
-    p must be square-free with no rational roots, so the (always dyadic)
-    interval endpoints are never roots themselves.
+    Returns (lo, hi, sign of p at lo, sign of p at hi) for each root in
+    [-bound, bound], ascending; the endpoint signs differ, and refine_root
+    takes them as they are.  p must be square-free with no rational roots,
+    so the (always dyadic) interval endpoints are never roots themselves.
+    Bisection runs on integers over a power of two, and each bisection point
+    gets its Sturm sign variations once, shared by the two halves.
     """
-    p = primitive(p)
-    if poly_degree(p) < 1:
+    q = primitive(p)
+    if poly_degree(q) < 1:
         return []
-    b = Fraction(bound if bound is not None else root_bound(p))
+    flip = 1 if poly_trim(p)[-1] > 0 else -1  # primitive() made the lead positive
+    p = q
+    b = bound if bound is not None else root_bound(p)
     chain = sturm_chain(p)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-b, b)]
+    total = count_roots_between(chain, -b, b)
+    v_hi, s_hi = _sign_variations(chain, b)
+    out: list[tuple[Fraction, Fraction, int, int]] = []
+    # (lo, hi, shift, variations at lo and hi, signs of p at lo and hi) for
+    # the interval (lo / 2^shift, hi / 2^shift].
+    stack = [(-b, b, 0, v_hi + total, v_hi, sign_at(p, -b), s_hi)]
     while stack:
-        lo, hi = stack.pop()
-        cnt = count_roots_between(chain, lo, hi)
+        lo, hi, shift, v_lo, v_hi, s_lo, s_hi = stack.pop()
+        cnt = v_lo - v_hi
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append((lo, hi))
+            den = 1 << shift
+            out.append((Fraction(lo, den), Fraction(hi, den), flip * s_lo, flip * s_hi))
             continue
-        mid = (lo + hi) / 2
-        if sign_at(p, mid) == 0:
+        mid, shift = lo + hi, shift + 1
+        v_mid, s_mid = _sign_variations(chain, mid, 1 << shift)
+        if s_mid == 0:
             raise ValueError("rational root encountered during isolation")
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        stack.append((2 * lo, mid, shift, v_lo, v_mid, s_lo, s_mid))
+        stack.append((mid, 2 * hi, shift, v_mid, v_hi, s_mid, s_hi))
     out.sort()
     return out
 
 
 def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
                 width: Fraction = Fraction(1, 2 ** 40),
-                guess: float | None = None) -> tuple[Fraction, Fraction, int, int]:
+                guess: float | None = None,
+                signs: tuple[int, int] | None = None) -> tuple[Fraction, Fraction, int, int]:
     """Shrink an isolating interval to the requested width.
 
     The result is the cell of the grid lo + j * (hi - lo) / 2^m that holds
@@ -317,31 +334,37 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
     lies.  The search starts at the cell of guess and gallops outward, then
     bisects the bracket: a good float guess costs about two sign evaluations
     beyond the endpoints, a bad one at most about 2m, and guess=None exactly
-    m.  The cell is the same for every guess.
+    m.  The cell is the same for every guess.  Grid point j is the integer
+    base + j * span over the integer den; only the returned cell becomes a
+    Fraction.  signs, the signs of p at lo and hi as isolate_real_roots
+    returns them, saves evaluating them again.
 
     Returns (lo, hi, sign at lo, sign at hi); the differing endpoint signs are
     the certificate that a root lies inside.
     """
-    s_lo, s_hi = sign_at(p, lo), sign_at(p, hi)
+    s_lo, s_hi = signs if signs is not None else (sign_at(p, lo), sign_at(p, hi))
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("interval endpoints do not certify a sign change")
-    ratio = (hi - lo) / width
-    steps = -(-ratio.numerator // ratio.denominator)
+    den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+    base = lo.numerator * (den // lo.denominator)
+    span = hi.numerator * (den // hi.denominator) - base
+    steps = -(-(span * width.denominator) // (den * width.numerator))
     if steps <= 1:
         return lo, hi, s_lo, s_hi
     cells = 1 << (steps - 1).bit_length()
-    step = (hi - lo) / cells
+    base, den = base * cells, den * cells
 
     def below(j: int) -> bool:
         """True when the root lies below grid point j."""
-        s = sign_at(p, lo + j * step)
+        s = sign_at(p, base + j * span, den)
         if s == 0:
             raise ValueError("rational root encountered during refinement")
         return s != s_lo
 
     a, b = 0, cells  # the root lies between grid points a and b
     if guess is not None and isfinite(guess):
-        j = min(max(floor((Fraction(guess) - lo) / step), 0), cells - 1)
+        g_num, g_den = guess.as_integer_ratio()
+        j = min(max((g_num * den - base * g_den) // (span * g_den), 0), cells - 1)
         if j > 0 and below(j):
             b, gap = j, 1
             while b - gap > a:
@@ -362,7 +385,7 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
             b = mid
         else:
             a = mid
-    return lo + a * step, lo + b * step, s_lo, s_hi
+    return Fraction(base + a * span, den), Fraction(base + b * span, den), s_lo, s_hi
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ Roots are located by guess, then certified.  One float eigensolve of the
 symmetric form of Q gives a guess for every eigenvalue.  Integer roots are
 the rounded guesses that exact synthetic division confirms; the residual is
 split square-free, isolated by Sturm sequences, and each root is refined to
-its dyadic cell starting from its guess.  Completeness is certified exactly:
-if any residual root turns out to be an integer, the integer-root strip is
-redone as a scan of every integer in [-n, n].
+its dyadic cell starting from its guess, all on integer grids.  Completeness
+is certified exactly: if any residual root turns out to be an integer, the
+integer-root strip is redone as a scan of every integer in [-n, n].  The
+spectrum is sorted by float and each neighbouring pair is then compared
+exactly; validate() checks the trace and Frobenius identities on integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c,
 or sign-certified root intervals of an integer polynomial factor (width at
@@ -142,15 +144,18 @@ class RootInterval:
 
     @classmethod
     def from_isolating(cls, poly: tuple[int, ...], lo: Fraction, hi: Fraction,
-                       width: Fraction = INTERVAL_WIDTH, guess: float | None = None) -> RootInterval:
-        """Refine an isolating interval; guess (a float near the root) only saves work."""
-        lo, hi, s_lo, s_hi = intpoly.refine_root(poly, lo, hi, width, guess)
+                       width: Fraction = INTERVAL_WIDTH, guess: float | None = None,
+                       signs: tuple[int, int] | None = None) -> RootInterval:
+        """Refine an isolating interval; guess (a float near the root) and the
+        endpoint signs from isolate_real_roots only save work."""
+        lo, hi, s_lo, s_hi = intpoly.refine_root(poly, lo, hi, width, guess, signs)
         return cls(poly, lo, hi, s_lo, s_hi)
 
     def refined(self, width: Fraction) -> RootInterval:
         if self.hi - self.lo <= width:
             return self
-        lo, hi, s_lo, s_hi = intpoly.refine_root(self.poly, self.lo, self.hi, width)
+        lo, hi, s_lo, s_hi = intpoly.refine_root(self.poly, self.lo, self.hi, width,
+                                                 signs=(self.sign_lo, self.sign_hi))
         return RootInterval(self.poly, lo, hi, s_lo, s_hi)
 
     def bounds(self, bits: int = 40) -> tuple[Fraction, Fraction]:
@@ -158,7 +163,10 @@ class RootInterval:
         return r.lo, r.hi
 
     def __float__(self) -> float:
-        return float((self.lo + self.hi) / 2)
+        # The midpoint as one correctly rounded integer division.
+        lo, hi = self.lo, self.hi
+        return ((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
+                / (2 * lo.denominator * hi.denominator))
 
     def __str__(self) -> str:
         return f"[{_decimal_string(self.lo)},{_decimal_string(self.hi)}]"
@@ -167,9 +175,9 @@ class RootInterval:
 Eigenvalue = Union[int, Surd, RootInterval]
 
 
-def value_bounds(v: Eigenvalue, bits: int = 40) -> tuple[Fraction, Fraction]:
+def value_bounds(v: Eigenvalue, bits: int = 40) -> tuple[Fraction | int, Fraction | int]:
     if isinstance(v, int):
-        return Fraction(v), Fraction(v)
+        return v, v
     return v.bounds(bits)
 
 
@@ -392,66 +400,84 @@ class ExactSpectrum:
     def validate(self) -> None:
         """Check the trace and Frobenius identities for a Seidel spectrum.
 
-        Both sums are integers (0 and n(n-1)); surd contributions are checked
-        symbolically, interval contributions by enclosure, which is exact
-        because the enclosures are far narrower than 1.
+        Both sums are integers (0 and n(n-1)).  Without root intervals they
+        are checked exactly, surd parts symbolically.  With root intervals
+        every value is enclosed in integers scaled by 2^80, rounded outward,
+        and the enclosed sum must hold the target and be narrower than 1;
+        that is exact because the enclosures are far narrower than 1.
         """
         n = self.n
         if n <= 0:
             raise ValueError("empty spectrum")
-        _assert_integer_sum(self.entries, power=1, target=0)
-        _assert_integer_sum(self.entries, power=2, target=n * (n - 1))
+        if any(isinstance(v, RootInterval) for v, _m in self.entries):
+            _assert_enclosed_sums(self.entries, n)
+            return
+        for power, target in ((1, 0), (2, n * (n - 1))):
+            if not _exact_power_sum_is(self.entries, power, target):
+                raise ValueError(f"spectrum identity failed: power {power} sum != {target}")
 
 
-def _assert_integer_sum(entries, power: int, target: int) -> None:
-    rational = Fraction(0)
-    radicals: dict[Fraction, Fraction] = {}
-    lo_sum = Fraction(0)
-    hi_sum = Fraction(0)
-    has_interval = False
+def _exact_power_sum_is(entries, power: int, target: int) -> bool:
+    """Whether the power sum of ints and surds is exactly target.
+
+    Every term is put over den, the lcm of the surd denominators c^power.
+    The coefficients of sqrt(d), keyed by the reduced radicand, must cancel
+    across conjugate branches.
+    """
+    den = math.lcm(*(v.c ** power for v, _m in entries if isinstance(v, Surd)))
+    rational = 0
+    radicals: dict[int, int] = {}
     for v, m in entries:
         if isinstance(v, int):
-            val = Fraction(v ** power)
-            rational += m * val
-            lo_sum += m * val
-            hi_sum += m * val
-        elif isinstance(v, Surd):
-            if power == 1:
-                rat, rad = Fraction(v.a, v.c), Fraction(v.sign, v.c)
-            else:
-                rat = Fraction(v.a * v.a + v.d, v.c * v.c)
-                rad = Fraction(2 * v.a * v.sign, v.c * v.c)
-            # Coefficients of sqrt(d), keyed by the reduced radicand, must
-            # cancel exactly across conjugate branches.
-            key = Fraction(v.d)
-            radicals[key] = radicals.get(key, Fraction(0)) + m * rad
-            rational += m * rat
-            lo, hi = v.bounds(80)
-            plo, phi = _power_bounds(lo, hi, power)
-            lo_sum += m * plo
-            hi_sum += m * phi
+            rational += m * v ** power * den
+            continue
+        scale = m * (den // v.c ** power)
+        if power == 1:
+            rat, rad = v.a, v.sign
         else:
-            has_interval = True
-            lo, hi = v.lo, v.hi
-            plo, phi = _power_bounds(lo, hi, power)
-            lo_sum += m * plo
-            hi_sum += m * phi
-    if not has_interval:
-        if rational != target or any(coef != 0 for coef in radicals.values()):
-            raise ValueError(f"spectrum identity failed: power {power} sum != {target}")
-    else:
-        if not (lo_sum <= target <= hi_sum) or hi_sum - lo_sum >= 1:
+            rat, rad = v.a * v.a + v.d, 2 * v.a * v.sign
+        rational += scale * rat
+        radicals[v.d] = radicals.get(v.d, 0) + scale * rad
+    return rational == target * den and not any(radicals.values())
+
+
+_ENCLOSURE_BITS = 80
+
+
+def _scaled_enclosure(v: Eigenvalue) -> tuple[int, int]:
+    """Integers lo <= v * 2^80 <= hi, from v's own bounds rounded outward.
+
+    A surd is enclosed as with Surd.bounds(80), a root interval by its cell.
+    """
+    if isinstance(v, int):
+        return v << _ENCLOSURE_BITS, v << _ENCLOSURE_BITS
+    if isinstance(v, Surd):
+        r = math.isqrt(v.d << 2 * _ENCLOSURE_BITS)  # r <= sqrt(d) * 2^80 < r + 1
+        a = v.a << _ENCLOSURE_BITS
+        lo, hi = (a + r, a + r + 1) if v.sign > 0 else (a - r - 1, a - r)
+        return lo // v.c, -(-hi // v.c)
+    lo, hi = v.lo, v.hi
+    return ((lo.numerator << _ENCLOSURE_BITS) // lo.denominator,
+            -((-hi.numerator << _ENCLOSURE_BITS) // hi.denominator))
+
+
+def _assert_enclosed_sums(entries, n: int) -> None:
+    """The trace and Frobenius identities by scaled integer enclosures."""
+    one = 1 << _ENCLOSURE_BITS
+    lo1 = hi1 = lo2 = hi2 = 0
+    for v, m in entries:
+        lo, hi = _scaled_enclosure(v)
+        # The square, scaled by 2^80 and rounded outward.
+        if lo >= 0:
+            sq_lo, sq_hi = lo * lo // one, -(-hi * hi // one)
+        elif hi <= 0:
+            sq_lo, sq_hi = hi * hi // one, -(-lo * lo // one)
+        else:
+            sq_lo, sq_hi = 0, -(-max(lo * lo, hi * hi) // one)
+        lo1, hi1, lo2, hi2 = lo1 + m * lo, hi1 + m * hi, lo2 + m * sq_lo, hi2 + m * sq_hi
+    for power, target, lo_sum, hi_sum in ((1, 0, lo1, hi1), (2, n * (n - 1), lo2, hi2)):
+        if not (lo_sum <= target * one <= hi_sum) or hi_sum - lo_sum >= one:
             raise ValueError(f"spectrum identity failed: power {power} enclosure misses {target}")
-
-
-def _power_bounds(lo: Fraction, hi: Fraction, power: int) -> tuple[Fraction, Fraction]:
-    if power == 1:
-        return lo, hi
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return Fraction(0), max(lo * lo, hi * hi)
 
 
 def spectrum_from_counts(counts) -> ExactSpectrum:
@@ -463,8 +489,23 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     for v, m in counts:
         if m:
             merged[v] = merged.get(v, 0) + m
-    order = sorted(merged, key=functools.cmp_to_key(value_cmp))
-    return ExactSpectrum(tuple((v, merged[v]) for v in order))
+    return ExactSpectrum(tuple((v, merged[v]) for v in _ascending(merged)))
+
+
+def _ascending(values) -> list[Eigenvalue]:
+    """Distinct values in ascending order: sorted by float, then checked exactly.
+
+    Each neighbouring pair of the float order is compared with value_cmp.
+    Values that floats cannot tell apart, or beyond the float range, fall
+    back to a full sort by value_cmp; the order is the same either way.
+    """
+    try:
+        order = sorted(values, key=lambda v: v if isinstance(v, int) else float(v))
+        if all(value_cmp(u, v) < 0 for u, v in zip(order, order[1:])):
+            return order
+    except OverflowError:
+        pass
+    return sorted(values, key=functools.cmp_to_key(value_cmp))
 
 
 def _quotient_guesses(b: BlockString) -> list[float]:
@@ -524,8 +565,9 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
             counts.append((Surd.make(-c1, -1, disc, 2), mult))
         else:
             try:
-                cells = [RootInterval.from_isolating(factor, lo, hi, guess=_guess_in(rest, lo, hi))
-                         for lo, hi in intpoly.isolate_real_roots(factor, bound=bound)]
+                cells = [RootInterval.from_isolating(factor, lo, hi, guess=_guess_in(rest, lo, hi),
+                                                     signs=(s_lo, s_hi))
+                         for lo, hi, s_lo, s_hi in intpoly.isolate_real_roots(factor, bound=bound)]
             except ValueError as exc:  # a rational root sits on a dyadic point
                 raise _MissedIntegerRoot() from exc
             for cell in cells:
@@ -621,10 +663,10 @@ def _reciprocal_abs(v: Eigenvalue) -> Union[Fraction, Surd, RootInterval]:
     # Re-isolate with dyadic endpoints: the target lies in (0, 1), and it is
     # the unique reversed-poly root inside (y_lo, y_hi).
     chain = intpoly.sturm_chain(rev)
-    for lo, hi in intpoly.isolate_real_roots(rev, bound=1):
+    for lo, hi, s_lo, s_hi in intpoly.isolate_real_roots(rev, bound=1):
         a, b = max(lo, y_lo), min(hi, y_hi)
         if a < b and intpoly.count_roots_between(chain, a, b) == 1:
-            return RootInterval.from_isolating(rev, lo, hi)
+            return RootInterval.from_isolating(rev, lo, hi, signs=(s_lo, s_hi))
     raise ArithmeticError("failed to isolate the reciprocal eigenvalue")
 
 

@@ -1,0 +1,153 @@
+"""Fraction reference versions of the exact root path, kept as test oracles.
+
+The library isolates, refines and validates on integer grids.  These are the
+plain Fraction forms of the same algorithms: isolation that counts the Sturm
+variations at both ends of every interval afresh, refinement on a Fraction
+grid, and trace/Frobenius sums over Fractions.  Signs come from Fraction
+evaluation with intpoly.poly_eval, not from intpoly.sign_at.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import floor, isfinite
+
+from seidelchain import intpoly
+from seidelchain.spectra import RootInterval, Surd
+
+
+def fraction_sign(p, x: Fraction) -> int:
+    val = intpoly.poly_eval(p, Fraction(x))
+    return (val > 0) - (val < 0)
+
+
+def _variations(chain, x: Fraction) -> int:
+    signs = [s for s in (fraction_sign(q, x) for q in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def isolate_real_roots(p, bound: int | None = None) -> list[tuple[Fraction, Fraction]]:
+    """Sturm bisection of [-bound, bound]; each interval's ends are counted afresh."""
+    p = intpoly.primitive(p)
+    if intpoly.poly_degree(p) < 1:
+        return []
+    b = Fraction(bound if bound is not None else intpoly.root_bound(p))
+    chain = intpoly.sturm_chain(p)
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(-b, b)]
+    while stack:
+        lo, hi = stack.pop()
+        cnt = _variations(chain, lo) - _variations(chain, hi)
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        if fraction_sign(p, mid) == 0:
+            raise ValueError("rational root encountered during isolation")
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    out.sort()
+    return out
+
+
+def refine_root(p, lo: Fraction, hi: Fraction, width: Fraction = Fraction(1, 2 ** 40),
+                guess: float | None = None) -> tuple[Fraction, Fraction, int, int]:
+    """Guess-started gallop and bisection on the Fraction grid lo + j * (hi - lo) / 2^m."""
+    s_lo, s_hi = fraction_sign(p, lo), fraction_sign(p, hi)
+    if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
+        raise ValueError("interval endpoints do not certify a sign change")
+    ratio = (hi - lo) / width
+    steps = -(-ratio.numerator // ratio.denominator)
+    if steps <= 1:
+        return lo, hi, s_lo, s_hi
+    cells = 1 << (steps - 1).bit_length()
+    step = (hi - lo) / cells
+
+    def below(j: int) -> bool:
+        s = fraction_sign(p, lo + j * step)
+        if s == 0:
+            raise ValueError("rational root encountered during refinement")
+        return s != s_lo
+
+    a, b = 0, cells
+    if guess is not None and isfinite(guess):
+        j = min(max(floor((Fraction(guess) - lo) / step), 0), cells - 1)
+        if j > 0 and below(j):
+            b, gap = j, 1
+            while b - gap > a:
+                if not below(b - gap):
+                    a = b - gap
+                    break
+                b, gap = b - gap, 2 * gap
+        else:
+            a, gap = j, 1
+            while a + gap < b:
+                if below(a + gap):
+                    b = a + gap
+                    break
+                a, gap = a + gap, 2 * gap
+    while b - a > 1:
+        mid = (a + b) // 2
+        if below(mid):
+            b = mid
+        else:
+            a = mid
+    return lo + a * step, lo + b * step, s_lo, s_hi
+
+
+def _power_bounds(lo: Fraction, hi: Fraction, power: int) -> tuple[Fraction, Fraction]:
+    if power == 1:
+        return lo, hi
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return Fraction(0), max(lo * lo, hi * hi)
+
+
+def assert_integer_sum(entries, power: int, target: int) -> None:
+    """Exact sums for ints and surds; Fraction enclosures once a root interval is present."""
+    rational = Fraction(0)
+    radicals: dict[Fraction, Fraction] = {}
+    lo_sum = hi_sum = Fraction(0)
+    has_interval = False
+    for v, m in entries:
+        if isinstance(v, int):
+            val = Fraction(v ** power)
+            rational += m * val
+            lo_sum += m * val
+            hi_sum += m * val
+        elif isinstance(v, Surd):
+            if power == 1:
+                rat, rad = Fraction(v.a, v.c), Fraction(v.sign, v.c)
+            else:
+                rat = Fraction(v.a * v.a + v.d, v.c * v.c)
+                rad = Fraction(2 * v.a * v.sign, v.c * v.c)
+            key = Fraction(v.d)
+            radicals[key] = radicals.get(key, Fraction(0)) + m * rad
+            rational += m * rat
+            plo, phi = _power_bounds(*v.bounds(80), power)
+            lo_sum += m * plo
+            hi_sum += m * phi
+        else:
+            assert isinstance(v, RootInterval)
+            has_interval = True
+            plo, phi = _power_bounds(v.lo, v.hi, power)
+            lo_sum += m * plo
+            hi_sum += m * phi
+    if not has_interval:
+        if rational != target or any(coef != 0 for coef in radicals.values()):
+            raise ValueError(f"spectrum identity failed: power {power} sum != {target}")
+    elif not (lo_sum <= target <= hi_sum) or hi_sum - lo_sum >= 1:
+        raise ValueError(f"spectrum identity failed: power {power} enclosure misses {target}")
+
+
+def validate(entries) -> None:
+    """ExactSpectrum.validate over Fractions."""
+    n = sum(m for _v, m in entries)
+    if n <= 0:
+        raise ValueError("empty spectrum")
+    assert_integer_sum(entries, power=1, target=0)
+    assert_integer_sum(entries, power=2, target=n * (n - 1))

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import root_oracles
 from conftest import cut_block_string, poly_pow, random_block_string
-from seidelchain import intpoly, parse_block_string, quotient_matrix
+from seidelchain import BlockString, exact_spectrum, intpoly, parse_block_string, quotient_matrix, spectra
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +203,12 @@ def test_isolation_and_refinement():
     p = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
     intervals = intpoly.isolate_real_roots(p)
     assert len(intervals) == 4
-    for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
+    for (_lo1, hi1, *_), (lo2, *_) in zip(intervals, intervals[1:]):
         assert hi1 <= lo2
     width = Fraction(1, 2 ** 40)
     roots = []
-    for lo, hi in intervals:
+    for lo, hi, sign_lo, sign_hi in intervals:
+        assert (sign_lo, sign_hi) == (intpoly.sign_at(p, lo), intpoly.sign_at(p, hi))
         rlo, rhi, s_lo, s_hi = intpoly.refine_root(p, lo, hi, width)
         assert rhi - rlo <= width
         assert s_lo != 0 and s_hi != 0 and s_lo != s_hi
@@ -331,7 +334,7 @@ def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, o
     except ValueError:  # a rational root on a bisection point
         assume(False)
     assume(intervals)
-    lo, hi = intervals[pick % len(intervals)]
+    lo, hi, _s_lo, _s_hi = intervals[pick % len(intervals)]
     width = Fraction(1, 1 << depth)
     want = _outcome(_bisect_reference, p, lo, hi, width)
     guesses = [None, float(lo + t * (hi - lo)), float(lo) - off, float(hi) + off,
@@ -343,10 +346,133 @@ def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, o
 def test_refine_root_from_a_good_guess_needs_few_signs(monkeypatch):
     calls = []
     sign_at = intpoly.sign_at
-    monkeypatch.setattr(intpoly, "sign_at", lambda p, x: calls.append(x) or sign_at(p, x))
+    monkeypatch.setattr(intpoly, "sign_at", lambda p, *x: calls.append(x) or sign_at(p, *x))
     p = (-2, 0, 1)
     got = intpoly.refine_root(p, Fraction(1), Fraction(2), guess=2 ** 0.5)
     assert len(calls) == 4  # two endpoints, then the two ends of the guessed cell
     calls.clear()
     assert intpoly.refine_root(p, Fraction(1), Fraction(2)) == got
     assert len(calls) == 2 + 40
+
+
+# ---------------------------------------------------------------------------
+# The integer-grid root path against its Fraction form (tests/root_oracles.py)
+# ---------------------------------------------------------------------------
+
+_QUADRATICS = st.integers(-12, 12).flatmap(  # x^2 + b x + c with b^2 > 4c
+    lambda b: st.integers(-30, (b * b - 1) // 4).map(lambda c: (c, b, 1)))
+
+
+def _depressed_cubics(b):
+    """x^3 + b x + c for b < 0, with three distinct real roots: 27 c^2 < -4 b^3."""
+    bound = math.isqrt(-4 * b ** 3 // 27)
+    return st.integers(-bound, bound).filter(lambda c: 27 * c * c < -4 * b ** 3).map(lambda c: (c, b, 0, 1))
+
+
+def _shifted(p, t):
+    """p(x + t)."""
+    out, power = (), (1,)
+    for c in p:
+        out = intpoly.poly_add(out, intpoly.poly_mul((c,), power))
+        power = intpoly.poly_mul(power, (t, 1))
+    return out
+
+
+_CUBICS = st.builds(_shifted, st.integers(-24, -3).flatmap(_depressed_cubics), st.integers(-3, 3))
+
+
+def _scaled_product(factors, scale):
+    p = (scale,)
+    for f in factors:
+        p = intpoly.poly_mul(p, f)
+    return p
+
+
+# Real-rooted quadratics and cubics, times a content that may be negative.
+_REAL_ROOTED = st.builds(_scaled_product, st.lists(st.one_of(_QUADRATICS, _CUBICS), min_size=1, max_size=3),
+                         st.sampled_from((1, -1, 2, -3)))
+
+
+def _check_root_path_against_oracle(p, bound, good, data):
+    """Isolation, then refinement of every interval with no guess, the good
+    guess good[i] and misleading guesses, against the Fraction oracle."""
+    want = _outcome(root_oracles.isolate_real_roots, p, bound)
+    got = _outcome(intpoly.isolate_real_roots, p, bound)
+    if not isinstance(want, list):  # a rational root on a bisection point
+        assert got == want
+        return
+    sign = root_oracles.fraction_sign
+    assert got == [(lo, hi, sign(p, lo), sign(p, hi)) for lo, hi in want]
+    assert len(got) == len(good)
+    width = Fraction(1, 1 << data.draw(st.sampled_from((0, 3, 17, 40, 44))))
+    for i, (lo, hi, s_lo, s_hi) in enumerate(got):
+        misleading = [
+            good[i - 1] if i else float(hi) + 1,  # another root's guess
+            float(lo) - data.draw(st.floats(1e-9, 1e3)),
+            data.draw(st.floats(-float(bound), float(bound))),
+            float("nan"),
+        ]
+        for guess in [None, good[i], *misleading]:
+            want_cell = _outcome(root_oracles.refine_root, p, lo, hi, width, guess)
+            assert _outcome(intpoly.refine_root, p, lo, hi, width, guess, (s_lo, s_hi)) == want_cell, guess
+            assert _outcome(intpoly.refine_root, p, lo, hi, width, guess) == want_cell, guess
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_REAL_ROOTED, data=st.data())
+def test_real_rooted_products_match_the_fraction_oracle(p, data):
+    assume(intpoly.poly_degree(intpoly.poly_gcd(p, intpoly.poly_derivative(p))) == 0)
+    roots = sorted(np.roots(list(reversed(p))).real.tolist())
+    _check_root_path_against_oracle(p, intpoly.root_bound(intpoly.primitive(p)), roots, data)
+
+
+_CRITERION4 = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=_CRITERION4, data=st.data())
+def test_musser_factors_of_quotient_charpolys_match_the_fraction_oracle(blocks, data):
+    b = BlockString(tuple(blocks))
+    _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(quotient_matrix(b).entries), bound=b.n)
+    guesses = spectra._quotient_guesses(b)
+    factors = intpoly.square_free_decomposition(residual) if intpoly.poly_degree(residual) >= 1 else []
+    for factor, _mult in factors:
+        cells = root_oracles.isolate_real_roots(factor, b.n)
+        good = [spectra._guess_in(guesses, lo, hi) for lo, hi in cells]
+        _check_root_path_against_oracle(factor, b.n, good, data)
+
+
+def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
+    """The sign evaluations under isolate_real_roots and refine_root, for 60
+    fixed criterion-4 strings, are at most half of the Fraction form's:
+    23267, counted the same way with every interval end recounted and both
+    endpoint signs evaluated again in refine_root."""
+    under, refine_own, open_calls = [0], [0], []
+    sign_at = intpoly.sign_at
+
+    def counting_sign_at(*args):
+        if open_calls:
+            under[0] += 1
+            refine_own[0] += open_calls[-1] == "refine_root"
+        return sign_at(*args)
+
+    def tracked(name):
+        fn = getattr(intpoly, name)
+
+        def wrapper(*args, **kwargs):
+            open_calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+        return wrapper
+
+    monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
+    for name in ("isolate_real_roots", "refine_root"):
+        monkeypatch.setattr(intpoly, name, tracked(name))
+    rng = random.Random(60)
+    for _ in range(60):
+        exact_spectrum(random_block_string(rng))
+    assert under[0] <= 23267 // 2
+    # refine_root evaluates through intpoly.sign_at, which the benchmark counts.
+    assert refine_own[0] > 0

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -7,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import root_oracles
 from conftest import cut_block_string, poly_pow, random_block_string, random_graph
 from seidelchain import (
     BlockString,
+    ExactSpectrum,
     Graph,
     RootInterval,
     SeidelMatrix,
@@ -245,6 +249,15 @@ def test_interval_eigenvalues_certified():
         assert intpoly.sign_at(iv.poly, iv.hi) == iv.sign_hi
 
 
+def test_refined_interval_matches_the_fraction_oracle():
+    width = Fraction(1, 2 ** 90)
+    for v, _m in exact_spectrum(parse_block_string("010101")).entries:
+        if isinstance(v, RootInterval):
+            fine = v.refined(width)
+            assert v.lo <= fine.lo < fine.hi <= v.hi and fine.hi - fine.lo <= width
+            assert fine == RootInterval(v.poly, *root_oracles.refine_root(v.poly, v.lo, v.hi, width))
+
+
 def test_spectrum_validation_rejects_bad_multiset():
     with pytest.raises(ValueError):
         spectrum_from_counts([(-1, 2), (3, 1)]).validate()  # trace is 1, not 0
@@ -312,6 +325,121 @@ def test_merging_split_and_shuffled_entries_rebuilds_the_spectrum(blocks, data):
     merged = spectrum_from_counts(data.draw(st.permutations(pieces)))
     assert merged == sp and hash(merged) == hash(sp)
     assert merged.serialize() == sp.serialize()
+
+
+# ---------------------------------------------------------------------------
+# Sorting by float, checked exactly
+# ---------------------------------------------------------------------------
+
+def test_float_ties_fall_back_to_the_exact_sort(monkeypatch):
+    big = Surd.make(0, 1, 10 ** 30 + 1, 1)  # sqrt(10^30 + 1) > 10^15, with the same float
+    assert float(big) == 10 ** 15
+    cmp = _Spy(spectra.value_cmp)
+    monkeypatch.setattr(spectra, "value_cmp", cmp)
+    # In this order the float sort keeps 10^15 first: both neighbour checks pass.
+    assert spectrum_from_counts([(10 ** 15, 2), (big, 1), (-1, 1)]).entries == ((-1, 1), (10 ** 15, 2), (big, 1))
+    assert cmp.calls == 2
+    # Here the stable float sort puts big first; the check finds it and the full sort runs.
+    cmp.calls = 0
+    counts = [(big, 1), (10 ** 15, 2), (-1, 1)]
+    sp = spectrum_from_counts(counts)
+    assert cmp.calls > 2
+    assert sp.entries == ((-1, 1), (10 ** 15, 2), (big, 1))
+    assert [v for v, _m in sp.entries] == sorted(dict(counts), key=functools.cmp_to_key(value_cmp))
+
+
+def test_values_beyond_the_float_range_fall_back_to_the_exact_sort():
+    huge = Surd(10 ** 400, -1, 2, 1)  # 10^400 - sqrt(2): no float holds it
+    with pytest.raises(OverflowError):
+        float(huge)
+    assert spectrum_from_counts([(10 ** 400, 1), (huge, 1), (0, 1)]).entries == ((0, 1), (huge, 1), (10 ** 400, 1))
+
+
+# Root intervals from a few exact spectra, for mixing with ints and surds.
+_INTERVALS = [v for text in ("010101", "0 1 0^2 1^2", "0^3 1 0 1^2 0 1^4", "0 1 0 1^2 0 1 0^2 1 0 1")
+              for v, _m in exact_spectrum(parse_block_string(text)).entries if isinstance(v, RootInterval)]
+_NON_SQUARE = st.integers(2, 10 ** 6).filter(lambda d: math.isqrt(d) ** 2 != d)
+_VALUES = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Surd.make, st.integers(-40, 40), st.sampled_from((-1, 1)), _NON_SQUARE, st.integers(1, 4)),
+    st.sampled_from(_INTERVALS),
+    # n and sqrt(n^2 + 1), whose floats tie once n is large.
+    st.integers(10 ** 8, 10 ** 15).flatmap(lambda n: st.sampled_from((n, Surd.make(0, 1, n * n + 1, 1)))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=st.lists(st.tuples(_VALUES, st.integers(0, 3)), max_size=12))
+def test_float_sort_then_exact_check_equals_the_exact_sort(counts):
+    merged: dict = {}
+    for v, m in counts:
+        if m:
+            merged[v] = merged.get(v, 0) + m
+    want = tuple((v, merged[v]) for v in sorted(merged, key=functools.cmp_to_key(value_cmp)))
+    assert spectrum_from_counts(counts).entries == want
+
+
+# ---------------------------------------------------------------------------
+# validate() on integers against its Fraction form (tests/root_oracles.py)
+# ---------------------------------------------------------------------------
+
+_MIXED = "0 1 0 1^2 0 1 0^2 1 0 1"  # surds and root intervals in one spectrum
+
+
+def _validation(entries):
+    """validate()'s outcome, after checking that the Fraction oracle agrees."""
+    try:
+        ExactSpectrum(tuple(entries)).validate()
+        got = "accepted"
+    except ValueError as exc:
+        got = str(exc)
+    try:
+        root_oracles.validate(entries)
+        want = "accepted"
+    except ValueError as exc:
+        want = str(exc)
+    assert got == want
+    return got
+
+
+def _perturbed(entries, i, kind):
+    entries = list(entries)
+    v, m = entries[i]
+    if kind == "mult":
+        entries[i] = (v, m + 1)
+    elif kind == "shift" and isinstance(v, RootInterval):
+        w = v.hi - v.lo
+        entries[i] = (RootInterval(v.poly, v.lo + w, v.hi + w, v.sign_lo, v.sign_hi), m)
+    elif kind == "flip" and isinstance(v, Surd):
+        entries[i] = (Surd(v.a, -v.sign, v.d, v.c), m)
+    return entries
+
+
+def test_validate_rejects_as_before():
+    entries = exact_spectrum(parse_block_string("0 1 0^2 1^2")).entries
+    assert isinstance(entries[3][0], RootInterval)
+    # One cell up, the Frobenius enclosure misses; the trace enclosure is wide enough.
+    assert _validation(_perturbed(entries, 3, "shift")) == "spectrum identity failed: power 2 enclosure misses 30"
+    surds = exact_spectrum(parse_block_string("0 1^2 0^3 1")).entries
+    assert isinstance(surds[0][0], Surd)
+    assert _validation(_perturbed(surds, 0, "flip")) == "spectrum identity failed: power 1 sum != 0"
+    assert _validation(_perturbed(surds, 1, "mult")) == "spectrum identity failed: power 1 sum != 0"
+    mixed = exact_spectrum(parse_block_string(_MIXED)).entries
+    kinds = [type(v) for v, _m in mixed]
+    assert Surd in kinds and RootInterval in kinds
+    assert _validation(mixed) == "accepted"
+    surd = kinds.index(Surd)
+    assert _validation(_perturbed(mixed, surd, "flip")) == "spectrum identity failed: power 1 enclosure misses 0"
+    assert _validation(_perturbed(mixed, surd, "mult")) == "spectrum identity failed: power 1 enclosure misses 0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=_BLOCKS, data=st.data())
+def test_validate_agrees_with_the_fraction_oracle(blocks, data):
+    entries = exact_spectrum(BlockString(tuple(blocks))).entries
+    assert _validation(entries) == "accepted"
+    i = data.draw(st.integers(0, len(entries) - 1))
+    _validation(_perturbed(entries, i, data.draw(st.sampled_from(("mult", "shift", "flip")))))
 
 
 def test_value_serialization():
