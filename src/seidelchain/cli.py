@@ -135,7 +135,7 @@ def _cmd_cospectral(args) -> dict:
     if args.r is not None:
         pairs = [_guarded("usage", generate_cospectral_pair, args.r)]
     else:
-        pairs = cospectral_pairs_up_to(args.max_n)
+        pairs = _guarded("cap-exceeded", cospectral_pairs_up_to, args.max_n)
     records = [dict(p.serialize(), verified=p.verify()) for p in pairs]
     return {"pairs": records, "count": len(records)}
 
@@ -181,6 +181,8 @@ def _parse_profile(text: str):
             a, b = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ComputeError("usage", "biregular degrees must be integers") from exc
+        if a == b:
+            raise ComputeError("usage", f"biregular degrees must differ (got {a} twice; use regular)")
         return biregular_profile(a, b), f"biregular:{a},{b}"
     raise ComputeError("usage", f"unknown profile {text!r} (use regular or biregular:a,b)")
 

@@ -68,8 +68,8 @@ def unit_chain_spectrum(n: int, m: int) -> ExactSpectrum:
                 raise ArithmeticError("parity violation in integral branch")
             counts.append((num // 2, 1))
     else:
-        counts.append((Surd.make(n - 2 * m - 2, 1, disc, 2), 1))
-        counts.append((Surd.make(n - 2 * m - 2, -1, disc, 2), 1))
+        counts.append((Surd(n - 2 * m - 2, 1, disc, 2), 1))
+        counts.append((Surd(n - 2 * m - 2, -1, disc, 2), 1))
     sp = spectrum_from_counts(counts)
     sp.validate()
     return sp
@@ -135,8 +135,17 @@ def generate_cospectral_pair(r: int) -> CospectralPair:
     )
 
 
+COSPECTRAL_CAP = 5000
+
+
 def cospectral_pairs_up_to(n_max: int) -> list[CospectralPair]:
-    """All cospectral pairs with n = 4m+r+1 <= n_max, ascending r."""
+    """All cospectral pairs with n = 4m+r+1 <= n_max, ascending r.
+
+    The work and output grow linearly in n_max, so n_max is capped at 5000
+    (357 pairs), checked before any pair is built.
+    """
+    if n_max > COSPECTRAL_CAP:
+        raise ValueError(f"cospectral range is capped at n_max = {COSPECTRAL_CAP}")
     out = []
     r = 1
     while True:

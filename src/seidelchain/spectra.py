@@ -17,9 +17,11 @@ integer-root strip is redone as a scan of every integer in [-n, n].  The
 spectrum is sorted by float and each neighbouring pair is then compared
 exactly; validate() checks the trace and Frobenius identities on integers.
 
-Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c,
-or sign-certified root intervals of an integer polynomial factor (width at
-most 2^-40).  They compare by representation, not by value.
+Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
+in canonical form, or sign-certified root intervals of an integer polynomial
+factor (width at most 2^-40).  They are equal when their fields are, and are
+ordered, sorted and summed in validate() through one rule: integers enclosing
+the value scaled by 2^bits.
 """
 
 from __future__ import annotations
@@ -61,7 +63,12 @@ def _extract_square_part(d: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Surd:
-    """The real quadratic irrational (a + sign*sqrt(d)) / c, c > 0, d not square."""
+    """The real quadratic irrational (a + sign*sqrt(d)) / c, d not square.
+
+    Stored in canonical form: c > 0 and, with d = f^2 d' for d' free of
+    square factors below the trial bound 10^5, gcd(a, f, c) = 1.  So field
+    equality and hash are value equality for such radicands.
+    """
 
     a: int
     sign: int
@@ -77,48 +84,26 @@ class Surd:
             raise ValueError("radicand must be positive")
         if math.isqrt(self.d) ** 2 == self.d:
             raise ValueError("radicand is a perfect square; use an int instead")
-
-    @classmethod
-    def make(cls, a: int, sign: int, d: int, c: int) -> Surd:
-        """Normalized constructor: positive denominator, reduced radicand."""
-        if c < 0:
-            a, sign, c = -a, -sign, -c
-        f, d = _extract_square_part(d)
-        g = math.gcd(math.gcd(abs(a), f), c)
-        return cls(a // g, sign, (f // g) ** 2 * d, c // g)
-
-    def _key(self) -> tuple[Fraction, int, Fraction]:
-        return Fraction(self.a, self.c), self.sign, Fraction(self.d, self.c * self.c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Surd):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(("surd", self._key()))
+        a, sign, c = (-self.a, -self.sign, -self.c) if self.c < 0 else (self.a, self.sign, self.c)
+        f, d = _extract_square_part(self.d)
+        g = math.gcd(a, f, c)
+        for name, value in (("a", a // g), ("sign", sign), ("d", (f // g) ** 2 * d), ("c", c // g)):
+            object.__setattr__(self, name, value)
 
     def negate(self) -> Surd:
-        return Surd.make(-self.a, -self.sign, self.d, self.c)
+        return Surd(-self.a, -self.sign, self.d, self.c)
 
     def reciprocal(self) -> Surd:
         # 1 / ((a + s sqrt(d))/c) = c (a - s sqrt(d)) / (a^2 - d)
         e = self.a * self.a - self.d
         if e == 0:
             raise ZeroDivisionError("surd is zero")
-        return Surd.make(self.c * self.a, -self.sign, self.c * self.c * self.d, e)
-
-    def bounds(self, bits: int = 60) -> tuple[Fraction, Fraction]:
-        r = math.isqrt(self.d << (2 * bits))
-        lo_s = Fraction(r, 1 << bits)
-        hi_s = Fraction(r + 1, 1 << bits)
-        if self.sign > 0:
-            return (self.a + lo_s) / self.c, (self.a + hi_s) / self.c
-        return (self.a - hi_s) / self.c, (self.a - lo_s) / self.c
+        return Surd(self.c * self.a, -self.sign, self.c * self.c * self.d, e)
 
     def __float__(self) -> float:
-        lo, hi = self.bounds()
-        return float((lo + hi) / 2)
+        # The midpoint of the 2^-60 enclosure as one correctly rounded division.
+        r = math.isqrt(self.d << 120)
+        return ((self.a << 61) + self.sign * (2 * r + 1)) / (self.c << 61)
 
     def __str__(self) -> str:
         s = "+" if self.sign > 0 else "-"
@@ -158,10 +143,6 @@ class RootInterval:
                                                  signs=(self.sign_lo, self.sign_hi))
         return RootInterval(self.poly, lo, hi, s_lo, s_hi)
 
-    def bounds(self, bits: int = 40) -> tuple[Fraction, Fraction]:
-        r = self.refined(Fraction(1, 1 << bits))
-        return r.lo, r.hi
-
     def __float__(self) -> float:
         # The midpoint as one correctly rounded integer division.
         lo, hi = self.lo, self.hi
@@ -175,18 +156,33 @@ class RootInterval:
 Eigenvalue = Union[int, Surd, RootInterval]
 
 
-def value_bounds(v: Eigenvalue, bits: int = 40) -> tuple[Fraction | int, Fraction | int]:
+def _enclosure(v: Eigenvalue, bits: int) -> tuple[int, int]:
+    """Integers lo <= v * 2^bits <= hi, rounded outward: an int exactly, a
+    surd through isqrt, a root interval by its cell as it is."""
     if isinstance(v, int):
-        return v, v
-    return v.bounds(bits)
+        return v << bits, v << bits
+    if isinstance(v, Surd):
+        r = math.isqrt(v.d << 2 * bits)  # r <= sqrt(d) * 2^bits < r + 1
+        a = v.a << bits
+        lo, hi = (a + r, a + r + 1) if v.sign > 0 else (a - r - 1, a - r)
+        return lo // v.c, -(-hi // v.c)
+    lo, hi = v.lo, v.hi
+    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
 
 
 def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
+    """-1, 0 or 1 as u is below, equal to or above v; 0 means equal fields.
+
+    Enclosures at 2^-40, 2^-80, ... 2^-640 are compared until they separate.
+    Root cells (computed ones are at most 2^-40 wide) are refined to 2^-bits
+    from the second round on, when wider.
+    """
     if u == v:
         return 0
     for bits in (40, 80, 160, 320, 640):
-        ulo, uhi = value_bounds(u, bits)
-        vlo, vhi = value_bounds(v, bits)
+        if bits > 40:
+            u, v = (w.refined(Fraction(1, 1 << bits)) if isinstance(w, RootInterval) else w for w in (u, v))
+        (ulo, uhi), (vlo, vhi) = _enclosure(u, bits), _enclosure(v, bits)
         if uhi < vlo:
             return -1
         if vhi < ulo:
@@ -349,10 +345,10 @@ class ExactSpectrum:
 
     Spectra, like their values, compare by representation.  That is exact
     for the values of computed spectra: every rational eigenvalue is an int,
-    the roots of distinct square-free factors are distinct, and a root
-    interval is the canonical cell of its root.  The one value equality it
-    misses is a root interval equal to a surd, which no library path
-    compares.
+    a surd is stored in canonical form, the roots of distinct square-free
+    factors are distinct, and a root interval is the canonical cell of its
+    root.  The one value equality it misses is a root interval equal to a
+    surd, which no library path compares.
     """
 
     entries: tuple[tuple[Eigenvalue, int], ...]
@@ -441,32 +437,12 @@ def _exact_power_sum_is(entries, power: int, target: int) -> bool:
     return rational == target * den and not any(radicals.values())
 
 
-_ENCLOSURE_BITS = 80
-
-
-def _scaled_enclosure(v: Eigenvalue) -> tuple[int, int]:
-    """Integers lo <= v * 2^80 <= hi, from v's own bounds rounded outward.
-
-    A surd is enclosed as with Surd.bounds(80), a root interval by its cell.
-    """
-    if isinstance(v, int):
-        return v << _ENCLOSURE_BITS, v << _ENCLOSURE_BITS
-    if isinstance(v, Surd):
-        r = math.isqrt(v.d << 2 * _ENCLOSURE_BITS)  # r <= sqrt(d) * 2^80 < r + 1
-        a = v.a << _ENCLOSURE_BITS
-        lo, hi = (a + r, a + r + 1) if v.sign > 0 else (a - r - 1, a - r)
-        return lo // v.c, -(-hi // v.c)
-    lo, hi = v.lo, v.hi
-    return ((lo.numerator << _ENCLOSURE_BITS) // lo.denominator,
-            -((-hi.numerator << _ENCLOSURE_BITS) // hi.denominator))
-
-
 def _assert_enclosed_sums(entries, n: int) -> None:
-    """The trace and Frobenius identities by scaled integer enclosures."""
-    one = 1 << _ENCLOSURE_BITS
+    """The trace and Frobenius identities by integer enclosures at 2^80."""
+    one = 1 << 80
     lo1 = hi1 = lo2 = hi2 = 0
     for v, m in entries:
-        lo, hi = _scaled_enclosure(v)
+        lo, hi = _enclosure(v, 80)
         # The square, scaled by 2^80 and rounded outward.
         if lo >= 0:
             sq_lo, sq_hi = lo * lo // one, -(-hi * hi // one)
@@ -483,29 +459,26 @@ def _assert_enclosed_sums(entries, n: int) -> None:
 def spectrum_from_counts(counts) -> ExactSpectrum:
     """Build a sorted ExactSpectrum from (value, multiplicity) pairs, merging equals.
 
-    Values merge when their representations are equal (see ExactSpectrum).
+    The pairs are sorted by float and each neighbouring pair is checked with
+    value_cmp.  Values that floats cannot order, tied or beyond the float
+    range, fall back to a full sort by value_cmp; the order is the same
+    either way.  Equal neighbours then merge: values are equal when their
+    representations are (see ExactSpectrum).
     """
-    merged: dict[Eigenvalue, int] = {}
-    for v, m in counts:
-        if m:
-            merged[v] = merged.get(v, 0) + m
-    return ExactSpectrum(tuple((v, merged[v]) for v in _ascending(merged)))
-
-
-def _ascending(values) -> list[Eigenvalue]:
-    """Distinct values in ascending order: sorted by float, then checked exactly.
-
-    Each neighbouring pair of the float order is compared with value_cmp.
-    Values that floats cannot tell apart, or beyond the float range, fall
-    back to a full sort by value_cmp; the order is the same either way.
-    """
+    pairs = [(v, m) for v, m in counts if m]
     try:
-        order = sorted(values, key=lambda v: v if isinstance(v, int) else float(v))
-        if all(value_cmp(u, v) < 0 for u, v in zip(order, order[1:])):
-            return order
+        pairs.sort(key=lambda p: p[0] if isinstance(p[0], int) else float(p[0]))
+        ordered = all(value_cmp(u, v) <= 0 for (u, _m), (v, _n) in zip(pairs, pairs[1:]))
     except OverflowError:
-        pass
-    return sorted(values, key=functools.cmp_to_key(value_cmp))
+        ordered = False
+    if not ordered:
+        pairs.sort(key=functools.cmp_to_key(lambda p, q: value_cmp(p[0], q[0])))
+    entries: list[tuple[Eigenvalue, int]] = []
+    for v, m in pairs:
+        if entries and entries[-1][0] == v:
+            m += entries.pop()[1]
+        entries.append((v, m))
+    return ExactSpectrum(tuple(entries))
 
 
 def _quotient_guesses(b: BlockString) -> list[float]:
@@ -561,8 +534,8 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
             disc = c1 * c1 - 4 * c0
             if math.isqrt(disc) ** 2 == disc:
                 raise _MissedIntegerRoot()
-            counts.append((Surd.make(-c1, 1, disc, 2), mult))
-            counts.append((Surd.make(-c1, -1, disc, 2), mult))
+            counts.append((Surd(-c1, 1, disc, 2), mult))
+            counts.append((Surd(-c1, -1, disc, 2), mult))
         else:
             try:
                 cells = [RootInterval.from_isolating(factor, lo, hi, guess=_guess_in(rest, lo, hi),

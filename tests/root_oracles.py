@@ -1,16 +1,17 @@
 """Fraction reference versions of the exact root path, kept as test oracles.
 
-The library isolates, refines and validates on integer grids.  These are the
-plain Fraction forms of the same algorithms: isolation that counts the Sturm
-variations at both ends of every interval afresh, refinement on a Fraction
-grid, and trace/Frobenius sums over Fractions.  Signs come from Fraction
-evaluation with intpoly.poly_eval, not from intpoly.sign_at.
+The library isolates, refines, compares and validates on integers.  These are
+the plain Fraction forms of the same algorithms: isolation that counts the
+Sturm variations at both ends of every interval afresh, refinement on a
+Fraction grid, Fraction bounds of surds and root cells for exact comparison,
+and trace/Frobenius sums over Fractions.  Signs come from Fraction evaluation
+with intpoly.poly_eval, not from intpoly.sign_at.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isfinite
+from math import floor, isfinite, isqrt
 
 from seidelchain import intpoly
 from seidelchain.spectra import RootInterval, Surd
@@ -97,6 +98,40 @@ def refine_root(p, lo: Fraction, hi: Fraction, width: Fraction = Fraction(1, 2 *
     return lo + a * step, lo + b * step, s_lo, s_hi
 
 
+def surd_bounds(v: Surd, bits: int) -> tuple[Fraction, Fraction]:
+    """Fraction bounds of a surd of width 2^-bits / c, from isqrt(d * 4^bits)."""
+    r = isqrt(v.d << (2 * bits))
+    lo_s = Fraction(r, 1 << bits)
+    hi_s = Fraction(r + 1, 1 << bits)
+    if v.sign > 0:
+        return (v.a + lo_s) / v.c, (v.a + hi_s) / v.c
+    return (v.a - hi_s) / v.c, (v.a - lo_s) / v.c
+
+
+def value_bounds(v, bits: int) -> tuple[Fraction, Fraction]:
+    """Fraction bounds of an eigenvalue; a root cell is refined to width 2^-bits first."""
+    if isinstance(v, int):
+        return Fraction(v), Fraction(v)
+    if isinstance(v, Surd):
+        return surd_bounds(v, bits)
+    lo, hi, _s_lo, _s_hi = refine_root(v.poly, v.lo, v.hi, Fraction(1, 1 << bits))
+    return lo, hi
+
+
+def fraction_value_cmp(u, v) -> int:
+    """The order of two eigenvalues from Fraction bounds at 2^-40 ... 2^-640."""
+    if u == v:
+        return 0
+    for bits in (40, 80, 160, 320, 640):
+        ulo, uhi = value_bounds(u, bits)
+        vlo, vhi = value_bounds(v, bits)
+        if uhi < vlo:
+            return -1
+        if vhi < ulo:
+            return 1
+    raise ArithmeticError("could not separate two distinct eigenvalues")
+
+
 def _power_bounds(lo: Fraction, hi: Fraction, power: int) -> tuple[Fraction, Fraction]:
     if power == 1:
         return lo, hi
@@ -128,7 +163,7 @@ def assert_integer_sum(entries, power: int, target: int) -> None:
             key = Fraction(v.d)
             radicals[key] = radicals.get(key, Fraction(0)) + m * rad
             rational += m * rat
-            plo, phi = _power_bounds(*v.bounds(80), power)
+            plo, phi = _power_bounds(*surd_bounds(v, 80), power)
             lo_sum += m * plo
             hi_sum += m * phi
         else:

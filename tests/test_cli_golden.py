@@ -57,6 +57,7 @@ COMMANDS = [
     ["switch-search", "01", "--profile", "nonsense"],
     ["switch-search", "01", "--profile", "biregular:a,b"],
     ["switch-search", "01", "--profile", "biregular:1"],
+    ["switch-search", "0 1^5 0^5 1^4", "--profile", "biregular:10,10"],
     ["switch-search", "0^999 1", "--profile", "nonsense"],
     ["switch-search", "110", "--profile", "regular"],
     ["equivalent", "0 1", "0 1^2"],
@@ -67,6 +68,7 @@ COMMANDS = [
     ["--seed", "3", "spectrum", "0 1"],
     # cap-exceeded and degenerate (exit 1)
     ["integral", "--scan", "1000"],
+    ["cospectral", "--max-n", "1000000000"],
     ["switch-search", "0^999 1", "--profile", "regular"],
     ["switch-search", "0^999 1", "--profile", "biregular:3,4", "--all"],
     ["equivalent", "0^999 1", "0^999 1"],

@@ -20,6 +20,7 @@ from seidelchain import (
     unit_chain_spectrum,
     unit_chain_string,
 )
+from seidelchain import families
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,16 @@ def test_pairs_up_to():
     assert cospectral_pairs_up_to(13) == []
 
 
+def test_pairs_up_to_cap(monkeypatch):
+    assert len(cospectral_pairs_up_to(5000)) == 357
+    built = []
+    monkeypatch.setattr(families, "generate_cospectral_pair", lambda r: built.append(r))
+    for n_max in (5001, 10 ** 9):
+        with pytest.raises(ValueError, match="capped at"):
+            cospectral_pairs_up_to(n_max)
+    assert built == []  # refused before any pair is built
+
+
 # ---------------------------------------------------------------------------
 # Mirror chains
 # ---------------------------------------------------------------------------
@@ -138,7 +149,7 @@ def test_unit_chain_spectrum_examples():
     assert unit_chain_spectrum(14, 6).entries == ((-5, 1), (-1, 11), (5, 1), (11, 1))
     sp = unit_chain_spectrum(4, 1)
     assert sp.entries == (
-        (Surd.make(0, -1, 5, 1), 1), (-1, 1), (1, 1), (Surd.make(0, 1, 5, 1), 1))
+        (Surd(0, -1, 5, 1), 1), (-1, 1), (1, 1), (Surd(0, 1, 5, 1), 1))
     assert not sp.is_integral()
 
 

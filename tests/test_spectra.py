@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import root_oracles
@@ -274,24 +274,78 @@ def test_is_integral():
 # ---------------------------------------------------------------------------
 
 def test_surd_normalization_and_equality():
-    assert Surd.make(0, 1, 20, 2) == Surd.make(0, 1, 5, 1)
-    assert Surd.make(2, -1, 8, 4) == Surd.make(1, -1, 2, 2)
-    assert Surd.make(0, 1, 5, 1) != Surd.make(0, -1, 5, 1)
+    assert Surd(0, 1, 20, 2) == Surd(0, 1, 5, 1)
+    assert Surd(2, -1, 8, 4) == Surd(1, -1, 2, 2)
+    assert Surd(0, 1, 5, 1) != Surd(0, -1, 5, 1)
     with pytest.raises(ValueError):
-        Surd.make(0, 1, 9, 1)  # perfect square radicand
+        Surd(0, 1, 9, 1)  # perfect square radicand
+
+
+def test_negative_denominator_keeps_its_sign():
+    low = Surd(1, 1, 2, -1)  # (1 + sqrt(2)) / -1 = -1 - sqrt(2)
+    assert low == Surd(-1, -1, 2, 1) and hash(low) == hash(Surd(-1, -1, 2, 1))
+    assert low != Surd(-1, 1, 2, 1)
+    assert str(low) == "(-1-√2)/1"
+    sp = spectrum_from_counts([(low, 1), (Surd(-1, 1, 2, 1), 1)])
+    assert sp.entries == ((Surd(-1, -1, 2, 1), 1), (Surd(-1, 1, 2, 1), 1))
+
+
+def _same_value(u: tuple, v: tuple) -> bool:
+    """(a1 + s1 sqrt(d1)) / c1 == (a2 + s2 sqrt(d2)) / c2, by cross-multiplication.
+
+    With x = a1 c2 - a2 c1, the equation is x + s1 c2 sqrt(d1) = s2 c1 sqrt(d2);
+    sqrt(d1) is irrational, so it holds iff x = 0, s1 c2 and s2 c1 have one
+    sign, and c2^2 d1 = c1^2 d2.
+    """
+    (a1, s1, d1, c1), (a2, s2, d2, c2) = u, v
+    return a1 * c2 == a2 * c1 and (s1 * c2 > 0) == (s2 * c1 > 0) and c2 * c2 * d1 == c1 * c1 * d2
+
+
+def _fields(v: Surd) -> tuple:
+    return v.a, v.sign, v.d, v.c
+
+
+# Raw surd fields (a, sign, d, c): c of either sign, and radicands f^2 t whose
+# square factors all lie below the trial bound of the canonical form.
+_RAW_SURD = st.builds(
+    lambda a, sign, f, t, c: (a, sign, f * f * t, c),
+    st.integers(-30, 30), st.sampled_from((-1, 1)), st.integers(1, 12),
+    st.integers(2, 60).filter(lambda t: math.isqrt(t) ** 2 != t), st.integers(-6, 6).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_RAW_SURD, other=_RAW_SURD, k=st.integers(-4, 4).filter(bool), sign=st.sampled_from((-1, 1)),
+       scaled=st.booleans())
+def test_surd_equality_and_hash_are_value_equality(raw, other, k, sign, scaled):
+    a, _s, d, c = raw
+    if scaled:  # the same value or its conjugate, from other fields
+        other = (k * a, sign, k * k * d, k * c)
+    u, v = Surd(*raw), Surd(*other)
+    assert u.c > 0 and _same_value(_fields(u), raw) and _same_value(_fields(v), other)
+    assert (u == v) == _same_value(raw, other)
+    if u == v:
+        assert hash(u) == hash(v)
+
+
+@settings(max_examples=60, deadline=None)  # each large radicand costs a full trial division
+@given(raw=_RAW_SURD, big=st.integers(10 ** 8, 10 ** 40))
+def test_surd_float_is_the_fraction_midpoint(raw, big):
+    for v in (Surd(*raw), Surd(big, raw[1], big * big + 1, raw[3])):
+        lo, hi = root_oracles.surd_bounds(v, 60)
+        assert float(v) == float((lo + hi) / 2)
 
 
 def test_surd_arithmetic_helpers():
-    v = Surd.make(0, -1, 5, 1)       # -sqrt(5)
+    v = Surd(0, -1, 5, 1)            # -sqrt(5)
     w = v.negate()
     assert float(w) == pytest.approx(5 ** 0.5, abs=1e-12)
     r = w.reciprocal()               # 1/sqrt(5) = sqrt(5)/5
-    assert r == Surd.make(0, 1, 5, 5)
+    assert r == Surd(0, 1, 5, 5)
     assert float(r) == pytest.approx(1 / 5 ** 0.5, abs=1e-12)
 
 
 def test_value_comparison_and_sorting():
-    root5 = Surd.make(0, 1, 5, 1)
+    root5 = Surd(0, 1, 5, 1)
     assert value_cmp(-3, -1) < 0
     assert value_cmp(root5, 2) > 0
     assert value_cmp(root5, 3) < 0
@@ -332,13 +386,17 @@ def test_merging_split_and_shuffled_entries_rebuilds_the_spectrum(blocks, data):
 # ---------------------------------------------------------------------------
 
 def test_float_ties_fall_back_to_the_exact_sort(monkeypatch):
-    big = Surd.make(0, 1, 10 ** 30 + 1, 1)  # sqrt(10^30 + 1) > 10^15, with the same float
+    big = Surd(0, 1, 10 ** 30 + 1, 1)  # sqrt(10^30 + 1) > 10^15, with the same float
     assert float(big) == 10 ** 15
     cmp = _Spy(spectra.value_cmp)
     monkeypatch.setattr(spectra, "value_cmp", cmp)
     # In this order the float sort keeps 10^15 first: both neighbour checks pass.
     assert spectrum_from_counts([(10 ** 15, 2), (big, 1), (-1, 1)]).entries == ((-1, 1), (10 ** 15, 2), (big, 1))
     assert cmp.calls == 2
+    # Equal neighbours pass the check too, and merge afterwards.
+    cmp.calls = 0
+    assert spectrum_from_counts([(10 ** 15, 1), (-1, 1), (10 ** 15, 1), (big, 1)]).entries == ((-1, 1), (10 ** 15, 2), (big, 1))
+    assert cmp.calls == 3
     # Here the stable float sort puts big first; the check finds it and the full sort runs.
     cmp.calls = 0
     counts = [(big, 1), (10 ** 15, 2), (-1, 1)]
@@ -361,10 +419,10 @@ _INTERVALS = [v for text in ("010101", "0 1 0^2 1^2", "0^3 1 0 1^2 0 1^4", "0 1 
 _NON_SQUARE = st.integers(2, 10 ** 6).filter(lambda d: math.isqrt(d) ** 2 != d)
 _VALUES = st.one_of(
     st.integers(-40, 40),
-    st.builds(Surd.make, st.integers(-40, 40), st.sampled_from((-1, 1)), _NON_SQUARE, st.integers(1, 4)),
+    st.builds(Surd, st.integers(-40, 40), st.sampled_from((-1, 1)), _NON_SQUARE, st.integers(1, 4)),
     st.sampled_from(_INTERVALS),
     # n and sqrt(n^2 + 1), whose floats tie once n is large.
-    st.integers(10 ** 8, 10 ** 15).flatmap(lambda n: st.sampled_from((n, Surd.make(0, 1, n * n + 1, 1)))),
+    st.integers(10 ** 8, 10 ** 15).flatmap(lambda n: st.sampled_from((n, Surd(0, 1, n * n + 1, 1)))),
 )
 
 
@@ -375,8 +433,44 @@ def test_float_sort_then_exact_check_equals_the_exact_sort(counts):
     for v, m in counts:
         if m:
             merged[v] = merged.get(v, 0) + m
-    want = tuple((v, merged[v]) for v in sorted(merged, key=functools.cmp_to_key(value_cmp)))
+    want = tuple((v, merged[v]) for v in sorted(merged, key=functools.cmp_to_key(root_oracles.fraction_value_cmp)))
     assert spectrum_from_counts(counts).entries == want
+
+
+# The isolating cells of the same roots, before refinement: wider than 2^-40.
+_WIDE_CELLS = [RootInterval(p, lo, hi, s_lo, s_hi) for p in sorted({v.poly for v in _INTERVALS})
+               for lo, hi, s_lo, s_hi in intpoly.isolate_real_roots(p)]
+
+
+def _order(cmp, u, v):
+    try:
+        return cmp(u, v)
+    except ArithmeticError:  # equal values with unequal fields: a wide and a narrow cell
+        return "inseparable"
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.one_of(_VALUES, st.sampled_from(_WIDE_CELLS)), v=st.one_of(_VALUES, st.sampled_from(_WIDE_CELLS)))
+@example(u=Surd(0, 1, 10 ** 30 + 1, 1), v=10 ** 15)
+@example(u=10 ** 15, v=Surd(0, 1, 10 ** 30 + 1, 1))
+@example(u=Surd(0, 1, 10 ** 30 + 1, 1), v=Surd(0, 1, 10 ** 30 + 1, 1))
+def test_value_cmp_equals_the_fraction_oracle(u, v):
+    assert _order(value_cmp, u, v) == _order(root_oracles.fraction_value_cmp, u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.one_of(_VALUES, st.sampled_from(_WIDE_CELLS), _RAW_SURD.map(lambda raw: Surd(*raw))),
+       bits=st.sampled_from((40, 80, 160)))
+def test_enclosure_holds_the_fraction_bounds_rounded_outward(v, bits):
+    # A surd against its Fraction bounds of width 2^-bits / c, a cell as it is.
+    if isinstance(v, int):
+        lo_f = hi_f = Fraction(v)
+    elif isinstance(v, Surd):
+        lo_f, hi_f = root_oracles.surd_bounds(v, bits)
+    else:
+        lo_f, hi_f = v.lo, v.hi
+    lo, hi = spectra._enclosure(v, bits)
+    assert lo == math.floor(lo_f * 2 ** bits) and hi == math.ceil(hi_f * 2 ** bits)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +538,7 @@ def test_validate_agrees_with_the_fraction_oracle(blocks, data):
 
 def test_value_serialization():
     assert value_to_string(-5) == "int:-5"
-    assert value_to_string(Surd.make(1, 1, 5, 2)) == "surd:(1+√5)/2"
+    assert value_to_string(Surd(1, 1, 5, 2)) == "surd:(1+√5)/2"
     sp = exact_spectrum(parse_block_string("0101"))
     rendered = [e["value"] for e in sp.serialize()]
     assert rendered[0] == "surd:(0-√5)/1"
@@ -470,8 +564,8 @@ def test_equiangular_mirror_s1():
 
 def test_equiangular_surd_cosine():
     ep = equiangular_params(exact_spectrum(parse_block_string("0101")))
-    assert ep.lambda_min == Surd.make(0, -1, 5, 1)
-    assert ep.cosine == Surd.make(0, 1, 5, 5)
+    assert ep.lambda_min == Surd(0, -1, 5, 1)
+    assert ep.cosine == Surd(0, 1, 5, 5)
     assert ep.dimension == 3
 
 
