@@ -1,4 +1,4 @@
-"""Exact arithmetic for integer polynomials and characteristic polynomials.
+"""Exact arithmetic for integer polynomials, and chain quotient charpolys.
 
 Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
@@ -11,6 +11,8 @@ isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
 integer matrices.  Float guesses may steer integer-root stripping and
 refinement, but every root they lead to is certified exactly.
+The characteristic polynomial of a chain graph's cell quotient is built from
+its cell sizes by continuant recurrences over Z[y], with y = x + 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, isfinite
-from operator import mul
 
 IntPoly = tuple[int, ...]
 
@@ -389,32 +390,73 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial
+# Characteristic polynomial of a chain quotient
 # ---------------------------------------------------------------------------
 
-def char_poly_ints(matrix) -> IntPoly:
-    """Monic characteristic polynomial det(xI - M) of an integer matrix.
+def poly_shift(p: IntPoly, t: int) -> IntPoly:
+    """p(x + t), by repeated synthetic division (Ruffini-Horner Taylor shift)."""
+    c = list(p)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return tuple(c)
 
-    Faddeev-LeVerrier trace recursion; every division is exact over the
-    integers, so coefficients come out as exact arbitrary-precision integers.
-    The running matrix M_k is kept as a list of columns, so each entry of
-    A M_k is one dot product of a row of A with a column of M_k.
+
+def _continuants(sizes) -> list[IntPoly]:
+    """out[j] = det(T) over the last j cells, for j = 0 .. len(sizes).
+
+    T is the symmetric tridiagonal matrix with diagonal 2 * sizes and
+    off-diagonal entries +-y, so each continuant is 2 d * (the previous one)
+    - y^2 * (the one before).
     """
-    a = [[int(x) for x in row] for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return (1,)
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    coeffs_desc = [1]
-    for k in range(1, n + 1):
-        cols = [[sum(map(mul, row, col)) for row in a] for col in cols]
-        tr = sum(cols[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        ck = -(tr // k)
-        coeffs_desc.append(ck)
-        for i in range(n):
-            cols[i][i] += ck
-    return tuple(reversed(coeffs_desc))
+    out = [(1,)]
+    for j, d in enumerate(reversed(sizes)):
+        c = poly_mul((2 * d,), out[-1])
+        out.append(poly_add(c, poly_mul((0, 0, -1), out[-2])) if j else c)
+    return out
+
+
+def _border(sizes, conts: list[IntPoly]) -> IntPoly:
+    """sum_p d_p * adj(T)[p][0], with conts the continuants of the cell tails.
+
+    The cofactor is (-1)^p, times the product of T[i][i+1] = (-1)^i y over
+    i < p, times the continuant of the cells after p:
+    adj(T)[p][0] = (-1)^(p(p+1)/2) y^p conts[m-1-p].
+    """
+    m = len(sizes)
+    acc: IntPoly = ()
+    for p, d in enumerate(sizes):
+        sign = -1 if p % 4 in (1, 2) else 1
+        acc = poly_add(acc, poly_mul((0,) * p + (sign * d,), conts[m - 1 - p]))
+    return acc
+
+
+def char_poly_ints(cell_sizes) -> IntPoly:
+    """Monic characteristic polynomial of the chain quotient with these
+    interleaved cell sizes (0-cell, 1-cell, 0-cell, ...).
+
+    With A the 0/1 adjacency of the 2k cells, Sigma = J - 2A their signs and
+    D = diag(sizes), the quotient is Q = Sigma D - I.  In interleaved order
+    A^-1 is tridiagonal with zero diagonal and off-diagonal entries
+    (-1)^i, A^-1 1 = e_0 + e_{2k-1} and det A = (-1)^k.  So with y = x + 1,
+
+        chi_Q(x) = det(y I - Sigma D) = det(A) det(T - (e_0 + e_{2k-1}) d^T)
+                 = (-1)^k [det T - d^T adj(T) e_0 - d^T adj(T) e_{2k-1}],
+
+    T = y A^-1 + 2D, by the matrix determinant lemma.  det T and both
+    adjugate columns come from the three-term continuant recurrences of T,
+    the last column as the first column of the reversed cells, and a Taylor
+    shift returns to x: O(k) polynomial steps, O(k^2) integer operations,
+    no Fraction.
+
+    The name is the one the general-matrix version (Faddeev-LeVerrier, now
+    a test oracle) had: the benchmark's tracer binds intpoly.char_poly_ints
+    by name, until the library has its own stage hooks (ROADMAP item 1).
+    """
+    sizes = tuple(cell_sizes)
+    if not sizes or len(sizes) % 2:
+        raise ValueError("a chain quotient has an even, positive number of cells")
+    tails, heads = _continuants(sizes), _continuants(sizes[::-1])
+    border = poly_add(_border(sizes, tails), _border(sizes[::-1], heads))
+    det_a = -1 if len(sizes) % 4 else 1
+    return poly_shift(poly_add(poly_mul((det_a,), tails[-1]), poly_mul((-det_a,), border)), 1)

@@ -4,8 +4,9 @@ The Seidel matrix of a simple graph is J - I - 2A: -1 on edges, +1 on
 non-edges, 0 on the diagonal.  For a chain graph with 2k cells the spectrum
 splits as spectrum(Q) together with -1 repeated n - 2k times, where Q is the
 2k x 2k quotient matrix of the cell partition, so the cost of an exact
-spectrum depends on k, not on n: the Faddeev-LeVerrier characteristic
-polynomial does O(k^4) bigint work.
+spectrum depends on k, not on n: the characteristic polynomial of Q comes
+from three-term continuant recurrences on the cell sizes, O(k^2) integer
+operations (intpoly.char_poly_ints).
 
 Roots are located by guess, then certified.  One float eigensolve of the
 symmetric form of Q gives a guess for every eigenvalue.  Integer roots are
@@ -49,25 +50,33 @@ INTERVAL_WIDTH = Fraction(1, 2 ** 40)
 # Exact eigenvalue representations
 # ---------------------------------------------------------------------------
 
-def _extract_square_part(d: int) -> tuple[int, int]:
-    """Write d = f^2 * d' with d' square-free below the trial bound."""
-    f = 1
-    i = 2
-    while i * i <= d and i <= 100_000:
-        while d % (i * i) == 0:
-            d //= i * i
-            f *= i
-        i += 1
-    return f, d
+def _reducing_factor(a: int, c: int, d: int) -> int:
+    """The largest g with g | a, g | c and g^2 | d (c != 0).
+
+    Such a g divides gcd(a, c, d), usually 1 or 2, so that is what is
+    trial-divided; once q^2 exceeds what is left of it, the rest is prime.
+    """
+    h = math.gcd(a, c, d)
+    g, q = 1, 2
+    while h > 1:
+        if q * q > h:
+            q = h
+        while h % q == 0:
+            h //= q
+            if d % (g * q) ** 2 == 0:
+                g *= q
+        q += 1
+    return g
 
 
 @dataclass(frozen=True)
 class Surd:
     """The real quadratic irrational (a + sign*sqrt(d)) / c, d not square.
 
-    Stored in canonical form: c > 0 and, with d = f^2 d' for d' free of
-    square factors below the trial bound 10^5, gcd(a, f, c) = 1.  So field
-    equality and hash are value equality for such radicands.
+    Stored in canonical form: c > 0, and no g > 1 divides both a and c with
+    g^2 dividing d.  Every representation of a value is a multiple
+    (g a, sign, g^2 d, g c) of this one, so field equality and hash are value
+    equality.
     """
 
     a: int
@@ -85,9 +94,8 @@ class Surd:
         if math.isqrt(self.d) ** 2 == self.d:
             raise ValueError("radicand is a perfect square; use an int instead")
         a, sign, c = (-self.a, -self.sign, -self.c) if self.c < 0 else (self.a, self.sign, self.c)
-        f, d = _extract_square_part(self.d)
-        g = math.gcd(a, f, c)
-        for name, value in (("a", a // g), ("sign", sign), ("d", (f // g) ** 2 * d), ("c", c // g)):
+        g = _reducing_factor(a, c, self.d)
+        for name, value in (("a", a // g), ("sign", sign), ("d", self.d // (g * g)), ("c", c // g)):
             object.__setattr__(self, name, value)
 
     def negate(self) -> Surd:
@@ -319,20 +327,14 @@ class CharPoly:
         return len(self.coeffs) - 1
 
 
-def _matrix_entries(m) -> np.ndarray | tuple[tuple[int, ...], ...]:
-    # char_poly_ints reads every entry with int(), so the Seidel array is
-    # passed as it is, and only after the order cap.
-    if isinstance(m, (SeidelMatrix, QuotientMatrix)):
-        return m.entries
-    return tuple(tuple(int(x) for x in row) for row in m)
+def char_poly(q: QuotientMatrix) -> CharPoly:
+    """Exact monic characteristic polynomial of a chain quotient (order <= 256).
 
-
-def char_poly(m) -> CharPoly:
-    """Exact monic characteristic polynomial of an integer matrix (order <= 256)."""
-    entries = _matrix_entries(m)
-    if len(entries) > CHAR_POLY_ORDER_CAP:
-        raise ValueError(f"matrix order exceeds cap {CHAR_POLY_ORDER_CAP}")
-    return CharPoly(intpoly.char_poly_ints(entries))
+    Computed from the cell sizes alone by intpoly.char_poly_ints; the cap is
+    checked first.
+    """
+    check_quotient_order(q.size // 2)
+    return CharPoly(intpoly.char_poly_ints(q.cell_sizes))
 
 
 # ---------------------------------------------------------------------------

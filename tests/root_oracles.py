@@ -1,4 +1,4 @@
-"""Fraction reference versions of the exact root path, kept as test oracles.
+"""Reference versions of the exact spectrum path, kept as test oracles.
 
 The library isolates, refines, compares and validates on integers.  These are
 the plain Fraction forms of the same algorithms: isolation that counts the
@@ -6,12 +6,18 @@ Sturm variations at both ends of every interval afresh, refinement on a
 Fraction grid, Fraction bounds of surds and root cells for exact comparison,
 and trace/Frobenius sums over Fractions.  Signs come from Fraction evaluation
 with intpoly.poly_eval, not from intpoly.sign_at.
+
+The library computes a quotient's characteristic polynomial from its cell
+sizes alone; faddeev_leverrier works on any square integer matrix.  And
+surd_fields is the canonical surd form built by trial division of the
+radicand up to 10^5.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isfinite, isqrt
+from math import floor, gcd, isfinite, isqrt
+from operator import mul
 
 from seidelchain import intpoly
 from seidelchain.spectra import RootInterval, Surd
@@ -186,3 +192,52 @@ def validate(entries) -> None:
         raise ValueError("empty spectrum")
     assert_integer_sum(entries, power=1, target=0)
     assert_integer_sum(entries, power=2, target=n * (n - 1))
+
+
+def faddeev_leverrier(matrix) -> tuple[int, ...]:
+    """Monic characteristic polynomial det(xI - M) of a square integer matrix.
+
+    Faddeev-LeVerrier trace recursion; every division is exact over the
+    integers.  The running matrix M_k is kept as a list of columns, so each
+    entry of A M_k is one dot product of a row of A with a column of M_k.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    if n == 0:
+        return (1,)
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    coeffs_desc = [1]
+    for k in range(1, n + 1):
+        cols = [[sum(map(mul, row, col)) for row in a] for col in cols]
+        tr = sum(cols[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
+        ck = -(tr // k)
+        coeffs_desc.append(ck)
+        for i in range(n):
+            cols[i][i] += ck
+    return tuple(reversed(coeffs_desc))
+
+
+def _extract_square_part(d: int) -> tuple[int, int]:
+    """Write d = f^2 * d' with d' free of square factors below the trial bound 10^5."""
+    f = 1
+    i = 2
+    while i * i <= d and i <= 100_000:
+        while d % (i * i) == 0:
+            d //= i * i
+            f *= i
+        i += 1
+    return f, d
+
+
+def surd_fields(a: int, sign: int, d: int, c: int) -> tuple[int, int, int, int]:
+    """Canonical (a, sign, d, c) of (a + sign*sqrt(d)) / c: c > 0 and, with
+    d = f^2 d', gcd(a, f, c) = 1."""
+    if c < 0:
+        a, sign, c = -a, -sign, -c
+    f, rest = _extract_square_part(d)
+    g = gcd(a, f, c)
+    return a // g, sign, (f // g) ** 2 * rest, c // g

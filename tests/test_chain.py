@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_block_string
 from seidelchain import (
@@ -65,6 +67,14 @@ def test_round_trip_both_renderings():
         assert parse_block_string(b.caret()) == b
         assert parse_block_string(b.literal()) == b
         assert parse_block_string(b.literal()).literal() == b.literal()
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)), min_size=1, max_size=12))
+def test_parse_caret_parse_is_the_identity(blocks):
+    b = parse_block_string(BlockString(tuple(blocks)).caret())
+    assert b.blocks == tuple(blocks)
+    assert parse_block_string(b.caret()) == b
 
 
 def test_caret_rendering_omits_unit_exponents():

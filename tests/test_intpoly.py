@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 import time
@@ -5,12 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import root_oracles
 from conftest import cut_block_string, poly_pow, random_block_string
 from seidelchain import BlockString, exact_spectrum, intpoly, parse_block_string, quotient_matrix, spectra
+from seidelchain.chain import cell_signs
 
 
 # ---------------------------------------------------------------------------
@@ -43,26 +45,92 @@ def charpoly_by_cofactors(a):
 
 
 def test_char_poly_k2_seidel():
-    assert intpoly.char_poly_ints([[0, -1], [-1, 0]]) == (-1, 0, 1)
+    assert root_oracles.faddeev_leverrier([[0, -1], [-1, 0]]) == (-1, 0, 1)
+    # "01" is K2: its quotient is its Seidel matrix.
+    assert intpoly.char_poly_ints((1, 1)) == (-1, 0, 1)
 
 
 def test_char_poly_mirror_quotient():
     # Quotient of 0 1^2 0^2 1: roots -1, -3, 3, 3, expanded by hand.
     q = quotient_matrix(parse_block_string("0 1^2 0^2 1"))
-    assert intpoly.char_poly_ints(q.entries) == (27, 18, -12, -2, 1)
+    assert intpoly.char_poly_ints(q.cell_sizes) == (27, 18, -12, -2, 1)
 
 
-def test_char_poly_against_cofactor_oracle():
+def test_faddeev_leverrier_against_cofactor_oracle():
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert intpoly.char_poly_ints(a) == charpoly_by_cofactors(a)
+        assert root_oracles.faddeev_leverrier(a) == charpoly_by_cofactors(a)
 
 
-def test_char_poly_rejects_non_square():
+def test_faddeev_leverrier_rejects_non_square():
     with pytest.raises(ValueError):
-        intpoly.char_poly_ints([[1, 2, 3], [4, 5, 6]])
+        root_oracles.faddeev_leverrier([[1, 2, 3], [4, 5, 6]])
+
+
+def test_poly_shift():
+    assert intpoly.poly_shift((0, 1), 1) == (1, 1)
+    assert intpoly.poly_shift((-2, 0, 1), -3) == (7, -6, 1)  # (x - 3)^2 - 2
+    assert intpoly.poly_shift((), 5) == ()
+
+
+def test_char_poly_rejects_an_odd_cell_count():
+    for sizes in ((), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            intpoly.char_poly_ints(sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=10))
+@example(blocks=[(1, 1)])
+@example(blocks=[(3, 7)])
+@example(blocks=[(1, 1)] * 10)
+def test_char_poly_equals_faddeev_leverrier_on_quotients(blocks):
+    q = quotient_matrix(BlockString(tuple(blocks)))
+    assert intpoly.char_poly_ints(q.cell_sizes) == root_oracles.faddeev_leverrier(q.entries)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is not installed")
+@settings(max_examples=25, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=6))
+@example(blocks=[(1, 1)])
+@example(blocks=[(1, 1)] * 6)
+def test_char_poly_equals_sympy_on_quotients(blocks):
+    import sympy
+
+    q = quotient_matrix(BlockString(tuple(blocks)))
+    want = _from_sympy(sympy.Matrix(q.entries).charpoly(sympy.Symbol("x")))
+    assert intpoly.char_poly_ints(q.cell_sizes) == want
+
+
+def test_char_poly_at_the_order_cap_is_fast():
+    b = cut_block_string(random.Random(128), spectra.CHAR_POLY_ORDER_CAP // 2, 20_000)
+    start = time.perf_counter()
+    p = intpoly.char_poly_ints(quotient_matrix(b).cell_sizes)
+    assert time.perf_counter() - start < 0.5
+    assert len(p) == 257 and p[-1] == 1
+    assert intpoly.poly_eval(p, -1) == 0  # Q + I is singular
+
+
+def _inverse_claimed(k):
+    """The tridiagonal 2k x 2k matrix with zero diagonal and (i, i+1) entries (-1)^i."""
+    m = 2 * k
+    return [[(-1) ** min(i, j) if abs(i - j) == 1 else 0 for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cell_adjacency_inverse_is_the_alternating_tridiagonal(k):
+    # The premise of char_poly_ints, from the one sign rule chain.cell_signs.
+    signs = cell_signs(BlockString(((1, 1),) * k))
+    m = 2 * k
+    a = [[(1 - signs[i][j]) // 2 for j in range(m)] for i in range(m)]
+    inv = _inverse_claimed(k)
+    product = [[sum(a[i][t] * inv[t][j] for t in range(m)) for j in range(m)] for i in range(m)]
+    assert product == [[int(i == j) for j in range(m)] for i in range(m)]
+    assert [sum(row) for row in inv] == [1] + [0] * (m - 2) + [1]  # A^-1 1 = e_0 + e_{2k-1}
+    # det A = det(0 I - A) for even order, the oracle's constant term.
+    assert root_oracles.faddeev_leverrier(a)[0] == (-1) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +328,7 @@ def test_root_bound_encloses_every_root():
 
 def test_integer_roots_default_bound_is_small():
     b = cut_block_string(random.Random(24), 24, 200)
-    p = intpoly.char_poly_ints(quotient_matrix(b).entries)
+    p = intpoly.char_poly_ints(quotient_matrix(b).cell_sizes)
     assert intpoly.root_bound(p) < 1000
     start = time.perf_counter()
     got = intpoly.integer_roots(p)
@@ -280,17 +348,6 @@ def test_integer_roots_tries_only_rounded_guesses():
     assert residual == intpoly.poly_mul((-3, 1), (-2, 0, 1))
     # Guesses outside [-bound, bound] are not tried.
     assert intpoly.integer_roots(p, bound=5, guesses=[3.0, 7.0])[0] == {-1: 1, 3: 1}
-
-
-def test_char_poly_against_sympy_on_quotients():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(8)
-    for k in range(1, 9):
-        for _ in range(2):
-            b = random_block_string(rng, max_k=k, max_n=80)
-            entries = quotient_matrix(b).entries
-            want = _from_sympy(sympy.Matrix(entries).charpoly(sympy.Symbol("x")))
-            assert intpoly.char_poly_ints(entries) == want
 
 
 def _bisect_reference(p, lo, hi, width):
@@ -369,16 +426,7 @@ def _depressed_cubics(b):
     return st.integers(-bound, bound).filter(lambda c: 27 * c * c < -4 * b ** 3).map(lambda c: (c, b, 0, 1))
 
 
-def _shifted(p, t):
-    """p(x + t)."""
-    out, power = (), (1,)
-    for c in p:
-        out = intpoly.poly_add(out, intpoly.poly_mul((c,), power))
-        power = intpoly.poly_mul(power, (t, 1))
-    return out
-
-
-_CUBICS = st.builds(_shifted, st.integers(-24, -3).flatmap(_depressed_cubics), st.integers(-3, 3))
+_CUBICS = st.builds(intpoly.poly_shift, st.integers(-24, -3).flatmap(_depressed_cubics), st.integers(-3, 3))
 
 
 def _scaled_product(factors, scale):
@@ -433,7 +481,7 @@ _CRITERION4 = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size
 @given(blocks=_CRITERION4, data=st.data())
 def test_musser_factors_of_quotient_charpolys_match_the_fraction_oracle(blocks, data):
     b = BlockString(tuple(blocks))
-    _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(quotient_matrix(b).entries), bound=b.n)
+    _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(quotient_matrix(b).cell_sizes), bound=b.n)
     guesses = spectra._quotient_guesses(b)
     factors = intpoly.square_free_decomposition(residual) if intpoly.poly_degree(residual) >= 1 else []
     for factor, _mult in factors:

@@ -152,10 +152,9 @@ def test_quotient_row_sums_are_equitable():
 
 
 def test_char_poly_order_cap():
-    with pytest.raises(ValueError):
-        char_poly([[0] * 257 for _ in range(257)])
+    assert char_poly(quotient_matrix(BlockString(((1, 1),) * 128))).degree == 256
     with pytest.raises(ValueError, match="exceeds cap 256"):
-        char_poly(seidel_matrix(Graph.empty(257)))
+        char_poly(quotient_matrix(BlockString(((1, 1),) * 129)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def test_full_char_poly_factors_through_quotient():
     for _ in range(10):
         b = random_block_string(rng, max_k=4, max_n=40)
         g = build_chain_graph(b)
-        full = char_poly(seidel_matrix(g)).coeffs
+        full = root_oracles.faddeev_leverrier(seidel_matrix(g).entries)
         quot = char_poly(quotient_matrix(b)).coeffs
         lifted = intpoly.poly_mul(quot, poly_pow((1, 1), b.n - 2 * b.k))
         assert full == lifted
@@ -305,8 +304,8 @@ def _fields(v: Surd) -> tuple:
     return v.a, v.sign, v.d, v.c
 
 
-# Raw surd fields (a, sign, d, c): c of either sign, and radicands f^2 t whose
-# square factors all lie below the trial bound of the canonical form.
+# Raw surd fields (a, sign, d, c): c of either sign, and radicands f^2 t with
+# small square factors.
 _RAW_SURD = st.builds(
     lambda a, sign, f, t, c: (a, sign, f * f * t, c),
     st.integers(-30, 30), st.sampled_from((-1, 1)), st.integers(1, 12),
@@ -327,12 +326,29 @@ def test_surd_equality_and_hash_are_value_equality(raw, other, k, sign, scaled):
         assert hash(u) == hash(v)
 
 
-@settings(max_examples=60, deadline=None)  # each large radicand costs a full trial division
+@settings(max_examples=60, deadline=None)
 @given(raw=_RAW_SURD, big=st.integers(10 ** 8, 10 ** 40))
 def test_surd_float_is_the_fraction_midpoint(raw, big):
     for v in (Surd(*raw), Surd(big, raw[1], big * big + 1, raw[3])):
         lo, hi = root_oracles.surd_bounds(v, 60)
         assert float(v) == float((lo + hi) / 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_RAW_SURD, g=st.sampled_from((1, 2, 3, 6, 7, 12, 30)))
+def test_surd_fields_equal_the_trial_division_form(raw, g):
+    a, sign, d, c = raw
+    for fields in (raw, (g * a, sign, g * g * d, g * c)):
+        assert _fields(Surd(*fields)) == root_oracles.surd_fields(*fields)
+
+
+def test_surd_reduces_by_a_large_prime_factor():
+    # The trial division of the radicand stopped at 10^5; the common factor
+    # of a and c has no such bound.
+    p = 1_000_003
+    assert Surd(p, 1, 2 * p * p, p) == Surd(1, 1, 2, 1)
+    assert _fields(Surd(3 * p, -1, 5 * p * p, 6 * p)) == (3, -1, 5, 6)
+    assert _fields(Surd(p, 1, 2 * p, p)) == (p, 1, 2 * p, p)  # p^2 does not divide d
 
 
 def test_surd_arithmetic_helpers():

@@ -61,6 +61,24 @@ def test_switch_involution_and_complement():
         assert switch_on_subset(g, ((1 << n) - 1) ^ u).rows == h.rows
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+def test_switching_twice_on_a_subset_gives_back_the_graph(n, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=60))
+    g = Graph.from_edges(n, edges)
+    u = data.draw(st.integers(0, (1 << n) - 1))
+    assert switch_on_subset(switch_on_subset(g, u), u) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5), data=st.data())
+def test_switching_a_chain_graph_twice_gives_it_back(blocks, data):
+    g = build_chain_graph(BlockString(tuple(blocks)))
+    u = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert switch_on_subset(switch_on_subset(g, u), u).rows == g.rows
+
+
 def test_switch_is_seidel_conjugation():
     rng = random.Random(32)
     for _ in range(30):
