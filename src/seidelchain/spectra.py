@@ -44,6 +44,7 @@ from .graphs import Graph
 CHAR_POLY_ORDER_CAP = 256
 MATRIX_CAP = 2000
 INTERVAL_WIDTH = Fraction(1, 2 ** 40)
+_TRIAL_BOUND = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +52,24 @@ INTERVAL_WIDTH = Fraction(1, 2 ** 40)
 # ---------------------------------------------------------------------------
 
 def _reducing_factor(a: int, c: int, d: int) -> int:
-    """The largest g with g | a, g | c and g^2 | d (c != 0).
+    """The largest g with g | a, g | c and g^2 | d (c != 0), up to large primes.
 
-    Such a g divides gcd(a, c, d), usually 1 or 2, so that is what is
-    trial-divided; once q^2 exceeds what is left of it, the rest is prime.
+    Such a g divides h = gcd(a, c, d), usually 1 or 2, so that is what is
+    trial-divided, by every q up to the bound 10^5.  What is left of h then has
+    no prime factor below the bound and joins g whole if its square divides d.
+    A leftover with two prime factors above the bound, only one of which
+    reduces the surd, is left in the fields.
     """
     h = math.gcd(a, c, d)
     g, q = 1, 2
-    while h > 1:
-        if q * q > h:
-            q = h
+    while q <= _TRIAL_BOUND and q * q <= h:
         while h % q == 0:
             h //= q
             if d % (g * q) ** 2 == 0:
                 g *= q
         q += 1
+    if h > 1 and d % (g * h) ** 2 == 0:
+        g *= h
     return g
 
 
@@ -74,9 +78,11 @@ class Surd:
     """The real quadratic irrational (a + sign*sqrt(d)) / c, d not square.
 
     Stored in canonical form: c > 0, and no g > 1 divides both a and c with
-    g^2 dividing d.  Every representation of a value is a multiple
-    (g a, sign, g^2 d, g c) of this one, so field equality and hash are value
-    equality.
+    g^2 dividing d, for every g that _reducing_factor finds: all of them
+    unless gcd(a, c, d) has two prime factors above 10^5 of which only one
+    reduces the surd.  Every representation of a value is a multiple
+    (g a, sign, g^2 d, g c) of the canonical one, so field equality and hash
+    are value equality wherever the form is canonical.
     """
 
     a: int

@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_block_string
 from seidelchain import (
@@ -67,14 +65,9 @@ def test_round_trip_both_renderings():
         assert parse_block_string(b.caret()) == b
         assert parse_block_string(b.literal()) == b
         assert parse_block_string(b.literal()).literal() == b.literal()
-
-
-@settings(max_examples=200, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)), min_size=1, max_size=12))
-def test_parse_caret_parse_is_the_identity(blocks):
-    b = parse_block_string(BlockString(tuple(blocks)).caret())
-    assert b.blocks == tuple(blocks)
-    assert parse_block_string(b.caret()) == b
+    for _ in range(200):  # exponents up to 10^6, caret rendering only
+        blocks = tuple((rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(rng.randint(1, 12)))
+        assert parse_block_string(BlockString(blocks).caret()).blocks == blocks
 
 
 def test_caret_rendering_omits_unit_exponents():

@@ -93,9 +93,9 @@ def test_char_poly_equals_faddeev_leverrier_on_quotients(blocks):
 
 @pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is not installed")
 @settings(max_examples=25, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=6))
+@given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=8))
 @example(blocks=[(1, 1)])
-@example(blocks=[(1, 1)] * 6)
+@example(blocks=[(1, 1)] * 8)
 def test_char_poly_equals_sympy_on_quotients(blocks):
     import sympy
 

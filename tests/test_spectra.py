@@ -343,12 +343,23 @@ def test_surd_fields_equal_the_trial_division_form(raw, g):
 
 
 def test_surd_reduces_by_a_large_prime_factor():
-    # The trial division of the radicand stopped at 10^5; the common factor
-    # of a and c has no such bound.
+    # A prime above the trial bound 10^5 is what is left of gcd(a, c, d).
     p = 1_000_003
     assert Surd(p, 1, 2 * p * p, p) == Surd(1, 1, 2, 1)
     assert _fields(Surd(3 * p, -1, 5 * p * p, 6 * p)) == (3, -1, 5, 6)
     assert _fields(Surd(p, 1, 2 * p, p)) == (p, 1, 2 * p, p)  # p^2 does not divide d
+
+
+def test_surd_with_two_large_primes_in_the_gcd_is_fast():
+    # Trial division of gcd(a, c, d) stops at 10^5, not at the square root of
+    # its second-largest prime factor.
+    p, q = 1_000_000_000_039, 2_000_000_000_003
+    start = time.perf_counter()
+    assert _fields(Surd(p * q, 1, 2 * (p * q) ** 2, p * q)) == (1, 1, 2, 1)
+    assert _fields(Surd(6 * p * q, -1, 5 * (2 * p * q) ** 2, 2 * p * q)) == (3, -1, 5, 1)
+    # Only p^2 divides d: the leftover p q does not reduce whole, so it stays.
+    assert _fields(Surd(p * q, 1, 2 * p * p * q, p * q)) == (p * q, 1, 2 * p * p * q, p * q)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_surd_arithmetic_helpers():
