@@ -16,6 +16,7 @@ solutions (n, m).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -246,24 +247,17 @@ def generate_integral_family(family_id: str, r: int) -> IntegralFamily:
 
 
 def classify_integral_pair(n: int, m: int) -> tuple[str, ...]:
-    """Family ids whose stated parameter ranges generate (n, m)."""
+    """Family ids whose stated parameter ranges generate (n, m).
+
+    m(r) rises strictly in every family and m(r) >= r, so a bisection over
+    r_min .. max(m, r_min) finds the one candidate r of each family.
+    """
     tags = []
-    if n == 3 * m and m >= 2:
-        tags.append("F1")
-    if m % 6 == 0 and m // 6 >= 2 and n == 13 * (m // 6):
-        tags.append("F2")
-    if m % 2 == 0 and m // 2 >= 2 and n == 13 * (m // 2):
-        tags.append("F3")
-    r4 = (math.isqrt(4 * m + 1) - 1) // 2
-    if r4 >= 1 and r4 * r4 + r4 == m and n == 2 * m + 2:
-        tags.append("F4")
-    if m >= 3 and n == 4 * m * m - 2 * m + 1:
-        tags.append("F5")
-    if m % 2 == 0:
-        half = m // 2
-        r6 = (math.isqrt(4 * half + 1) - 1) // 2
-        if r6 >= 1 and r6 * r6 + r6 == half and n == 2 * m + 4:
-            tags.append("F6")
+    for family_id, (formula, r_min) in _FAMILY_PARAMS.items():
+        rs = range(r_min, max(m, r_min) + 1)
+        i = bisect.bisect_left(rs, m, key=lambda r: formula(r)[1])
+        if i < len(rs) and formula(rs[i]) == (n, m):
+            tags.append(family_id)
     if (n, m) in SPORADIC_PAIRS:
         tags.append("S")
     return tuple(tags)

@@ -4,8 +4,10 @@ Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
 Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
 rest on integer pseudo-division.  Sign evaluation, root isolation and
-refinement run on integer grids too: a rational point is a numerator over a
-common denominator, and a Fraction is built only for the endpoints returned.
+refinement run on integer grids too.  A root cell is the 5-tuple
+(lo, hi, shift, sign_lo, sign_hi): the open interval (lo / 2^shift,
+hi / 2^shift) with the signs of the polynomial at its ends, all integers,
+from isolation through refinement to the caller.
 The root machinery (integer-root stripping, square-free decomposition, Sturm
 isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
@@ -18,10 +20,11 @@ its cell sizes by continuant recurrences over Z[y], with y = x + 1.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, isfinite
 
 IntPoly = tuple[int, ...]
+# (lo, hi, shift, sign at lo, sign at hi) for the interval (lo / 2^shift, hi / 2^shift).
+Cell = tuple[int, int, int, int, int]
 
 
 def poly_trim(p) -> IntPoly:
@@ -71,8 +74,8 @@ def poly_degree(p: IntPoly) -> int:
 def sign_at(p: IntPoly, x, den: int = 1) -> int:
     """Sign of p(x / den) at a rational point, computed with integer arithmetic.
 
-    x is an int or a Fraction, den a positive int: a point of an integer grid
-    is passed as its numerator and denominator, with no Fraction built.
+    x is an int and den a positive int, or den is 1 and x any rational with
+    integer numerator and denominator attributes.
     """
     if den == 1:
         x, den = x.numerator, x.denominator
@@ -276,19 +279,20 @@ def _sign_variations(chain: list[IntPoly], x, den: int = 1) -> tuple[int, int]:
 
 
 def count_roots_between(chain: list[IntPoly], lo, hi) -> int:
-    """Distinct real roots in (lo, hi], via Sturm sign variations (lo, hi ints or Fractions)."""
+    """Distinct real roots in (lo, hi], via Sturm sign variations (lo, hi rationals, as for sign_at)."""
     return _sign_variations(chain, lo)[0] - _sign_variations(chain, hi)[0]
 
 
-def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fraction, Fraction, int, int]]:
-    """Disjoint open intervals, each containing exactly one real root of p.
+def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[Cell]:
+    """Disjoint open cells, each containing exactly one real root of p.
 
-    Returns (lo, hi, sign of p at lo, sign of p at hi) for each root in
-    [-bound, bound], ascending; the endpoint signs differ, and refine_root
-    takes them as they are.  p must be square-free with no rational roots,
-    so the (always dyadic) interval endpoints are never roots themselves.
-    Bisection runs on integers over a power of two, and each bisection point
-    gets its Sturm sign variations once, shared by the two halves.
+    Returns a cell (lo, hi, shift, sign of p at lo, sign of p at hi) for each
+    root in [-bound, bound], ascending; the endpoint signs differ, and
+    refine_root takes the cell as it is.  p must be square-free with no
+    rational roots, so the (always dyadic) cell ends are never roots
+    themselves.  Each bisection point gets its Sturm sign variations once,
+    shared by the two halves, and the upper half is stacked first, so the
+    cells come out in order.
     """
     q = primitive(p)
     if poly_degree(q) < 1:
@@ -299,7 +303,7 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fract
     chain = sturm_chain(p)
     total = count_roots_between(chain, -b, b)
     v_hi, s_hi = _sign_variations(chain, b)
-    out: list[tuple[Fraction, Fraction, int, int]] = []
+    out: list[Cell] = []
     # (lo, hi, shift, variations at lo and hi, signs of p at lo and hi) for
     # the interval (lo / 2^shift, hi / 2^shift].
     stack = [(-b, b, 0, v_hi + total, v_hi, sign_at(p, -b), s_hi)]
@@ -309,51 +313,44 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[tuple[Fract
         if cnt == 0:
             continue
         if cnt == 1:
-            den = 1 << shift
-            out.append((Fraction(lo, den), Fraction(hi, den), flip * s_lo, flip * s_hi))
+            out.append((lo, hi, shift, flip * s_lo, flip * s_hi))
             continue
         mid, shift = lo + hi, shift + 1
         v_mid, s_mid = _sign_variations(chain, mid, 1 << shift)
         if s_mid == 0:
             raise ValueError("rational root encountered during isolation")
-        stack.append((2 * lo, mid, shift, v_lo, v_mid, s_lo, s_mid))
         stack.append((mid, 2 * hi, shift, v_mid, v_hi, s_mid, s_hi))
-    out.sort()
+        stack.append((2 * lo, mid, shift, v_lo, v_mid, s_lo, s_mid))
     return out
 
 
-def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
-                width: Fraction = Fraction(1, 2 ** 40),
-                guess: float | None = None,
-                signs: tuple[int, int] | None = None) -> tuple[Fraction, Fraction, int, int]:
-    """Shrink an isolating interval to the requested width.
+def refine_root(p: IntPoly, cell: Cell, bits: int = 40, guess: float | None = None) -> Cell:
+    """Shrink a root cell to width at most 2^-bits.
 
-    The result is the cell of the grid lo + j * (hi - lo) / 2^m that holds
-    the root, with m the least depth at which a cell is no wider than width:
-    the cell that sign bisection reaches.  (lo, hi) holds exactly one root,
-    so the exact sign at a grid point tells on which side of it the root
-    lies.  The search starts at the cell of guess and gallops outward, then
-    bisects the bracket: a good float guess costs about two sign evaluations
-    beyond the endpoints, a bad one at most about 2m, and guess=None exactly
-    m.  The cell is the same for every guess.  Grid point j is the integer
-    base + j * span over the integer den; only the returned cell becomes a
-    Fraction.  signs, the signs of p at lo and hi as isolate_real_roots
-    returns them, saves evaluating them again.
+    With (lo, hi, shift) the cell, the result is the cell of the grid
+    (lo * 2^m + j * (hi - lo)) / 2^(shift + m) that holds the root, with m
+    the least depth at which a cell is no wider than 2^-bits: the cell that
+    sign bisection reaches.  The cell holds exactly one root, so the exact
+    sign at a grid point tells on which side of it the root lies.  The
+    search starts at the cell of guess and gallops outward, then bisects the
+    bracket: a good float guess costs about two sign evaluations, a bad one
+    at most about 2m, and guess=None exactly m.  The cell is the same for
+    every guess.
 
-    Returns (lo, hi, sign at lo, sign at hi); the differing endpoint signs are
-    the certificate that a root lies inside.
+    The differing endpoint signs of the cell, as isolate_real_roots returns
+    them, are the certificate that a root lies inside; the result carries
+    them on.
     """
-    s_lo, s_hi = signs if signs is not None else (sign_at(p, lo), sign_at(p, hi))
+    lo, hi, shift, s_lo, s_hi = cell
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("interval endpoints do not certify a sign change")
-    den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-    base = lo.numerator * (den // lo.denominator)
-    span = hi.numerator * (den // hi.denominator) - base
-    steps = -(-(span * width.denominator) // (den * width.numerator))
+    span = hi - lo
+    steps = -(-(span << bits) >> shift)  # the cell width over 2^-bits, rounded up
     if steps <= 1:
-        return lo, hi, s_lo, s_hi
-    cells = 1 << (steps - 1).bit_length()
-    base, den = base * cells, den * cells
+        return cell
+    m = (steps - 1).bit_length()
+    base, shift = lo << m, shift + m
+    den = 1 << shift
 
     def below(j: int) -> bool:
         """True when the root lies below grid point j."""
@@ -362,10 +359,10 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
             raise ValueError("rational root encountered during refinement")
         return s != s_lo
 
-    a, b = 0, cells  # the root lies between grid points a and b
+    a, b = 0, 1 << m  # the root lies between grid points a and b
     if guess is not None and isfinite(guess):
         g_num, g_den = guess.as_integer_ratio()
-        j = min(max((g_num * den - base * g_den) // (span * g_den), 0), cells - 1)
+        j = min(max(((g_num << shift) - base * g_den) // (span * g_den), 0), b - 1)
         if j > 0 and below(j):
             b, gap = j, 1
             while b - gap > a:
@@ -386,7 +383,7 @@ def refine_root(p: IntPoly, lo: Fraction, hi: Fraction,
             b = mid
         else:
             a = mid
-    return Fraction(base + a * span, den), Fraction(base + b * span, den), s_lo, s_hi
+    return base + a * span, base + b * span, shift, s_lo, s_hi
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +443,7 @@ def char_poly_ints(cell_sizes) -> IntPoly:
     T = y A^-1 + 2D, by the matrix determinant lemma.  det T and both
     adjugate columns come from the three-term continuant recurrences of T,
     the last column as the first column of the reversed cells, and a Taylor
-    shift returns to x: O(k) polynomial steps, O(k^2) integer operations,
-    no Fraction.
+    shift returns to x: O(k) polynomial steps, O(k^2) integer operations.
 
     The name is the one the general-matrix version (Faddeev-LeVerrier, now
     a test oracle) had: the benchmark's tracer binds intpoly.char_poly_ints

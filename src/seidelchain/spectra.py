@@ -20,9 +20,10 @@ exactly; validate() checks the trace and Frobenius identities on integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
 in canonical form, or sign-certified root intervals of an integer polynomial
-factor (width at most 2^-40).  They are equal when their fields are, and are
+factor, each a dyadic cell (lo / 2^shift, hi / 2^shift) of width at most
+2^-40 held as integers.  They are equal when their fields are, and are
 ordered, sorted and summed in validate() through one rule: integers enclosing
-the value scaled by 2^bits.
+the value scaled by 2^bits.  Fractions appear only for the equiangular cosine.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .graphs import Graph
 
 CHAR_POLY_ORDER_CAP = 256
 MATRIX_CAP = 2000
-INTERVAL_WIDTH = Fraction(1, 2 ** 40)
+INTERVAL_BITS = 40
 _TRIAL_BOUND = 100_000
 
 
@@ -126,45 +127,43 @@ class Surd:
 
 @dataclass(frozen=True)
 class RootInterval:
-    """A real algebraic number: the unique root of `poly` inside (lo, hi).
+    """A real algebraic number: the unique root of `poly` inside the dyadic
+    cell (lo / 2^shift, hi / 2^shift).
 
     poly is primitive, square-free, and has no rational roots; sign_lo and
-    sign_hi record the certifying sign change at the endpoints.  Equality is
-    field equality: refinement from [-n, n] always ends in the same dyadic
-    cell of a root (refine_root), and distinct roots of one factor never
-    share a cell.
+    sign_hi record the certifying sign change at the endpoints.  The cell is
+    stored with the least shift, so equality is field equality: refinement
+    from [-n, n] always ends in the same dyadic cell of a root
+    (intpoly.refine_root), and distinct roots of one factor never share a
+    cell.
     """
 
     poly: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
+    shift: int
     sign_lo: int
     sign_hi: int
 
-    @classmethod
-    def from_isolating(cls, poly: tuple[int, ...], lo: Fraction, hi: Fraction,
-                       width: Fraction = INTERVAL_WIDTH, guess: float | None = None,
-                       signs: tuple[int, int] | None = None) -> RootInterval:
-        """Refine an isolating interval; guess (a float near the root) and the
-        endpoint signs from isolate_real_roots only save work."""
-        lo, hi, s_lo, s_hi = intpoly.refine_root(poly, lo, hi, width, guess, signs)
-        return cls(poly, lo, hi, s_lo, s_hi)
+    def __post_init__(self) -> None:
+        # Drop the factors of two that lo and hi share, down to shift 0.
+        t = min(((self.lo | self.hi) & -(self.lo | self.hi)).bit_length() - 1, self.shift)
+        if t > 0:
+            for name in ("lo", "hi"):
+                object.__setattr__(self, name, getattr(self, name) >> t)
+            object.__setattr__(self, "shift", self.shift - t)
 
-    def refined(self, width: Fraction) -> RootInterval:
-        if self.hi - self.lo <= width:
-            return self
-        lo, hi, s_lo, s_hi = intpoly.refine_root(self.poly, self.lo, self.hi, width,
-                                                 signs=(self.sign_lo, self.sign_hi))
-        return RootInterval(self.poly, lo, hi, s_lo, s_hi)
+    def refined(self, bits: int) -> RootInterval:
+        """The cell of the root at width at most 2^-bits."""
+        cell = (self.lo, self.hi, self.shift, self.sign_lo, self.sign_hi)
+        return RootInterval(self.poly, *intpoly.refine_root(self.poly, cell, bits))
 
     def __float__(self) -> float:
         # The midpoint as one correctly rounded integer division.
-        lo, hi = self.lo, self.hi
-        return ((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
-                / (2 * lo.denominator * hi.denominator))
+        return (self.lo + self.hi) / (2 << self.shift)
 
     def __str__(self) -> str:
-        return f"[{_decimal_string(self.lo)},{_decimal_string(self.hi)}]"
+        return f"[{_decimal_string(self.lo, self.shift)},{_decimal_string(self.hi, self.shift)}]"
 
 
 Eigenvalue = Union[int, Surd, RootInterval]
@@ -180,8 +179,7 @@ def _enclosure(v: Eigenvalue, bits: int) -> tuple[int, int]:
         a = v.a << bits
         lo, hi = (a + r, a + r + 1) if v.sign > 0 else (a - r - 1, a - r)
         return lo // v.c, -(-hi // v.c)
-    lo, hi = v.lo, v.hi
-    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
+    return (v.lo << bits) >> v.shift, -((-v.hi << bits) >> v.shift)
 
 
 def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
@@ -195,7 +193,7 @@ def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
         return 0
     for bits in (40, 80, 160, 320, 640):
         if bits > 40:
-            u, v = (w.refined(Fraction(1, 1 << bits)) if isinstance(w, RootInterval) else w for w in (u, v))
+            u, v = (w.refined(bits) if isinstance(w, RootInterval) else w for w in (u, v))
         (ulo, uhi), (vlo, vhi) = _enclosure(u, bits), _enclosure(v, bits)
         if uhi < vlo:
             return -1
@@ -204,25 +202,21 @@ def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
     raise ArithmeticError("could not separate two distinct eigenvalues")
 
 
-def _decimal_string(fr: Fraction) -> str:
-    """Exact decimal rendering of a rational with denominator 2^a * 5^b."""
-    num, den = fr.numerator, fr.denominator
-    a = b = 0
-    while den % 2 == 0:
-        den //= 2
-        a += 1
-    while den % 5 == 0:
-        den //= 5
-        b += 1
-    if den != 1:
-        raise ValueError("denominator is not of the form 2^a * 5^b")
-    digits = max(a, b)
-    scaled = num * 10 ** digits // fr.denominator
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    if digits == 0:
+def _decimal_string(num: int, shift: int) -> str:
+    """Exact decimal rendering of num / 2^shift in the fewest digits.
+
+    With the shift least, num / 2^shift = num * 5^shift / 10^shift: the
+    digits of num * 5^shift with the point shift places from the right.
+    """
+    if num == 0:
+        return "0"
+    t = min((num & -num).bit_length() - 1, shift)
+    num, shift = num >> t, shift - t
+    sign = "-" if num < 0 else ""
+    text = str(abs(num) * 5 ** shift).rjust(shift + 1, "0")
+    if shift == 0:
         return sign + text
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    return f"{sign}{text[:-shift]}.{text[-shift:]}"
 
 
 def value_to_string(v: Eigenvalue) -> str:
@@ -489,25 +483,26 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     return ExactSpectrum(tuple(entries))
 
 
-def _quotient_guesses(b: BlockString) -> list[float]:
-    """Float eigenvalues of quotient_matrix(b), ascending, from numpy's eigvalsh.
+def _quotient_guesses(q: QuotientMatrix) -> list[float]:
+    """Float eigenvalues of q, ascending, from numpy's eigvalsh.
 
-    Q = Sigma D - I, where D holds the cell sizes and Sigma the cell signs
-    (chain.cell_signs), is similar to the symmetric D^1/2 Sigma D^1/2 - I.
+    Q + I = Sigma D, with D the cell sizes, so Q is similar to the symmetric
+    D^1/2 (Q + I) D^-1/2 - I = D^1/2 Sigma D^1/2 - I.
     """
-    root = np.sqrt(np.array([size for _lab, _start, size in b.cells()], dtype=float))
-    sigma = np.array(cell_signs(b), dtype=float)
-    return np.linalg.eigvalsh(sigma * np.outer(root, root) - np.eye(len(root))).tolist()
+    root = np.sqrt(np.array(q.cell_sizes, dtype=float))
+    shifted = np.array(q.entries, dtype=float) + np.eye(q.size)
+    return np.linalg.eigvalsh(root[:, None] * shifted / root - np.eye(q.size)).tolist()
 
 
-def _guess_in(guesses: list[float], lo: Fraction, hi: Fraction) -> float | None:
-    """The first of the sorted guesses inside [lo, hi], if any.
+def _guess_in(guesses: list[float], cell: intpoly.Cell) -> float | None:
+    """The first of the sorted guesses inside the cell's closure, if any.
 
-    The interval may also hold guesses of other factors' roots; a wrong
-    pick costs refine_root more sign evaluations, never a different cell.
+    The cell may also hold guesses of other factors' roots; a wrong pick
+    costs refine_root more sign evaluations, never a different cell.
     """
-    i = bisect.bisect_left(guesses, float(lo))
-    return guesses[i] if i < len(guesses) and guesses[i] <= float(hi) else None
+    lo, hi, shift = cell[:3]
+    i = bisect.bisect_left(guesses, lo / (1 << shift))
+    return guesses[i] if i < len(guesses) and guesses[i] <= hi / (1 << shift) else None
 
 
 class _MissedIntegerRoot(ArithmeticError):
@@ -546,14 +541,14 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
             counts.append((Surd(-c1, -1, disc, 2), mult))
         else:
             try:
-                cells = [RootInterval.from_isolating(factor, lo, hi, guess=_guess_in(rest, lo, hi),
-                                                     signs=(s_lo, s_hi))
-                         for lo, hi, s_lo, s_hi in intpoly.isolate_real_roots(factor, bound=bound)]
+                cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS,
+                                                                   _guess_in(rest, cell)))
+                         for cell in intpoly.isolate_real_roots(factor, bound=bound)]
             except ValueError as exc:  # a rational root sits on a dyadic point
                 raise _MissedIntegerRoot() from exc
             for cell in cells:
-                z = math.floor(cell.lo) + 1
-                if z < cell.hi and intpoly.poly_eval(factor, z) == 0:
+                z = (cell.lo >> cell.shift) + 1
+                if z << cell.shift < cell.hi and intpoly.poly_eval(factor, z) == 0:
                     raise _MissedIntegerRoot()
                 counts.append((cell, mult))
         found += deg * mult
@@ -573,7 +568,7 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     cp = char_poly(q)
     # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
     try:
-        counts = _quotient_roots(cp.coeffs, b.n, _quotient_guesses(b))
+        counts = _quotient_roots(cp.coeffs, b.n, _quotient_guesses(q))
     except _MissedIntegerRoot:
         counts = _quotient_roots(cp.coeffs, b.n, None)
     return spectrum_from_counts(counts)
@@ -640,14 +635,15 @@ def _reciprocal_abs(v: Eigenvalue) -> Union[Fraction, Surd, RootInterval]:
     # Root of p in (lo, hi) maps to the root of y^d p(-1/y) in (-1/lo, -1/hi).
     d = len(v.poly) - 1
     rev = intpoly.primitive(tuple(v.poly[d - i] * (-1) ** (d - i) for i in range(d + 1)))
-    y_lo, y_hi = -1 / v.lo, -1 / v.hi
+    y_lo, y_hi = Fraction(-1 << v.shift, v.lo), Fraction(-1 << v.shift, v.hi)
     # Re-isolate with dyadic endpoints: the target lies in (0, 1), and it is
     # the unique reversed-poly root inside (y_lo, y_hi).
     chain = intpoly.sturm_chain(rev)
-    for lo, hi, s_lo, s_hi in intpoly.isolate_real_roots(rev, bound=1):
-        a, b = max(lo, y_lo), min(hi, y_hi)
+    for cell in intpoly.isolate_real_roots(rev, bound=1):
+        lo, hi, shift = cell[:3]
+        a, b = max(Fraction(lo, 1 << shift), y_lo), min(Fraction(hi, 1 << shift), y_hi)
         if a < b and intpoly.count_roots_between(chain, a, b) == 1:
-            return RootInterval.from_isolating(rev, lo, hi, signs=(s_lo, s_hi))
+            return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS))
     raise ArithmeticError("failed to isolate the reciprocal eigenvalue")
 
 

@@ -1,11 +1,14 @@
 """Reference versions of the exact spectrum path, kept as test oracles.
 
-The library isolates, refines, compares and validates on integers.  These are
-the plain Fraction forms of the same algorithms: isolation that counts the
-Sturm variations at both ends of every interval afresh, refinement on a
-Fraction grid, Fraction bounds of surds and root cells for exact comparison,
-and trace/Frobenius sums over Fractions.  Signs come from Fraction evaluation
-with intpoly.poly_eval, not from intpoly.sign_at.
+The library isolates, refines, compares, validates and renders on integers,
+and holds a root cell as integers (lo, hi, shift) for the interval
+(lo / 2^shift, hi / 2^shift).  These are the plain Fraction forms of the same
+algorithms: isolation that counts the Sturm variations at both ends of every
+interval afresh, refinement on a Fraction grid, Fraction bounds of surds and
+root cells for exact comparison, trace/Frobenius sums over Fractions, and the
+decimal rendering of a Fraction.  Signs come from Fraction evaluation with
+intpoly.poly_eval, not from intpoly.sign_at.  cell_fractions and
+root_interval convert between the two forms of a cell.
 
 The library computes a quotient's characteristic polynomial from its cell
 sizes alone; faddeev_leverrier works on any square integer matrix.  And
@@ -21,6 +24,44 @@ from operator import mul
 
 from seidelchain import intpoly
 from seidelchain.spectra import RootInterval, Surd
+
+
+def cell_fractions(cell) -> tuple[Fraction, Fraction, int, int]:
+    """(lo, hi, sign_lo, sign_hi) of an integer cell (lo, hi, shift, sign_lo, sign_hi)."""
+    lo, hi, shift, s_lo, s_hi = cell
+    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift), s_lo, s_hi
+
+
+def interval_fractions(v: RootInterval) -> tuple[Fraction, Fraction]:
+    """The ends of a root interval's cell as Fractions."""
+    return Fraction(v.lo, 1 << v.shift), Fraction(v.hi, 1 << v.shift)
+
+
+def root_interval(poly, lo: Fraction, hi: Fraction, s_lo: int, s_hi: int) -> RootInterval:
+    """The RootInterval of a cell with dyadic Fraction ends, over their common denominator."""
+    den = max(lo.denominator, hi.denominator)
+    return RootInterval(poly, int(lo * den), int(hi * den), den.bit_length() - 1, s_lo, s_hi)
+
+
+def decimal_string(fr: Fraction) -> str:
+    """Exact decimal rendering of a rational with denominator 2^a * 5^b."""
+    num, den = fr.numerator, fr.denominator
+    a = b = 0
+    while den % 2 == 0:
+        den //= 2
+        a += 1
+    while den % 5 == 0:
+        den //= 5
+        b += 1
+    if den != 1:
+        raise ValueError("denominator is not of the form 2^a * 5^b")
+    digits = max(a, b)
+    scaled = num * 10 ** digits // fr.denominator
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    if digits == 0:
+        return sign + text
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
 def fraction_sign(p, x: Fraction) -> int:
@@ -120,7 +161,7 @@ def value_bounds(v, bits: int) -> tuple[Fraction, Fraction]:
         return Fraction(v), Fraction(v)
     if isinstance(v, Surd):
         return surd_bounds(v, bits)
-    lo, hi, _s_lo, _s_hi = refine_root(v.poly, v.lo, v.hi, Fraction(1, 1 << bits))
+    lo, hi, _s_lo, _s_hi = refine_root(v.poly, *interval_fractions(v), Fraction(1, 1 << bits))
     return lo, hi
 
 
@@ -175,7 +216,7 @@ def assert_integer_sum(entries, power: int, target: int) -> None:
         else:
             assert isinstance(v, RootInterval)
             has_interval = True
-            plo, phi = _power_bounds(v.lo, v.hi, power)
+            plo, phi = _power_bounds(*interval_fractions(v), power)
             lo_sum += m * plo
             hi_sum += m * phi
     if not has_interval:

@@ -258,6 +258,24 @@ def test_classify_integral_pair_direct():
     assert classify_integral_pair(19, 5) == ()
 
 
+def test_classify_integral_pair_matches_a_walk_of_the_families():
+    """Every scan hit up to n = 500 gets the families that generate it, by
+    a walk of integral_family_params over every r whose n can be <= 500."""
+    walked: dict[tuple[int, int], list[str]] = {}
+    for family_id in families.FAMILY_IDS:
+        for r in range(501):  # n(r) > r in every family
+            try:
+                n, m = integral_family_params(family_id, r)
+            except ValueError:  # r below the family's range, or no such sporadic pair
+                continue
+            if n <= 500:
+                walked.setdefault((n, m), []).append(family_id)
+    hits = scan_seidel_integral(500)
+    assert len(hits) == 771 and any(walked.get((h.n, h.m)) for h in hits)
+    for h in hits:
+        assert h.families == classify_integral_pair(h.n, h.m) == tuple(walked.get((h.n, h.m), ())), (h.n, h.m)
+
+
 def test_predicted_spectra_satisfy_identities():
     # spectrum_from_counts + validate() runs the trace/Frobenius identities.
     for r in (1, 5, 9):

@@ -1,8 +1,10 @@
+import ast
 import importlib.util
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,16 +273,16 @@ def test_isolation_and_refinement():
     p = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
     intervals = intpoly.isolate_real_roots(p)
     assert len(intervals) == 4
-    for (_lo1, hi1, *_), (lo2, *_) in zip(intervals, intervals[1:]):
-        assert hi1 <= lo2
-    width = Fraction(1, 2 ** 40)
+    for (_lo1, hi1, shift1, *_), (lo2, _hi2, shift2, *_) in zip(intervals, intervals[1:]):
+        assert hi1 << shift2 <= lo2 << shift1
     roots = []
-    for lo, hi, sign_lo, sign_hi in intervals:
-        assert (sign_lo, sign_hi) == (intpoly.sign_at(p, lo), intpoly.sign_at(p, hi))
-        rlo, rhi, s_lo, s_hi = intpoly.refine_root(p, lo, hi, width)
-        assert rhi - rlo <= width
+    for cell in intervals:
+        lo, hi, shift, sign_lo, sign_hi = cell
+        assert (sign_lo, sign_hi) == (intpoly.sign_at(p, lo, 1 << shift), intpoly.sign_at(p, hi, 1 << shift))
+        rlo, rhi, rshift, s_lo, s_hi = intpoly.refine_root(p, cell, 40)
+        assert (rhi - rlo) << 40 <= 1 << rshift
         assert s_lo != 0 and s_hi != 0 and s_lo != s_hi
-        roots.append(float((rlo + rhi) / 2))
+        roots.append((rlo + rhi) / (2 << rshift))
     expected = sorted([-(3 ** 0.5), -(2 ** 0.5), 2 ** 0.5, 3 ** 0.5])
     for got, want in zip(roots, expected):
         assert abs(got - want) < 1e-10
@@ -350,21 +352,19 @@ def test_integer_roots_tries_only_rounded_guesses():
     assert intpoly.integer_roots(p, bound=5, guesses=[3.0, 7.0])[0] == {-1: 1, 3: 1}
 
 
-def _bisect_reference(p, lo, hi, width):
-    """Plain sign bisection: the cell refine_root must return for every guess."""
-    s_lo, s_hi = intpoly.sign_at(p, lo), intpoly.sign_at(p, hi)
+def _bisect_reference(p, cell, bits):
+    """Plain sign bisection of a cell to width 2^-bits: the cell refine_root
+    must return for every guess."""
+    lo, hi, shift, s_lo, s_hi = cell
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("interval endpoints do not certify a sign change")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = intpoly.sign_at(p, mid)
+    while (hi - lo) << bits > 1 << shift:
+        mid, shift = lo + hi, shift + 1
+        s_mid = intpoly.sign_at(p, mid, 1 << shift)
         if s_mid == 0:
             raise ValueError("rational root encountered during refinement")
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, s_lo, s_hi
+        lo, hi = (mid, 2 * hi) if s_mid == s_lo else (2 * lo, mid)
+    return lo, hi, shift, s_lo, s_hi
 
 
 def _outcome(fn, *args):
@@ -391,25 +391,26 @@ def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, o
     except ValueError:  # a rational root on a bisection point
         assume(False)
     assume(intervals)
-    lo, hi, _s_lo, _s_hi = intervals[pick % len(intervals)]
-    width = Fraction(1, 1 << depth)
-    want = _outcome(_bisect_reference, p, lo, hi, width)
-    guesses = [None, float(lo + t * (hi - lo)), float(lo) - off, float(hi) + off,
+    cell = intervals[pick % len(intervals)]
+    lo, hi, shift = cell[:3]
+    want = _outcome(_bisect_reference, p, cell, depth)
+    inside = (lo * t.denominator + t.numerator * (hi - lo)) / (t.denominator << shift)
+    guesses = [None, inside, lo / (1 << shift) - off, hi / (1 << shift) + off,
                1e300, -1e300, float("inf"), float("nan")]
     for guess in guesses:
-        assert _outcome(intpoly.refine_root, p, lo, hi, width, guess) == want, guess
+        assert _outcome(intpoly.refine_root, p, cell, depth, guess) == want, guess
 
 
 def test_refine_root_from_a_good_guess_needs_few_signs(monkeypatch):
     calls = []
     sign_at = intpoly.sign_at
     monkeypatch.setattr(intpoly, "sign_at", lambda p, *x: calls.append(x) or sign_at(p, *x))
-    p = (-2, 0, 1)
-    got = intpoly.refine_root(p, Fraction(1), Fraction(2), guess=2 ** 0.5)
-    assert len(calls) == 4  # two endpoints, then the two ends of the guessed cell
+    p, cell = (-2, 0, 1), (1, 2, 0, -1, 1)  # the endpoint signs come with the cell
+    got = intpoly.refine_root(p, cell, guess=2 ** 0.5)
+    assert len(calls) == 2  # the two ends of the guessed cell
     calls.clear()
-    assert intpoly.refine_root(p, Fraction(1), Fraction(2)) == got
-    assert len(calls) == 2 + 40
+    assert intpoly.refine_root(p, cell) == got
+    assert len(calls) == 40
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +442,38 @@ _REAL_ROOTED = st.builds(_scaled_product, st.lists(st.one_of(_QUADRATICS, _CUBIC
                          st.sampled_from((1, -1, 2, -3)))
 
 
+def _as_fractions(outcome):
+    """A cell outcome with Fraction ends, for comparison with the oracle; errors as they are."""
+    return root_oracles.cell_fractions(outcome) if len(outcome) == 5 else outcome
+
+
 def _check_root_path_against_oracle(p, bound, good, data):
-    """Isolation, then refinement of every interval with no guess, the good
-    guess good[i] and misleading guesses, against the Fraction oracle."""
+    """Isolation, then refinement of every cell with no guess, the good guess
+    good[i] and misleading guesses, against the Fraction oracle.  Each cell
+    is refined as isolation returned it and with its ends scaled by 2^3."""
     want = _outcome(root_oracles.isolate_real_roots, p, bound)
     got = _outcome(intpoly.isolate_real_roots, p, bound)
     if not isinstance(want, list):  # a rational root on a bisection point
         assert got == want
         return
     sign = root_oracles.fraction_sign
-    assert got == [(lo, hi, sign(p, lo), sign(p, hi)) for lo, hi in want]
+    assert [_as_fractions(cell) for cell in got] == [(lo, hi, sign(p, lo), sign(p, hi)) for lo, hi in want]
     assert len(got) == len(good)
-    width = Fraction(1, 1 << data.draw(st.sampled_from((0, 3, 17, 40, 44))))
-    for i, (lo, hi, s_lo, s_hi) in enumerate(got):
+    bits = data.draw(st.sampled_from((0, 3, 17, 40, 44)))
+    for i, cell in enumerate(got):
+        lo, hi, shift, s_lo, s_hi = cell
+        flo, fhi = lo / (1 << shift), hi / (1 << shift)
         misleading = [
-            good[i - 1] if i else float(hi) + 1,  # another root's guess
-            float(lo) - data.draw(st.floats(1e-9, 1e3)),
+            good[i - 1] if i else fhi + 1,  # another root's guess
+            flo - data.draw(st.floats(1e-9, 1e3)),
             data.draw(st.floats(-float(bound), float(bound))),
             float("nan"),
         ]
+        scaled = (lo << 3, hi << 3, shift + 3, s_lo, s_hi)
         for guess in [None, good[i], *misleading]:
-            want_cell = _outcome(root_oracles.refine_root, p, lo, hi, width, guess)
-            assert _outcome(intpoly.refine_root, p, lo, hi, width, guess, (s_lo, s_hi)) == want_cell, guess
-            assert _outcome(intpoly.refine_root, p, lo, hi, width, guess) == want_cell, guess
+            want_cell = _outcome(root_oracles.refine_root, p, *want[i], Fraction(1, 1 << bits), guess)
+            assert _as_fractions(_outcome(intpoly.refine_root, p, cell, bits, guess)) == want_cell, guess
+            assert _as_fractions(_outcome(intpoly.refine_root, p, scaled, bits, guess)) == want_cell, guess
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,6 +484,31 @@ def test_real_rooted_products_match_the_fraction_oracle(p, data):
     _check_root_path_against_oracle(p, intpoly.root_bound(intpoly.primitive(p)), roots, data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(p=_REAL_ROOTED, pick=st.integers(0, 8), scale=st.integers(0, 6), bits=st.integers(0, 48),
+       guess=st.one_of(st.none(), st.floats(-16, 16), st.floats()))
+def test_refine_root_ends_in_the_oracle_cell_for_any_guess(p, pick, scale, bits, guess):
+    """Any cell of a root, in any form (its ends scaled by 2^scale), refined
+    from any guess, ends in the cell the Fraction oracle reaches."""
+    assume(intpoly.poly_degree(intpoly.poly_gcd(p, intpoly.poly_derivative(p))) == 0)
+    cells = _outcome(intpoly.isolate_real_roots, p)
+    assume(isinstance(cells, list) and cells)
+    lo, hi, shift, s_lo, s_hi = cells[pick % len(cells)]
+    cell = (lo << scale, hi << scale, shift + scale, s_lo, s_hi)
+    flo, fhi, _s_lo, _s_hi = root_oracles.cell_fractions(cell)
+    want = _outcome(root_oracles.refine_root, p, flo, fhi, Fraction(1, 1 << bits), guess)
+    assert _as_fractions(_outcome(intpoly.refine_root, p, cell, bits, guess)) == want
+
+
+def test_intpoly_does_not_import_fractions():
+    """Root cells are integers over a power of two from isolation to the
+    caller; a second, Fraction form of them is not to come back."""
+    tree = ast.parse(Path(intpoly.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported and not any(name.split(".")[0] == "fractions" for name in imported)
+
+
 _CRITERION4 = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=6)
 
 
@@ -482,11 +517,10 @@ _CRITERION4 = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size
 def test_musser_factors_of_quotient_charpolys_match_the_fraction_oracle(blocks, data):
     b = BlockString(tuple(blocks))
     _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(quotient_matrix(b).cell_sizes), bound=b.n)
-    guesses = spectra._quotient_guesses(b)
+    guesses = spectra._quotient_guesses(quotient_matrix(b))
     factors = intpoly.square_free_decomposition(residual) if intpoly.poly_degree(residual) >= 1 else []
     for factor, _mult in factors:
-        cells = root_oracles.isolate_real_roots(factor, b.n)
-        good = [spectra._guess_in(guesses, lo, hi) for lo, hi in cells]
+        good = [spectra._guess_in(guesses, cell) for cell in intpoly.isolate_real_roots(factor, b.n)]
         _check_root_path_against_oracle(factor, b.n, good, data)
 
 

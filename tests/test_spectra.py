@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -242,19 +243,65 @@ def test_interval_eigenvalues_certified():
     intervals = [v for v, _m in sp.entries if isinstance(v, RootInterval)]
     assert intervals, "expected interval-certified eigenvalues"
     for iv in intervals:
-        assert iv.hi - iv.lo <= Fraction(1, 2 ** 40)
+        assert (iv.hi - iv.lo) << 40 <= 1 << iv.shift
         assert iv.sign_lo != iv.sign_hi
-        assert intpoly.sign_at(iv.poly, iv.lo) == iv.sign_lo
-        assert intpoly.sign_at(iv.poly, iv.hi) == iv.sign_hi
+        assert intpoly.sign_at(iv.poly, iv.lo, 1 << iv.shift) == iv.sign_lo
+        assert intpoly.sign_at(iv.poly, iv.hi, 1 << iv.shift) == iv.sign_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.builds(operator.lshift, st.integers(-10 ** 30, 10 ** 30), st.integers(0, 60)),
+       shift=st.integers(0, 140))
+@example(num=0, shift=7)
+@example(num=-3, shift=0)
+@example(num=1, shift=41)
+def test_decimal_rendering_equals_the_fraction_oracle(num, shift):
+    assert spectra._decimal_string(num, shift) == root_oracles.decimal_string(Fraction(num, 1 << shift))
+
+
+def test_interval_ends_render_in_their_own_fewest_digits():
+    # The cell (3/8, 1/2) has shift 3; its upper end prints as 0.5, not 0.500.
+    assert str(RootInterval((-2, 0, 0, 1), 3, 4, 3, -1, 1)) == "[0.375,0.5]"
+    assert str(RootInterval((-2, 0, 0, 1), -4, 4, 3, -1, 1)) == "[-0.5,0.5]"
+
+
+# (lo, width, shift) of a small cell: equal values in different forms are common.
+_SMALL_CELLS = st.tuples(st.integers(-24, 24), st.integers(1, 24), st.integers(0, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_SMALL_CELLS, b=_SMALL_CELLS, scale_a=st.integers(0, 5), scale_b=st.integers(0, 5))
+@example(a=(2, 2, 1), b=(1, 1, 0), scale_a=0, scale_b=3)
+def test_root_interval_fields_are_equal_exactly_when_the_fraction_ends_are(a, b, scale_a, scale_b):
+    def interval(lo, width, shift, scale):
+        return RootInterval((-2, 0, 1), lo << scale, (lo + width) << scale, shift + scale, -1, 1)
+
+    u, v = interval(*a, scale_a), interval(*b, scale_b)
+    assert (u == v) == (root_oracles.interval_fractions(u) == root_oracles.interval_fractions(v))
+    assert u != v or hash(u) == hash(v)
+    for w in (u, v):  # the least shift: no common factor of two left in the ends
+        assert w.shift == 0 or (w.lo | w.hi) & 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1, max_size=8))
+@example(blocks=[(1, 1)] * 8)
+def test_quotient_guesses_are_the_eigenvalues_of_the_quotient(blocks):
+    q = quotient_matrix(BlockString(tuple(blocks)))
+    got = spectra._quotient_guesses(q)
+    want = np.sort(np.linalg.eigvals(np.array(q.entries, dtype=float)).real)
+    assert got == sorted(got)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-9 * sum(q.cell_sizes)
 
 
 def test_refined_interval_matches_the_fraction_oracle():
-    width = Fraction(1, 2 ** 90)
     for v, _m in exact_spectrum(parse_block_string("010101")).entries:
         if isinstance(v, RootInterval):
-            fine = v.refined(width)
-            assert v.lo <= fine.lo < fine.hi <= v.hi and fine.hi - fine.lo <= width
-            assert fine == RootInterval(v.poly, *root_oracles.refine_root(v.poly, v.lo, v.hi, width))
+            fine = v.refined(90)
+            assert v.lo << fine.shift <= fine.lo << v.shift < fine.hi << v.shift <= v.hi << fine.shift
+            assert (fine.hi - fine.lo) << 90 <= 1 << fine.shift
+            want = root_oracles.refine_root(v.poly, *root_oracles.interval_fractions(v), Fraction(1, 2 ** 90))
+            assert fine == root_oracles.root_interval(v.poly, *want)
 
 
 def test_spectrum_validation_rejects_bad_multiset():
@@ -465,8 +512,8 @@ def test_float_sort_then_exact_check_equals_the_exact_sort(counts):
 
 
 # The isolating cells of the same roots, before refinement: wider than 2^-40.
-_WIDE_CELLS = [RootInterval(p, lo, hi, s_lo, s_hi) for p in sorted({v.poly for v in _INTERVALS})
-               for lo, hi, s_lo, s_hi in intpoly.isolate_real_roots(p)]
+_WIDE_CELLS = [RootInterval(p, *cell) for p in sorted({v.poly for v in _INTERVALS})
+               for cell in intpoly.isolate_real_roots(p)]
 
 
 def _order(cmp, u, v):
@@ -495,7 +542,7 @@ def test_enclosure_holds_the_fraction_bounds_rounded_outward(v, bits):
     elif isinstance(v, Surd):
         lo_f, hi_f = root_oracles.surd_bounds(v, bits)
     else:
-        lo_f, hi_f = v.lo, v.hi
+        lo_f, hi_f = root_oracles.interval_fractions(v)
     lo, hi = spectra._enclosure(v, bits)
     assert lo == math.floor(lo_f * 2 ** bits) and hi == math.ceil(hi_f * 2 ** bits)
 
@@ -530,7 +577,7 @@ def _perturbed(entries, i, kind):
         entries[i] = (v, m + 1)
     elif kind == "shift" and isinstance(v, RootInterval):
         w = v.hi - v.lo
-        entries[i] = (RootInterval(v.poly, v.lo + w, v.hi + w, v.sign_lo, v.sign_hi), m)
+        entries[i] = (RootInterval(v.poly, v.lo + w, v.hi + w, v.shift, v.sign_lo, v.sign_hi), m)
     elif kind == "flip" and isinstance(v, Surd):
         entries[i] = (Surd(v.a, -v.sign, v.d, v.c), m)
     return entries
@@ -674,7 +721,7 @@ _LARGE_SHAPES = ((8, 20_000), (10, 2_000), (12, 500), (14, 100), (16, 64), (2, 1
 def _scan_and_bisect(monkeypatch, strings):
     """Serialized spectra with no float guesses: every integer in [-n, n] tried, plain bisection."""
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_quotient_guesses", lambda b: None)
+        m.setattr(spectra, "_quotient_guesses", lambda q: None)
         return [exact_spectrum(b).serialize() for b in strings]
 
 
@@ -697,9 +744,9 @@ def test_guesses_that_miss_an_integer_root_fall_back_to_the_scan(monkeypatch, te
     assert any(e["value"] == f"int:{missed}" for e in want)
     true_guesses = spectra._quotient_guesses
 
-    def misrounded(b):
+    def misrounded(q):
         # The guesses of `missed` now round to its neighbour.
-        return [g + 0.7 if round(g) == missed else g for g in true_guesses(b)]
+        return [g + 0.7 if round(g) == missed else g for g in true_guesses(q)]
 
     strip = _Spy(intpoly.integer_roots)
     monkeypatch.setattr(spectra, "_quotient_guesses", misrounded)
@@ -714,7 +761,7 @@ def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
     strings = [random_block_string(rng, max_k=5, max_n=40) for _ in range(20)]
     want = _scan_and_bisect(monkeypatch, strings)
     true_guesses = spectra._quotient_guesses
-    monkeypatch.setattr(spectra, "_quotient_guesses", lambda b: bad(true_guesses(b)))
+    monkeypatch.setattr(spectra, "_quotient_guesses", lambda q: bad(true_guesses(q)))
     assert [exact_spectrum(b).serialize() for b in strings] == want
 
 
