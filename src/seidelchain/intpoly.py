@@ -3,16 +3,20 @@
 Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
 Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
-rest on integer pseudo-division.  Sign evaluation, root isolation and
-refinement run on integer grids too.  A root cell is the 5-tuple
-(lo, hi, shift, sign_lo, sign_hi): the open interval (lo / 2^shift,
+rest on integer pseudo-division.  One Sturm chain serves a polynomial twice:
+its last member is the gcd that Musser's decomposition starts from, and it
+counts the distinct real roots that isolation must find.  Sign evaluation,
+root isolation and refinement run on integer grids too.  A root cell is the
+5-tuple (lo, hi, shift, sign_lo, sign_hi): the open interval (lo / 2^shift,
 hi / 2^shift) with the signs of the polynomial at its ends, all integers,
 from isolation through refinement to the caller.
 The root machinery (integer-root stripping, square-free decomposition, Sturm
 isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
-integer matrices.  Float guesses may steer integer-root stripping and
-refinement, but every root they lead to is certified exactly.
+integer matrices.  Float guesses may steer integer-root stripping, locate
+the isolating cells and start refinement, but every root they lead to is
+certified exactly: a cell by the signs at its ends, and the set of cells by
+the Sturm count, with Sturm bisection as the fallback when they disagree.
 The characteristic polynomial of a chain graph's cell quotient is built from
 its cell sizes by continuant recurrences over Z[y], with y = x + 1.
 """
@@ -20,11 +24,14 @@ its cell sizes by continuant recurrences over Z[y], with y = x + 1.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import gcd, isfinite
 
 IntPoly = tuple[int, ...]
 # (lo, hi, shift, sign at lo, sign at hi) for the interval (lo / 2^shift, hi / 2^shift).
 Cell = tuple[int, int, int, int, int]
+# Float guesses are placed in bisection-tree cells no wider than 2^-GUESS_BITS.
+GUESS_BITS = 20
 
 
 def poly_trim(p) -> IntPoly:
@@ -228,17 +235,23 @@ def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return primitive(q)
 
 
-def square_free_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
+def square_free_decomposition(p: IntPoly, chain: list[IntPoly] | None = None) -> list[tuple[IntPoly, int]]:
     """Musser decomposition: [(f_i, i)] with p ~ prod f_i^i, each f_i square-free.
 
     Uses only gcds and exact quotients, which ignore integer scaling, so it
     runs over the integers; factors come back as primitive integer
-    polynomials with positive leading coefficient, pairwise coprime.
+    polynomials with positive leading coefficient, pairwise coprime.  Given
+    sturm_chain(p), gcd(p, p') is read off its last member: the chain is the
+    remainder sequence of p and p' up to sign and positive scale.  When that
+    gcd is constant, p is square-free and [(primitive(p), 1)] comes back at
+    once.
     """
     p = primitive(p)
     if poly_degree(p) < 1:
         return []
-    a = poly_gcd(p, poly_derivative(p))
+    a = primitive(chain[-1]) if chain is not None else poly_gcd(p, poly_derivative(p))
+    if poly_degree(a) == 0:
+        return [(p, 1)]
     w = poly_div_exact(p, a)
     out: list[tuple[IntPoly, int]] = []
     i = 1
@@ -283,16 +296,26 @@ def count_roots_between(chain: list[IntPoly], lo, hi) -> int:
     return _sign_variations(chain, lo)[0] - _sign_variations(chain, hi)[0]
 
 
-def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[Cell]:
+def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[float] = (),
+                       chain: list[IntPoly] | None = None) -> list[Cell]:
     """Disjoint open cells, each containing exactly one real root of p.
 
     Returns a cell (lo, hi, shift, sign of p at lo, sign of p at hi) for each
     root in [-bound, bound], ascending; the endpoint signs differ, and
     refine_root takes the cell as it is.  p must be square-free with no
     rational roots, so the (always dyadic) cell ends are never roots
-    themselves.  Each bisection point gets its Sturm sign variations once,
-    shared by the two halves, and the upper half is stacked first, so the
-    cells come out in order.
+    themselves.  chain, if given, is sturm_chain(p), which is then not built
+    again.
+
+    Every cell is a cell of the bisection tree of [-bound, bound], so every
+    cell has span 2 * bound over its power of two and refine_root ends in
+    the same cell from either path below.  The Sturm count of the
+    roots in (-bound, bound] comes first.  Then the float guesses, in any
+    order, locate the roots (_guessed_cells): if as many tree cells of width
+    at most 2^-GUESS_BITS show a sign change of p at their ends as the count
+    says, each holds exactly one root, and those cells are the answer.
+    Otherwise, or if a sign there is 0, the tree is bisected from the top
+    with a Sturm count at every point (_bisected_cells).
     """
     q = primitive(p)
     if poly_degree(q) < 1:
@@ -300,8 +323,65 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[Cell]:
     flip = 1 if poly_trim(p)[-1] > 0 else -1  # primitive() made the lead positive
     p = q
     b = bound if bound is not None else root_bound(p)
-    chain = sturm_chain(p)
+    if chain is None:
+        chain = sturm_chain(p)
     total = count_roots_between(chain, -b, b)
+    cells = _guessed_cells(p, b, total, guesses)
+    if cells is None:
+        cells = _bisected_cells(p, chain, b, total)
+    return [(lo, hi, shift, flip * s_lo, flip * s_hi) for lo, hi, shift, s_lo, s_hi in cells]
+
+
+def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> list[Cell] | None:
+    """The cells of the [-b, b] bisection tree at the first width <= 2^-GUESS_BITS
+    that hold the total roots of p there, located from float guesses; None
+    when the guesses do not certify them all.
+
+    A cell whose ends give p two nonzero, opposite signs holds a root, and
+    distinct cells of one depth are disjoint.  So once the certified cells
+    number the Sturm count, each holds exactly one root and no root is left
+    out.  A guess tries the cell it falls in (its index clamped to the tree)
+    and, if that shows no sign change, its two neighbours; each tree point's
+    sign is evaluated once.
+    """
+    m = ((2 * b << GUESS_BITS) - 1).bit_length()
+    origin, span, last = -b << m, 2 * b, (1 << m) - 1
+    signs: dict[int, int] = {}
+
+    def sign(j: int) -> int:
+        """Sign of p at the tree point origin + j * span, over 2^m."""
+        if j not in signs:
+            signs[j] = sign_at(p, origin + j * span, 1 << m)
+        return signs[j]
+
+    found: set[int] = set()
+    for g in guesses:
+        if len(found) == total:
+            break
+        if not isfinite(g):
+            continue
+        g_num, g_den = g.as_integer_ratio()
+        j = min(max(((g_num << m) - origin * g_den) // (span * g_den), 0), last)
+        for i in (j, j - 1, j + 1):
+            if 0 <= i <= last:
+                s_lo, s_hi = sign(i), sign(i + 1)
+                if s_lo == 0 or s_hi == 0:
+                    return None
+                if s_lo != s_hi:
+                    found.add(i)
+                    break
+    if len(found) != total:
+        return None
+    return [(origin + i * span, origin + (i + 1) * span, m, signs[i], signs[i + 1]) for i in sorted(found)]
+
+
+def _bisected_cells(p: IntPoly, chain: list[IntPoly], b: int, total: int) -> list[Cell]:
+    """The isolating cells of the total roots of p in (-b, b], by Sturm bisection.
+
+    Each bisection point gets its Sturm sign variations once, shared by the
+    two halves, and the upper half is stacked first, so the cells come out
+    in order.
+    """
     v_hi, s_hi = _sign_variations(chain, b)
     out: list[Cell] = []
     # (lo, hi, shift, variations at lo and hi, signs of p at lo and hi) for
@@ -313,7 +393,7 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None) -> list[Cell]:
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append((lo, hi, shift, flip * s_lo, flip * s_hi))
+            out.append((lo, hi, shift, s_lo, s_hi))
             continue
         mid, shift = lo + hi, shift + 1
         v_mid, s_mid = _sign_variations(chain, mid, 1 << shift)

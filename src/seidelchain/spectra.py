@@ -10,13 +10,18 @@ operations (intpoly.char_poly_ints).
 
 Roots are located by guess, then certified.  One float eigensolve of the
 symmetric form of Q gives a guess for every eigenvalue.  Integer roots are
-the rounded guesses that exact synthetic division confirms; the residual is
-split square-free, isolated by Sturm sequences, and each root is refined to
-its dyadic cell starting from its guess, all on integer grids.  Completeness
-is certified exactly: if any residual root turns out to be an integer, the
-integer-root strip is redone as a scan of every integer in [-n, n].  The
-spectrum is sorted by float and each neighbouring pair is then compared
-exactly; validate() checks the trace and Frobenius identities on integers.
+the rounded guesses that exact synthetic division confirms.  The residual
+gets one Sturm chain, which both splits it square-free (its last member is
+gcd(p, p')) and counts its real roots.  The guesses locate the isolating
+cells: a cell of the [-n, n] bisection tree no wider than 2^-20 whose ends
+carry opposite signs holds a root, and when such cells number the Sturm
+count each holds exactly one; otherwise Sturm bisection isolates them.  Each
+root is then refined to its dyadic cell starting from its guess, all on
+integer grids.  Completeness is certified exactly: if any residual root
+turns out to be an integer, the integer-root strip is redone as a scan of
+every integer in [-n, n].  The spectrum is sorted by float and each
+neighbouring pair is then compared exactly; validate() checks the trace and
+Frobenius identities on integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
 in canonical form, or sign-certified root intervals of an integer polynomial
@@ -522,12 +527,17 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
     residual root must end in an irrational surd or in a certified cell with
     no integer root inside (a rational root of a monic integer polynomial is
     an integer).  Otherwise _MissedIntegerRoot is raised.
+
+    The residual's Sturm chain is built once: the square-free split reads
+    its gcd off it, and when the residual is one simple factor, isolation
+    counts its roots with it and certifies the cells the guesses locate.
     """
     int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=guesses)
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
     found = sum(int_roots.values())
     rest = sorted(guesses or ())
-    factors = intpoly.square_free_decomposition(residual) if intpoly.poly_degree(residual) >= 1 else []
+    chain = intpoly.sturm_chain(residual) if intpoly.poly_degree(residual) >= 1 else None
+    factors = intpoly.square_free_decomposition(residual, chain) if chain else []
     for factor, mult in factors:
         deg = intpoly.poly_degree(factor)
         if deg == 2:
@@ -543,7 +553,8 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
             try:
                 cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS,
                                                                    _guess_in(rest, cell)))
-                         for cell in intpoly.isolate_real_roots(factor, bound=bound)]
+                         for cell in intpoly.isolate_real_roots(
+                             factor, bound, rest, chain if factor == chain[0] else None)]
             except ValueError as exc:  # a rational root sits on a dyadic point
                 raise _MissedIntegerRoot() from exc
             for cell in cells:
@@ -639,7 +650,7 @@ def _reciprocal_abs(v: Eigenvalue) -> Union[Fraction, Surd, RootInterval]:
     # Re-isolate with dyadic endpoints: the target lies in (0, 1), and it is
     # the unique reversed-poly root inside (y_lo, y_hi).
     chain = intpoly.sturm_chain(rev)
-    for cell in intpoly.isolate_real_roots(rev, bound=1):
+    for cell in intpoly.isolate_real_roots(rev, bound=1, chain=chain):
         lo, hi, shift = cell[:3]
         a, b = max(Fraction(lo, 1 << shift), y_lo), min(Fraction(hi, 1 << shift), y_hi)
         if a < b and intpoly.count_roots_between(chain, a, b) == 1:

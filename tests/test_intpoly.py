@@ -223,13 +223,20 @@ def _from_sympy(poly):
 
 
 def test_square_free_decomposition_against_sympy():
+    """Musser's factors against sympy's; given p's Sturm chain, gcd(p, p') is
+    read off its last member, which for repeated factors is not constant."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
+    repeated = 0
     for _ in range(200):
         p = _random_product(rng)
         _, factors = _to_sympy(sympy, p).sqf_list()
         want = [(intpoly.primitive(_from_sympy(f)), m) for f, m in factors]
         assert intpoly.square_free_decomposition(p) == sorted(want, key=lambda fm: fm[1])
+        chain = intpoly.sturm_chain(p)
+        assert intpoly.square_free_decomposition(p, chain) == intpoly.square_free_decomposition(p)
+        repeated += intpoly.poly_degree(chain[-1]) > 0
+    assert repeated > 100, repeated
 
 
 def test_poly_gcd_against_sympy():
@@ -558,3 +565,101 @@ def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
     assert under[0] <= 23267 // 2
     # refine_root evaluates through intpoly.sign_at, which the benchmark counts.
     assert refine_own[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# Guessed isolation: the Sturm count certifies the cells the guesses locate
+# ---------------------------------------------------------------------------
+
+def _residual_factors(b):
+    """(factor, bound, chain or None) of each square-free factor of the quotient
+    charpoly of b left after every integer root is stripped, as
+    spectra._quotient_roots isolates it, with the float guesses of the quotient."""
+    q = quotient_matrix(b)
+    _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(q.cell_sizes), bound=b.n)
+    if intpoly.poly_degree(residual) < 1:
+        return [], []
+    chain = intpoly.sturm_chain(residual)
+    factors = [(f, b.n, chain if f == chain[0] else None)
+               for f, _mult in intpoly.square_free_decomposition(residual, chain)]
+    return factors, spectra._quotient_guesses(q)
+
+
+def _refined_cells(factor, bound, chain, guesses):
+    rest = sorted(guesses)
+    return [intpoly.refine_root(factor, cell, spectra.INTERVAL_BITS, spectra._guess_in(rest, cell))
+            for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=12),
+       data=st.data())
+def test_guessed_isolation_refines_to_the_cells_of_bisection(blocks, data):
+    """Isolation then refinement ends in the same cells with the true guesses,
+    with every guess moved by a few 2^-GUESS_BITS cells, with one guess
+    dropped, and with no guesses (Sturm bisection alone)."""
+    factors, guesses = _residual_factors(BlockString(tuple(blocks)))
+    moves = data.draw(st.lists(st.integers(-4, 4), min_size=len(guesses), max_size=len(guesses)))
+    moved = [g + t * 2.0 ** -intpoly.GUESS_BITS for g, t in zip(guesses, moves)]
+    dropped = data.draw(st.integers(0, max(len(guesses) - 1, 0)))
+    for factor, bound, chain in factors:
+        want = _refined_cells(factor, bound, chain, [])
+        assert _refined_cells(factor, bound, chain, guesses) == want
+        assert _refined_cells(factor, bound, chain, moved) == want
+        assert _refined_cells(factor, bound, chain, guesses[:dropped] + guesses[dropped + 1:]) == want
+
+
+def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
+    b = parse_block_string("0^3 1 0^2 1^4 0 1^2 0^5 1")
+    [(factor, bound, chain)], guesses = _residual_factors(b)
+    assert intpoly.poly_degree(factor) >= 3
+    bisected = []
+    bisect_cells = intpoly._bisected_cells
+    monkeypatch.setattr(intpoly, "_bisected_cells", lambda *args: bisected.append(args) or bisect_cells(*args))
+    want = _refined_cells(factor, bound, chain, guesses)
+    assert not bisected  # every root was located from its guess
+    first = intpoly.isolate_real_roots(factor, bound, guesses, chain)[0]
+    missing = spectra._guess_in(sorted(guesses), first)
+    assert _refined_cells(factor, bound, chain, [g for g in guesses if g != missing]) == want
+    assert len(bisected) == 1
+
+
+def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
+    """For the 60 fixed criterion-4 strings of the test above: at most 3000
+    sign evaluations under isolate_real_roots and refine_root (7270 when
+    isolation bisected with a Sturm evaluation at every point), and exactly
+    two Sturm evaluations per isolation, the count of the roots in
+    (-bound, bound]: the guesses located every root."""
+    signs, sturm, isolations, open_calls = [0], [0], [0], []
+    sign_at, sign_variations = intpoly.sign_at, intpoly._sign_variations
+
+    def counting_sign_at(*args):
+        signs[0] += bool(open_calls)
+        return sign_at(*args)
+
+    def counting_sign_variations(*args):
+        sturm[0] += bool(open_calls) and open_calls[-1] == "isolate_real_roots"
+        return sign_variations(*args)
+
+    def tracked(name):
+        fn = getattr(intpoly, name)
+
+        def wrapper(*args, **kwargs):
+            open_calls.append(name)
+            isolations[0] += name == "isolate_real_roots"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+        return wrapper
+
+    monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
+    monkeypatch.setattr(intpoly, "_sign_variations", counting_sign_variations)
+    for name in ("isolate_real_roots", "refine_root"):
+        monkeypatch.setattr(intpoly, name, tracked(name))
+    rng = random.Random(60)
+    for _ in range(60):
+        exact_spectrum(random_block_string(rng))
+    assert isolations[0] > 0
+    assert signs[0] <= 3000
+    assert sturm[0] == 2 * isolations[0]
