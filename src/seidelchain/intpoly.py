@@ -31,6 +31,8 @@ IntPoly = tuple[int, ...]
 # (lo, hi, shift, sign at lo, sign at hi) for the interval (lo / 2^shift, hi / 2^shift).
 Cell = tuple[int, int, int, int, int]
 # Float guesses are placed in bisection-tree cells no wider than 2^-GUESS_BITS.
+# Refinement to a narrower cell ends where bisection ends only while
+# GUESS_BITS is at most the refinement depth (spectra.INTERVAL_BITS).
 GUESS_BITS = 20
 
 
@@ -240,18 +242,18 @@ def square_free_decomposition(p: IntPoly, chain: list[IntPoly] | None = None) ->
 
     Uses only gcds and exact quotients, which ignore integer scaling, so it
     runs over the integers; factors come back as primitive integer
-    polynomials with positive leading coefficient, pairwise coprime.  Given
-    sturm_chain(p), gcd(p, p') is read off its last member: the chain is the
-    remainder sequence of p and p' up to sign and positive scale.  When that
-    gcd is constant, p is square-free and [(primitive(p), 1)] comes back at
-    once.
+    polynomials with positive leading coefficient, pairwise coprime.
+    gcd(p, p') is read off the last member of sturm_chain(p), the remainder
+    sequence of p and p' up to sign and positive scale; chain, if it is
+    sturm_chain(p), is used instead of building it again.  When that gcd is
+    constant, p is square-free and [(primitive(p), 1)] comes back.
     """
     p = primitive(p)
     if poly_degree(p) < 1:
         return []
-    a = primitive(chain[-1]) if chain is not None else poly_gcd(p, poly_derivative(p))
-    if poly_degree(a) == 0:
-        return [(p, 1)]
+    if chain is None or chain[0] != p:
+        chain = sturm_chain(p)
+    a = primitive(chain[-1])
     w = poly_div_exact(p, a)
     out: list[tuple[IntPoly, int]] = []
     i = 1
@@ -304,8 +306,8 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     root in [-bound, bound], ascending; the endpoint signs differ, and
     refine_root takes the cell as it is.  p must be square-free with no
     rational roots, so the (always dyadic) cell ends are never roots
-    themselves.  chain, if given, is sturm_chain(p), which is then not built
-    again.
+    themselves.  chain, if it is sturm_chain(p), is used instead of building
+    it again.
 
     Every cell is a cell of the bisection tree of [-bound, bound], so every
     cell has span 2 * bound over its power of two and refine_root ends in
@@ -323,7 +325,7 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     flip = 1 if poly_trim(p)[-1] > 0 else -1  # primitive() made the lead positive
     p = q
     b = bound if bound is not None else root_bound(p)
-    if chain is None:
+    if chain is None or chain[0] != p:
         chain = sturm_chain(p)
     total = count_roots_between(chain, -b, b)
     cells = _guessed_cells(p, b, total, guesses)

@@ -50,6 +50,8 @@ from .graphs import Graph
 CHAR_POLY_ORDER_CAP = 256
 MATRIX_CAP = 2000
 INTERVAL_BITS = 40
+# Guessed isolating cells must be no narrower than refined ones.
+assert intpoly.GUESS_BITS <= INTERVAL_BITS
 _TRIAL_BOUND = 100_000
 
 
@@ -530,7 +532,8 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
 
     The residual's Sturm chain is built once: the square-free split reads
     its gcd off it, and when the residual is one simple factor, isolation
-    counts its roots with it and certifies the cells the guesses locate.
+    counts its roots with it and certifies the cells the guesses locate
+    (every other factor's chain is built by isolate_real_roots).
     """
     int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=guesses)
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
@@ -553,8 +556,7 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
             try:
                 cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS,
                                                                    _guess_in(rest, cell)))
-                         for cell in intpoly.isolate_real_roots(
-                             factor, bound, rest, chain if factor == chain[0] else None)]
+                         for cell in intpoly.isolate_real_roots(factor, bound, rest, chain)]
             except ValueError as exc:  # a rational root sits on a dyadic point
                 raise _MissedIntegerRoot() from exc
             for cell in cells:

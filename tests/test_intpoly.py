@@ -223,8 +223,9 @@ def _from_sympy(poly):
 
 
 def test_square_free_decomposition_against_sympy():
-    """Musser's factors against sympy's; given p's Sturm chain, gcd(p, p') is
-    read off its last member, which for repeated factors is not constant."""
+    """Musser's factors against sympy's, with and without p's Sturm chain
+    given; gcd(p, p') is read off its last member, which for repeated factors
+    is not constant."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(5)
     repeated = 0
@@ -293,6 +294,15 @@ def test_isolation_and_refinement():
     expected = sorted([-(3 ** 0.5), -(2 ** 0.5), 2 ** 0.5, 3 ** 0.5])
     for got, want in zip(roots, expected):
         assert abs(got - want) < 1e-10
+
+
+def test_a_chain_of_another_polynomial_is_not_used():
+    """A chain that is not sturm_chain(p) is built again, not trusted."""
+    other = intpoly.sturm_chain((-5, 0, 1))
+    p = intpoly.poly_mul(intpoly.poly_mul((-1, 1), (-1, 1)), (2, 1))
+    assert intpoly.square_free_decomposition(p, other) == [((2, 1), 1), ((-1, 1), 2)]
+    p = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
+    assert intpoly.isolate_real_roots(p, 4, (), other) == intpoly.isolate_real_roots(p, 4)
 
 
 def test_sturm_root_counting():
@@ -516,7 +526,12 @@ def test_intpoly_does_not_import_fractions():
     assert imported and not any(name.split(".")[0] == "fractions" for name in imported)
 
 
-_CRITERION4 = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=6)
+def _criterion4(max_size):
+    """Criterion-4 block strings of 1 to max_size blocks."""
+    return st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=max_size)
+
+
+_CRITERION4 = _criterion4(6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,25 +546,32 @@ def test_musser_factors_of_quotient_charpolys_match_the_fraction_oracle(blocks, 
         _check_root_path_against_oracle(factor, b.n, good, data)
 
 
-def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
-    """The sign evaluations under isolate_real_roots and refine_root, for 60
-    fixed criterion-4 strings, are at most half of the Fraction form's:
-    23267, counted the same way with every interval end recounted and both
-    endpoint signs evaluated again in refine_root."""
-    under, refine_own, open_calls = [0], [0], []
-    sign_at = intpoly.sign_at
+def _count_root_path_evaluations(monkeypatch):
+    """Run exact_spectrum on 60 fixed criterion-4 strings (random.Random(60))
+    and count: "signs", the sign evaluations under isolate_real_roots and
+    refine_root; "refine_signs", those made by refine_root itself; "sturm",
+    the Sturm evaluations made by isolate_real_roots; and the calls of each
+    of the two, under its own name."""
+    counts, open_calls = {"signs": 0, "refine_signs": 0, "sturm": 0}, []
+    sign_at, sign_variations = intpoly.sign_at, intpoly._sign_variations
 
     def counting_sign_at(*args):
         if open_calls:
-            under[0] += 1
-            refine_own[0] += open_calls[-1] == "refine_root"
+            counts["signs"] += 1
+            counts["refine_signs"] += open_calls[-1] == "refine_root"
         return sign_at(*args)
+
+    def counting_sign_variations(*args):
+        counts["sturm"] += bool(open_calls) and open_calls[-1] == "isolate_real_roots"
+        return sign_variations(*args)
 
     def tracked(name):
         fn = getattr(intpoly, name)
+        counts[name] = 0
 
         def wrapper(*args, **kwargs):
             open_calls.append(name)
+            counts[name] += 1
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -557,14 +579,24 @@ def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
+    monkeypatch.setattr(intpoly, "_sign_variations", counting_sign_variations)
     for name in ("isolate_real_roots", "refine_root"):
         monkeypatch.setattr(intpoly, name, tracked(name))
     rng = random.Random(60)
     for _ in range(60):
         exact_spectrum(random_block_string(rng))
-    assert under[0] <= 23267 // 2
+    return counts
+
+
+def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
+    """The sign evaluations under isolate_real_roots and refine_root, for 60
+    fixed criterion-4 strings, are at most half of the Fraction form's:
+    23267, counted the same way with every interval end recounted and both
+    endpoint signs evaluated again in refine_root."""
+    counts = _count_root_path_evaluations(monkeypatch)
+    assert counts["signs"] <= 23267 // 2
     # refine_root evaluates through intpoly.sign_at, which the benchmark counts.
-    assert refine_own[0] > 0
+    assert counts["refine_signs"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +604,7 @@ def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _residual_factors(b):
-    """(factor, bound, chain or None) of each square-free factor of the quotient
+    """(factor, bound, residual's Sturm chain) of each square-free factor of the quotient
     charpoly of b left after every integer root is stripped, as
     spectra._quotient_roots isolates it, with the float guesses of the quotient."""
     q = quotient_matrix(b)
@@ -580,8 +612,7 @@ def _residual_factors(b):
     if intpoly.poly_degree(residual) < 1:
         return [], []
     chain = intpoly.sturm_chain(residual)
-    factors = [(f, b.n, chain if f == chain[0] else None)
-               for f, _mult in intpoly.square_free_decomposition(residual, chain)]
+    factors = [(f, b.n, chain) for f, _mult in intpoly.square_free_decomposition(residual, chain)]
     return factors, spectra._quotient_guesses(q)
 
 
@@ -592,8 +623,7 @@ def _refined_cells(factor, bound, chain, guesses):
 
 
 @settings(max_examples=40, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=12),
-       data=st.data())
+@given(blocks=_criterion4(12), data=st.data())
 def test_guessed_isolation_refines_to_the_cells_of_bisection(blocks, data):
     """Isolation then refinement ends in the same cells with the true guesses,
     with every guess moved by a few 2^-GUESS_BITS cells, with one guess
@@ -630,36 +660,7 @@ def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
     isolation bisected with a Sturm evaluation at every point), and exactly
     two Sturm evaluations per isolation, the count of the roots in
     (-bound, bound]: the guesses located every root."""
-    signs, sturm, isolations, open_calls = [0], [0], [0], []
-    sign_at, sign_variations = intpoly.sign_at, intpoly._sign_variations
-
-    def counting_sign_at(*args):
-        signs[0] += bool(open_calls)
-        return sign_at(*args)
-
-    def counting_sign_variations(*args):
-        sturm[0] += bool(open_calls) and open_calls[-1] == "isolate_real_roots"
-        return sign_variations(*args)
-
-    def tracked(name):
-        fn = getattr(intpoly, name)
-
-        def wrapper(*args, **kwargs):
-            open_calls.append(name)
-            isolations[0] += name == "isolate_real_roots"
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                open_calls.pop()
-        return wrapper
-
-    monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
-    monkeypatch.setattr(intpoly, "_sign_variations", counting_sign_variations)
-    for name in ("isolate_real_roots", "refine_root"):
-        monkeypatch.setattr(intpoly, name, tracked(name))
-    rng = random.Random(60)
-    for _ in range(60):
-        exact_spectrum(random_block_string(rng))
-    assert isolations[0] > 0
-    assert signs[0] <= 3000
-    assert sturm[0] == 2 * isolations[0]
+    counts = _count_root_path_evaluations(monkeypatch)
+    assert counts["isolate_real_roots"] > 0
+    assert counts["signs"] <= 3000
+    assert counts["sturm"] == 2 * counts["isolate_real_roots"]
