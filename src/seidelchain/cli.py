@@ -10,12 +10,19 @@ verify-tables and the witness rows of switch-search.
 Exit codes: 0 success, 1 computation error (caps, degenerate inputs, failed
 verification), 2 usage errors (unknown command, bad arguments, malformed
 block strings).
+
+`run` builds the argparse tree on its first call and reuses it for every
+later call in the process, so a caller that runs many commands (tests, the
+benchmark, library use of `run(argv, out=)`) pays for it once.  The console
+script runs one command per process and builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import sys
 
@@ -350,7 +357,13 @@ def _threads(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared.
+
+    Sharing is safe: parse_args fills a fresh Namespace and leaves the parser
+    as it was, and the handlers read module globals when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="seidelchain",
         description="Exact Seidel spectra and switching classes of chain graphs.",
@@ -430,9 +443,10 @@ def _emit(args, payload: dict, error: ComputeError | None, out) -> None:
 
 def run(argv: list[str], out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # --help prints to sys.stdout; usage errors stay on stderr.
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 on --help; keep its verdict.
         return 2 if exc.code else 0

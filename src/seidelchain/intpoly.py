@@ -481,32 +481,36 @@ def poly_shift(p: IntPoly, t: int) -> IntPoly:
     return tuple(c)
 
 
-def _continuants(sizes) -> list[IntPoly]:
-    """out[j] = det(T) over the last j cells, for j = 0 .. len(sizes).
+def _continuants(sizes) -> list[list[int]]:
+    """out[j] = det(T) over the last j cells, for j = 0 .. len(sizes), as a
+    list of j + 1 coefficients in y (the top one may be zero).
 
     T is the symmetric tridiagonal matrix with diagonal 2 * sizes and
     off-diagonal entries +-y, so each continuant is 2 d * (the previous one)
     - y^2 * (the one before).
     """
-    out = [(1,)]
-    for j, d in enumerate(reversed(sizes)):
-        c = poly_mul((2 * d,), out[-1])
-        out.append(poly_add(c, poly_mul((0, 0, -1), out[-2])) if j else c)
+    prev, cur = [], [1]
+    out = [cur]
+    for d in reversed(sizes):
+        prev, cur = cur, [2 * d * c - e for c, e in zip(cur + [0], [0, 0] + prev)]
+        out.append(cur)
     return out
 
 
-def _border(sizes, conts: list[IntPoly]) -> IntPoly:
-    """sum_p d_p * adj(T)[p][0], with conts the continuants of the cell tails.
+def _border(sizes, conts: list[list[int]]) -> list[int]:
+    """sum_p d_p * adj(T)[p][0], with conts the continuants of the cell tails,
+    as a list of len(sizes) coefficients in y.
 
     The cofactor is (-1)^p, times the product of T[i][i+1] = (-1)^i y over
     i < p, times the continuant of the cells after p:
-    adj(T)[p][0] = (-1)^(p(p+1)/2) y^p conts[m-1-p].
+    adj(T)[p][0] = (-1)^(p(p+1)/2) y^p conts[m-1-p].  The sum over p runs by
+    Horner's rule in y, from p = m - 1 down.
     """
     m = len(sizes)
-    acc: IntPoly = ()
-    for p, d in enumerate(sizes):
-        sign = -1 if p % 4 in (1, 2) else 1
-        acc = poly_add(acc, poly_mul((0,) * p + (sign * d,), conts[m - 1 - p]))
+    acc: list[int] = []
+    for p in range(m - 1, -1, -1):
+        coef = -sizes[p] if p % 4 in (1, 2) else sizes[p]
+        acc = [coef * c + a for c, a in zip(conts[m - 1 - p], [0] + acc)]
     return acc
 
 
@@ -535,6 +539,8 @@ def char_poly_ints(cell_sizes) -> IntPoly:
     if not sizes or len(sizes) % 2:
         raise ValueError("a chain quotient has an even, positive number of cells")
     tails, heads = _continuants(sizes), _continuants(sizes[::-1])
-    border = poly_add(_border(sizes, tails), _border(sizes[::-1], heads))
     det_a = -1 if len(sizes) % 4 else 1
-    return poly_shift(poly_add(poly_mul((det_a,), tails[-1]), poly_mul((-det_a,), border)), 1)
+    # det T has degree 2k in y with leading coefficient det A; the borders 2k - 1.
+    y_poly = [det_a * (t - a - b) for t, a, b in
+              zip(tails[-1], _border(sizes, tails) + [0], _border(sizes[::-1], heads) + [0])]
+    return poly_shift(y_poly, 1)

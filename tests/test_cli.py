@@ -191,6 +191,22 @@ def test_unknown_subcommand_exits_2():
     assert code == 2
 
 
+def test_help_is_written_to_out(capsys):
+    for argv, usage in ((["--help"], "usage: seidelchain"),
+                        (["spectrum", "--help"], "usage: seidelchain spectrum")):
+        code, text = _run(argv)
+        assert code == 0
+        assert text.startswith(usage)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_usage_errors_stay_on_stderr(capsys):
+    code, text = _run(["bogus"])
+    assert (code, text) == (2, "")
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: seidelchain")
+
+
 def test_degenerate_equiangular_exits_1():
     code, doc = _run_json(["equiangular", "01"])
     assert code == 1

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from seidelchain import cli
 from seidelchain.cli import run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -110,6 +111,27 @@ def test_threaded_golden_equals_serial(golden):
     for fmt in ("json", "text", "csv"):
         serial = golden[_key(["--format", fmt] + _THREADED)]
         assert golden[_key(["--format", fmt, "--threads", "2"] + _THREADED)] == serial
+
+
+def test_one_parser_serves_every_case_in_any_order(golden):
+    """run() shares one parser across calls, so no call may leave state in
+    it: every case run again in reverse order gives its golden stdout, and so
+    does a default flag value right after a command that set the flag."""
+    assert cli.build_parser() is cli.build_parser()
+    for argv in reversed(CASES):
+        assert _run(argv) == golden[_key(argv)]
+
+    search = ["--format", "json", "switch-search", "01^5 0^5 1^4", "--profile", "biregular:7,8"]
+    every = json.loads(_run(search + ["--all"])["stdout"])["payload"]
+    assert every["count"] == len(every["witnesses"]) == 1000
+    first = _run(search)
+    assert first == golden[_key(search)]
+    assert json.loads(first["stdout"])["payload"]["witnesses"] == every["witnesses"][:1]
+
+    pair = ["--format", "json", "equivalent", "01^3 0^3 1^7", "01^6 0^6 1"]
+    plain = json.loads(_run(pair + ["--mode", "plain"])["stdout"])["payload"]
+    assert plain["mode"] == "switching-only"
+    assert _run(pair) == golden[_key(pair)]
 
 
 if __name__ == "__main__":

@@ -610,6 +610,27 @@ def test_validate_agrees_with_the_fraction_oracle(blocks, data):
     _validation(_perturbed(entries, i, data.draw(st.sampled_from(("mult", "shift", "flip")))))
 
 
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=12))
+def test_trace_and_frobenius_identities_hold_on_the_enclosures(blocks):
+    """A Seidel matrix has zero diagonal and +-1 off it, so its eigenvalues
+    sum to 0 and their squares to n(n - 1).  The sums are taken here from the
+    2^-80 enclosures of the values, with exact squares, not by validate()."""
+    b = BlockString(tuple(blocks))
+    sp = exact_spectrum(b)
+    assert sp.n == b.n
+    one = 1 << 80
+    lo1 = hi1 = lo2 = hi2 = 0
+    for v, m in sp.entries:
+        lo, hi = spectra._enclosure(v, 80)
+        assert lo <= hi
+        lo1, hi1 = lo1 + m * lo, hi1 + m * hi
+        lo2 += m * (0 if lo <= 0 <= hi else min(lo * lo, hi * hi))
+        hi2 += m * max(lo * lo, hi * hi)
+    assert lo1 <= 0 <= hi1 and hi1 - lo1 < one
+    assert lo2 <= b.n * (b.n - 1) * one * one <= hi2 and hi2 - lo2 < one * one
+
+
 def test_value_serialization():
     assert value_to_string(-5) == "int:-5"
     assert value_to_string(Surd(1, 1, 5, 2)) == "surd:(1+√5)/2"
