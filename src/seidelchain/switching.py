@@ -223,13 +223,22 @@ def biregular_profile(a: int, b: int) -> Callable[[tuple[int, ...]], bool]:
     return lambda degrees: set(degrees) == values
 
 
-def _cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
+def _witness_split(
+    g: Graph, components: list[list[int]],
+) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
+    """The splitPerCell of a witness, from its orbit's counts and its mask.
+
+    None for a graph without cells.  When every twin component is a whole
+    cell, the components are the cells in string order, and an orbit's
+    counts are the split of each of its subsets.  Otherwise (the two cells
+    of "0 1" are twins) the mask's bits are counted in each cell.
+    """
     if not isinstance(g, ChainGraph):
-        return None
-    return tuple(
-        (mask >> start & ((1 << size) - 1)).bit_count()
-        for _lab, start, size in g.cells()
-    )
+        return lambda counts, mask: None
+    cells = [((1 << size) - 1) << start for _lab, start, size in g.cells()]
+    if cells == [sum(1 << v for v in comp) for comp in components]:
+        return lambda counts, mask: counts
+    return lambda counts, mask: tuple((mask & cell).bit_count() for cell in cells)
 
 
 def search_class_by_degree_profile(
@@ -246,8 +255,11 @@ def search_class_by_degree_profile(
     one when all_witnesses is set.
     """
     check_search_size(g.n)
-    free = _free_twins(_twin_components(g))
-    hits: list[tuple[int, int, tuple[int, ...]]] = []  # (Gray rank, subset, degrees)
+    components = _twin_components(g)
+    free = _free_twins(components)
+    split = _witness_split(g, components)
+    # (Gray rank, subset, degrees, counts of its orbit)
+    hits: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
     match_count = 0
     for counts, mask, size in _twin_orbits(free):
         dm = _switched_degrees(g, mask)
@@ -261,11 +273,11 @@ def search_class_by_degree_profile(
             subsets = _orbit_masks(free, counts)
         else:
             subsets = (_least_gray_mask(free, counts),)
-        hits.extend((_gray_rank(m), m, dm) for m in subsets)
+        hits.extend((_gray_rank(m), m, dm, counts) for m in subsets)
         if not all_witnesses:
             hits = [min(hits)]
     hits.sort()
-    witnesses = tuple(SwitchingWitness(m, dm, _cell_split(g, m)) for _rank, m, dm in hits)
+    witnesses = tuple(SwitchingWitness(m, dm, split(counts, m)) for _rank, m, dm, counts in hits)
     return SearchResult(witnesses, match_count, 1 << max(g.n - 1, 0))
 
 

@@ -58,7 +58,8 @@ def random_subset_mask(rng: random.Random, n: int) -> int:
     return rng.randrange(1 << n)
 
 
-def _cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
+def cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
+    """Bit-count oracle of a witness's split: the subset's vertices in each cell."""
     if not isinstance(g, ChainGraph):
         return None
     return tuple(sum(mask >> v & 1 for v in range(start, start + size))
@@ -76,6 +77,6 @@ def _gray_walk(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
 def brute_switch_search(g: Graph, profile, all_witnesses: bool = False) -> SearchResult:
     """Brute-force oracle for search_class_by_degree_profile."""
     walk = _gray_walk(g)
-    hits = [SwitchingWitness(mask, degrees, _cell_split(g, mask))
+    hits = [SwitchingWitness(mask, degrees, cell_split(g, mask))
             for mask, degrees in walk if profile(degrees)]
     return SearchResult(tuple(hits if all_witnesses else hits[:1]), len(hits), len(walk))

@@ -1,8 +1,14 @@
+import ast
+import hashlib
 import io
 import json
+import math
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seidelchain import cli
 from seidelchain.cli import run
@@ -159,6 +165,70 @@ def test_threads_flag_deterministic():
     threaded = _run(["--threads", "2", "switch-search", "01^5 0^5 1^4",
                      "--profile", "regular", "--all"])
     assert base == threaded
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.sampled_from('a0 "\\/\x00\x1f\x7f\n\t\u2028√é€😀') | st.characters(), max_size=8)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2 ** 64, max_value=2 ** 200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | _TEXT
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+@example([math.nan, math.inf, -math.inf, -0.0, 1e300, 2 ** 64, -(2 ** 70), True, 1, None])
+@example({"": [], "a": {}, "b": (), "c": [[], {}], "value": "surd:(-1+√2)/3", "q": '"\\\x01'})
+@example([[1, 2, 3], [1, True], [0, 1.5], (4, 5)])
+def test_json_writer_equals_json_dumps_indent_2(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        cli._json_text({"payload": [object()]})
+
+
+def test_thousand_witness_json_matches_the_bench_reference():
+    """The largest document the CLI prints (362 KB; the golden file holds
+    none over 1.4 KB) has the stdout the benchmark checks."""
+    argv = ["--format", "json", "switch-search", "0 1^5 0^5 1^4", "--profile", "biregular:7,8", "--all"]
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    reference = json.loads((bench / "cli_reference.json").read_text())[json.dumps(argv)]
+    code, text = _run(argv)
+    assert code == reference["exit"] == 0
+    assert len(json.loads(text)["payload"]["witnesses"]) == 1000
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == reference["sha256"]
+
+
+def test_no_indented_json_dumps_in_the_package():
+    """JSON is rendered by cli._json_text; json.dumps with an indent runs the
+    pure-Python encoder, and is to stay a test oracle only."""
+    package = Path(cli.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in ("dumps", "dump")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_cli_output_matches_golden(golden, argv):
     assert _run(argv) == golden[_key(argv)]
 
 
+def test_golden_json_is_json_dumps_indent_2(golden):
+    """Every --format json stdout is json.dumps(indent=2) of its document, the
+    oracle of the writer in cli (argparse's usage errors print none)."""
+    documents = [golden[_key(argv)]["stdout"] for argv in CASES if argv[1] == "json"]
+    printed = [stdout for stdout in documents if stdout]
+    assert len(printed) > len(documents) // 2
+    for stdout in printed:
+        assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
 def test_threaded_golden_equals_serial(golden):
     for fmt in ("json", "text", "csv"):
         serial = golden[_key(["--format", fmt] + _THREADED)]

@@ -1,12 +1,20 @@
 import random
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_switch_search, cycle_graph, path_graph, random_graph, random_subset_mask
+from conftest import (
+    brute_switch_search,
+    cell_split,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    random_subset_mask,
+)
 from seidelchain import (
     BlockString,
     ClassCertificate,
@@ -204,6 +212,34 @@ def test_search_first_match_default():
         full = search_class_by_degree_profile(g, regular_profile, all_witnesses=True)
         assert res.witnesses[0] == full.witnesses[0]
         assert res.match_count == full.match_count == len(full.witnesses) == count
+
+
+def _every_block_string(n: int):
+    """Every block string on n vertices: the compositions of n into an even number of parts."""
+    for parts_count in range(2, n + 1, 2):
+        for cuts in combinations(range(1, n), parts_count - 1):
+            parts = [b - a for a, b in zip((0, *cuts), (*cuts, n))]
+            yield BlockString(tuple(zip(parts[::2], parts[1::2])))
+
+
+def test_witness_split_equals_bit_count_on_every_small_chain_string():
+    # Where every twin component is a cell, the split is an orbit's counts;
+    # where one is not ("0 1", whose two cells are twins), the bits are
+    # counted.  Every string with n <= 12, and every subset for n <= 8.
+    strings = 0
+    for n in range(2, 13):
+        for b in _every_block_string(n):
+            strings += 1
+            g = build_chain_graph(b)
+            profiles = (regular_profile, lambda dm: True) if n <= 8 else (regular_profile,)
+            for profile in profiles:
+                res = search_class_by_degree_profile(g, profile, all_witnesses=True)
+                assert len(res.witnesses) == res.match_count
+                ranks = [_gray_rank(w.subset) for w in res.witnesses]
+                assert ranks == sorted(set(ranks))
+                for w in res.witnesses:
+                    assert w.split_per_cell == cell_split(g, w.subset)
+    assert strings == (1 << 11) - 1
 
 
 def test_search_cap():
