@@ -5,12 +5,15 @@ between U and its complement; at the Seidel level this conjugates S by the
 diagonal sign matrix that is -1 on U.  A switching class is given by the
 2^(n-1) subsets that exclude vertex 0 (U and its complement switch to the
 same graph).  Twins are interchangeable, so subsets are enumerated by orbit
-under permutations of twins: one representative per vector of per-component
-counts, weighted by the orbit size.  The work follows the number of orbits,
-for a chain graph with cells C_1..C_2k at most |C_1| * prod_{i>1} (|C_i| + 1).
-A graph without twins, such as the half graph of the unit-cell string
-(01)^k, has 2^(n-1) one-subset orbits.  The class certificate's canonical
-form needs no orbit walk: one switching on N(v) per twin component.
+under permutations of twins: one vector of per-component counts per orbit,
+weighted by the orbit size.  An orbit's switched degrees follow from its
+counts by integer arithmetic on the twin components, in numpy blocks of
+orbits, without building a subset or a row.  The work follows the number of
+orbits, for a chain graph with cells C_1..C_2k at most
+|C_1| * prod_{i>1} (|C_i| + 1).  A graph without twins, such as the half
+graph of the unit-cell string (01)^k, has 2^(n-1) one-subset orbits.  The
+class certificate's canonical form takes one switching on N(v) per twin
+component; its degree-multiset prefilter walks every orbit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .chain import ChainGraph
 from .graphs import Graph
 
@@ -29,6 +34,8 @@ SEARCH_CAP = 30
 CANONICAL_CAP = 20
 CERTIFICATE_CAP = 16
 PLAIN_CAP = 2000
+# Orbits per numpy block of _orbit_blocks, which bounds its memory at any orbit count.
+_ORBIT_BLOCK = 1 << 12
 
 
 def check_search_size(n: int) -> None:
@@ -84,15 +91,6 @@ def switch_on_subset(g: Graph, subset) -> Graph:
     return Graph(g.n, _switched_rows(g, _as_mask(subset, g.n)))
 
 
-def _switched_degrees(g: Graph, u: int) -> tuple[int, ...]:
-    """Degree multiset, non-increasing, of g switched on the vertex mask u:
-    the bit counts of _switched_rows(g, u), taken without building the rows."""
-    comp = ((1 << g.n) - 1) ^ u
-    degrees = [(row ^ comp if u >> v & 1 else row ^ u).bit_count() for v, row in enumerate(g.rows)]
-    degrees.sort(reverse=True)
-    return tuple(degrees)
-
-
 # ---------------------------------------------------------------------------
 # Twin orbits of the switching subsets
 # ---------------------------------------------------------------------------
@@ -131,21 +129,53 @@ def _free_twins(components: list[list[int]]) -> list[list[int]]:
     return [[v for v in comp if v] for comp in components]
 
 
-def _twin_orbits(free: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The orbits of the subsets excluding vertex 0 under permutations of twins.
+def _orbit_blocks(
+    g: Graph, components: list[list[int]],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The orbits of the subsets excluding vertex 0 under permutations of twins,
+    _ORBIT_BLOCK orbits at a time.
 
-    An orbit is the set of subsets with counts[i] of the free vertices
-    free[i] of the i-th twin component (_free_twins).  For each count
-    vector, yields (counts, representative mask, orbit size
-    prod C(|free_i|, counts_i)); the sizes sum to 2^(n-1).  All subsets of
-    one orbit switch to isomorphic graphs, so the representative stands for
-    the degree multiset of the whole orbit.  The three products run in
-    lockstep, so no orbit costs a Python-level loop over the components.
+    An orbit is the set of subsets with counts[i] of the free vertices of the
+    i-th twin component T_i (_free_twins); all of its subsets switch to
+    isomorphic graphs.  Each block yields (counts, degrees, sizes), one row
+    per orbit: the count vectors in itertools.product order (that of
+    np.unravel_index over the shape (|free_i| + 1)), the switched degree
+    sequences, non-increasing, and the orbit sizes prod C(|free_i|, counts_i),
+    which sum to 2^(n-1) over all blocks.
+
+    No subset is built.  Each T_i is a clique or an independent set, and is
+    joined to all or none of each T_j.  With A the component adjacency
+    (A_ii = 1 for a clique) and W = 1 - 2A, switching on a subset with counts
+    c gives a vertex of T_i outside the subset the degree deg_i + (W c)_i,
+    and a vertex inside it n - 2 A_ii minus that.  Vertex 0, never inside,
+    comes last in its component, so the j-th vertex of T_i is inside exactly
+    when j < c_i.
     """
-    counts = product(*(range(len(f) + 1) for f in free))
-    masks = product(*([sum(1 << v for v in f[:c]) for c in range(len(f) + 1)] for f in free))
-    sizes = product(*([math.comb(len(f), c) for c in range(len(f) + 1)] for f in free))
-    return zip(counts, map(sum, masks), map(math.prod, sizes))
+    n, m = g.n, len(components)
+    dims = [len(f) + 1 for f in _free_twins(components)]
+    first = [comp[0] for comp in components]
+    adj = np.array([[g.rows[u] >> comp[-1] & 1 for comp in components] for u in first],
+                   dtype=np.int32).reshape(m, m)
+    w = 1 - 2 * adj
+    deg = np.array([g.rows[u].bit_count() for u in first], dtype=np.int32)
+    inside = n - 2 * np.diagonal(adj)
+    col = np.array([i for i, comp in enumerate(components) for _ in comp], dtype=np.intp)
+    rank = np.array([j for comp in components for j in range(len(comp))], dtype=np.int32)
+    # An orbit's size is at most 2^(n-1).
+    large = np.int64 if n < 64 else object
+    combs = [np.array([math.comb(d - 1, c) for c in range(d)], dtype=large) for d in dims]
+    total = math.prod(dims)
+    for start in range(0, total, _ORBIT_BLOCK):
+        orbits = np.arange(start, min(start + _ORBIT_BLOCK, total))
+        # The leading axis of length 1 lets a graph without vertices have its one orbit.
+        counts = np.array(np.unravel_index(orbits, (1, *dims)), dtype=np.int32)[1:].T
+        out = (deg + counts @ w)[:, col]
+        degrees = np.where(rank < counts[:, col], inside[col] - out, out)
+        degrees.sort(axis=1)
+        sizes = np.ones(len(orbits), dtype=large)
+        for i, comb in enumerate(combs):
+            sizes *= comb[counts[:, i]]
+        yield counts, degrees[:, ::-1], sizes
 
 
 def _orbit_masks(free: list[list[int]], counts: tuple[int, ...]) -> Iterator[int]:
@@ -261,21 +291,23 @@ def search_class_by_degree_profile(
     # (Gray rank, subset, degrees, counts of its orbit)
     hits: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
     match_count = 0
-    for counts, mask, size in _twin_orbits(free):
-        dm = _switched_degrees(g, mask)
-        if not profile(dm):
-            continue
-        match_count += size
-        # A one-subset orbit (every orbit of a twin-free graph) is its representative.
-        if size == 1:
-            subsets = (mask,)
-        elif all_witnesses:
-            subsets = _orbit_masks(free, counts)
-        else:
-            subsets = (_least_gray_mask(free, counts),)
-        hits.extend((_gray_rank(m), m, dm, counts) for m in subsets)
-        if not all_witnesses:
-            hits = [min(hits)]
+    for block_counts, block_degrees, block_sizes in _orbit_blocks(g, components):
+        for row, dm in enumerate(map(tuple, block_degrees.tolist())):
+            if not profile(dm):
+                continue
+            size = int(block_sizes[row])
+            counts = tuple(block_counts[row].tolist())
+            match_count += size
+            # A one-subset orbit (every orbit of a twin-free graph) is its representative.
+            if size == 1:
+                subsets = (sum(1 << v for f, c in zip(free, counts) if c for v in f),)
+            elif all_witnesses:
+                subsets = _orbit_masks(free, counts)
+            else:
+                subsets = (_least_gray_mask(free, counts),)
+            hits.extend((_gray_rank(m), m, dm, counts) for m in subsets)
+            if not all_witnesses:
+                hits = [min(hits)]
     hits.sort()
     witnesses = tuple(SwitchingWitness(m, dm, split(counts, m)) for _rank, m, dm, counts in hits)
     return SearchResult(witnesses, match_count, 1 << max(g.n - 1, 0))
@@ -404,13 +436,14 @@ class ClassCertificate:
         }
 
 
-def degree_multiset_prefilter(g: Graph, *, free: list[list[int]] | None = None) -> Counter:
+def degree_multiset_prefilter(g: Graph, *, components: list[list[int]] | None = None) -> Counter:
     """Multiset of switched degree sequences over all 2^(n-1) switchings
-    (free: g's _free_twins, if the caller has them already)."""
-    free = _free_twins(_twin_components(g)) if free is None else free
+    (components: g's _twin_components, if the caller has them already)."""
+    components = _twin_components(g) if components is None else components
     prefilter: Counter = Counter()
-    for _counts, mask, size in _twin_orbits(free):
-        prefilter[_switched_degrees(g, mask)] += size
+    for _counts, degrees, sizes in _orbit_blocks(g, components):
+        for dm, size in zip(map(tuple, degrees.tolist()), sizes.tolist()):
+            prefilter[dm] += size
     return prefilter
 
 
@@ -439,7 +472,7 @@ def class_certificate(g: Graph) -> ClassCertificate:
     """
     check_certificate_size(g.n)
     components = _twin_components(g)
-    prefilter = degree_multiset_prefilter(g, free=_free_twins(components))
+    prefilter = degree_multiset_prefilter(g, components=components)
     if components:
         best = min(canonical_bits(switch_on_subset(g, g.rows[comp[0]])) for comp in components)
     else:

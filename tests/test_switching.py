@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -19,6 +20,8 @@ from seidelchain import (
     BlockString,
     ClassCertificate,
     Graph,
+    SearchResult,
+    SwitchingWitness,
     biregular_profile,
     build_chain_graph,
     canonical_bits,
@@ -129,8 +132,11 @@ def _small_graphs(draw, max_chain_n: int = 14) -> Graph:
 @settings(max_examples=60, deadline=None)
 @given(g=_small_graphs(), data=st.data())
 def test_search_and_prefilter_equal_brute_force(g, data):
+    _check_search_and_prefilter_against_brute_force(g, data.draw(st.integers(0, (1 << g.n) - 1)))
+
+
+def _check_search_and_prefilter_against_brute_force(g: Graph, mask: int) -> None:
     # The biregular degrees are those of one switching, so it matches at least once.
-    mask = data.draw(st.integers(0, (1 << g.n) - 1))
     degrees = degree_sequence(switch_on_subset(g, mask))
     for profile in (regular_profile, biregular_profile(degrees[0], degrees[-1]), lambda dm: True):
         for all_witnesses in (False, True):
@@ -138,6 +144,129 @@ def test_search_and_prefilter_equal_brute_force(g, data):
             assert res == brute_switch_search(g, profile, all_witnesses)
     every = brute_switch_search(g, lambda dm: True, all_witnesses=True)
     assert degree_multiset_prefilter(g) == Counter(w.degrees for w in every.witnesses)
+
+
+def _blow_up(joined: set[tuple[int, int]], cliques: list[bool], order: list[int]) -> Graph:
+    """A blow-up of the base graph with edges `joined`: vertex v stands for base
+    vertex order[v], and the vertices of base vertex i form a clique where
+    cliques[i] is set and an independent set otherwise."""
+    n = len(order)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                if (order[u], order[v]) in joined or (order[v], order[u]) in joined
+                                or (order[u] == order[v] and cliques[order[u]])])
+
+
+@st.composite
+def _blow_ups(draw) -> Graph:
+    """A random graph on at most 5 vertices, each vertex replaced by a clique or
+    an independent set of 1 to 4 vertices, at most 14 in all, in shuffled order.
+
+    Chain graph cells are independent sets, so this is the strategy whose
+    twin components are cliques too."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(lambda s: sum(s) <= 14))
+    pairs = list(combinations(range(len(sizes)), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    cliques = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    order = draw(st.permutations([i for i, size in enumerate(sizes) for _ in range(size)]))
+    return _blow_up({p for p, k in zip(pairs, keep) if k}, cliques, order)
+
+
+def _random_blow_up(rng: random.Random) -> Graph:
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+    order = [i for i, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(order)
+    joined = {p for p in combinations(range(len(sizes)), 2) if rng.random() < 0.5}
+    return _blow_up(joined, [rng.random() < 0.5 for _ in sizes], order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_blow_ups(), data=st.data())
+def test_search_and_prefilter_equal_brute_force_on_blow_ups(g, data):
+    _check_search_and_prefilter_against_brute_force(g, data.draw(st.integers(0, (1 << g.n) - 1)))
+
+
+def _search_and_prefilter(g: Graph) -> list:
+    degrees = degree_sequence(g)
+    results = [search_class_by_degree_profile(g, profile, all_witnesses=all_witnesses)
+               for profile in (regular_profile, biregular_profile(degrees[0], degrees[-1]))
+               for all_witnesses in (False, True)]
+    return results + [degree_multiset_prefilter(g)]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_orbit_block_size_does_not_change_results(monkeypatch, block):
+    rng = random.Random(44)
+    graphs = [chain_graph("0^3 1^4 0^4 1^3 0 1^2"), chain_graph("01" * 5)]
+    graphs += [_random_blow_up(rng) for _ in range(8)]
+    expected = [_search_and_prefilter(g) for g in graphs]
+    monkeypatch.setattr(switching, "_ORBIT_BLOCK", block)
+    assert [_search_and_prefilter(g) for g in graphs] == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 12])
+def test_search_on_the_smallest_graphs(monkeypatch, block):
+    monkeypatch.setattr(switching, "_ORBIT_BLOCK", block)
+    empty0, empty1, empty2 = Graph.empty(0), Graph.empty(1), Graph.empty(2)
+    k2 = Graph.from_edges(2, [(0, 1)])
+    everything = lambda dm: True  # noqa: E731
+    assert search_class_by_degree_profile(empty0, regular_profile) == SearchResult((), 0, 1)
+    assert search_class_by_degree_profile(empty0, everything) == \
+        SearchResult((SwitchingWitness(0, ()),), 1, 1)
+    assert search_class_by_degree_profile(empty1, regular_profile) == \
+        SearchResult((SwitchingWitness(0, (0,)),), 1, 1)
+    both = (SwitchingWitness(0, (0, 0)), SwitchingWitness(0b10, (1, 1)))
+    assert search_class_by_degree_profile(empty2, regular_profile, all_witnesses=True) == \
+        SearchResult(both, 2, 2)
+    assert search_class_by_degree_profile(k2, regular_profile, all_witnesses=True) == \
+        SearchResult((SwitchingWitness(0, (1, 1)), SwitchingWitness(0b10, (0, 0))), 2, 2)
+    assert search_class_by_degree_profile(k2, biregular_profile(0, 1)).match_count == 0
+    assert degree_multiset_prefilter(empty0) == Counter({(): 1})
+    assert degree_multiset_prefilter(k2) == Counter({(1, 1): 1, (0, 0): 1})
+    for g in (empty0, empty1, empty2, k2):
+        for all_witnesses in (False, True):
+            assert search_class_by_degree_profile(g, everything, all_witnesses=all_witnesses) == \
+                brute_switch_search(g, everything, all_witnesses)
+
+
+def test_twin_free_search_memory_is_bounded_by_the_block():
+    # (01)^9 has no twins: 2^17 one-subset orbits.  Holding a degree row
+    # for each of them at once would take over 9 MB as int32 alone.
+    g = chain_graph("01" * 9)
+    search_class_by_degree_profile(chain_graph("0101"), regular_profile)  # numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        res = search_class_by_degree_profile(g, regular_profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.subsets_examined == 1 << 17
+    assert peak < 8 << 20
+
+
+def test_results_hold_plain_ints():
+    # An np.int64 anywhere would break the CLI's int join and JSON output.
+    for string, profile in (("0 1^5 0^5 1^4", biregular_profile(7, 8)), ("0 1", regular_profile),
+                            ("010101", lambda dm: True)):
+        g = chain_graph(string)
+        res = search_class_by_degree_profile(g, profile, all_witnesses=True)
+        assert res.witnesses and type(res.match_count) is int
+        for w in res.witnesses:
+            assert type(w.subset) is int
+            assert all(type(d) is int for d in w.degrees + w.split_per_cell)
+        prefilter = degree_multiset_prefilter(g)
+        assert all(type(d) is int for key in prefilter for d in key)
+        assert all(type(size) is int for size in prefilter.values())
+
+
+def test_prefilter_is_exact_beyond_int64_sizes():
+    # n = 80: orbit sizes up to C(40, 20) and a total of 2^79 switchings.
+    g = chain_graph("0^40 1^40")
+    prefilter = degree_multiset_prefilter(g)
+    assert sum(prefilter.values()) == 1 << 79
+    rng = random.Random(45)
+    for _ in range(10):
+        mask = rng.randrange(1 << g.n) & ~1
+        assert tuple(degree_sequence(switch_on_subset(g, mask))) in prefilter
 
 
 def test_least_gray_mask_is_the_orbit_minimum():
