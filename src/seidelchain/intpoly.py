@@ -254,6 +254,8 @@ def square_free_decomposition(p: IntPoly, chain: list[IntPoly] | None = None) ->
     if chain is None or chain[0] != p:
         chain = sturm_chain(p)
     a = primitive(chain[-1])
+    if poly_degree(a) < 1:
+        return [(p, 1)]
     w = poly_div_exact(p, a)
     out: list[tuple[IntPoly, int]] = []
     i = 1

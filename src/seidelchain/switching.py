@@ -11,7 +11,12 @@ counts by integer arithmetic on the twin components, in numpy blocks of
 orbits, without building a subset or a row.  The work follows the number of
 orbits, for a chain graph with cells C_1..C_2k at most
 |C_1| * prod_{i>1} (|C_i| + 1).  A graph without twins, such as the half
-graph of the unit-cell string (01)^k, has 2^(n-1) one-subset orbits.  The
+graph of the unit-cell string (01)^k, has 2^(n-1) one-subset orbits.
+
+A degree profile maps an array of switched degree rows (the last axis one
+degree sequence) to one boolean per row; regular_profile and
+biregular_profile are numpy reductions along that axis.  The search calls
+it once per block, and only matching orbits become Python tuples.  The
 class certificate's canonical form takes one switching on N(v) per twin
 component; its degree-multiset prefilter walks every orbit.
 """
@@ -26,6 +31,7 @@ from itertools import combinations, product
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .chain import ChainGraph
 from .graphs import Graph
@@ -105,22 +111,22 @@ def _twin_components(g: Graph) -> list[list[int]]:
     Transpositions of twins are automorphisms, and transpositions spanning a
     component generate its full symmetric group, so subsets with equal
     per-component intersection counts switch to isomorphic graphs.
+
+    False twins share their row, true twins their row plus their own bit, so
+    each kind is an equivalence grouped by that key.  No vertex has twins of
+    both kinds: a false twin u and a true twin w of v would have w in N(u) =
+    N(v) but u outside N[w] = N[v].  So a vertex's component is its group of
+    false twins if it has one, and otherwise its group of true twins.
     """
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if _are_twins(g.rows, u, v):
-                parent[find(u)] = find(v)
+    false_twins: dict[int, list[int]] = {}
+    true_twins: dict[int, list[int]] = {}
+    for v, row in enumerate(g.rows):
+        false_twins.setdefault(row, []).append(v)
+        true_twins.setdefault(row | 1 << v, []).append(v)
     comps: dict[int, list[int]] = {}
-    for v in range(g.n):
-        comps.setdefault(find(v), []).append(v)
+    for v, row in enumerate(g.rows):
+        comp = false_twins[row] if len(false_twins[row]) > 1 else true_twins[row | 1 << v]
+        comps[comp[0]] = comp
     return sorted(comps.values())
 
 
@@ -242,15 +248,24 @@ class SearchResult:
     subsets_examined: int
 
 
-def regular_profile(degrees: tuple[int, ...]) -> bool:
-    """Exactly one distinct degree."""
-    return len(set(degrees)) == 1
+# Degree rows (last axis) -> one boolean per row, or one for all of them.
+DegreeProfile = Callable[[np.ndarray], ArrayLike]
 
 
-def biregular_profile(a: int, b: int) -> Callable[[tuple[int, ...]], bool]:
-    """Exactly the two distinct degrees {a, b}."""
-    values = {a, b}
-    return lambda degrees: set(degrees) == values
+def regular_profile(degrees: ArrayLike) -> np.ndarray:
+    """Exactly one distinct degree, per row of degrees (last axis)."""
+    d = np.asarray(degrees)
+    return (d.shape[-1] > 0) & (d == d[..., :1]).all(axis=-1)
+
+
+def biregular_profile(a: int, b: int) -> DegreeProfile:
+    """Exactly the two distinct degrees {a, b}, per row of degrees (last axis)."""
+    def profile(degrees: ArrayLike) -> np.ndarray:
+        d = np.asarray(degrees)
+        is_a, is_b = d == a, d == b
+        return (is_a | is_b).all(axis=-1) & is_a.any(axis=-1) & is_b.any(axis=-1)
+
+    return profile
 
 
 def _witness_split(
@@ -273,16 +288,19 @@ def _witness_split(
 
 def search_class_by_degree_profile(
     g: Graph,
-    profile: Callable[[tuple[int, ...]], bool],
+    profile: DegreeProfile,
     *,
     all_witnesses: bool = False,
 ) -> SearchResult:
     """Search the 2^(n-1) switchings of g on subsets excluding vertex 0.
 
-    The profile sees the degree multiset of one representative per twin
-    orbit, and a match counts the whole orbit.  Witnesses are matching
-    subsets in Gray-code order: the first one (least Gray rank), or every
-    one when all_witnesses is set.
+    The profile is called once per block of _orbit_blocks, on its degrees:
+    one row per orbit, the degree multiset of the orbit's switchings, sorted
+    non-increasing.  It returns one boolean per row, or a single boolean for
+    the whole block; any other shape raises ValueError.  A match counts the
+    whole orbit, and only matching orbits are looked at one by one.
+    Witnesses are matching subsets in Gray-code order: the first one (least
+    Gray rank), or every one when all_witnesses is set.
     """
     check_search_size(g.n)
     components = _twin_components(g)
@@ -292,11 +310,16 @@ def search_class_by_degree_profile(
     hits: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
     match_count = 0
     for block_counts, block_degrees, block_sizes in _orbit_blocks(g, components):
-        for row, dm in enumerate(map(tuple, block_degrees.tolist())):
-            if not profile(dm):
-                continue
-            size = int(block_sizes[row])
-            counts = tuple(block_counts[row].tolist())
+        mask = np.asarray(profile(block_degrees), dtype=bool)
+        if mask.ndim == 0:
+            mask = np.broadcast_to(mask, block_sizes.shape)
+        elif mask.shape != block_sizes.shape:
+            raise ValueError(f"a degree profile must give one boolean per row, "
+                             f"not an array of shape {mask.shape}")
+        rows = np.flatnonzero(mask)
+        for dm, counts, size in zip(map(tuple, block_degrees[rows].tolist()),
+                                    map(tuple, block_counts[rows].tolist()),
+                                    block_sizes[rows].tolist()):
             match_count += size
             # A one-subset orbit (every orbit of a twin-free graph) is its representative.
             if size == 1:

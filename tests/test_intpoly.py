@@ -181,6 +181,21 @@ def test_square_free_decomposition():
     assert intpoly.square_free_decomposition(p) == [((-2, 0, 1), 2)]
 
 
+def test_square_free_input_takes_no_division_or_gcd(monkeypatch):
+    """A constant gcd(p, p') ends the decomposition at once: [(primitive(p), 1)]."""
+    def refuse(*_args):
+        raise AssertionError("square-free input reached the Musser loop")
+
+    cases = [(-2, 0, 1), (-4, 0, 2), (6, 0, -3), intpoly.poly_mul((-2, 0, 1), (-3, 0, 1)), (5, 1)]
+    chains = [intpoly.sturm_chain(p) for p in cases]
+    monkeypatch.setattr(intpoly, "poly_div_exact", refuse)
+    monkeypatch.setattr(intpoly, "poly_gcd", refuse)
+    for p, chain in zip(cases, chains):
+        want = [(intpoly.primitive(p), 1)]
+        assert intpoly.square_free_decomposition(p) == want
+        assert intpoly.square_free_decomposition(p, chain) == want
+
+
 def test_pseudo_divmod_scales_by_a_negative_leading_coefficient():
     # x^3 + 1 divided by 1 - 2x leaves 9/8 over the rationals.  lc(b) = -2 at
     # each of the three steps, so each must flip its scale to keep c > 0 and

@@ -1,9 +1,11 @@
+import math
 import random
 import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,8 @@ from seidelchain import (
 )
 from seidelchain import switching
 from seidelchain.switching import (
+    _are_twins,
+    _free_twins,
     _gray_rank,
     _least_gray_mask,
     _orbit_masks,
@@ -185,6 +189,37 @@ def test_search_and_prefilter_equal_brute_force_on_blow_ups(g, data):
     _check_search_and_prefilter_against_brute_force(g, data.draw(st.integers(0, (1 << g.n) - 1)))
 
 
+def _pairwise_twin_components(g: Graph) -> list[list[int]]:
+    """Connected components of the graph joining every pair of twins."""
+    comps: list[list[int]] = []
+    left = set(range(g.n))
+    while left:
+        comp, todo = [], [min(left)]
+        left.discard(todo[0])
+        while todo:
+            u = todo.pop()
+            comp.append(u)
+            for v in [v for v in left if _are_twins(g.rows, u, v)]:
+                left.discard(v)
+                todo.append(v)
+        comps.append(sorted(comp))
+    return sorted(comps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.one_of(_small_graphs(), _blow_ups()))
+def test_twin_components_equal_the_pairwise_definition(g):
+    assert _twin_components(g) == _pairwise_twin_components(g)
+
+
+def test_twin_components_on_the_smallest_graphs():
+    for g in (chain_graph("0 1"), Graph.empty(0), Graph.empty(1), Graph.empty(2),
+              Graph.from_edges(2, [(0, 1)])):
+        assert _twin_components(g) == _pairwise_twin_components(g)
+    assert _twin_components(chain_graph("0 1")) == [[0, 1]]
+    assert _twin_components(Graph.empty(0)) == []
+
+
 def _search_and_prefilter(g: Graph) -> list:
     degrees = degree_sequence(g)
     results = [search_class_by_degree_profile(g, profile, all_witnesses=all_witnesses)
@@ -256,6 +291,73 @@ def test_results_hold_plain_ints():
         prefilter = degree_multiset_prefilter(g)
         assert all(type(d) is int for key in prefilter for d in key)
         assert all(type(size) is int for size in prefilter.values())
+
+
+def _random_rows(rng: random.Random, width: int, count: int) -> list[list[int]]:
+    """Rows of small degrees, so that regular and biregular rows are common;
+    every other row sorted non-increasing, as the search passes them."""
+    values = rng.sample(range(6), rng.randint(1, 3))
+    rows = [[rng.choice(values) for _ in range(width)] for _ in range(count)]
+    return [sorted(row, reverse=True) if i % 2 else row for i, row in enumerate(rows)]
+
+
+def test_builtin_profiles_equal_their_set_definitions():
+    rng = random.Random(46)
+    for _ in range(300):
+        width, count = rng.randint(0, 8), rng.randint(0, 6)
+        rows = _random_rows(rng, width, count)
+        a, b = rng.randint(0, 5), rng.randint(0, 5)
+        cases = ((regular_profile, lambda row: len(set(row)) == 1),
+                 (biregular_profile(a, b), lambda row: set(row) == {a, b}))
+        for profile, definition in cases:
+            want = [definition(row) for row in rows]
+            block = np.array(rows, dtype=np.int32).reshape(count, width)
+            assert profile(block).tolist() == want
+            for row, hit in zip(rows, want):
+                assert bool(profile(tuple(row))) == hit
+                assert bool(profile(np.array(row, dtype=np.int32))) == hit
+    assert not regular_profile(())
+    assert not biregular_profile(0, 0)(())
+
+
+def _orbit_count(g: Graph) -> int:
+    return math.prod(len(f) + 1 for f in _free_twins(_twin_components(g)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 12])
+def test_profile_is_called_once_per_block(monkeypatch, block):
+    monkeypatch.setattr(switching, "_ORBIT_BLOCK", block)
+    graphs = [chain_graph("0^3 1^4 0^4 1^3 0 1^2"), chain_graph("01" * 5), chain_graph("0 1"),
+              Graph.empty(0), _blow_up({(0, 1)}, [True, False], [0, 1, 1, 0, 1])]
+    for g in graphs:
+        orbits = _orbit_count(g)
+        for profile in (regular_profile, lambda rows: True):
+            shapes = []
+
+            def counting(rows, profile=profile):
+                shapes.append(rows.shape)
+                return profile(rows)
+
+            res = search_class_by_degree_profile(g, counting, all_witnesses=True)
+            assert len(shapes) == math.ceil(orbits / block)
+            assert sum(rows for rows, _width in shapes) == orbits
+            assert all(width == g.n for _rows, width in shapes)
+            assert res == brute_switch_search(g, profile, all_witnesses=True)
+
+
+def test_scalar_profile_result_broadcasts_and_wrong_shapes_raise():
+    g = chain_graph("0 1^2 0^2 1")
+    every = brute_switch_search(g, lambda dm: True, all_witnesses=True)
+    for scalar in (True, np.True_, np.array(True)):
+        assert search_class_by_degree_profile(g, lambda rows: scalar, all_witnesses=True) == every
+    assert search_class_by_degree_profile(g, lambda rows: False) == SearchResult((), 0, 32)
+    as_list = search_class_by_degree_profile(g, lambda rows: regular_profile(rows).tolist())
+    assert as_list == search_class_by_degree_profile(g, regular_profile)
+    wrong = (lambda rows: rows == rows, lambda rows: np.ones((len(rows), 1), dtype=bool),
+             lambda rows: np.ones(len(rows) + 1, dtype=bool), lambda rows: np.ones(1, dtype=bool))
+    for profile in wrong:
+        with pytest.raises(ValueError):
+            search_class_by_degree_profile(g, profile)
 
 
 def test_prefilter_is_exact_beyond_int64_sizes():
