@@ -17,6 +17,9 @@ integer matrices.  Float guesses may steer integer-root stripping, locate
 the isolating cells and start refinement, but every root they lead to is
 certified exactly: a cell by the signs at its ends, and the set of cells by
 the Sturm count, with Sturm bisection as the fallback when they disagree.
+Isolation and refinement expect no rational roots; one that a grid point
+hits exactly is raised as a RationalRootError carrying that point, so the
+caller can divide it out.
 The characteristic polynomial of a chain graph's cell quotient is built from
 its cell sizes by continuant recurrences over Z[y], with y = x + 1.
 """
@@ -34,6 +37,15 @@ Cell = tuple[int, int, int, int, int]
 # Refinement to a narrower cell ends where bisection ends only while
 # GUESS_BITS is at most the refinement depth (spectra.INTERVAL_BITS).
 GUESS_BITS = 20
+
+
+class RationalRootError(ValueError):
+    """p is zero at the dyadic point num / den that isolation or refinement
+    evaluated, so p has a rational root there."""
+
+    def __init__(self, stage: str, num: int, den: int) -> None:
+        super().__init__(f"rational root encountered during {stage}")
+        self.num, self.den = num, den
 
 
 def poly_trim(p) -> IntPoly:
@@ -306,10 +318,10 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
 
     Returns a cell (lo, hi, shift, sign of p at lo, sign of p at hi) for each
     root in [-bound, bound], ascending; the endpoint signs differ, and
-    refine_root takes the cell as it is.  p must be square-free with no
-    rational roots, so the (always dyadic) cell ends are never roots
-    themselves.  chain, if it is sturm_chain(p), is used instead of building
-    it again.
+    refine_root takes the cell as it is.  p must be square-free; a rational
+    root that a bisection point hits raises RationalRootError, so the
+    (always dyadic) cell ends are never roots themselves.  chain, if it is
+    sturm_chain(p), is used instead of building it again.
 
     Every cell is a cell of the bisection tree of [-bound, bound], so every
     cell has span 2 * bound over its power of two and refine_root ends in
@@ -402,7 +414,7 @@ def _bisected_cells(p: IntPoly, chain: list[IntPoly], b: int, total: int) -> lis
         mid, shift = lo + hi, shift + 1
         v_mid, s_mid = _sign_variations(chain, mid, 1 << shift)
         if s_mid == 0:
-            raise ValueError("rational root encountered during isolation")
+            raise RationalRootError("isolation", mid, 1 << shift)
         stack.append((mid, 2 * hi, shift, v_mid, v_hi, s_mid, s_hi))
         stack.append((2 * lo, mid, shift, v_lo, v_mid, s_lo, s_mid))
     return out
@@ -423,7 +435,7 @@ def refine_root(p: IntPoly, cell: Cell, bits: int = 40, guess: float | None = No
 
     The differing endpoint signs of the cell, as isolate_real_roots returns
     them, are the certificate that a root lies inside; the result carries
-    them on.
+    them on.  A grid point that is a root raises RationalRootError.
     """
     lo, hi, shift, s_lo, s_hi = cell
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
@@ -440,7 +452,7 @@ def refine_root(p: IntPoly, cell: Cell, bits: int = 40, guess: float | None = No
         """True when the root lies below grid point j."""
         s = sign_at(p, base + j * span, den)
         if s == 0:
-            raise ValueError("rational root encountered during refinement")
+            raise RationalRootError("refinement", base + j * span, den)
         return s != s_lo
 
     a, b = 0, 1 << m  # the root lies between grid points a and b

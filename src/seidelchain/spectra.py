@@ -8,18 +8,20 @@ spectrum depends on k, not on n: the characteristic polynomial of Q comes
 from three-term continuant recurrences on the cell sizes, O(k^2) integer
 operations (intpoly.char_poly_ints).
 
-Roots are located by guess, then certified.  One float eigensolve of the
-symmetric form of Q gives a guess for every eigenvalue.  Integer roots are
-the rounded guesses that exact synthetic division confirms.  The residual
-gets one Sturm chain, which both splits it square-free (its last member is
-gcd(p, p')) and counts its real roots.  The guesses locate the isolating
-cells: a cell of the [-n, n] bisection tree no wider than 2^-20 whose ends
-carry opposite signs holds a root, and when such cells number the Sturm
-count each holds exactly one; otherwise Sturm bisection isolates them.  Each
-root is then refined to its dyadic cell starting from its guess, all on
-integer grids.  Completeness is certified exactly: if any residual root
-turns out to be an integer, the integer-root strip is redone as a scan of
-every integer in [-n, n].  The spectrum is sorted by float and each
+Roots are located by guess, then certified, in one pass.  One float
+eigensolve of the symmetric form of Q gives a guess for every eigenvalue
+(none when the floats overflow).  Integer roots are the rounded guesses
+that exact synthetic division confirms.  The residual gets one Sturm chain,
+which both splits it square-free (its last member is gcd(p, p')) and counts
+its real roots.  The guesses locate the isolating cells: a cell of the
+[-n, n] bisection tree no wider than 2^-20 whose ends carry opposite signs
+holds a root, and when such cells number the Sturm count each holds exactly
+one; otherwise Sturm bisection isolates them.  Each root is then refined to
+its dyadic cell starting from its guess, all on integer grids.  An integer
+root the guesses missed is found in its square-free factor, inside a
+refined cell or on a grid point, and divided out of that factor alone, so
+no step costs more than a bisection of [-n, n]: the cost does not depend on
+n beyond the size of its digits.  The spectrum is sorted by float and each
 neighbouring pair is then compared exactly; validate() checks the trace and
 Frobenius identities on integers.
 
@@ -407,9 +409,10 @@ class ExactSpectrum:
 
         Both sums are integers (0 and n(n-1)).  Without root intervals they
         are checked exactly, surd parts symbolically.  With root intervals
-        every value is enclosed in integers scaled by 2^80, rounded outward,
-        and the enclosed sum must hold the target and be narrower than 1;
-        that is exact because the enclosures are far narrower than 1.
+        every value is enclosed in integers scaled by 2^80 (more for n of
+        2^28 and beyond), rounded outward, and the enclosed sum must hold
+        the target and be narrower than 1; that is exact because the
+        enclosures are far narrower than 1.
         """
         n = self.n
         if n <= 0:
@@ -447,12 +450,22 @@ def _exact_power_sum_is(entries, power: int, target: int) -> bool:
 
 
 def _assert_enclosed_sums(entries, n: int) -> None:
-    """The trace and Frobenius identities by integer enclosures at 2^80."""
-    one = 1 << 80
+    """The trace and Frobenius identities by integer enclosures at 2^(2 bits).
+
+    bits is INTERVAL_BITS (40), the width of computed root cells, up to
+    n < 2^28, and n.bit_length() + 12 beyond, where the cells are refined to
+    2^-bits first.  The square of a value below n in such a cell is known to
+    within 2n 2^-bits < 2^-11, so the at most 256 quotient values keep the
+    enclosed sum narrower than 1.
+    """
+    bits = max(INTERVAL_BITS, n.bit_length() + 12)
+    one = 1 << 2 * bits
     lo1 = hi1 = lo2 = hi2 = 0
     for v, m in entries:
-        lo, hi = _enclosure(v, 80)
-        # The square, scaled by 2^80 and rounded outward.
+        if bits > INTERVAL_BITS and isinstance(v, RootInterval):
+            v = v.refined(bits)
+        lo, hi = _enclosure(v, 2 * bits)
+        # The square, scaled by one and rounded outward.
         if lo >= 0:
             sq_lo, sq_hi = lo * lo // one, -(-hi * hi // one)
         elif hi <= 0:
@@ -491,44 +504,92 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
 
 
 def _quotient_guesses(q: QuotientMatrix) -> list[float]:
-    """Float eigenvalues of q, ascending, from numpy's eigvalsh.
+    """Finite float eigenvalues of q, ascending, from numpy's eigvalsh; none
+    when a cell size is beyond the float range or the eigensolver fails.
 
     Q + I = Sigma D, with D the cell sizes, so Q is similar to the symmetric
-    D^1/2 (Q + I) D^-1/2 - I = D^1/2 Sigma D^1/2 - I.
+    D^1/2 (Q + I) D^-1/2 - I = D^1/2 Sigma D^1/2 - I.  The guesses are only
+    hints, so a spectrum runs without those that floats cannot give.
     """
-    root = np.sqrt(np.array(q.cell_sizes, dtype=float))
-    shifted = np.array(q.entries, dtype=float) + np.eye(q.size)
-    return np.linalg.eigvalsh(root[:, None] * shifted / root - np.eye(q.size)).tolist()
+    try:
+        root = np.sqrt(np.array(q.cell_sizes, dtype=float))
+        shifted = np.array(q.entries, dtype=float) + np.eye(q.size)
+        # Scaling sigma_pq |C_q| by sqrt(|C_p| / |C_q|) cannot overflow: the
+        # product is at most n.
+        vals = np.linalg.eigvalsh(shifted * (root[:, None] / root) - np.eye(q.size))
+    except (OverflowError, np.linalg.LinAlgError):
+        return []
+    return [g for g in vals.tolist() if math.isfinite(g)]
 
 
 def _guess_in(guesses: list[float], cell: intpoly.Cell) -> float | None:
     """The first of the sorted guesses inside the cell's closure, if any.
 
     The cell may also hold guesses of other factors' roots; a wrong pick
-    costs refine_root more sign evaluations, never a different cell.
+    costs refine_root more sign evaluations, never a different cell, and so
+    does no pick for a cell with an end beyond the float range.
     """
     lo, hi, shift = cell[:3]
-    i = bisect.bisect_left(guesses, lo / (1 << shift))
-    return guesses[i] if i < len(guesses) and guesses[i] <= hi / (1 << shift) else None
+    try:
+        i = bisect.bisect_left(guesses, lo / (1 << shift))
+        return guesses[i] if i < len(guesses) and guesses[i] <= hi / (1 << shift) else None
+    except OverflowError:
+        return None
 
 
-class _MissedIntegerRoot(ArithmeticError):
-    """A residual root is an integer, so the integer-root strip was incomplete."""
+def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
+                  chain: list[tuple[int, ...]] | None) -> list[Eigenvalue]:
+    """Every root of a monic square-free factor whose roots lie in [-bound, bound].
 
-    def __init__(self) -> None:
-        super().__init__("rational root escaped integer stripping")
+    A linear factor is its integer root, and a quadratic gives two integers
+    when its discriminant is a square, two surds otherwise.  A larger factor
+    is isolated and refined; each integer root it turns out to hold, inside
+    a refined cell or hit exactly by a grid point (a rational root of a
+    monic integer polynomial is an integer), is divided out, and the
+    cofactor is solved the same way.  Cells are canonical, so the cofactor's
+    cells are the ones it would have had with the integer stripped first.
+    """
+    if factor[-1] != 1:
+        raise ArithmeticError("residual factor is not monic")
+    ints: list[int] = []
+    while intpoly.poly_degree(factor) > 2:
+        try:
+            cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS,
+                                                               _guess_in(guesses, cell)))
+                     for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
+        except intpoly.RationalRootError as exc:
+            hits = [exc.num // exc.den]
+        else:
+            # The one integer a cell may hold is the least one above its lower end.
+            hits = [z for c in cells for z in ((c.lo >> c.shift) + 1,)
+                    if z << c.shift < c.hi and intpoly.poly_eval(factor, z) == 0]
+            if not hits:
+                return ints + cells
+        for z in hits:
+            factor, rem = intpoly.synthetic_div(factor, z)
+            if rem:
+                raise ArithmeticError("a peeled integer is not a root")
+        ints += hits
+    if len(factor) == 2:
+        return ints + [-factor[0]]
+    if len(factor) == 3:
+        c0, c1, _ = factor
+        disc = c1 * c1 - 4 * c0
+        r = math.isqrt(disc)
+        if r * r == disc:
+            return ints + [(-c1 - r) // 2, (-c1 + r) // 2]
+        return ints + [Surd(-c1, 1, disc, 2), Surd(-c1, -1, disc, 2)]
+    return ints
 
 
 def _quotient_roots(coeffs: tuple[int, ...], bound: int,
-                    guesses: list[float] | None) -> list[tuple[Eigenvalue, int]]:
-    """(value, multiplicity) of every root of a monic quotient charpoly.
+                    guesses: list[float]) -> list[tuple[Eigenvalue, int]]:
+    """(value, multiplicity) of every root of a monic quotient charpoly, in one pass.
 
-    Every root lies in [-bound, bound].  Without guesses every integer there
-    is tried, so the residual has no rational root.  With guesses only their
-    roundings are tried, and completeness is certified afterwards: each
-    residual root must end in an irrational surd or in a certified cell with
-    no integer root inside (a rational root of a monic integer polynomial is
-    an integer).  Otherwise _MissedIntegerRoot is raised.
+    Every root lies in [-bound, bound].  Only 0, -1 and the roundings of the
+    guesses are tried as integer roots; an integer root the guesses miss
+    stays in the residual and is taken out of its square-free factor by
+    _factor_roots.  So no step is linear in the bound.
 
     The residual's Sturm chain is built once: the square-free split reads
     its gcd off it, and when the residual is one simple factor, isolation
@@ -538,33 +599,13 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
     int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=guesses)
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
     found = sum(int_roots.values())
-    rest = sorted(guesses or ())
+    rest = sorted(guesses)
     chain = intpoly.sturm_chain(residual) if intpoly.poly_degree(residual) >= 1 else None
     factors = intpoly.square_free_decomposition(residual, chain) if chain else []
     for factor, mult in factors:
-        deg = intpoly.poly_degree(factor)
-        if deg == 2:
-            c0, c1, c2 = factor
-            if c2 != 1:
-                raise ArithmeticError("residual factor is not monic")
-            disc = c1 * c1 - 4 * c0
-            if math.isqrt(disc) ** 2 == disc:
-                raise _MissedIntegerRoot()
-            counts.append((Surd(-c1, 1, disc, 2), mult))
-            counts.append((Surd(-c1, -1, disc, 2), mult))
-        else:
-            try:
-                cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS,
-                                                                   _guess_in(rest, cell)))
-                         for cell in intpoly.isolate_real_roots(factor, bound, rest, chain)]
-            except ValueError as exc:  # a rational root sits on a dyadic point
-                raise _MissedIntegerRoot() from exc
-            for cell in cells:
-                z = (cell.lo >> cell.shift) + 1
-                if z << cell.shift < cell.hi and intpoly.poly_eval(factor, z) == 0:
-                    raise _MissedIntegerRoot()
-                counts.append((cell, mult))
-        found += deg * mult
+        values = _factor_roots(factor, bound, rest, chain)
+        counts.extend((v, mult) for v in values)
+        found += len(values) * mult
     if found != len(coeffs) - 1:
         raise ArithmeticError("failed to account for every quotient eigenvalue")
     return counts
@@ -574,17 +615,13 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     """Exact eigenvalue multiset of the quotient matrix (2k values with multiplicity).
 
     The cap is checked before any work.  The float guesses steer the search
-    for roots; if they miss an integer root, the strip is redone as a scan.
+    for roots; the roots are certified exactly whatever they are.
     """
     check_quotient_order(b.k)
     q = quotient_matrix(b)
     cp = char_poly(q)
     # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
-    try:
-        counts = _quotient_roots(cp.coeffs, b.n, _quotient_guesses(q))
-    except _MissedIntegerRoot:
-        counts = _quotient_roots(cp.coeffs, b.n, None)
-    return spectrum_from_counts(counts)
+    return spectrum_from_counts(_quotient_roots(cp.coeffs, b.n, _quotient_guesses(q)))
 
 
 def exact_spectrum(b: BlockString) -> ExactSpectrum:

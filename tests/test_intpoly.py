@@ -433,6 +433,19 @@ def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, o
         assert _outcome(intpoly.refine_root, p, cell, depth, guess) == want, guess
 
 
+def test_a_rational_root_on_a_grid_point_is_raised_with_the_point():
+    """Isolation and refinement name the dyadic point where p is 0, so the
+    caller can divide that root out."""
+    cubic = intpoly.poly_mul((-1, 1), (-2, 0, 1))  # (x - 1)(x^2 - 2): bisection of [-4, 4] hits 1
+    with pytest.raises(intpoly.RationalRootError, match="during isolation") as isolated:
+        intpoly.isolate_real_roots(cubic, 4)
+    quadratic = (3, -4, 1)  # (x - 1)(x - 3): the midpoint of the cell (0, 2) is 1
+    with pytest.raises(intpoly.RationalRootError, match="during refinement") as refined:
+        intpoly.refine_root(quadratic, (0, 2, 0, 1, -1), 4)
+    for exc in (isolated.value, refined.value):
+        assert isinstance(exc, ValueError) and exc.num == exc.den
+
+
 def test_refine_root_from_a_good_guess_needs_few_signs(monkeypatch):
     calls = []
     sign_at = intpoly.sign_at

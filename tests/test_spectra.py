@@ -1,9 +1,12 @@
+import ast
 import functools
+import io
 import math
 import operator
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,8 @@ from seidelchain import (
     seidel_matrix,
     spectrum_from_counts,
 )
-from seidelchain import intpoly, spectra
+from seidelchain import cli, intpoly, spectra
+from seidelchain.families import generate_cospectral_pair, generate_integral_family, unit_chain_spectrum
 from seidelchain.spectra import value_cmp, value_to_string
 
 
@@ -731,7 +735,7 @@ def test_exact_spectrum_quotient_order_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Guess-then-certify root location against the scan-and-bisect path
+# Guess-then-certify root location against the unguided path and the full scan
 # ---------------------------------------------------------------------------
 
 # The shapes of the large-spectrum benchmark: k = 8..16 up to n = 2*10^4,
@@ -739,11 +743,21 @@ def test_exact_spectrum_quotient_order_cap(monkeypatch):
 _LARGE_SHAPES = ((8, 20_000), (10, 2_000), (12, 500), (14, 100), (16, 64), (2, 100_000), (2, 300_000))
 
 
-def _scan_and_bisect(monkeypatch, strings):
-    """Serialized spectra with no float guesses: every integer in [-n, n] tried, plain bisection."""
+def _unguided(monkeypatch, strings):
+    """Serialized spectra with no float guesses: only 0 and -1 stripped as
+    integer roots, Sturm bisection, every other integer root taken out of
+    its square-free factor."""
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_quotient_guesses", lambda q: None)
+        m.setattr(spectra, "_quotient_guesses", lambda q: [])
         return [exact_spectrum(b).serialize() for b in strings]
+
+
+def _int_entries_by_full_scan(b):
+    """{eigenvalue: multiplicity} of the integer eigenvalues of b, from the
+    trial division of every integer in [-n, n] into the quotient charpoly."""
+    roots, _residual = intpoly.integer_roots(intpoly.char_poly_ints(quotient_matrix(b).cell_sizes), bound=b.n)
+    roots[-1] += b.n - 2 * b.k
+    return roots
 
 
 def test_guided_path_equals_scan_and_bisect(monkeypatch):
@@ -751,15 +765,18 @@ def test_guided_path_equals_scan_and_bisect(monkeypatch):
     strings = [random_block_string(rng, max_k=8, max_n=rng.choice((30, 60, 300))) for _ in range(150)]
     strings += [cut_block_string(rng, k, n) for k, n in _LARGE_SHAPES]
     strings.append(BlockString(((999_999, 1),)))
-    assert [exact_spectrum(b).serialize() for b in strings] == _scan_and_bisect(monkeypatch, strings)
+    spectra_ = [exact_spectrum(b) for b in strings]
+    assert [sp.serialize() for sp in spectra_] == _unguided(monkeypatch, strings)
+    for b, sp in zip(strings, spectra_):
+        assert {v: m for v, m in sp.entries if isinstance(v, int)} == _int_entries_by_full_scan(b), b.caret()
 
 
 @pytest.mark.parametrize("text, missed", [
-    ("0 1^2 0^2 1", 3),     # the residual keeps (x - 3)^2: its linear square-free factor is isolated
+    ("0 1^2 0^2 1", 3),     # the residual keeps (x - 3)^2: a linear square-free factor
     ("0 1 0 1 0 1^3", -3),  # n = 8: isolation on [-8, 8] bisects at -3
     ("0 1 0 1 0^2 1", 3),   # n = 7: 3 ends inside a certified cell of a quartic residual
 ])
-def test_guesses_that_miss_an_integer_root_fall_back_to_the_scan(monkeypatch, text, missed):
+def test_guesses_that_miss_an_integer_root_peel_it_off_its_factor(monkeypatch, text, missed):
     b = parse_block_string(text)
     want = exact_spectrum(b).serialize()
     assert any(e["value"] == f"int:{missed}" for e in want)
@@ -773,14 +790,14 @@ def test_guesses_that_miss_an_integer_root_fall_back_to_the_scan(monkeypatch, te
     monkeypatch.setattr(spectra, "_quotient_guesses", misrounded)
     monkeypatch.setattr(intpoly, "integer_roots", strip)
     assert exact_spectrum(b).serialize() == want
-    assert strip.calls == 2  # the guided strip, then the scan
+    assert strip.calls == 1  # one pass: no second strip
 
 
 @pytest.mark.parametrize("bad", [lambda gs: [g + 100.3 for g in gs], lambda gs: [], lambda gs: [0.0] * 40])
 def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
     rng = random.Random(31)
     strings = [random_block_string(rng, max_k=5, max_n=40) for _ in range(20)]
-    want = _scan_and_bisect(monkeypatch, strings)
+    want = _unguided(monkeypatch, strings)
     true_guesses = spectra._quotient_guesses
     monkeypatch.setattr(spectra, "_quotient_guesses", lambda q: bad(true_guesses(q)))
     assert [exact_spectrum(b).serialize() for b in strings] == want
@@ -790,9 +807,53 @@ def test_missed_pair_of_integer_roots_is_caught_by_the_discriminant():
     # (x + 1)(x - 2)(x - 5): guesses that miss 2 and 5 leave x^2 - 7x + 10,
     # whose discriminant 9 is a square.
     p = intpoly.poly_mul(intpoly.poly_mul((1, 1), (-2, 1)), (-5, 1))
-    with pytest.raises(spectra._MissedIntegerRoot):
-        spectra._quotient_roots(p, 8, [-1.0, 9.0, 9.0])
-    assert spectra._quotient_roots(p, 8, None) == [(-1, 1), (2, 1), (5, 1)]
+    assert spectra._quotient_roots(p, 8, [-1.0, 9.0, 9.0]) == [(-1, 1), (2, 1), (5, 1)]
+    assert spectra._quotient_roots(p, 8, []) == [(-1, 1), (2, 1), (5, 1)]
+
+
+@pytest.mark.parametrize("square, bound, stage", [
+    (2, 4, "isolation"),   # Sturm bisection of [-4, 4] hits 1 at its third point
+    (8, 4, "refinement"),  # 1 is the midpoint of the isolating cell (0, 2)
+    (2, 3, None),          # no grid point of [-3, 3] is 1: it ends inside a refined cell
+])
+def test_an_integer_root_of_a_cubic_factor_is_peeled_off(monkeypatch, square, bound, stage):
+    """(x - 1)(x^2 - square) with no guesses: the integer 1 is divided out,
+    and the cofactor gives its surd pair."""
+    hits = []
+
+    def recording(fn):
+        def wrapped(*args):
+            try:
+                return fn(*args)
+            except intpoly.RationalRootError as exc:
+                hits.append((str(exc).split()[-1], exc.num // exc.den, exc.num % exc.den))
+                raise
+        return wrapped
+
+    for name in ("isolate_real_roots", "refine_root"):
+        monkeypatch.setattr(intpoly, name, recording(getattr(intpoly, name)))
+    p = intpoly.poly_mul((-1, 1), (-square, 0, 1))
+    assert spectra._factor_roots(p, bound, [], None) == [1, Surd(0, 1, 4 * square, 2), Surd(0, -1, 4 * square, 2)]
+    assert hits == ([(stage, 1, 0)] if stage else [])
+
+
+def test_spectra_strips_integer_roots_by_guesses_only():
+    """integer_roots without guesses scans every integer in [-n, n], O(n);
+    every integer_roots and _quotient_roots call in spectra passes guesses,
+    never the constant None, so that scan stays off the library path."""
+
+    def guesses(call):
+        given = [kw.value for kw in call.keywords if kw.arg == "guesses"] + call.args[2:3]
+        return given[0] if given else None
+
+    tree = ast.parse(Path(spectra.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+             in ("integer_roots", "_quotient_roots")]
+    assert len(calls) >= 2
+    for call in calls:
+        arg = guesses(call)
+        assert arg is not None and not (isinstance(arg, ast.Constant) and arg.value is None), call.lineno
 
 
 def test_integer_roots_of_huge_n_without_a_scan():
@@ -801,3 +862,102 @@ def test_integer_roots_of_huge_n_without_a_scan():
     sp = exact_spectrum(b)
     assert time.perf_counter() - start < 0.1
     assert sp.serialize() == [{"value": "int:-1", "mult": 10 ** 9}, {"value": "int:1000000000", "mult": 1}]
+
+
+# ---------------------------------------------------------------------------
+# Cost independent of n: strings beyond the float range of integers
+# ---------------------------------------------------------------------------
+
+def _timed(fn, *args, budget=1.0):
+    start = time.perf_counter()
+    out = fn(*args)
+    assert time.perf_counter() - start < budget
+    return out
+
+
+def test_an_integer_eigenvalue_beyond_2_53_is_exact():
+    n = 2 ** 53 + 1  # the float guess rounds to 2^53
+    sp = _timed(exact_spectrum, parse_block_string(f"0^{n} 1"))
+    assert sp.serialize() == [{"value": "int:-1", "mult": n}, {"value": f"int:{n}", "mult": 1}]
+
+
+def test_a_unit_chain_of_m_10_15_is_its_predicted_spectrum():
+    m = 10 ** 15
+    sp = _timed(exact_spectrum, parse_block_string(f"0 1^{m} 0^{m} 1^{2 * m + 1}"))
+    assert sp == unit_chain_spectrum(4 * m + 2, m)
+
+
+def test_cospectral_pair_and_integral_family_at_r_10_30_verify():
+    assert _timed(generate_cospectral_pair(10 ** 30 + 1).verify)
+    assert _timed(generate_integral_family("F1", 10 ** 30).verify)
+
+
+def test_cli_cospectral_at_r_10_30_exits_0():
+    out = io.StringIO()
+    assert _timed(cli.run, ["cospectral", "--r", str(10 ** 30 + 1)], out) == 0
+    assert "verified=True" in out.getvalue()
+
+
+@pytest.mark.parametrize("e", [39, 64, 200])
+def test_validate_encloses_interval_eigenvalues_beyond_2_39(e):
+    """The quotient of 0^N 1^(N+7) 0^3 1^5 has interval eigenvalues near
+    +-sqrt(3N) and N; for N >= 2^39 their squares need cells finer than 2^-40."""
+    n = 2 ** e
+    sp = _timed(exact_spectrum, parse_block_string(f"0^{n} 1^{n + 7} 0^3 1^5"))
+    assert sum(isinstance(v, RootInterval) for v, _m in sp.entries) >= 2
+    assert sp.multiplicity(-1) >= 2 * n
+
+
+def _spectrum_with_finite_guesses(text):
+    """exact_spectrum of text, whose float stage must give finite guesses only."""
+    b = parse_block_string(text)
+    assert all(math.isfinite(g) for g in spectra._quotient_guesses(quotient_matrix(b)))
+    return _timed(exact_spectrum, b, budget=5.0)
+
+
+def test_cell_sizes_beyond_the_float_range_run_without_guesses():
+    n = 10 ** 400  # float(n) overflows
+    assert spectra._quotient_guesses(quotient_matrix(parse_block_string(f"0^{n} 1"))) == []
+    sp = _spectrum_with_finite_guesses(f"0^{n} 1")
+    assert sp.serialize() == [{"value": "int:-1", "mult": n}, {"value": f"int:{n}", "mult": 1}]
+
+
+@pytest.mark.parametrize("text", [
+    f"0^{10 ** 300} 1^5 0 1",
+    f"0^{10 ** 300} 1^{10 ** 300 + 7} 0^3 1^5",
+], ids=["nan", "no_convergence"])
+def test_guesses_for_cells_of_10_300_are_finite(text):
+    # The symmetric form scales each entry to at most n: sqrt(|C_p|) |C_q|,
+    # taken first, would be inf, and eigvalsh of it NaN or no convergence.
+    b = parse_block_string(text)
+    assert len(_spectrum_with_finite_guesses(text).entries) == 2 * b.k
+
+
+def test_an_infinite_eigenvalue_guess_is_dropped():
+    n = 10 ** 308  # the eigenvalue 2n - 1 is beyond the float range: eigvalsh gives inf
+    b = parse_block_string(f"0^{n} 1^{n}")
+    assert spectra._quotient_guesses(quotient_matrix(b)) == [0.0]
+    sp = _spectrum_with_finite_guesses(f"0^{n} 1^{n}")
+    assert sp.serialize() == [{"value": "int:-1", "mult": 2 * n - 1}, {"value": f"int:{2 * n - 1}", "mult": 1}]
+
+
+def test_a_root_cell_beyond_the_float_range_takes_no_guess():
+    n = 10 ** 308  # n fits in a float, 2n + 8 does not: cells near 2n have no float ends
+    b = parse_block_string(f"0^{n} 1^{n} 0^3 1^5")
+    assert len(spectra._quotient_guesses(quotient_matrix(b))) == 3
+    assert spectra._guess_in([1.0], (2 * n, 2 * n + 1, 0, -1, 1)) is None
+    sp = _spectrum_with_finite_guesses(b.caret())
+    assert sp.n == 2 * n + 8 and sum(isinstance(v, RootInterval) for v, _m in sp.entries) >= 2
+
+
+def test_quotient_guesses_keep_only_finite_values(monkeypatch):
+    q = quotient_matrix(parse_block_string("0^3 1^2 0 1"))
+    assert len(spectra._quotient_guesses(q)) == 4
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([-np.inf, np.nan, 1.0, 2.0]))
+    assert spectra._quotient_guesses(q) == [1.0, 2.0]
+
+    def diverge(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    assert spectra._quotient_guesses(q) == []
