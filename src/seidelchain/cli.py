@@ -40,7 +40,6 @@ from .families import (
     cospectral_pairs_up_to,
     generate_cospectral_pair,
     generate_integral_family,
-    mirror_chain_family,
     scan_seidel_integral,
 )
 from .spectra import (
@@ -167,18 +166,7 @@ def _cmd_integral(args) -> dict:
         }
     if args.r is None:
         raise ComputeError("usage", "--family requires --r")
-    if args.family == "SYM":
-        string, predicted = _guarded("usage", mirror_chain_family, args.r)
-        return {
-            "family": "SYM",
-            "r": args.r,
-            "n": string.n,
-            "m": 2 * args.r,
-            "string": string.caret(),
-            "spectrum": predicted.serialize(),
-            "verified": exact_spectrum(string) == predicted,
-        }
-    if args.family not in FAMILY_IDS:
+    if args.family != "SYM" and args.family not in FAMILY_IDS:
         raise ComputeError(
             "usage", f"unknown family {args.family!r} (choose from SYM, {', '.join(FAMILY_IDS)})")
     fam = _guarded("usage", generate_integral_family, args.family, args.r)

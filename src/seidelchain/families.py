@@ -210,7 +210,8 @@ def integral_family_params(family_id: str, r: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class IntegralFamily:
-    """One member of a Seidel-integral unit-chain family."""
+    """One member of a Seidel-integral family: a unit chain, or for "SYM" the
+    mirror chain 0^r 1^2r 0^2r 1^r (n = 6r, m = 2r)."""
 
     family_id: str
     r: int
@@ -235,6 +236,9 @@ class IntegralFamily:
 
 
 def generate_integral_family(family_id: str, r: int) -> IntegralFamily:
+    if family_id == "SYM":
+        string, predicted = mirror_chain_family(r)
+        return IntegralFamily(family_id, r, string.n, 2 * r, string, predicted)
     n, m = integral_family_params(family_id, r)
     return IntegralFamily(
         family_id=family_id,
@@ -297,9 +301,7 @@ def scan_seidel_integral(n_max: int) -> list[ScanHit]:
         raise ValueError("scan is capped at n_max = 500")
     hits = []
     for n in range(4, n_max + 1):
-        for m in range(1, (n - 1) // 2 + 1):
-            if n <= 2 * m + 1:
-                continue
+        for m in range(1, (n - 2) // 2 + 1):
             if not is_perfect_square((n - 2 * m) * (n + 6 * m)):
                 continue
             sp = exact_spectrum(unit_chain_string(m, n - 2 * m - 1))

@@ -30,7 +30,10 @@ in canonical form, or sign-certified root intervals of an integer polynomial
 factor, each a dyadic cell (lo / 2^shift, hi / 2^shift) of width at most
 2^-40 held as integers.  They are equal when their fields are, and are
 ordered, sorted and summed in validate() through one rule: integers enclosing
-the value scaled by 2^bits.  Fractions appear only for the equiangular cosine.
+the value scaled by 2^bits.  A Fraction appears only as the equiangular
+cosine 1/|lambda_min| of an integer lambda_min.  The cosine of a root
+interval is a root of its factor's reversal, located by float guesses and
+certified by a sign change like every other root (_reciprocal_abs).
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ INTERVAL_BITS = 40
 # Guessed isolating cells must be no narrower than refined ones.
 assert intpoly.GUESS_BITS <= INTERVAL_BITS
 _TRIAL_BOUND = 100_000
+# value_cmp's rounds: the first at the width of a computed cell, then doubled.
+_CMP_BITS = tuple(INTERVAL_BITS << i for i in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +199,15 @@ def _enclosure(v: Eigenvalue, bits: int) -> tuple[int, int]:
 def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
     """-1, 0 or 1 as u is below, equal to or above v; 0 means equal fields.
 
-    Enclosures at 2^-40, 2^-80, ... 2^-640 are compared until they separate.
-    Root cells (computed ones are at most 2^-40 wide) are refined to 2^-bits
-    from the second round on, when wider.
+    Enclosures at 2^-40, 2^-80, ... 2^-640 (INTERVAL_BITS doubled four times)
+    are compared until they separate.  Root cells (computed ones are at most
+    2^-INTERVAL_BITS wide) are refined to 2^-bits from the second round on,
+    when wider.
     """
     if u == v:
         return 0
-    for bits in (40, 80, 160, 320, 640):
-        if bits > 40:
+    for bits in _CMP_BITS:
+        if bits > INTERVAL_BITS:
             u, v = (w.refined(bits) if isinstance(w, RootInterval) else w for w in (u, v))
         (ulo, uhi), (vlo, vhi) = _enclosure(u, bits), _enclosure(v, bits)
         if uhi < vlo:
@@ -676,24 +682,45 @@ class EquiangularParams:
     multiplicity: int
 
 
-def _reciprocal_abs(v: Eigenvalue) -> Union[Fraction, Surd, RootInterval]:
-    """1/|v| for a negative eigenvalue v < -1."""
+def _negated_reciprocal(u: RootInterval) -> float:
+    """-1/u as a float, from the midpoint of u's cell in one correctly rounded
+    division; for |u| > 1 it cannot overflow, and at worst underflows to 0."""
+    return -(2 << u.shift) / (u.lo + u.hi)
+
+
+def _reciprocal_abs(v: Eigenvalue, sp: ExactSpectrum) -> Union[Fraction, Surd, RootInterval]:
+    """1/|v| for a negative eigenvalue v < -1 of the spectrum sp.
+
+    A root interval maps to the reversal rev(y) = y^d p(-1/y) of its factor
+    p: x -> -1/x takes the roots of p one to one onto those of rev, and
+    v's cell (lo, hi) / 2^shift, below -1, onto (2^shift / -lo, 2^shift / -hi),
+    which therefore holds exactly one root of rev, 1/|v|.  rev is isolated
+    on [-1, 1] like any factor, its float guesses -1/u for each root u of p
+    that sp lists with |u| > 1.  The isolating cell whose part inside that
+    image shows a sign change of rev holds 1/|v|; no other cell can, since
+    the image holds no other root.  That cell is refined from the guess -1/v.
+    """
     if isinstance(v, int):
         return Fraction(1, -v)
     if isinstance(v, Surd):
         return v.negate().reciprocal()
-    # Root of p in (lo, hi) maps to the root of y^d p(-1/y) in (-1/lo, -1/hi).
     d = len(v.poly) - 1
     rev = intpoly.primitive(tuple(v.poly[d - i] * (-1) ** (d - i) for i in range(d + 1)))
-    y_lo, y_hi = Fraction(-1 << v.shift, v.lo), Fraction(-1 << v.shift, v.hi)
-    # Re-isolate with dyadic endpoints: the target lies in (0, 1), and it is
-    # the unique reversed-poly root inside (y_lo, y_hi).
-    chain = intpoly.sturm_chain(rev)
-    for cell in intpoly.isolate_real_roots(rev, bound=1, chain=chain):
-        lo, hi, shift = cell[:3]
-        a, b = max(Fraction(lo, 1 << shift), y_lo), min(Fraction(hi, 1 << shift), y_hi)
-        if a < b and intpoly.count_roots_between(chain, a, b) == 1:
-            return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS))
+    # Computed cells are at most 2^-INTERVAL_BITS wide, so hi < 0 below -1.
+    v = v.refined(INTERVAL_BITS)
+    guesses = [_negated_reciprocal(u) for u, _m in sp.entries
+               if isinstance(u, RootInterval) and u.poly == v.poly and abs(u.lo + u.hi) > 2 << u.shift]
+    # The image's ends a < b as (numerator, denominator), and the signs of rev there.
+    (a_num, a_den), (b_num, b_den) = (1 << v.shift, -v.lo), (1 << v.shift, -v.hi)
+    s_a, s_b = intpoly.sign_at(rev, a_num, a_den), intpoly.sign_at(rev, b_num, b_den)
+    for lo, hi, shift, s_lo, s_hi in intpoly.isolate_real_roots(rev, 1, guesses):
+        # x / 2^shift against num / den is x * den against num * 2^shift.
+        if lo * b_den < b_num << shift and a_num << shift < hi * a_den:  # the cell meets the image
+            left = s_lo if lo * a_den >= a_num << shift else s_a
+            right = s_hi if hi * b_den <= b_num << shift else s_b
+            if left != right:
+                cell = (lo, hi, shift, s_lo, s_hi)
+                return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS, _negated_reciprocal(v)))
     raise ArithmeticError("failed to isolate the reciprocal eigenvalue")
 
 
@@ -711,7 +738,7 @@ def equiangular_params(sp: ExactSpectrum) -> EquiangularParams:
     return EquiangularParams(
         lines=n,
         dimension=n - mult,
-        cosine=_reciprocal_abs(lam),
+        cosine=_reciprocal_abs(lam, sp),
         lambda_min=lam,
         multiplicity=mult,
     )

@@ -14,6 +14,11 @@ The library computes a quotient's characteristic polynomial from its cell
 sizes alone; faddeev_leverrier works on any square integer matrix.  And
 surd_fields is the canonical surd form built by trial division of the
 radicand up to 10^5.
+
+The library finds the equiangular cosine 1/|lambda| of a root interval on its
+factor's reversal, isolated from float guesses and picked by one sign change;
+reciprocal_abs re-isolates it with no guesses, from Fraction bounds of the
+image cell and a Sturm count in every isolating cell.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from math import floor, gcd, isfinite, isqrt
 from operator import mul
 
 from seidelchain import intpoly
-from seidelchain.spectra import RootInterval, Surd
+from seidelchain.spectra import INTERVAL_BITS, RootInterval, Surd
 
 
 def cell_fractions(cell) -> tuple[Fraction, Fraction, int, int]:
@@ -282,3 +287,24 @@ def surd_fields(a: int, sign: int, d: int, c: int) -> tuple[int, int, int, int]:
     f, rest = _extract_square_part(d)
     g = gcd(a, f, c)
     return a // g, sign, (f // g) ** 2 * rest, c // g
+
+
+def reciprocal_abs(v):
+    """1/|v| for a negative eigenvalue v < -1, with no guesses: a Fraction for an
+    int, a surd for a surd, and for a root interval the root of the reversed
+    factor y^d p(-1/y) in the image (-1/lo, -1/hi) of v's cell, found by Sturm
+    counts over Fraction bounds."""
+    if isinstance(v, int):
+        return Fraction(1, -v)
+    if isinstance(v, Surd):
+        return v.negate().reciprocal()
+    d = len(v.poly) - 1
+    rev = intpoly.primitive(tuple(v.poly[d - i] * (-1) ** (d - i) for i in range(d + 1)))
+    y_lo, y_hi = Fraction(-1 << v.shift, v.lo), Fraction(-1 << v.shift, v.hi)
+    chain = intpoly.sturm_chain(rev)
+    for cell in intpoly.isolate_real_roots(rev, bound=1, chain=chain):
+        lo, hi, shift = cell[:3]
+        a, b = max(Fraction(lo, 1 << shift), y_lo), min(Fraction(hi, 1 << shift), y_hi)
+        if a < b and intpoly.count_roots_between(chain, a, b) == 1:
+            return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS))
+    raise ArithmeticError("failed to isolate the reciprocal eigenvalue")

@@ -24,6 +24,9 @@ COMMANDS = [
     ["spectrum", "01^5 0^5 1^4"],
     ["spectrum", "0 1 0 1"],
     ["spectrum", "0 1^2 0^3 1^4 0 1"],
+    # The least cospectral, inequivalent integral pair found (n = 13).
+    ["spectrum", "0^5 1 0^6 1"],
+    ["spectrum", "0^8 1^2 0^2 1"],
     ["quotient", "0 1^3 0^3 1^7"],
     ["equiangular", "01^3 0^3 1^7"],
     ["equiangular", "0 1 0 1"],
@@ -43,6 +46,7 @@ COMMANDS = [
     _THREADED,
     ["--threads", "2"] + _THREADED,
     ["equivalent", "01^3 0^3 1^7", "01^6 0^6 1"],
+    ["equivalent", "0^5 1 0^6 1", "0^8 1^2 0^2 1"],
     ["equivalent", "01^3 0^3 1^7", "01^3 0^3 1^7", "--mode", "plain"],
     ["equivalent", "0^999 1", "0^999 1", "--mode", "plain"],
     ["verify-tables"],

@@ -140,6 +140,18 @@ def test_mirror_string_rejects_bad_s():
         mirror_chain_string(0)
 
 
+def test_sym_family_members_are_the_mirror_chains():
+    for r in (1, 2, 7):
+        member = generate_integral_family("SYM", r)
+        string, predicted = mirror_chain_family(r)
+        assert (member.family_id, member.r, member.n, member.m) == ("SYM", r, 6 * r, 2 * r)
+        assert member.string == string and member.predicted == predicted
+        assert member.verify()
+    with pytest.raises(ValueError, match="s must be positive"):
+        generate_integral_family("SYM", 0)
+    assert "SYM" not in families.FAMILY_IDS
+
+
 # ---------------------------------------------------------------------------
 # Unit-chain spectra and parameterized families
 # ---------------------------------------------------------------------------

@@ -676,6 +676,72 @@ def test_equiangular_interval_cosine():
     assert float(ep.cosine) == pytest.approx(1 / abs(lam), abs=1e-9)
 
 
+def _block_strings_up_to(n_max: int):
+    """Every block string on 2..n_max vertices: a 0, any bits, a 1."""
+    for n in range(2, n_max + 1):
+        for bits in range(1 << (n - 2)):
+            yield parse_block_string("0" + bin(bits | 1 << (n - 2))[3:] + "1")
+
+
+def test_equiangular_cosine_matches_the_oracle_on_every_string_up_to_n_12():
+    spectra_ = [exact_spectrum(b) for b in _block_strings_up_to(12)]
+    with_interval = [sp for sp in spectra_ if isinstance(sp.min_value, RootInterval)]
+    assert len(spectra_) == 2047 and len(with_interval) == 1785
+    start = time.perf_counter()
+    cosines = [equiangular_params(sp).cosine for sp in with_interval]
+    assert time.perf_counter() - start < 1.0
+    assert cosines == [root_oracles.reciprocal_abs(sp.min_value) for sp in with_interval]
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=8))
+def test_equiangular_cosine_matches_the_oracle(blocks):
+    sp = exact_spectrum(BlockString(tuple(blocks)))
+    if value_cmp(sp.min_value, -1) < 0:
+        assert equiangular_params(sp).cosine == root_oracles.reciprocal_abs(sp.min_value)
+
+
+def test_equiangular_cosine_of_cells_beyond_the_float_range_matches_the_oracle():
+    n = 10 ** 400
+    sp = exact_spectrum(parse_block_string(f"0^{n} 1^{n + 7} 0^3 1^5"))
+    assert isinstance(sp.min_value, RootInterval)
+    assert _timed(equiangular_params, sp).cosine == root_oracles.reciprocal_abs(sp.min_value)
+
+
+@pytest.mark.parametrize("listed", [(1,), (0, 1, 2)], ids=["second_root_only", "every_root"])
+def test_equiangular_cosine_of_the_second_root_below_minus_1(listed):
+    """x^3 + 5x^2 + 6x + 1 has roots near -3.25, -1.55 and -0.20.  Its
+    reversal's first positive cell holds 1/3.25, so the cosine of -1.55 must
+    come from the second, whether or not the spectrum lists the other roots."""
+    p = (1, 6, 5, 1)
+    roots = [RootInterval(p, *intpoly.refine_root(p, cell, spectra.INTERVAL_BITS))
+             for cell in intpoly.isolate_real_roots(p)]
+    sp = spectrum_from_counts([(roots[i], 1) for i in listed] + [(3, 2)])
+    lam = roots[1]
+    cosine = spectra._reciprocal_abs(lam, sp)
+    assert cosine == root_oracles.reciprocal_abs(lam)
+    assert float(cosine) == pytest.approx(1 / 1.5549581320871653)
+
+
+def test_equiangular_cosine_needs_no_sturm_count_and_one_fraction():
+    """The cosine is certified by one sign change on the reversal's isolating
+    cells, so spectra counts no roots by Sturm sequence, builds the one shared
+    Sturm chain of a quotient residual, and builds a Fraction only for a
+    rational cosine."""
+    tree = ast.parse(Path(spectra.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(root, name):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == name]
+
+    assert calls(tree, "count_roots_between") == []
+    assert len(calls(tree, "sturm_chain")) == 1
+    assert calls(tree, "sturm_chain") == calls(functions["_quotient_roots"], "sturm_chain")
+    assert len(calls(tree, "Fraction")) == 1
+    assert calls(tree, "Fraction") == calls(functions["_reciprocal_abs"], "Fraction")
+
+
 def test_equiangular_degenerate():
     with pytest.raises(ValueError):
         equiangular_params(exact_spectrum(parse_block_string("01")))
