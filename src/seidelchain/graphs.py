@@ -1,16 +1,56 @@
 """Simple undirected graphs stored as bitset adjacency rows.
 
 Row v is an integer whose bit w is set iff {v, w} is an edge.  Graphs are
-immutable; every derived graph is a new object.  Graph.adjacency() unpacks
-the rows into an n x n 0/1 numpy array, on which the graph checks and the
-Seidel matrix run.
+immutable; every derived graph is a new object.
+
+The graph checks and Graph.adjacency() work on the runs of equal
+consecutive rows (the cells of a chain graph): only the row of each of the
+r runs is unpacked, into an r x n 0/1 numpy array B, and the n x n
+adjacency matrix A is B with each row repeated over its run.  So a chain
+graph with 2k cells costs O(k * n) to check, and a graph with no two equal
+consecutive rows (r = n) costs one n x n unpack, as it would without runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
+from operator import itemgetter, sub
 
 import numpy as np
+
+
+def _row_runs(rows: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The row of each run of equal consecutive rows, and the run lengths."""
+    distinct = list(map(itemgetter(0), groupby(rows)))
+    if len(distinct) == len(rows):
+        return distinct, [1] * len(rows)
+    # A run starts where its row first occurs after the previous run's start.
+    starts = [0]
+    for row in distinct[1:]:
+        starts.append(rows.index(row, starts[-1] + 1))
+    return distinct, list(map(sub, starts[1:] + [len(rows)], starts))
+
+
+def _unpack(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
+    """The len(rows) x n 0/1 matrix (uint8) whose entry (i, w) is bit w of rows[i]."""
+    width = (n + 7) // 8
+    packed = b"".join([row.to_bytes(width, "little") for row in rows])
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), width),
+                         axis=1, count=n, bitorder="little")
+
+
+def _first_fault(n: int, rows: tuple[int, ...]) -> str:
+    """The first fault of rows known to be faulty, as a row-by-row scan meets it."""
+    for v, row in enumerate(rows):
+        if row >> n:
+            return f"row {v} has bits beyond vertex range"
+        if (row >> v) & 1:
+            return f"vertex {v} has a self-loop"
+    # The first mismatch in row-major order lies above the diagonal.
+    a = _unpack(rows, n)
+    v, w = divmod(int((a != a.T).argmax()), n)
+    return f"adjacency not symmetric at ({v}, {w})"
 
 
 @dataclass(frozen=True)
@@ -26,29 +66,31 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(rows) != n:
             raise ValueError("row count does not match vertex count")
-        if rows and (min(rows) < 0 or max(rows) >> n):
-            # Report the first faulty row, as a row-by-row scan meets it.
-            for v, row in enumerate(rows):
-                if row >> n:
-                    raise ValueError(f"row {v} has bits beyond vertex range")
-                if (row >> v) & 1:
-                    raise ValueError(f"vertex {v} has a self-loop")
-        a = self.adjacency()
-        flat = a.tobytes()
-        loops = flat[::n + 1]  # the diagonal
-        if 1 in loops:
-            raise ValueError(f"vertex {loops.index(1)} has a self-loop")
-        if flat != a.T.tobytes():
-            # The first mismatch in row-major order lies above the diagonal.
-            v, w = divmod(int((a != a.T).argmax()), n)
-            raise ValueError(f"adjacency not symmetric at ({v}, {w})")
+        distinct, lengths = _row_runs(rows)
+        if distinct and (min(distinct) < 0 or max(distinct) >> n):
+            raise ValueError(_first_fault(n, rows))
+        # With C = B at the run starts (the r x r run matrix), A is symmetric
+        # iff B's transpose is C with each row repeated over its run: that
+        # makes B constant on every run of columns and C symmetric, so that
+        # A[v][w] = C[run(v)][run(w)].  A is then loopless iff C's diagonal
+        # is zero.
+        b = _unpack(distinct, n)
+        if len(distinct) == n:  # every run is one row: C is B, and B is A
+            c = expanded = b
+        else:
+            c = b.take(list(accumulate(lengths[:-1], initial=0)), axis=1)
+            expanded = c.repeat(lengths, axis=0)
+        if 1 in c.tobytes()[::len(distinct) + 1] or expanded.tobytes() != b.T.tobytes():
+            raise ValueError(_first_fault(n, rows))
 
     def adjacency(self) -> np.ndarray:
-        """The n x n 0/1 adjacency matrix (uint8): entry (v, w) is bit w of row v."""
-        width = (self.n + 7) // 8
-        packed = b"".join([row.to_bytes(width, "little") for row in self.rows])
-        return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width),
-                             axis=1, count=self.n, bitorder="little")
+        """The n x n 0/1 adjacency matrix (uint8): entry (v, w) is bit w of row v.
+
+        Only the row of each run of equal consecutive rows is unpacked, and
+        repeated over its run.
+        """
+        distinct, lengths = _row_runs(self.rows)
+        return _unpack(distinct, self.n).repeat(lengths, axis=0)
 
     @classmethod
     def empty(cls, n: int) -> Graph:
@@ -58,6 +100,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> Graph:
         rows = [0] * n
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside range({n})")
             if u == v:
                 raise ValueError("self-loops not allowed")
             rows[u] |= 1 << v

@@ -288,7 +288,9 @@ def check_matrix_size(n: int) -> None:
 def seidel_matrix(g: Graph) -> SeidelMatrix:
     """Seidel matrix of any simple graph: -1 on edges, +1 on non-edges.
 
-    Built as 1 - 2A from g.adjacency(), after the size cap is checked.
+    The size cap is checked first, so a refused graph never has an n x n
+    array built.  Then S = 1 - 2A from g.adjacency(), which repeats each
+    distinct row over its run of equal consecutive rows.
     """
     check_matrix_size(g.n)
     s = 1 - 2 * g.adjacency().view(np.int8)

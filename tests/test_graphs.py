@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from seidelchain import Graph, chain_graph
+from seidelchain import Graph, build_chain_graph, chain_graph, parse_block_string, seidel_matrix
 
 
 def _reference_check(n: int, rows: tuple[int, ...]) -> str | None:
@@ -72,6 +74,67 @@ def test_graph_checks_match_the_row_loop(data):
         rows[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-8, -1))
     rows = tuple(rows)
     assert _error(n, rows) == _reference_check(n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_run_structured_graph_checks_match_the_row_loop(data):
+    # Runs of equal rows from a symmetric run pattern with a zero diagonal.
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    r, n = len(sizes), sum(sizes)
+    starts = list(accumulate(sizes[:-1], initial=0))
+    masks = [((1 << size) - 1) << start for start, size in zip(starts, sizes)]
+    joined = {(i, j) for i in range(r) for j in range(i + 1, r) if data.draw(st.booleans())}
+    rows = []
+    for i, size in enumerate(sizes):
+        rows += [sum(masks[j] for j in range(r) if (min(i, j), max(i, j)) in joined)] * size
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["one row", "across runs", "run diagonal", "range"]))
+        i = data.draw(st.integers(0, r - 1))
+        run = range(starts[i], starts[i] + sizes[i])
+        if kind == "one row":  # splits the run
+            rows[data.draw(st.sampled_from(run))] ^= 1 << data.draw(st.integers(0, n - 1))
+        elif kind == "range":
+            rows[data.draw(st.sampled_from(run))] = data.draw(
+                st.sampled_from([-1, -(1 << n), 1 << n, 1 << (n + 5)]))
+        else:  # the same bit of every row of run i, so the rows' runs stay
+            j = i if kind == "run diagonal" else data.draw(st.integers(0, r - 1))
+            w = data.draw(st.integers(starts[j], starts[j] + sizes[j] - 1))
+            for v in run:
+                rows[v] ^= 1 << w
+    rows = tuple(rows)
+    error = _reference_check(n, rows)
+    assert _error(n, rows) == error
+    if error is None:
+        assert Graph(n, rows).adjacency().tolist() == [
+            [(row >> w) & 1 for w in range(n)] for row in rows]
+
+
+@pytest.mark.parametrize("n,edges", [
+    (3, [(0, 5)]),
+    (3, [(-1, 0)]),
+    (3, [(0, 1), (1, 3)]),
+    (3, [(3, 3)]),
+    (0, [(0, 1)]),
+])
+def test_from_edges_rejects_endpoints_out_of_range(n, edges):
+    u, v = edges[-1]
+    with pytest.raises(ValueError) as exc:
+        Graph.from_edges(n, edges)
+    assert str(exc.value) == f"edge ({u}, {v}) has an endpoint outside range({n})"
+
+
+def test_refused_oracle_graph_never_holds_an_n_by_n_array():
+    # 3001 vertices in two cells: the n x n uint8 matrix alone would take 9 MB.
+    b = parse_block_string("0^1500 1^1501")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capped at 2000 vertices"):
+            seidel_matrix(build_chain_graph(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_adjacency_reads_the_row_bits():
