@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                 _cmd_integral, _text_integral)
     p.add_argument("--family", default=None, help="SYM, F1..F6, or S")
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--scan", type=int, default=None, help="brute scan up to n_max")
+    p.add_argument("--scan", type=int, default=None,
+                   help="all integral unit chains 0 1^m 0^m 1^(n-2m-1) with n <= SCAN (cap 500)")
 
     p = command("switch-search", "exhaustive degree-profile switching search",
                 _cmd_switch_search, _text_switch_search, _csv_switch_search)

@@ -12,14 +12,26 @@ Two shapes of block string drive everything here:
 Pairs of unit chains with the same spectrum arise for every odd r >= 1 via
 m = 3(r+1)/2; the parameterized families below enumerate perfect-square
 solutions (n, m).
+
+Every integral unit chain comes from a triple (g, a, b).  Two positive
+integers whose product is a square have the same square-free part g, so
+(n-2m)(n+6m) is a square exactly when n - 2m = g a^2 and n + 6m = g b^2
+with g square-free, and then a < b since m >= 1.  Conversely such a triple
+gives n = g(3a^2 + b^2)/4 and m = g(b^2 - a^2)/8 whenever 8 divides
+g(b^2 - a^2) (which needs b = a mod 2, and makes 4 divide g(3a^2 + b^2)),
+with sqrt((n-2m)(n+6m)) = g a b.  Distinct triples give distinct (n, m),
+since g, a and b are read back off n - 2m and n + 6m.  So
+scan_seidel_integral lists every integral unit chain up to n_max, once,
+from the triples alone.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import count
 
+from . import intpoly
 from .chain import BlockString
 from .spectra import (
     ExactSpectrum,
@@ -174,13 +186,20 @@ def mirror_chain_family(s: int) -> tuple[BlockString, ExactSpectrum]:
     return mirror_chain_string(s), predicted
 
 
+def _pronic_index(p: int) -> int:
+    """The r >= 0 with r(r+1) <= p < (r+1)(r+2), for p >= 0."""
+    return (math.isqrt(4 * p + 1) - 1) // 2
+
+
+# Family id -> ((n, m) as a function of r, least r, the one r whose m(r)
+# can equal a given m >= 1).
 _FAMILY_PARAMS = {
-    "F1": (lambda r: (3 * r, r), 2),
-    "F2": (lambda r: (13 * r, 6 * r), 2),
-    "F3": (lambda r: (13 * r, 2 * r), 2),
-    "F4": (lambda r: (2 * r * r + 2 * r + 2, r * r + r), 1),
-    "F5": (lambda r: (4 * r * r - 2 * r + 1, r), 3),
-    "F6": (lambda r: (4 * r * r + 4 * r + 4, 2 * r * r + 2 * r), 1),
+    "F1": (lambda r: (3 * r, r), 2, lambda m: m),
+    "F2": (lambda r: (13 * r, 6 * r), 2, lambda m: m // 6),
+    "F3": (lambda r: (13 * r, 2 * r), 2, lambda m: m // 2),
+    "F4": (lambda r: (2 * r * r + 2 * r + 2, r * r + r), 1, _pronic_index),
+    "F5": (lambda r: (4 * r * r - 2 * r + 1, r), 3, lambda m: m),
+    "F6": (lambda r: (4 * r * r + 4 * r + 4, 2 * r * r + 2 * r), 1, lambda m: _pronic_index(m // 2)),
 }
 
 SPORADIC_PAIRS: tuple[tuple[int, int], ...] = ((6, 2), (14, 6), (12, 4))
@@ -202,7 +221,7 @@ def integral_family_params(family_id: str, r: int) -> tuple[int, int]:
         return SPORADIC_PAIRS[r]
     if family_id not in _FAMILY_PARAMS:
         raise ValueError(f"unknown family {family_id!r}")
-    formula, r_min = _FAMILY_PARAMS[family_id]
+    formula, r_min, _r_of_m = _FAMILY_PARAMS[family_id]
     if r < r_min:
         raise ValueError(f"family {family_id} requires r >= {r_min}")
     return formula(r)
@@ -253,15 +272,15 @@ def generate_integral_family(family_id: str, r: int) -> IntegralFamily:
 def classify_integral_pair(n: int, m: int) -> tuple[str, ...]:
     """Family ids whose stated parameter ranges generate (n, m).
 
-    m(r) rises strictly in every family and m(r) >= r, so a bisection over
-    r_min .. max(m, r_min) finds the one candidate r of each family.
+    m(r) rises strictly in every family, so at most one r has m(r) = m: r
+    itself, m/6 or m/2 for the linear families, and for F4 and F6 the r
+    with r(r+1) = m or m/2, read off math.isqrt.  That r is checked against
+    the family's range and both of its parameters.
     """
-    tags = []
-    for family_id, (formula, r_min) in _FAMILY_PARAMS.items():
-        rs = range(r_min, max(m, r_min) + 1)
-        i = bisect.bisect_left(rs, m, key=lambda r: formula(r)[1])
-        if i < len(rs) and formula(rs[i]) == (n, m):
-            tags.append(family_id)
+    if m < 1:  # every family member and sporadic pair has m >= 2
+        return ()
+    tags = [family_id for family_id, (formula, r_min, r_of_m) in _FAMILY_PARAMS.items()
+            if (r := r_of_m(m)) >= r_min and formula(r) == (n, m)]
     if (n, m) in SPORADIC_PAIRS:
         tags.append("S")
     return tuple(tags)
@@ -269,7 +288,13 @@ def classify_integral_pair(n: int, m: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ScanHit:
-    """One (n, m) with perfect-square discriminant found by the brute scan."""
+    """One (n, m) whose unit chain 0 1^m 0^m 1^(n-2m-1) is Seidel integral.
+
+    Hits come from the triples (g, a, b) of the module docstring.
+    verified_integral is the exact certificate of _integral_certificate:
+    the chain's quotient characteristic polynomial, computed from its cell
+    sizes, splits into the four linear factors that the triple predicts.
+    """
 
     n: int
     m: int
@@ -290,25 +315,61 @@ class ScanHit:
         }
 
 
-def scan_seidel_integral(n_max: int) -> list[ScanHit]:
-    """All (n, m) with 2m+1 < n <= n_max whose unit chain is Seidel integral.
+def _square_free_flags(n: int) -> bytearray:
+    """flags[g] = 1 iff g is square-free, for 0 <= g <= n (flags[0] = 0)."""
+    flags = bytearray(b"\1") * (n + 1)
+    flags[0] = 0
+    p = 2
+    while p * p <= n:
+        flags[p * p::p * p] = bytes(n // (p * p))
+        p += 1
+    return flags
 
-    Brute perfect-square scan of (n-2m)(n+6m); every hit's exact spectrum is
-    recomputed and checked integral.  Hits outside all family ranges are
-    surfaced as unclassified, never suppressed.
+
+def _integral_certificate(n: int, m: int, root: int) -> bool:
+    """Whether the unit chain 0 1^m 0^m 1^(n-2m-1) has Seidel spectrum
+    -1^(n-3), 2m-1, -(m+1) + (n +- root)/2, all integers.
+
+    The Seidel spectrum of a chain graph is its quotient's spectrum with -1
+    added n - 4 times for the 4 cells (spectra.exact_spectrum), so this
+    holds exactly when the quotient's characteristic polynomial, computed
+    from the cell sizes by intpoly.char_poly_ints, equals
+    (x + 1)(x - (2m - 1))(x - l+)(x - l-) with l+- = -(m+1) + (n +- root)/2.
+    It does not use where root came from: a wrong root gives False.
+    """
+    if (n + root) % 2:
+        return False
+    want = [1]  # coefficients in ascending degree, times (x - value) below
+    for value in (-1, 2 * m - 1, (n + root) // 2 - m - 1, (n - root) // 2 - m - 1):
+        want = [c - value * d for c, d in zip([0] + want, want + [0])]
+    return intpoly.char_poly_ints((1, m, m, n - 2 * m - 1)) == tuple(want)
+
+
+def scan_seidel_integral(n_max: int) -> list[ScanHit]:
+    """All (n, m) with 2m+1 < n <= n_max whose unit chain is Seidel integral,
+    ascending in (n, m).
+
+    Listed from the triples (g, a, b) of the module docstring: g square-free
+    (one sieve up to n_max), a >= 1, b = a + 2, a + 4, ... (b = a mod 2) with
+    8 | g(b^2 - a^2) and n = g(3a^2 + b^2)/4 <= n_max; g a^2 = n - 2m must be
+    at least 2.  Each hit is certified by _integral_certificate with
+    root = g a b.  Hits outside all family ranges are surfaced as
+    unclassified, never suppressed.
     """
     if n_max > 500:
         raise ValueError("scan is capped at n_max = 500")
-    hits = []
-    for n in range(4, n_max + 1):
-        for m in range(1, (n - 2) // 2 + 1):
-            if not is_perfect_square((n - 2 * m) * (n + 6 * m)):
-                continue
-            sp = exact_spectrum(unit_chain_string(m, n - 2 * m - 1))
-            hits.append(ScanHit(
-                n=n,
-                m=m,
-                families=classify_integral_pair(n, m),
-                verified_integral=sp.is_integral(),
-            ))
-    return hits
+    found = []
+    square_free = _square_free_flags(max(n_max, 0))
+    for g in range(1, n_max // 3 + 1):  # n >= g(a^2 + a + 1) >= 3g
+        if not square_free[g]:
+            continue
+        for a in count(1 if g > 1 else 2):  # n - 2m = g a^2 >= 2
+            if g * (a * a + a + 1) > n_max:  # n at b = a + 2
+                break
+            for b in range(a + 2, math.isqrt(4 * n_max // g - 3 * a * a) + 1, 2):
+                m8 = g * (b * b - a * a)
+                if m8 % 8 == 0:
+                    found.append((g * (3 * a * a + b * b) // 4, m8 // 8, g * a * b))
+    found.sort()
+    return [ScanHit(n, m, classify_integral_pair(n, m), _integral_certificate(n, m, root))
+            for n, m, root in found]

@@ -3,12 +3,13 @@
 Row v is an integer whose bit w is set iff {v, w} is an edge.  Graphs are
 immutable; every derived graph is a new object.
 
-The graph checks and Graph.adjacency() work on the runs of equal
-consecutive rows (the cells of a chain graph): only the row of each of the
-r runs is unpacked, into an r x n 0/1 numpy array B, and the n x n
-adjacency matrix A is B with each row repeated over its run.  So a chain
-graph with 2k cells costs O(k * n) to check, and a graph with no two equal
-consecutive rows (r = n) costs one n x n unpack, as it would without runs.
+The graph checks, the naming of a fault and Graph.adjacency() work on the
+runs of equal consecutive rows (the cells of a chain graph): only the row
+of each of the r runs is unpacked, into an r x n 0/1 numpy array B, and
+the n x n adjacency matrix A is B with each row repeated over its run.  So
+a chain graph with 2k cells costs O(k * n) to check, and a graph with no
+two equal consecutive rows (r = n) costs one n x n unpack, as it would
+without runs.
 """
 
 from __future__ import annotations
@@ -41,15 +42,29 @@ def _unpack(rows: list[int] | tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _first_fault(n: int, rows: tuple[int, ...]) -> str:
-    """The first fault of rows known to be faulty, as a row-by-row scan meets it."""
+    """The first fault of rows known to be faulty, as a row-by-row scan meets it.
+
+    An asymmetric pair is named from the r x n run rows, in O(r * n) memory.
+    """
     for v, row in enumerate(rows):
         if row >> n:
             return f"row {v} has bits beyond vertex range"
         if (row >> v) & 1:
             return f"vertex {v} has a self-loop"
-    # The first mismatch in row-major order lies above the diagonal.
-    a = _unpack(rows, n)
-    v, w = divmod(int((a != a.T).argmax()), n)
+    # Asymmetric pairs come in mirror pairs, so the first one in row-major
+    # order is (v, w) with v the first vertex whose row differs from its
+    # column, and w the first place where they differ.  Vertex v of run j
+    # has row B[j], and its column is B[:, v] repeated over the runs: they
+    # are equal iff B[j] is constant, K[j][i], on every run i of columns and
+    # B[i][v] = K[j][i] for every run i.
+    distinct, lengths = _row_runs(rows)
+    b = _unpack(distinct, n)
+    starts = list(accumulate(lengths[:-1], initial=0))
+    k = np.minimum.reduceat(b, starts, axis=1)
+    constant = (k == np.maximum.reduceat(b, starts, axis=1)).all(axis=1)
+    run_of = np.arange(len(distinct)).repeat(lengths)
+    v = int((constant[run_of] & (b == k.T[:, run_of]).all(axis=0)).argmin())
+    w = int((b[run_of[v]] != b[:, v].repeat(lengths)).argmax())
     return f"adjacency not symmetric at ({v}, {w})"
 
 
@@ -83,14 +98,21 @@ class Graph:
         if 1 in c.tobytes()[::len(distinct) + 1] or expanded.tobytes() != b.T.tobytes():
             raise ValueError(_first_fault(n, rows))
 
+    def run_rows(self) -> tuple[np.ndarray, list[int]]:
+        """The r x n 0/1 matrix B (uint8) of the row of each run of equal
+        consecutive rows, and the run lengths: the adjacency matrix is B with
+        row i repeated lengths[i] times."""
+        distinct, lengths = _row_runs(self.rows)
+        return _unpack(distinct, self.n), lengths
+
     def adjacency(self) -> np.ndarray:
         """The n x n 0/1 adjacency matrix (uint8): entry (v, w) is bit w of row v.
 
         Only the row of each run of equal consecutive rows is unpacked, and
         repeated over its run.
         """
-        distinct, lengths = _row_runs(self.rows)
-        return _unpack(distinct, self.n).repeat(lengths, axis=0)
+        b, lengths = self.run_rows()
+        return b.repeat(lengths, axis=0)
 
     @classmethod
     def empty(cls, n: int) -> Graph:

@@ -289,11 +289,13 @@ def seidel_matrix(g: Graph) -> SeidelMatrix:
     """Seidel matrix of any simple graph: -1 on edges, +1 on non-edges.
 
     The size cap is checked first, so a refused graph never has an n x n
-    array built.  Then S = 1 - 2A from g.adjacency(), which repeats each
-    distinct row over its run of equal consecutive rows.
+    array built.  Then S = 1 - 2A is formed as 1 - 2B on the r x n rows of
+    g's runs of equal consecutive rows (Graph.run_rows), and repeated over
+    the runs.
     """
     check_matrix_size(g.n)
-    s = 1 - 2 * g.adjacency().view(np.int8)
+    b, lengths = g.run_rows()
+    s = (1 - 2 * b.view(np.int8)).repeat(lengths, axis=0)
     np.fill_diagonal(s, 0)
     return SeidelMatrix(g.n, s)
 

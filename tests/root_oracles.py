@@ -15,6 +15,11 @@ sizes alone; faddeev_leverrier works on any square integer matrix.  And
 surd_fields is the canonical surd form built by trial division of the
 radicand up to 10^5.
 
+The library lists the Seidel-integral unit chains from the triples (g, a, b)
+and certifies each by one characteristic-polynomial identity;
+brute_scan_seidel_integral is the O(n_max^2) perfect-square scan that checks
+every hit's exact spectrum, and tags it by bisecting each family's m(r).
+
 The library finds the equiangular cosine 1/|lambda| of a root interval on its
 factor's reversal, isolated from float guesses and picked by one sign change;
 reciprocal_abs re-isolates it with no guesses, from Fraction bounds of the
@@ -23,12 +28,20 @@ image cell and a Sturm count in every isolating cell.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from math import floor, gcd, isfinite, isqrt
 from operator import mul
 
 from seidelchain import intpoly
-from seidelchain.spectra import INTERVAL_BITS, RootInterval, Surd
+from seidelchain.families import (
+    SPORADIC_PAIRS,
+    ScanHit,
+    integral_family_params,
+    is_perfect_square,
+    unit_chain_string,
+)
+from seidelchain.spectra import INTERVAL_BITS, RootInterval, Surd, exact_spectrum
 
 
 def cell_fractions(cell) -> tuple[Fraction, Fraction, int, int]:
@@ -308,3 +321,34 @@ def reciprocal_abs(v):
         if a < b and intpoly.count_roots_between(chain, a, b) == 1:
             return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS))
     raise ArithmeticError("failed to isolate the reciprocal eigenvalue")
+
+
+FAMILY_R_MIN = {"F1": 2, "F2": 2, "F3": 2, "F4": 1, "F5": 3, "F6": 1}
+
+
+def classify_by_bisection(n: int, m: int) -> tuple[str, ...]:
+    """Family ids generating (n, m): m(r) rises strictly in every family and
+    m(r) >= r, so a bisection over r_min .. max(m, r_min) finds the one
+    candidate r of each family."""
+    tags = []
+    for family_id, r_min in FAMILY_R_MIN.items():
+        rs = range(r_min, max(m, r_min) + 1)
+        i = bisect.bisect_left(rs, m, key=lambda r: integral_family_params(family_id, r)[1])
+        if i < len(rs) and integral_family_params(family_id, rs[i]) == (n, m):
+            tags.append(family_id)
+    if (n, m) in SPORADIC_PAIRS:
+        tags.append("S")
+    return tuple(tags)
+
+
+def brute_scan_seidel_integral(n_max: int) -> list[ScanHit]:
+    """Every (n, m) with 2m+1 < n <= n_max and (n-2m)(n+6m) a perfect square,
+    ascending, each verified by the exact spectrum of its unit chain."""
+    hits = []
+    for n in range(4, n_max + 1):
+        for m in range(1, (n - 2) // 2 + 1):
+            if not is_perfect_square((n - 2 * m) * (n + 6 * m)):
+                continue
+            sp = exact_spectrum(unit_chain_string(m, n - 2 * m - 1))
+            hits.append(ScanHit(n, m, classify_by_bisection(n, m), sp.is_integral()))
+    return hits

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import root_oracles
 from seidelchain import (
     Surd,
     classify_integral_pair,
@@ -20,7 +22,7 @@ from seidelchain import (
     unit_chain_spectrum,
     unit_chain_string,
 )
-from seidelchain import families
+from seidelchain import families, intpoly
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,23 @@ def test_unit_chain_spectrum_matches_exact():
         assert unit_chain_spectrum(n, m) == exact_spectrum(unit_chain_string(m, n - 2 * m - 1))
 
 
+def test_unit_chain_charpoly_symbolically():
+    """The quotient charpoly of 0 1^m 0^m 1^(n-2m-1) for all m and n at once."""
+    sympy = pytest.importorskip("sympy")
+    m, n, x, s = sympy.symbols("m n x s")
+    chi = sum(c * x ** i for i, c in enumerate(intpoly.char_poly_ints((1, m, m, n - 2 * m - 1))))
+    quad = x ** 2 - (n - 2 * m - 2) * x + 4 * m ** 2 - 2 * m * n + 2 * m - n + 1
+    assert sympy.expand(chi - (x + 1) * (x - 2 * m + 1) * quad) == 0
+    disc = (n - 2 * m) * (n + 6 * m)
+    assert sympy.expand(sympy.discriminant(quad, x) - disc) == 0
+    # The product of 2m-1 and the two roots of quad is f(m).
+    assert sympy.expand((2 * m - 1) * quad.subs(x, 0) - (8 * m ** 3 - 4 * n * m ** 2 + n - 1)) == 0
+    # unit_chain_spectrum's pair -(m+1) + (n +- s)/2 are the roots of quad when s^2 = disc.
+    for sign in (1, -1):
+        value = -(m + 1) + (n + sign * s) / 2
+        assert sympy.expand(quad.subs(x, value) - (s ** 2 - disc) / 4) == 0
+
+
 def test_unit_chain_spectrum_validates_input():
     with pytest.raises(ValueError):
         unit_chain_spectrum(5, 2)  # n = 2m+1
@@ -220,8 +239,46 @@ def test_sporadics_verify():
 
 
 # ---------------------------------------------------------------------------
-# Brute scan
+# Integral scan
 # ---------------------------------------------------------------------------
+
+def _scan_fields(hits) -> list[tuple]:
+    return [(h.n, h.m, h.families, h.verified_integral) for h in hits]
+
+
+def test_scan_matches_the_brute_oracle():
+    for n_max in [*range(-2, 61), 150, 500]:
+        want = _scan_fields(root_oracles.brute_scan_seidel_integral(n_max))
+        assert _scan_fields(scan_seidel_integral(n_max)) == want, n_max
+    assert len(want) == 771 and all(verified for *_, verified in want)  # n_max = 500
+
+
+def test_scan_calls_no_exact_spectrum_and_no_square_test(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan must not call this")
+    monkeypatch.setattr(families, "exact_spectrum", refuse)
+    monkeypatch.setattr(families, "is_perfect_square", refuse)
+    hits = scan_seidel_integral(500)
+    assert len(hits) == 771 and all(h.verified_integral for h in hits)
+
+
+@pytest.mark.parametrize("n,m", [(9, 3), (15, 5), (6, 2), (14, 6), (494, 238), (499, 225)])
+def test_integral_certificate(n, m):
+    root = math.isqrt((n - 2 * m) * (n + 6 * m))
+    assert root * root == (n - 2 * m) * (n + 6 * m)
+    assert families._integral_certificate(n, m, root)
+    if n == 3 * m:  # the upper value -(m+1) + (n + root)/2 is 2m-1 again
+        assert (2 * m - 1, 2) in unit_chain_spectrum(n, m).entries
+    for wrong in (root + 2, root - 2, root + 1, 0, -root - 2):
+        assert not families._integral_certificate(n, m, wrong)
+
+
+def test_integral_certificate_refuses_a_non_square_discriminant():
+    for n, m in ((4, 1), (7, 2), (500, 3)):
+        disc = (n - 2 * m) * (n + 6 * m)
+        assert not is_perfect_square(disc)
+        for root in (math.isqrt(disc), math.isqrt(disc) + 1):
+            assert not families._integral_certificate(n, m, root)
 
 def test_scan_to_15_frozen():
     hits = {(h.n, h.m): h for h in scan_seidel_integral(15)}
@@ -268,6 +325,32 @@ def test_classify_integral_pair_direct():
     assert classify_integral_pair(26, 12) == ("F2", "F4")
     assert classify_integral_pair(31, 3) == ("F5",)
     assert classify_integral_pair(19, 5) == ()
+
+
+@pytest.mark.parametrize("n,m", [
+    (0, 0), (6, 0), (2, 0), (4, 0), (6, -2), (12, -4), (-6, 2), (0, 2), (-3, -1), (-12, -4),
+    (3, -10 ** 30), (-10 ** 30, 10 ** 30),
+])
+def test_classify_nonpositive_pairs(n, m):
+    assert classify_integral_pair(n, m) == ()
+
+
+def test_classify_below_each_family_range():
+    # The members at r_min - 1: F1 (3, 1), F2 (13, 6), F3 (13, 2), F4 (2, 0),
+    # F5 (13, 2), F6 (4, 0); none of them is in another family's range.
+    for n, m in ((3, 1), (13, 6), (13, 2), (2, 0), (4, 0)):
+        assert classify_integral_pair(n, m) == ()
+
+
+@pytest.mark.parametrize("family_id,r", [
+    ("F1", 10 ** 30), ("F2", 10 ** 30), ("F3", 10 ** 30), ("F4", 10 ** 15), ("F5", 10 ** 30),
+    ("F6", 10 ** 15), ("F4", 10 ** 15 - 1), ("F6", 10 ** 15 + 1),
+])
+def test_classify_huge_members(family_id, r):
+    n, m = integral_family_params(family_id, r)
+    assert m >= 10 ** 30 - 2 * 10 ** 15
+    assert classify_integral_pair(n, m) == (family_id,)
+    assert classify_integral_pair(n + 1, m) == classify_integral_pair(n, m + 1) == ()
 
 
 def test_classify_integral_pair_matches_a_walk_of_the_families():

@@ -137,6 +137,20 @@ def test_refused_oracle_graph_never_holds_an_n_by_n_array():
     assert peak < 1_000_000
 
 
+def test_asymmetry_is_named_without_an_n_by_n_array():
+    # One flipped bit in a 3001-vertex chain graph: the n x n uint8 matrix
+    # alone would take 9 MB.
+    rows = list(build_chain_graph(parse_block_string("0^1500 1^1501")).rows)
+    rows[2999] ^= 1 << 3000
+    tracemalloc.start()
+    try:
+        assert _error(3001, tuple(rows)) == "adjacency not symmetric at (2999, 3000)"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_adjacency_reads_the_row_bits():
     rng = random.Random(41)
     graphs = [Graph.empty(0), Graph.empty(1), chain_graph("0^3 1^7"), chain_graph("0^40 1 0 1^23")]
