@@ -10,9 +10,14 @@ verify-tables and the witness rows of switch-search.
 JSON is written by `_json_text`, whose bytes equal json.dumps(doc, indent=2).
 CPython's json uses its C encoder only when no indent is given, so the
 writer joins dicts and lists itself, two spaces per level, and leaves the
-escaping of strings to json's C function encode_basestring_ascii.  On a
-1000-witness switch-search --all it takes about half the time of
-json.dumps(indent=2).
+escaping of strings to json's C function encode_basestring_ascii.  A list
+of four or more dicts with the same keys in the same order (a record list,
+such as the witnesses of switch-search) is written column by column: each
+column in one pass, each distinct list of ints once, and each record as one
+fill of a %-template.  On the 1000-witness switch-search --all (362 KB)
+the writer takes about 3 ms where json.dumps(indent=2) takes about 13 ms
+(best of 30, on a 2-core x86 VM).  The text and csv witness rows likewise
+format each distinct degrees and split once.
 
 Exit codes: 0 success, 1 computation error (caps, degenerate inputs, failed
 verification), 2 usage errors (unknown command, bad arguments, malformed
@@ -30,6 +35,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -285,11 +291,11 @@ def _text_switch_search(p: dict) -> list[str]:
         f"string: {p['string']}   profile {p['profile']}",
         f"matches: {p['count']} over {p['subsets_examined']} switchings",
     ]
-    for w in p["witnesses"]:
-        lines.append(
-            f"  subset {w['subsetBits']} degrees {w['degrees']}"
-            + (f" split {w['splitPerCell']}" if w["splitPerCell"] else "")
-        )
+    witnesses = p["witnesses"]
+    degrees = _each_distinct_once(lambda t: f" degrees {list(t)}", [w["degrees"] for w in witnesses])
+    splits = _each_distinct_once(lambda t: f" split {list(t)}" if t else "",
+                                 [w["splitPerCell"] or () for w in witnesses])
+    lines.extend(f"  subset {w['subsetBits']}{d}{s}" for w, d, s in zip(witnesses, degrees, splits))
     return lines
 
 
@@ -329,7 +335,17 @@ def _csv_quotient(p: dict) -> list[dict]:
 
 
 def _csv_switch_search(p: dict) -> list[dict]:
-    return _csv_render(p["witnesses"]) or [{"subsetBits": "", "degrees": "", "splitPerCell": ""}]
+    """The rows _csv_render gives the witnesses, each distinct degrees and
+    split joined once."""
+    witnesses = p["witnesses"]
+    if not witnesses:
+        return [{"subsetBits": "", "degrees": "", "splitPerCell": ""}]
+    joined = functools.partial(_each_distinct_once, lambda t: " ".join(map(str, t)))
+    degrees = joined([w["degrees"] for w in witnesses])
+    # None (no cells) and [] both make an empty cell.
+    splits = joined([w["splitPerCell"] or () for w in witnesses])
+    return [{"subsetBits": w["subsetBits"], "degrees": d, "splitPerCell": s}
+            for w, d, s in zip(witnesses, degrees, splits)]
 
 
 def _csv_verify_tables(report: dict) -> list[dict]:
@@ -342,13 +358,57 @@ def _csv_verify_tables(report: dict) -> list[dict]:
     ]
 
 
+def _each_distinct_once(fmt, values) -> list[str]:
+    """[fmt(tuple(v)) for v in values], with fmt called once per distinct tuple(v).
+
+    Equal tuples must render alike, so the values are to hold no bools or
+    floats beside ints ((1, True) == (1, 1)).  The witnesses of one orbit
+    share their degrees and split, so a 1000-witness list has a handful of
+    distinct ones.
+    """
+    keys = list(map(tuple, values))
+    texts = dict.fromkeys(keys)
+    for key in texts:
+        texts[key] = fmt(key)
+    return list(map(texts.__getitem__, keys))
+
+
+# The fewest dicts _json_text writes as a record list.  Building the columns
+# and the template costs about 8 us, which a list of three or fewer records
+# does not win back.
+_RECORDS_MIN = 4
+
+
+def _json_column(values: list, pad: str) -> list[str]:
+    """_json_text of each value, the values all starting on lines with pad."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(values))) == {int}:
+        return _each_distinct_once(functools.partial(_json_text, pad=pad), values)
+    return [_json_text(v, pad) for v in values]
+
+
+def _json_records(records: list[dict], keys: tuple[str, ...], pad: str) -> list[str]:
+    """_json_text of dicts with the same non-empty key tuple, column by column:
+    each column is rendered in one pass, and each record is one template fill.
+    The columns are freed on return, before the caller joins the records."""
+    inner = pad + "  "
+    columns = [_json_column([r[k] for r in records], inner) for k in keys]
+    fields = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + inner + fields + pad + "}"
+    return [template % row for row in zip(*columns)]
+
+
 def _json_text(value, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2) renders it; pad is the newline and
     indent of the line it starts on.
 
     Dict keys must be strings.  A list of exact ints is joined in one call,
-    and any leaf other than a string, int, bool or None (a float) is left to
-    json.dumps, which also refuses what json refuses.
+    a list of at least _RECORDS_MIN dicts with the same keys in the same
+    order goes through _json_records, and any leaf other than a string, int,
+    bool or None (a float) is left to json.dumps, which also refuses what
+    json refuses.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -364,8 +424,13 @@ def _json_text(value, pad: str = "\n") -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        if set(map(type, value)) == {int}:
+        kinds = set(map(type, value))
+        # Key tuples, not keys views: those compare as sets.
+        keys = tuple(value[0]) if kinds == {dict} and len(value) >= _RECORDS_MIN else ()
+        if kinds == {int}:
             items = map(int.__repr__, value)
+        elif keys and set(map(tuple, value)) == {keys}:
+            items = _json_records(value, keys, inner)
         else:
             items = [_json_text(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"

@@ -27,7 +27,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -210,14 +210,15 @@ def _least_gray_mask(free: list[list[int]], counts: tuple[int, ...]) -> int:
     return mask
 
 
-def _gray_rank(mask: int) -> int:
-    """Position of a subset excluding vertex 0 in the Gray-code order of the
-    switching subsets: the inverse of rank r -> (r ^ (r >> 1)) << 1, the
-    prefix XOR of mask >> 1, taken in doubling steps."""
-    rank, shift = mask >> 1, 1
-    while rank >> shift:
+def _gray_ranks(masks) -> np.ndarray:
+    """Positions of subsets excluding vertex 0 in the Gray-code order of the
+    switching subsets, as an int64 array: the inverse of rank
+    r -> (r ^ (r >> 1)) << 1, the prefix XOR of mask >> 1, taken in doubling
+    steps.  Masks must be below 2^63; check_search_size keeps them below
+    2^SEARCH_CAP."""
+    rank = np.array(masks, dtype=np.int64) >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
         rank ^= rank >> shift
-        shift <<= 1
     return rank
 
 
@@ -300,14 +301,17 @@ def search_class_by_degree_profile(
     the whole block; any other shape raises ValueError.  A match counts the
     whole orbit, and only matching orbits are looked at one by one.
     Witnesses are matching subsets in Gray-code order: the first one (least
-    Gray rank), or every one when all_witnesses is set.
+    Gray rank), or every one when all_witnesses is set.  Ranks come from
+    _gray_ranks over arrays of masks: all witnesses are ordered by one
+    argsort, and the first is kept by one argmin per block.
     """
     check_search_size(g.n)
     components = _twin_components(g)
     free = _free_twins(components)
     split = _witness_split(g, components)
-    # (Gray rank, subset, degrees, counts of its orbit)
-    hits: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+    # The matching subsets kept so far, each with the (degrees, counts) of its orbit.
+    masks: list[int] = []
+    orbits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     match_count = 0
     for block_counts, block_degrees, block_sizes in _orbit_blocks(g, components):
         mask = np.asarray(profile(block_degrees), dtype=bool)
@@ -328,11 +332,18 @@ def search_class_by_degree_profile(
                 subsets = _orbit_masks(free, counts)
             else:
                 subsets = (_least_gray_mask(free, counts),)
-            hits.extend((_gray_rank(m), m, dm, counts) for m in subsets)
-            if not all_witnesses:
-                hits = [min(hits)]
-    hits.sort()
-    witnesses = tuple(SwitchingWitness(m, dm, split(counts, m)) for _rank, m, dm, counts in hits)
+            kept = len(masks)
+            masks.extend(subsets)
+            orbits.extend(repeat((dm, counts), len(masks) - kept))
+        if not all_witnesses and len(masks) > 1:
+            # Keep the least of this block's subsets and the one kept before.
+            least = int(_gray_ranks(masks).argmin())
+            masks, orbits = [masks[least]], [orbits[least]]
+    if len(masks) > 1:
+        order = _gray_ranks(masks).argsort().tolist()
+        masks, orbits = [masks[i] for i in order], [orbits[i] for i in order]
+    witnesses = tuple(SwitchingWitness(m, dm, split(counts, m))
+                      for m, (dm, counts) in zip(masks, orbits))
     return SearchResult(witnesses, match_count, 1 << max(g.n - 1, 0))
 
 

@@ -66,6 +66,18 @@ def cell_split(g: Graph, mask: int) -> tuple[int, ...] | None:
                  for _lab, start, size in g.cells())
 
 
+def gray_rank(mask: int) -> int:
+    """Scalar oracle of switching._gray_ranks: the position of a subset
+    excluding vertex 0 in the Gray-code order of the switching subsets, the
+    inverse of rank r -> (r ^ (r >> 1)) << 1, by the prefix XOR of mask >> 1
+    in doubling steps."""
+    rank, shift = mask >> 1, 1
+    while rank >> shift:
+        rank ^= rank >> shift
+        shift <<= 1
+    return rank
+
+
 @functools.lru_cache(maxsize=16)
 def _gray_walk(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(mask, switched degree sequence) of every subset excluding vertex 0, in

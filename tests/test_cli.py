@@ -171,7 +171,7 @@ def test_threads_flag_deterministic():
 # The JSON writer
 # ---------------------------------------------------------------------------
 
-_TEXT = st.text(st.sampled_from('a0 "\\/\x00\x1f\x7f\n\t\u2028√é€😀') | st.characters(), max_size=8)
+_TEXT = st.text(st.sampled_from('a0 "%\\/\x00\x1f\x7f\n\t\u2028√é€😀') | st.characters(), max_size=8)
 _LEAVES = (
     st.none()
     | st.booleans()
@@ -180,11 +180,29 @@ _LEAVES = (
     | st.floats()
     | _TEXT
 )
+
+
+@st.composite
+def _record_lists(draw, children):
+    """Dicts on one key set, the keys in one order or, where drawn, permuted;
+    the values drawn from children or from a few int lists used again and
+    again (with bools and floats among the ints at times)."""
+    keys = draw(st.lists(_TEXT, max_size=4, unique=True))
+    repeated = draw(st.lists(st.lists(st.integers(-2, 2) | st.booleans() | st.floats(), max_size=3)
+                             | st.lists(st.integers(), max_size=3).map(tuple), min_size=1, max_size=3))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(keys)) if draw(st.booleans()) else keys
+        records.append({k: draw(children | st.sampled_from(repeated)) for k in order})
+    return records
+
+
 _DOCUMENTS = st.recursive(
     _LEAVES,
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(_TEXT, children, max_size=4)),
+                      | st.dictionaries(_TEXT, children, max_size=4)
+                      | _record_lists(children)),
     max_leaves=30,
 )
 
@@ -194,8 +212,24 @@ _DOCUMENTS = st.recursive(
 @example([math.nan, math.inf, -math.inf, -0.0, 1e300, 2 ** 64, -(2 ** 70), True, 1, None])
 @example({"": [], "a": {}, "b": (), "c": [[], {}], "value": "surd:(-1+√2)/3", "q": '"\\\x01'})
 @example([[1, 2, 3], [1, True], [0, 1.5], (4, 5)])
+@example([{"a": "x", "b": [7, 8], "c": 1}, {"a": "y", "b": [7, 8], "c": None}])
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 3, "b": 4}])
+@example([{"%s": "%d", '"%%"': 1, "\x00": "\x00%", "√é😀": [1]}, {"%s": "", '"%%"': 2, "\x00": "é", "√é😀": []}])
+@example({"w": [{"d": [7, 8, 8], "s": (0, 2)}, {"d": [7, 8, 8], "s": [0, 2]}, {"d": [], "s": [0, 2]},
+                {"d": [7, 8, 8], "s": (0, 2)}]})
+@example([{"d": [1, 1]}, {"d": [1, True]}, {"d": [1.0, 1]}, {"d": [True, 1]}, {"d": [1, 1]}])
+@example([{"x": [math.nan, -0.0]}, {"x": [-0.0, math.nan]}, {"x": None}, {"x": [0, 0]}, {"x": [0.0, -0]}])
+@example([{}, {}, {}])
+@example([{"a": None, "b": {}}, {"a": None, "b": {}}])
+@example([{"w": [{"a": [1, 2]}, {"a": [1, 2]}], "x": {"y": [{"z": 1}, {"z": "%"}]}},
+          {"w": [], "x": {"y": [{"z": [3]}]}}])
 def test_json_writer_equals_json_dumps_indent_2(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    want = json.dumps(doc, indent=2)
+    assert cli._json_text(doc) == want
+    # Every record list, short ones too, through the column-by-column path.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_RECORDS_MIN", 1)
+        assert cli._json_text(doc) == want
 
 
 def test_json_writer_refuses_what_json_refuses():
@@ -203,10 +237,13 @@ def test_json_writer_refuses_what_json_refuses():
         cli._json_text({"payload": [object()]})
 
 
+_THOUSAND_WITNESSES = ["switch-search", "0 1^5 0^5 1^4", "--profile", "biregular:7,8", "--all"]
+
+
 def test_thousand_witness_json_matches_the_bench_reference():
     """The largest document the CLI prints (362 KB; the golden file holds
     none over 1.4 KB) has the stdout the benchmark checks."""
-    argv = ["--format", "json", "switch-search", "0 1^5 0^5 1^4", "--profile", "biregular:7,8", "--all"]
+    argv = ["--format", "json"] + _THOUSAND_WITNESSES
     bench = Path(__file__).resolve().parent.parent / "bench"
     reference = json.loads((bench / "cli_reference.json").read_text())[json.dumps(argv)]
     code, text = _run(argv)
@@ -214,6 +251,31 @@ def test_thousand_witness_json_matches_the_bench_reference():
     assert len(json.loads(text)["payload"]["witnesses"]) == 1000
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == reference["sha256"]
+
+
+@pytest.mark.parametrize("fmt, size, sha256", [
+    ("text", 88982, "cac3972276dbf83443951b93a90ee2401e158da95bcb4437e9575489c75cede8"),
+    ("csv", 44932, "b27be97670d52ba6f2e388e83dfa1c243d0e903ccaaf6f98da408011442e29be"),
+])
+def test_thousand_witness_text_and_csv_are_pinned(fmt, size, sha256):
+    """The text and csv stdout of the 1000-witness search, as printed before
+    their renderers formatted each distinct degrees and split once."""
+    code, text = _run(["--format", fmt] + _THOUSAND_WITNESSES)
+    assert code == 0
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_thousand_witness_command_budget(fmt):
+    # A loose budget: about 5 ms in json, 3 in text and 5 in csv on a 2-core x86 VM.
+    argv = ["--format", fmt] + _THOUSAND_WITNESSES
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert _run(argv)[0] == 0
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.050
 
 
 def test_no_indented_json_dumps_in_the_package():

@@ -14,6 +14,7 @@ from conftest import (
     brute_switch_search,
     cell_split,
     cycle_graph,
+    gray_rank,
     path_graph,
     random_graph,
     random_subset_mask,
@@ -42,7 +43,7 @@ from seidelchain import switching
 from seidelchain.switching import (
     _are_twins,
     _free_twins,
-    _gray_rank,
+    _gray_ranks,
     _least_gray_mask,
     _orbit_masks,
     _twin_components,
@@ -126,7 +127,13 @@ def _small_graphs(draw, max_chain_n: int = 14) -> Graph:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
-    n = draw(st.integers(2, max_chain_n))
+    return draw(_chain_graphs(max_chain_n))
+
+
+@st.composite
+def _chain_graphs(draw, max_n: int) -> Graph:
+    """A chain graph on 2 to max_n vertices."""
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, n // 2))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2 * k - 1, max_size=2 * k - 1)))
     parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
@@ -383,8 +390,70 @@ def test_least_gray_mask_is_the_orbit_minimum():
             free.append(sorted(vertices[:cut]))
             vertices = vertices[cut:]
         counts = tuple(rng.randint(0, len(f)) for f in free)
-        least = min(_orbit_masks(free, counts), key=_gray_rank)
+        least = min(_orbit_masks(free, counts), key=gray_rank)
         assert _least_gray_mask(free, counts) == least
+
+
+def test_array_gray_ranks_equal_the_scalar_oracle():
+    small = np.arange(1 << 16)
+    assert _gray_ranks(small).tolist() == [gray_rank(m) for m in range(1 << 16)]
+    rng = random.Random(47)
+    for bits in (29, 30, 62):
+        masks = [rng.randrange(1 << bits) for _ in range(4000)] + [(1 << bits) - 1, 1 << (bits - 1)]
+        assert _gray_ranks(masks).tolist() == [gray_rank(m) for m in masks]
+    assert _gray_ranks([]).tolist() == []
+
+
+def _switched_degrees(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset excluding vertex 0, in increasing mask order, and the
+    degrees of its switching, non-increasing, from switched Seidel matrices:
+    with S = J - I - 2A, vertex v switched by the signs s has degree
+    (n - 1 - s_v (S s)_v) / 2."""
+    n = g.n
+    masks = np.arange(1 << max(n - 1, 0), dtype=np.int64) << 1
+    signs = 1 - 2 * (masks[:, None] >> np.arange(n) & 1)
+    adjacency = np.array([[row >> u & 1 for u in range(n)] for row in g.rows], dtype=np.int64)
+    s = 1 - np.eye(n, dtype=np.int64) - 2 * adjacency
+    degrees = (n - 1 - signs * (signs @ s)) // 2
+    return masks, -np.sort(-degrees, axis=1)
+
+
+def _check_gray_order(g: Graph) -> None:
+    """Under the regular profile and the biregular one most switchings match
+    (g's own degrees if none has two), the witnesses are every matching
+    subset sorted by the scalar oracle, and the first witness is their head."""
+    masks, degrees = _switched_degrees(g)
+    top, bottom = degrees[:, 0], degrees[:, -1]
+    two = (top != bottom) & ((degrees == top[:, None]) | (degrees == bottom[:, None])).all(axis=1)
+    pairs, counts = np.unique(np.stack([top, bottom], axis=1)[two], axis=0, return_counts=True)
+    a, b = pairs[counts.argmax()].tolist() if len(pairs) else (top[0], bottom[0])
+    for profile in (regular_profile, biregular_profile(a, b)):
+        want = sorted(masks[np.asarray(profile(degrees), dtype=bool)].tolist(), key=gray_rank)
+        every = search_class_by_degree_profile(g, profile, all_witnesses=True)
+        assert [w.subset for w in every.witnesses] == want
+        first = search_class_by_degree_profile(g, profile)
+        assert first.witnesses == every.witnesses[:1]
+        assert first.match_count == every.match_count == len(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_chain_graphs(16))
+def test_witnesses_are_every_match_in_gray_order(g):
+    _check_gray_order(g)
+
+
+@pytest.mark.parametrize("block", [7, 1 << 12])
+def test_witnesses_are_every_match_in_gray_order_on_named_graphs(monkeypatch, block):
+    monkeypatch.setattr(switching, "_ORBIT_BLOCK", block)
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    petersen = Graph.from_edges(10, outer + spokes + inner)
+    assert degree_sequence(petersen) == [3] * 10
+    # Of G(12, 1/2) on seeds 40-79, seed 50 has the most switchings with two
+    # distinct degrees (three), and most have none.
+    for g in (cycle_graph(5), petersen, random_graph(random.Random(50), 12)):
+        _check_gray_order(g)
 
 
 def test_search_n30_chain_follows_orbits_not_subsets():
@@ -466,7 +535,7 @@ def test_witness_split_equals_bit_count_on_every_small_chain_string():
             for profile in profiles:
                 res = search_class_by_degree_profile(g, profile, all_witnesses=True)
                 assert len(res.witnesses) == res.match_count
-                ranks = [_gray_rank(w.subset) for w in res.witnesses]
+                ranks = [gray_rank(w.subset) for w in res.witnesses]
                 assert ranks == sorted(set(ranks))
                 for w in res.witnesses:
                     assert w.split_per_cell == cell_split(g, w.subset)
