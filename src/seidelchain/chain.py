@@ -96,8 +96,6 @@ def parse_block_string(text: str) -> BlockString:
         else:
             runs.append((digit, count))
         pos = m.end()
-    if not runs:
-        raise ValueError("empty block string")
     if runs[0][0] != "0":
         raise ValueError("block string must start with a 0-block")
     if runs[-1][0] != "1":

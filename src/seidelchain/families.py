@@ -23,6 +23,11 @@ with sqrt((n-2m)(n+6m)) = g a b.  Distinct triples give distinct (n, m),
 since g, a and b are read back off n - 2m and n + 6m.  So
 scan_seidel_integral lists every integral unit chain up to n_max, once,
 from the triples alone.
+
+Every claim here, a pair's shared spectrum, a family member's spectrum and
+a scan hit alike, is certified by spectra.has_spectrum: the quotient's
+characteristic polynomial must be the product of the claimed linear
+factors.  No root is isolated.
 """
 
 from __future__ import annotations
@@ -31,14 +36,8 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from . import intpoly
 from .chain import BlockString
-from .spectra import (
-    ExactSpectrum,
-    Surd,
-    exact_spectrum,
-    spectrum_from_counts,
-)
+from .spectra import ExactSpectrum, Surd, has_spectrum, spectrum_from_counts
 
 
 def is_perfect_square(x: int) -> bool:
@@ -48,9 +47,7 @@ def is_perfect_square(x: int) -> bool:
 
 
 def unit_chain_string(a: int, b: int) -> BlockString:
-    """The block string 0 1^a 0^a 1^b."""
-    if a < 1 or b < 1:
-        raise ValueError("block sizes must be positive")
+    """The block string 0 1^a 0^a 1^b; BlockString refuses a or b below 1."""
     return BlockString(((1, a), (a, b)))
 
 
@@ -110,10 +107,8 @@ class CospectralPair:
     predicted: ExactSpectrum
 
     def verify(self) -> bool:
-        """Recompute both exact spectra and compare with the prediction."""
-        sa = exact_spectrum(self.string_a)
-        sb = exact_spectrum(self.string_b)
-        return sa == self.predicted and sb == self.predicted
+        """Certify the prediction for both strings by spectra.has_spectrum."""
+        return all(has_spectrum(b, self.predicted.entries) for b in (self.string_a, self.string_b))
 
     def serialize(self) -> dict:
         return {
@@ -131,20 +126,13 @@ def generate_cospectral_pair(r: int) -> CospectralPair:
         raise ValueError("r must be an odd positive integer")
     m = 3 * (r + 1) // 2
     n = 4 * m + r + 1
-    predicted = spectrum_from_counts([
-        (-1, n - 3),
-        (-(2 * m - r), 1),
-        (2 * m - 1, 1),
-        (4 * m - 1, 1),
-    ])
-    predicted.validate()
     return CospectralPair(
         r=r,
         m=m,
         n=n,
         string_a=unit_chain_string(m, 2 * m + r),
         string_b=unit_chain_string(2 * m, r),
-        predicted=predicted,
+        predicted=unit_chain_spectrum(n, m),
     )
 
 
@@ -240,8 +228,8 @@ class IntegralFamily:
     predicted: ExactSpectrum
 
     def verify(self) -> bool:
-        sp = exact_spectrum(self.string)
-        return sp == self.predicted and sp.is_integral()
+        """Certify the integral prediction by spectra.has_spectrum."""
+        return has_spectrum(self.string, self.predicted.entries)
 
     def serialize(self) -> dict:
         return {
@@ -328,21 +316,14 @@ def _square_free_flags(n: int) -> bytearray:
 
 def _integral_certificate(n: int, m: int, root: int) -> bool:
     """Whether the unit chain 0 1^m 0^m 1^(n-2m-1) has Seidel spectrum
-    -1^(n-3), 2m-1, -(m+1) + (n +- root)/2, all integers.
-
-    The Seidel spectrum of a chain graph is its quotient's spectrum with -1
-    added n - 4 times for the 4 cells (spectra.exact_spectrum), so this
-    holds exactly when the quotient's characteristic polynomial, computed
-    from the cell sizes by intpoly.char_poly_ints, equals
-    (x + 1)(x - (2m - 1))(x - l+)(x - l-) with l+- = -(m+1) + (n +- root)/2.
-    It does not use where root came from: a wrong root gives False.
+    -1^(n-3), 2m-1, -(m+1) + (n +- root)/2, all integers, by
+    spectra.has_spectrum.  It does not use where root came from: a wrong
+    root gives False.
     """
     if (n + root) % 2:
         return False
-    want = [1]  # coefficients in ascending degree, times (x - value) below
-    for value in (-1, 2 * m - 1, (n + root) // 2 - m - 1, (n - root) // 2 - m - 1):
-        want = [c - value * d for c, d in zip([0] + want, want + [0])]
-    return intpoly.char_poly_ints((1, m, m, n - 2 * m - 1)) == tuple(want)
+    return has_spectrum(unit_chain_string(m, n - 2 * m - 1), (
+        (-1, n - 3), (2 * m - 1, 1), ((n + root) // 2 - m - 1, 1), ((n - root) // 2 - m - 1, 1)))
 
 
 def scan_seidel_integral(n_max: int) -> list[ScanHit]:

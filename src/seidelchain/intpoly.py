@@ -495,37 +495,25 @@ def poly_shift(p: IntPoly, t: int) -> IntPoly:
     return tuple(c)
 
 
-def _continuants(sizes) -> list[list[int]]:
-    """out[j] = det(T) over the last j cells, for j = 0 .. len(sizes), as a
-    list of j + 1 coefficients in y (the top one may be zero).
+def _continuant_border(sizes) -> tuple[list[int], list[int]]:
+    """(det T, sum_p d_p * adj(T)[p][0]) as lists of len(sizes) + 1 and
+    len(sizes) coefficients in y (the top one of det T may be zero).
 
     T is the symmetric tridiagonal matrix with diagonal 2 * sizes and
-    off-diagonal entries +-y, so each continuant is 2 d * (the previous one)
-    - y^2 * (the one before).
+    off-diagonal entries +-y.  From the last cell back, the continuant of
+    the cells from p on is 2 d_p * (the one from p + 1) - y^2 * (the one
+    from p + 2).  The cofactor is (-1)^p, times the product of
+    T[i][i+1] = (-1)^i y over i < p, times the continuant of the cells after
+    p: adj(T)[p][0] = (-1)^(p(p+1)/2) y^p (continuant from p + 1).  The sum
+    over p runs by Horner's rule in y in the same pass.
     """
-    prev, cur = [], [1]
-    out = [cur]
-    for d in reversed(sizes):
-        prev, cur = cur, [2 * d * c - e for c, e in zip(cur + [0], [0, 0] + prev)]
-        out.append(cur)
-    return out
-
-
-def _border(sizes, conts: list[list[int]]) -> list[int]:
-    """sum_p d_p * adj(T)[p][0], with conts the continuants of the cell tails,
-    as a list of len(sizes) coefficients in y.
-
-    The cofactor is (-1)^p, times the product of T[i][i+1] = (-1)^i y over
-    i < p, times the continuant of the cells after p:
-    adj(T)[p][0] = (-1)^(p(p+1)/2) y^p conts[m-1-p].  The sum over p runs by
-    Horner's rule in y, from p = m - 1 down.
-    """
-    m = len(sizes)
-    acc: list[int] = []
-    for p in range(m - 1, -1, -1):
-        coef = -sizes[p] if p % 4 in (1, 2) else sizes[p]
-        acc = [coef * c + a for c, a in zip(conts[m - 1 - p], [0] + acc)]
-    return acc
+    prev, cur, border = [], [1], []
+    for p in range(len(sizes) - 1, -1, -1):
+        d = sizes[p]
+        coef, twice = (-d if p % 4 in (1, 2) else d), 2 * d
+        border = [coef * c + a for c, a in zip(cur, [0] + border)]
+        prev, cur = cur, [twice * c - e for c, e in zip(cur + [0], [0, 0] + prev)]
+    return cur, border
 
 
 def char_poly_ints(cell_sizes) -> IntPoly:
@@ -552,9 +540,9 @@ def char_poly_ints(cell_sizes) -> IntPoly:
     sizes = tuple(cell_sizes)
     if not sizes or len(sizes) % 2:
         raise ValueError("a chain quotient has an even, positive number of cells")
-    tails, heads = _continuants(sizes), _continuants(sizes[::-1])
+    det_t, first = _continuant_border(sizes)
+    last = _continuant_border(sizes[::-1])[1]
     det_a = -1 if len(sizes) % 4 else 1
     # det T has degree 2k in y with leading coefficient det A; the borders 2k - 1.
-    y_poly = [det_a * (t - a - b) for t, a, b in
-              zip(tails[-1], _border(sizes, tails) + [0], _border(sizes[::-1], heads) + [0])]
+    y_poly = [det_a * (t - a - b) for t, a, b in zip(det_t, first + [0], last + [0])]
     return poly_shift(y_poly, 1)

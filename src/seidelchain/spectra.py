@@ -652,6 +652,37 @@ def exact_spectrum(b: BlockString) -> ExactSpectrum:
     return sp
 
 
+def has_spectrum(b: BlockString, counts) -> bool:
+    """Whether the chain graph of b has the integer Seidel spectrum counts,
+    given as (value, multiplicity) pairs like ExactSpectrum.entries.
+
+    The Seidel spectrum is the quotient's with -1 added n - 2k times (see
+    exact_spectrum), so this holds exactly when the quotient's characteristic
+    polynomial, computed from the cell sizes by intpoly.char_poly_ints, is
+    the product of (x - v)^mult over counts with those n - 2k copies of -1
+    taken out: when dividing it by each of these factors in turn leaves no
+    remainder and ends at 1.  No root is located: the cost is O(k^2) integer
+    operations.  A value that is not an int gives False, as does a claim of
+    more than n values (at its first value past the 2k of the quotient).
+    The quotient cap is checked first.
+    """
+    check_quotient_order(b.k)
+    sizes = [size for block in b.blocks for size in block]
+    rest = sum(sizes) - len(sizes)  # copies of -1 outside the quotient
+    p = intpoly.char_poly_ints(sizes)
+    for v, mult in counts:
+        if not isinstance(v, int) or mult < 0:
+            return False
+        if v == -1:
+            take = min(mult, rest)
+            mult, rest = mult - take, rest - take
+        for _ in range(mult):
+            p, remainder = intpoly.synthetic_div(p, v)
+            if remainder:
+                return False
+    return not rest and p == (1,)
+
+
 def numeric_spectrum(s: SeidelMatrix) -> list[float]:
     """Floating-point eigenvalues, ascending; the independent numeric oracle."""
     check_matrix_size(s.n)

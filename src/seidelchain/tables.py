@@ -2,14 +2,16 @@
 
 Two reference tables ship with the library: ten cospectral unit-chain pairs
 (n = 14 .. 140) and ten rows of integral chain graphs (a mirror-chain column
-and a unit-chain column).  verify_tables() recomputes every spectrum exactly
-and reports row-by-row equality; the CLI exposes it as `verify-tables`.
+and a unit-chain column).  verify_tables() certifies every tabulated
+spectrum by spectra.has_spectrum, one characteristic-polynomial identity per
+string with no root isolation, and reports row by row; the CLI exposes it as
+`verify-tables`.
 """
 
 from __future__ import annotations
 
 from .chain import parse_block_string
-from .spectra import ExactSpectrum, exact_spectrum, spectrum_from_counts
+from .spectra import has_spectrum, spectrum_from_counts
 
 # (n, string_a, string_b, spectrum entries ascending)
 COSPECTRAL_TABLE: tuple[tuple[int, str, str, tuple[tuple[int, int], ...]], ...] = (
@@ -57,37 +59,29 @@ LAST_ROW_ANNOTATION = (
 )
 
 
-def _golden_spectrum(entries: tuple[tuple[int, int], ...]) -> ExactSpectrum:
-    return spectrum_from_counts(list(entries))
-
-
 def verify_tables() -> dict:
-    """Recompute both golden tables exactly; returns a row-by-row report."""
+    """Certify both golden tables exactly; returns a row-by-row report."""
     cos_rows = []
     for n, sa, sb, expected in COSPECTRAL_TABLE:
-        golden = _golden_spectrum(expected)
-        spec_a = exact_spectrum(parse_block_string(sa))
-        spec_b = exact_spectrum(parse_block_string(sb))
-        ok = spec_a == golden and spec_b == golden and spec_a.n == n
+        ba, bb = parse_block_string(sa), parse_block_string(sb)
+        ok = has_spectrum(ba, expected) and has_spectrum(bb, expected) and ba.n == n
         cos_rows.append({
             "n": n,
             "string_a": sa,
             "string_b": sb,
-            "expected": golden.serialize(),
+            "expected": spectrum_from_counts(expected).serialize(),
             "pass": ok,
         })
     int_rows = []
     for idx, (ms, m_exp, us, u_exp) in enumerate(INTEGRAL_TABLE):
-        m_golden = _golden_spectrum(m_exp)
-        u_golden = _golden_spectrum(u_exp)
-        m_ok = exact_spectrum(parse_block_string(ms)) == m_golden
-        u_ok = exact_spectrum(parse_block_string(us)) == u_golden
+        m_ok = has_spectrum(parse_block_string(ms), m_exp)
+        u_ok = has_spectrum(parse_block_string(us), u_exp)
         row = {
             "mirror_string": ms,
-            "mirror_expected": m_golden.serialize(),
+            "mirror_expected": spectrum_from_counts(m_exp).serialize(),
             "mirror_pass": m_ok,
             "unit_string": us,
-            "unit_expected": u_golden.serialize(),
+            "unit_expected": spectrum_from_counts(u_exp).serialize(),
             "unit_pass": u_ok,
             "pass": m_ok and u_ok,
         }

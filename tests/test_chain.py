@@ -25,6 +25,8 @@ from seidelchain.chain import cell_signs
     ("001110011", ((2, 3), (2, 2)), 9),
     ("0 1", ((1, 1),), 2),
     ("0^2 1^4 0^4 1^2", ((2, 4), (4, 2)), 12),
+    ("0 1  ", ((1, 1),), 2),  # trailing whitespace
+    ("0^2 1 \n", ((2, 1),), 3),
 ])
 def test_parse_examples(text, blocks, n):
     b = parse_block_string(text)

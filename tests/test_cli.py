@@ -362,6 +362,20 @@ def test_conflicting_options_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("options", [[], ["--family", "F1", "--r", "2", "--scan", "10"]])
+def test_integral_needs_a_family_or_a_scan(fmt, options):
+    message = "integral needs exactly one of --family/--r or --scan"
+    code, text = _run(["--format", fmt, "integral"] + options)
+    assert code == 2
+    assert text == {
+        "text": f"error [usage]: {message}\n",
+        "json": json.dumps({"status": "error", "error": {"code": "usage", "message": message},
+                            "payload": {}}, indent=2) + "\n",
+        "csv": f"status,code,message\nerror,usage,{message}\n",
+    }[fmt]
+
+
 def test_bad_profile_degrees():
     code, doc = _run_json(["switch-search", "01", "--profile", "biregular:a,b"])
     assert code == 2

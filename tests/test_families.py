@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,12 +18,15 @@ from seidelchain import (
     is_perfect_square,
     mirror_chain_family,
     mirror_chain_string,
+    parse_block_string,
     scan_seidel_integral,
     spectrum_from_counts,
     unit_chain_spectrum,
     unit_chain_string,
+    verify_tables,
 )
-from seidelchain import families, intpoly
+from seidelchain import families, intpoly, spectra, tables
+from seidelchain.spectra import has_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +260,7 @@ def test_scan_matches_the_brute_oracle():
 def test_scan_calls_no_exact_spectrum_and_no_square_test(monkeypatch):
     def refuse(*args):
         raise AssertionError("the scan must not call this")
-    monkeypatch.setattr(families, "exact_spectrum", refuse)
+    monkeypatch.setattr(spectra, "exact_spectrum", refuse)
     monkeypatch.setattr(families, "is_perfect_square", refuse)
     hits = scan_seidel_integral(500)
     assert len(hits) == 771 and all(h.verified_integral for h in hits)
@@ -279,6 +283,74 @@ def test_integral_certificate_refuses_a_non_square_discriminant():
         assert not is_perfect_square(disc)
         for root in (math.isqrt(disc), math.isqrt(disc) + 1):
             assert not families._integral_certificate(n, m, root)
+
+
+# ---------------------------------------------------------------------------
+# Spectrum certificates
+# ---------------------------------------------------------------------------
+
+def test_claims_are_certified_without_root_isolation(monkeypatch):
+    """Every table row, cospectral pair, family member and scan hit is
+    certified by the charpoly identity alone: no integer-root strip, Sturm
+    chain or isolation runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum certificate must not locate roots")
+    for name in ("isolate_real_roots", "sturm_chain", "integer_roots"):
+        monkeypatch.setattr(intpoly, name, refuse)
+    assert verify_tables()["all_pass"]
+    assert all(pair.verify() for pair in cospectral_pairs_up_to(140))
+    for fam in ("F1", "F2", "F3", "F4", "F5", "F6"):
+        r0 = {"F5": 3, "F4": 1, "F6": 1}.get(fam, 2)
+        assert all(generate_integral_family(fam, r).verify() for r in range(r0, r0 + 5)), fam
+    assert all(generate_integral_family("S", r).verify() for r in range(3))
+    assert all(generate_integral_family("SYM", r).verify() for r in range(1, 6))
+    hits = scan_seidel_integral(500)
+    assert len(hits) == 771 and all(h.verified_integral for h in hits)
+
+
+def test_pair_prediction_is_the_closed_form():
+    """The pair's prediction, read off unit_chain_spectrum, is the paper's
+    -1^(n-3), -(2m-r), 2m-1, 4m-1."""
+    for r in range(1, 200, 2):
+        p = generate_cospectral_pair(r)
+        m, n = p.m, p.n
+        assert p.predicted == spectrum_from_counts(
+            [(-1, n - 3), (-(2 * m - r), 1), (2 * m - 1, 1), (4 * m - 1, 1)]), r
+
+
+_TABLE_CLAIMS = ([(text, row[3]) for row in tables.COSPECTRAL_TABLE for text in row[1:3]]
+                 + [claim for row in tables.INTEGRAL_TABLE for claim in (row[:2], row[2:])])
+
+
+@pytest.mark.parametrize("text,entries", _TABLE_CLAIMS)
+def test_has_spectrum_refuses_altered_claims(text, entries):
+    b = parse_block_string(text)
+    assert has_spectrum(b, entries)
+    for i, (v, mult) in enumerate(entries):
+        for shift in (-2, 2):
+            assert not has_spectrum(b, entries[:i] + ((v + shift, mult),) + entries[i + 1:])
+    for i, j in itertools.permutations(range(len(entries)), 2):
+        moved = [list(e) for e in entries]
+        moved[i][1] -= 1
+        moved[j][1] += 1
+        assert not has_spectrum(b, [tuple(e) for e in moved])
+
+
+def test_an_altered_golden_row_fails(monkeypatch):
+    n, sa, sb, entries = tables.COSPECTRAL_TABLE[3]
+    cospectral = list(tables.COSPECTRAL_TABLE)
+    cospectral[3] = (n, sa, sb, ((entries[0][0] + 2, 1),) + entries[1:])
+    ms, m_exp, us, u_exp = tables.INTEGRAL_TABLE[-1]
+    integral = list(tables.INTEGRAL_TABLE)
+    integral[-1] = (ms, m_exp[:-1] + ((m_exp[-1][0] - 2, m_exp[-1][1]),), us, u_exp)
+    monkeypatch.setattr(tables, "COSPECTRAL_TABLE", tuple(cospectral))
+    monkeypatch.setattr(tables, "INTEGRAL_TABLE", tuple(integral))
+    report = verify_tables()
+    assert [row["pass"] for row in report["cospectral"]["rows"]] == [True] * 3 + [False] + [True] * 6
+    last = report["integral"]["rows"][-1]
+    assert (last["mirror_pass"], last["unit_pass"], last["pass"]) == (False, True, False)
+    assert report["integral"]["passed"] == 9 and not report["all_pass"]
+
 
 def test_scan_to_15_frozen():
     hits = {(h.n, h.m): h for h in scan_seidel_integral(15)}

@@ -682,6 +682,40 @@ def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
     assert len(bisected) == 1
 
 
+def _isolated(p, guesses):
+    """isolate_real_roots(p) with these guesses, or the point of its RationalRootError."""
+    try:
+        return intpoly.isolate_real_roots(p, None, guesses)
+    except intpoly.RationalRootError as exc:
+        return ("rational root", exc.num, exc.den)
+
+
+_SQRT2 = math.sqrt(2)
+
+
+def test_nan_and_infinite_guesses_are_skipped():
+    p = (-2, 0, 1)  # x^2 - 2
+    finite = [-_SQRT2, _SQRT2]
+    assert intpoly._guessed_cells(p, 2, 2, [math.nan, math.inf, -math.inf]) is None
+    assert _isolated(p, [math.nan, math.inf, -math.inf]) == _isolated(p, ())
+    assert _isolated(p, [math.nan, -_SQRT2, math.inf, _SQRT2, -math.inf]) == _isolated(p, finite)
+    assert _isolated(p, finite) != _isolated(p, ())  # the guessed cells are the narrow ones
+
+
+@pytest.mark.parametrize("p,guesses", [
+    ((0, -2, 0, 1), [-_SQRT2, 0.0, _SQRT2]),  # x^3 - 2x: bisection hits the root 0 too
+    ((2, -8, -1, 4), [-_SQRT2, 0.25, _SQRT2]),  # (4x - 1)(x^2 - 2): bisection misses 1/4
+])
+def test_a_zero_sign_at_a_tree_point_falls_back_to_bisection(p, guesses):
+    """A guessed rational root sits on a point of the guess tree, so p is 0
+    there and the guesses give way to Sturm bisection, which ends as it does
+    with no guesses."""
+    b = intpoly.root_bound(p)
+    total = intpoly.count_roots_between(intpoly.sturm_chain(p), -b, b)
+    assert intpoly._guessed_cells(p, b, total, guesses) is None
+    assert _isolated(p, guesses) == _isolated(p, ())
+
+
 def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
     """For the 60 fixed criterion-4 strings of the test above: at most 3000
     sign evaluations under isolate_real_roots and refine_root (7270 when

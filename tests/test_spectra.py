@@ -17,12 +17,14 @@ import root_oracles
 from conftest import cut_block_string, poly_pow, random_block_string, random_graph
 from seidelchain import (
     BlockString,
+    CharPoly,
     ExactSpectrum,
     Graph,
     RootInterval,
     SeidelMatrix,
     Surd,
     build_chain_graph,
+    canonical_bits,
     char_poly,
     chain_graph,
     equiangular_params,
@@ -34,9 +36,15 @@ from seidelchain import (
     quotient_spectrum,
     seidel_matrix,
     spectrum_from_counts,
+    switch_on_subset,
 )
 from seidelchain import cli, intpoly, spectra
-from seidelchain.families import generate_cospectral_pair, generate_integral_family, unit_chain_spectrum
+from seidelchain.families import (
+    generate_cospectral_pair,
+    generate_integral_family,
+    unit_chain_spectrum,
+    unit_chain_string,
+)
 from seidelchain.spectra import value_cmp, value_to_string
 
 
@@ -104,6 +112,32 @@ def test_seidel_matrix_rejects(n, entries, message):
     with pytest.raises(ValueError) as exc:
         SeidelMatrix(n, entries)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: Graph.from_edges(3, [(0, 1), (2, 2)]), "self-loops not allowed"),
+    (lambda: Graph.from_edges(3, []).relabel([0, 0, 1]), "perm is not a permutation of the vertices"),
+    (lambda: switch_on_subset(Graph.from_edges(3, []), [0, 3]),
+     "subset contains vertices outside the graph"),
+    (lambda: canonical_bits(Graph.from_edges(21, [])), "canonical labeling is capped at 20 vertices"),
+    (lambda: Surd(1, 0, 2, 1), "sign must be -1 or +1"),
+    (lambda: Surd(1, 1, 2, 0), "zero denominator"),
+    (lambda: Surd(1, 1, 0, 2), "radicand must be positive"),
+    (lambda: Surd(1, -1, -3, 2), "radicand must be positive"),
+    (lambda: CharPoly((1, 2)), "characteristic polynomial must be monic"),
+    (lambda: CharPoly(()), "characteristic polynomial must be monic"),
+    (lambda: ExactSpectrum(()).validate(), "empty spectrum"),
+    (lambda: unit_chain_string(0, 3), "block sizes must be positive"),
+    (lambda: unit_chain_string(2, -1), "block sizes must be positive"),
+])
+def test_library_refusals_name_their_cause(refused, message):
+    with pytest.raises(ValueError) as exc:
+        refused()
+    assert str(exc.value) == message
+
+
+def test_spectrum_str_matches_the_readme_tour():
+    assert str(exact_spectrum(parse_block_string("0 1^5 0^5 1^4"))) == "{-6, -1^12, 9^2}"
 
 
 def test_seidel_matrix_entries_are_a_read_only_int8_copy():
@@ -798,6 +832,32 @@ def test_exact_spectrum_quotient_order_cap(monkeypatch):
         quotient_spectrum(big)
     assert built.calls == 0  # refused before the quotient is built
     spectra.check_quotient_order(128)
+
+
+def test_has_spectrum_accepts_exactly_the_integral_exact_spectra():
+    """A true claim with a surd or an interval in it is refused too."""
+    rng = random.Random(61)
+    strings = [random_block_string(rng, max_k=4, max_n=40) for _ in range(150)]
+    strings += [parse_block_string(t) for t in ("01", "0 1^5 0^5 1^4", "0^3 1^6 0^6 1^3", "0 1^6 0^6 1^26")]
+    integral = surds = 0
+    for b in strings:
+        sp = exact_spectrum(b)
+        assert spectra.has_spectrum(b, sp.entries) == sp.is_integral(), b
+        if not sp.is_integral():
+            surds += any(isinstance(v, Surd) for v, _m in sp.entries)
+            continue
+        integral += 1
+        entries = list(sp.entries)
+        i = entries.index((-1, sp.multiplicity(-1)))
+        split = entries[:i] + [(-1, 1)] + entries[i + 1:] + [(-1, entries[i][1] - 1)]
+        assert spectra.has_spectrum(b, split)  # -1 over two entries, in any place
+        assert not spectra.has_spectrum(b, entries + [(5, 1)])  # n + 1 values
+        assert not spectra.has_spectrum(b, entries + [(7, 10 ** 9)])  # refused at its first extra value
+        assert not spectra.has_spectrum(b, entries + [(7, 1), (7, -1)])
+        assert not spectra.has_spectrum(b, entries[:i] + [(Fraction(-1), entries[i][1])] + entries[i + 1:])
+    assert integral >= 8 and surds >= 8
+    with pytest.raises(ValueError, match="quotient order 258 exceeds cap 256"):
+        spectra.has_spectrum(BlockString(((1, 1),) * 129), [(-1, 1)])
 
 
 # ---------------------------------------------------------------------------
