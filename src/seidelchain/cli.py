@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("string_b")
     p.add_argument("--mode", choices=("iso", "plain"), default="iso")
 
-    command("verify-tables", "recompute the bundled golden tables",
+    command("verify-tables", "certify the bundled golden tables",
             _cmd_verify_tables, _text_verify_tables, _csv_verify_tables)
     return parser
 

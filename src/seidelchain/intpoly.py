@@ -20,8 +20,9 @@ the Sturm count, with Sturm bisection as the fallback when they disagree.
 Isolation and refinement expect no rational roots; one that a grid point
 hits exactly is raised as a RationalRootError carrying that point, so the
 caller can divide it out.
-The characteristic polynomial of a chain graph's cell quotient is built from
-its cell sizes by continuant recurrences over Z[y], with y = x + 1.
+The characteristic polynomial of a chain graph's cell quotient is read off
+its cell sizes by principal minors over Z[y], with y = x + 1: only the sets
+of cells alternating in parity contribute, each by a signed power of 4.
 """
 
 from __future__ import annotations
@@ -495,43 +496,42 @@ def poly_shift(p: IntPoly, t: int) -> IntPoly:
     return tuple(c)
 
 
-def _continuant_border(sizes) -> tuple[list[int], list[int]]:
-    """(det T, sum_p d_p * adj(T)[p][0]) as lists of len(sizes) + 1 and
-    len(sizes) coefficients in y (the top one of det T may be zero).
-
-    T is the symmetric tridiagonal matrix with diagonal 2 * sizes and
-    off-diagonal entries +-y.  From the last cell back, the continuant of
-    the cells from p on is 2 d_p * (the one from p + 1) - y^2 * (the one
-    from p + 2).  The cofactor is (-1)^p, times the product of
-    T[i][i+1] = (-1)^i y over i < p, times the continuant of the cells after
-    p: adj(T)[p][0] = (-1)^(p(p+1)/2) y^p (continuant from p + 1).  The sum
-    over p runs by Horner's rule in y in the same pass.
-    """
-    prev, cur, border = [], [1], []
-    for p in range(len(sizes) - 1, -1, -1):
-        d = sizes[p]
-        coef, twice = (-d if p % 4 in (1, 2) else d), 2 * d
-        border = [coef * c + a for c, a in zip(cur, [0] + border)]
-        prev, cur = cur, [twice * c - e for c, e in zip(cur + [0], [0, 0] + prev)]
-    return cur, border
-
-
 def char_poly_ints(cell_sizes) -> IntPoly:
     """Monic characteristic polynomial of the chain quotient with these
     interleaved cell sizes (0-cell, 1-cell, 0-cell, ...).
 
-    With A the 0/1 adjacency of the 2k cells, Sigma = J - 2A their signs and
-    D = diag(sizes), the quotient is Q = Sigma D - I.  In interleaved order
-    A^-1 is tridiagonal with zero diagonal and off-diagonal entries
-    (-1)^i, A^-1 1 = e_0 + e_{2k-1} and det A = (-1)^k.  So with y = x + 1,
+    With Sigma the cell signs (chain.cell_signs) and D = diag(sizes), the
+    quotient is Q = Sigma D - I, so with y = x + 1 the expansion of a
+    determinant by principal minors gives
 
-        chi_Q(x) = det(y I - Sigma D) = det(A) det(T - (e_0 + e_{2k-1}) d^T)
-                 = (-1)^k [det T - d^T adj(T) e_0 - d^T adj(T) e_{2k-1}],
+        chi_Q(x) = det(y I - Sigma D)
+                 = sum over S of (-1)^|S| det(Sigma_S) prod_{p in S} d_p y^(2k - |S|),
 
-    T = y A^-1 + 2D, by the matrix determinant lemma.  det T and both
-    adjugate columns come from the three-term continuant recurrences of T,
-    the last column as the first column of the reversed cells, and a Taylor
-    shift returns to x: O(k) polynomial steps, O(k^2) integer operations.
+    S running over the sets of cells and Sigma_S the principal submatrix on
+    S.  Rows a < c of Sigma of one parity differ exactly at the cells of the
+    other parity strictly between them, by 2 Sigma[a][b] at such a cell b.
+    So two chosen cells of one parity with no chosen cell between them give
+    Sigma_S two equal rows, and det(Sigma_S) = 0 unless S alternates in
+    parity (every gap between consecutive chosen cells is odd).  For an
+    alternating S = (p_1 < p_2 < p_3 < ...), row 1 less row 3 of Sigma_S is
+    2 sigma e_2 with sigma = Sigma[p_1][p_2]; expanding along it, then along
+    column 1 less column 3 of the minor left (2 sigma at row 2 only, since
+    Sigma is symmetric), gives det(Sigma_S) = -4 det(Sigma_{S - {p_1, p_2}}).
+    With det = 1 for one cell and 0 for two alternating cells, det(Sigma_S)
+    is 0 for even |S| >= 2 and (-4)^((j - 1) / 2) for odd |S| = j.  So the
+    coefficient of y^(2k - j) is -(-4)^((j - 1) / 2) E_j for odd j and 0 for
+    even j >= 2, with E_j the sum of prod d_p over the alternating sets of j
+    cells.  One pass over the cells gives every E_j from two accumulators
+    keyed by the parity of the last chosen cell: entry j - 1 sums the
+    alternating sets of j cells seen so far, and each cell extends the sets
+    that end on the other parity.  A Taylor shift returns to x: O(k^2)
+    integer operations.
+
+    An odd alternating set begins and ends on one parity, so it never holds
+    both cell 0 (size s_1) and cell 2k - 1 (size t_k), and one holding
+    either is that cell plus a rest of one kind: empty, or alternating from
+    an odd to an even cell within cells 1 to 2k - 2.  So chi_Q depends on
+    s_1 + t_k, not on s_1 and t_k apart.
 
     The name is the one the general-matrix version (Faddeev-LeVerrier, now
     a test oracle) had: the benchmark's tracer binds intpoly.char_poly_ints
@@ -540,9 +540,11 @@ def char_poly_ints(cell_sizes) -> IntPoly:
     sizes = tuple(cell_sizes)
     if not sizes or len(sizes) % 2:
         raise ValueError("a chain quotient has an even, positive number of cells")
-    det_t, first = _continuant_border(sizes)
-    last = _continuant_border(sizes[::-1])[1]
-    det_a = -1 if len(sizes) % 4 else 1
-    # det T has degree 2k in y with leading coefficient det A; the borders 2k - 1.
-    y_poly = [det_a * (t - a - b) for t, a, b in zip(det_t, first + [0], last + [0])]
-    return poly_shift(y_poly, 1)
+    # same / other: the sets ending on the parity of the next cell / the other one.
+    same, other = [], []
+    for d in sizes:
+        same, other = other, [a + d * b for a, b in zip(same + [0, 0], [1] + other)]
+    desc = [1]  # coefficients of y^2k, y^(2k-1), ...
+    for i, (even, odd) in enumerate(zip(same[::2], other[::2])):
+        desc += (-(-4) ** i * (even + odd), 0)
+    return poly_shift(desc[::-1], 1)

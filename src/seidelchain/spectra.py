@@ -5,8 +5,9 @@ non-edges, 0 on the diagonal.  For a chain graph with 2k cells the spectrum
 splits as spectrum(Q) together with -1 repeated n - 2k times, where Q is the
 2k x 2k quotient matrix of the cell partition, so the cost of an exact
 spectrum depends on k, not on n: the characteristic polynomial of Q comes
-from three-term continuant recurrences on the cell sizes, O(k^2) integer
-operations (intpoly.char_poly_ints).
+from the cell sizes by principal minors, of which only the sets of cells
+alternating in parity count, O(k^2) integer operations
+(intpoly.char_poly_ints).
 
 Roots are located by guess, then certified, in one pass.  One float
 eigensolve of the symmetric form of Q gives a guess for every eigenvalue
@@ -349,8 +350,9 @@ class CharPoly:
 def char_poly(q: QuotientMatrix) -> CharPoly:
     """Exact monic characteristic polynomial of a chain quotient (order <= 256).
 
-    Computed from the cell sizes alone by intpoly.char_poly_ints; the cap is
-    checked first.
+    Computed from the cell sizes alone by intpoly.char_poly_ints, one pass
+    over the sets of cells that alternate in parity; the cap is checked
+    first.
     """
     check_quotient_order(q.size // 2)
     return CharPoly(intpoly.char_poly_ints(q.cell_sizes))

@@ -11,8 +11,9 @@ intpoly.poly_eval, not from intpoly.sign_at.  cell_fractions and
 root_interval convert between the two forms of a cell.
 
 The library computes a quotient's characteristic polynomial from its cell
-sizes alone; faddeev_leverrier works on any square integer matrix.  And
-surd_fields is the canonical surd form built by trial division of the
+sizes alone, by principal minors; continuant_char_poly derives it from the
+same sizes by the matrix determinant lemma and continuant recurrences, and
+faddeev_leverrier works on any square integer matrix.  And surd_fields is the canonical surd form built by trial division of the
 radicand up to 10^5.
 
 The library lists the Seidel-integral unit chains from the triples (g, a, b)
@@ -278,6 +279,52 @@ def faddeev_leverrier(matrix) -> tuple[int, ...]:
         for i in range(n):
             cols[i][i] += ck
     return tuple(reversed(coeffs_desc))
+
+
+def _continuant_border(sizes) -> tuple[list[int], list[int]]:
+    """(det T, sum_p d_p * adj(T)[p][0]) as lists of len(sizes) + 1 and
+    len(sizes) coefficients in y (the top one of det T may be zero).
+
+    T is the symmetric tridiagonal matrix with diagonal 2 * sizes and
+    off-diagonal entries +-y.  From the last cell back, the continuant of
+    the cells from p on is 2 d_p * (the one from p + 1) - y^2 * (the one
+    from p + 2).  The cofactor is (-1)^p, times the product of
+    T[i][i+1] = (-1)^i y over i < p, times the continuant of the cells after
+    p: adj(T)[p][0] = (-1)^(p(p+1)/2) y^p (continuant from p + 1).  The sum
+    over p runs by Horner's rule in y in the same pass.
+    """
+    prev, cur, border = [], [1], []
+    for p in range(len(sizes) - 1, -1, -1):
+        d = sizes[p]
+        coef, twice = (-d if p % 4 in (1, 2) else d), 2 * d
+        border = [coef * c + a for c, a in zip(cur, [0] + border)]
+        prev, cur = cur, [twice * c - e for c, e in zip(cur + [0], [0, 0] + prev)]
+    return cur, border
+
+
+def continuant_char_poly(sizes) -> tuple[int, ...]:
+    """Monic characteristic polynomial of the chain quotient with these
+    interleaved cell sizes, by the matrix determinant lemma.
+
+    With A the 0/1 adjacency of the 2k cells, Sigma = J - 2A their signs and
+    D = diag(sizes), the quotient is Q = Sigma D - I.  In interleaved order
+    A^-1 is tridiagonal with zero diagonal and off-diagonal entries
+    (-1)^i, A^-1 1 = e_0 + e_{2k-1} and det A = (-1)^k.  So with y = x + 1,
+
+        chi_Q(x) = det(y I - Sigma D) = det(A) det(T - (e_0 + e_{2k-1}) d^T)
+                 = (-1)^k [det T - d^T adj(T) e_0 - d^T adj(T) e_{2k-1}],
+
+    T = y A^-1 + 2D.  det T and both adjugate columns come from the
+    three-term continuant recurrences of T, the last column as the first
+    column of the reversed cells, and a Taylor shift returns to x.
+    """
+    sizes = tuple(sizes)
+    det_t, first = _continuant_border(sizes)
+    last = _continuant_border(sizes[::-1])[1]
+    det_a = -1 if len(sizes) % 4 else 1
+    # det T has degree 2k in y with leading coefficient det A; the borders 2k - 1.
+    y_poly = [det_a * (t - a - b) for t, a, b in zip(det_t, first + [0], last + [0])]
+    return intpoly.poly_shift(y_poly, 1)
 
 
 def _extract_square_part(d: int) -> tuple[int, int]:

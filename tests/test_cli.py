@@ -329,6 +329,9 @@ def test_help_is_written_to_out(capsys):
         code, text = _run(argv)
         assert code == 0
         assert text.startswith(usage)
+    words = " ".join(_run(["--help"])[1].split())  # argparse wraps to the terminal width
+    assert "certify the bundled golden tables" in words
+    assert "recompute" not in words
     assert capsys.readouterr() == ("", "")
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import itertools
 import math
 import random
 import time
@@ -83,16 +84,6 @@ def test_char_poly_rejects_an_odd_cell_count():
             intpoly.char_poly_ints(sizes)
 
 
-@settings(max_examples=150, deadline=None)
-@given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=10))
-@example(blocks=[(1, 1)])
-@example(blocks=[(3, 7)])
-@example(blocks=[(1, 1)] * 10)
-def test_char_poly_equals_faddeev_leverrier_on_quotients(blocks):
-    q = quotient_matrix(BlockString(tuple(blocks)))
-    assert intpoly.char_poly_ints(q.cell_sizes) == root_oracles.faddeev_leverrier(q.entries)
-
-
 @pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is not installed")
 @settings(max_examples=25, deadline=None)
 @given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=8))
@@ -115,24 +106,98 @@ def test_char_poly_at_the_order_cap_is_fast():
     assert intpoly.poly_eval(p, -1) == 0  # Q + I is singular
 
 
-def _inverse_claimed(k):
-    """The tridiagonal 2k x 2k matrix with zero diagonal and (i, i+1) entries (-1)^i."""
-    m = 2 * k
-    return [[(-1) ** min(i, j) if abs(i - j) == 1 else 0 for j in range(m)] for i in range(m)]
+def _alternating_sets(m):
+    """Every nonempty set of cells 0 .. m - 1 whose consecutive members differ in parity."""
+    return [s for j in range(1, m + 1) for s in itertools.combinations(range(m), j)
+            if all((b - a) % 2 for a, b in zip(s, s[1:]))]
 
 
-@pytest.mark.parametrize("k", range(1, 13))
-def test_cell_adjacency_inverse_is_the_alternating_tridiagonal(k):
-    # The premise of char_poly_ints, from the one sign rule chain.cell_signs.
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cell_rows_of_one_parity_differ_only_between_them(k):
+    # The first premise of char_poly_ints, from the one sign rule chain.cell_signs:
+    # two chosen cells of one parity with no chosen cell between them give
+    # Sigma_S equal rows.
     signs = cell_signs(BlockString(((1, 1),) * k))
     m = 2 * k
-    a = [[(1 - signs[i][j]) // 2 for j in range(m)] for i in range(m)]
-    inv = _inverse_claimed(k)
-    product = [[sum(a[i][t] * inv[t][j] for t in range(m)) for j in range(m)] for i in range(m)]
-    assert product == [[int(i == j) for j in range(m)] for i in range(m)]
-    assert [sum(row) for row in inv] == [1] + [0] * (m - 2) + [1]  # A^-1 1 = e_0 + e_{2k-1}
-    # det A = det(0 I - A) for even order, the oracle's constant term.
-    assert root_oracles.faddeev_leverrier(a)[0] == (-1) ** k
+    for a in range(m):
+        for c in range(a + 2, m, 2):
+            diff = [signs[a][q] - signs[c][q] for q in range(m)]
+            assert diff == [2 * signs[a][q] if a < q < c and (q - a) % 2 else 0 for q in range(m)]
+            for mask in range(1 << m):
+                chosen = [q for q in range(m) if mask >> q & 1]
+                if a in chosen and c in chosen and not any(a < q < c for q in chosen):
+                    assert [signs[a][q] for q in chosen] == [signs[c][q] for q in chosen]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_alternating_cell_sets_have_determinant_a_power_of_minus_4(k):
+    # The second premise: det Sigma_S over an alternating set S of j cells is
+    # 0 for even j and (-4)^((j - 1) / 2) for odd j.
+    signs = cell_signs(BlockString(((1, 1),) * k))
+    for s in _alternating_sets(2 * k):
+        # det M = (-1)^j det(0 I - M), the oracle's constant term.
+        det = (-1) ** len(s) * root_oracles.faddeev_leverrier([[signs[i][j] for j in s] for i in s])[0]
+        assert det == (0 if len(s) % 2 == 0 else (-4) ** (len(s) // 2)), s
+
+
+def _cell_sizes(max_k, max_size=30):
+    size = st.integers(1, max_size)
+    pairs = st.lists(st.tuples(size, size), min_size=1, max_size=max_k)
+    return pairs.map(lambda blocks: [d for block in blocks for d in block])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=_cell_sizes(12))
+@example(sizes=[1, 1])
+@example(sizes=[3, 7])
+@example(sizes=[1] * 20)
+@example(sizes=[1] * 24)
+@example(sizes=[10 ** 400, 1])
+@example(sizes=[1, 10 ** 400, 3, 10 ** 400])
+@example(sizes=[2 ** 53 + 1, 2, 2 ** 53 + 1, 1, 5, 2 ** 53 + 1])
+def test_char_poly_equals_the_continuant_and_faddeev_oracles(sizes):
+    q = quotient_matrix(BlockString(tuple(zip(sizes[::2], sizes[1::2]))))
+    assert q.cell_sizes == tuple(sizes)
+    p = intpoly.char_poly_ints(sizes)
+    assert p == root_oracles.continuant_char_poly(sizes)
+    assert p == root_oracles.faddeev_leverrier(q.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=_cell_sizes(12, 10 ** 6))
+@example(sizes=[1, 1])
+@example(sizes=[10 ** 400, 2 ** 53 + 1] * 3)
+def test_char_poly_in_y_has_only_odd_terms_and_no_constant(sizes):
+    # chi_Q(y - 1) = y^2k plus terms y^(2k - j) with odd j only: the factor y
+    # is the quotient eigenvalue -1, and every even j >= 2 term vanishes.
+    y_poly = intpoly.poly_shift(intpoly.char_poly_ints(sizes), -1)
+    m = len(sizes)
+    assert len(y_poly) == m + 1 and y_poly[m] == 1 and y_poly[0] == 0
+    assert all(y_poly[m - j] == 0 for j in range(2, m + 1, 2))
+    assert y_poly[m - 1] == -sum(sizes)
+
+
+def _bracelet_strings(sizes):
+    """Every cell-size tuple whose bracelet (s_1 + t_k, t_1, s_2, ..., s_k),
+    up to rotation and reflection, is that of sizes."""
+    ring = [sizes[0] + sizes[-1], *sizes[1:-1]]
+    for turned in (ring, ring[:1] + ring[:0:-1]):
+        for r in range(len(turned)):
+            first, *rest = turned[r:] + turned[:r]
+            for s_1 in range(1, first):
+                yield (s_1, *rest, first - s_1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=_cell_sizes(6, 6))
+@example(sizes=[1, 1])
+@example(sizes=[1, 2, 3, 4, 5, 6])
+def test_char_poly_depends_on_the_bracelet_only(sizes):
+    p = intpoly.char_poly_ints(sizes)
+    variants = list(_bracelet_strings(sizes))
+    assert tuple(sizes) in variants
+    for other in variants:
+        assert intpoly.char_poly_ints(other) == p, other
 
 
 # ---------------------------------------------------------------------------
