@@ -5,19 +5,23 @@ One subcommand per library capability; every command supports
 inputs and flags (timing is kept off the wire for that reason).  A handler
 returns only its JSON payload: text comes from one renderer per payload
 shape, and csv from the generic rule of `_csv_rows`, except for quotient,
-verify-tables and the witness rows of switch-search.
+verify-tables and the witness rows of switch-search.  A csv renderer gives
+a header and value rows in its order, written by csv.writer.
 
 JSON is written by `_json_text`, whose bytes equal json.dumps(doc, indent=2).
 CPython's json uses its C encoder only when no indent is given, so the
-writer joins dicts and lists itself, two spaces per level, and leaves the
-escaping of strings to json's C function encode_basestring_ascii.  A list
-of four or more dicts with the same keys in the same order (a record list,
-such as the witnesses of switch-search) is written column by column: each
-column in one pass, each distinct list of ints once, and each record as one
-fill of a %-template.  On the 1000-witness switch-search --all (362 KB)
-the writer takes about 3 ms where json.dumps(indent=2) takes about 13 ms
-(best of 30, on a 2-core x86 VM).  The text and csv witness rows likewise
-format each distinct degrees and split once.
+writer gathers the pieces of the document itself, two spaces per level,
+joins them once, and leaves the escaping of strings to json's C function
+encode_basestring_ascii.  A record list is written column by column: each
+column in one pass, each stored value rendered once, and each record as one
+fill of a %-template.  A record list is a `_RecordList`, which holds its
+columns and may store a value shared by many records once, or a list of
+four or more dicts with the same keys in the same order.  switch-search
+passes its witnesses as a `_RecordList` read off the search's columns, so
+each orbit's degrees and split are rendered once in every format.  On the
+1000-witness switch-search --all (362 KB) the writer takes about 0.7 ms
+where json.dumps(indent=2) takes about 13 ms (best of 5 x 50, on a 2-core
+x86 VM).
 
 Exit codes: 0 success, 1 computation error (caps, degenerate inputs, failed
 verification), 2 usage errors (unknown command, bad arguments, malformed
@@ -35,7 +39,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -106,6 +109,33 @@ def _parse_quotient_string(text: str) -> BlockString:
 
 def _spectrum_text(serialized: list[dict]) -> str:
     return ", ".join(f"{e['value']} (x{e['mult']})" for e in serialized)
+
+
+class _RecordList:
+    """A list of dicts with one non-empty key tuple, held column by column.
+
+    columns[j] holds the values of keys[j] as (values, index): record i has
+    values[index[i]], or values[i] where index is None.  An indexed column
+    holds each shared value once (the witnesses of one orbit share their
+    degrees and split), so a renderer formats it once.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns):
+        self.keys, self.columns = keys, columns
+
+    def __len__(self) -> int:
+        values, index = self.columns[0]
+        return len(values if index is None else index)
+
+    def column(self, key: str, render=None) -> list:
+        """The column of key, record by record; render, if given, maps the
+        stored values to one text each."""
+        values, index = self.columns[self.keys.index(key)]
+        if render is not None:
+            values = render(values)
+        return values if index is None else list(map(values.__getitem__, index))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +238,19 @@ def _cmd_switch_search(args) -> dict:
         "profile": label,
         "count": res.match_count,
         "subsets_examined": res.subsets_examined,
-        "witnesses": [w.serialize() for w in res.witnesses],
+        "witnesses": _witness_records(res.witnesses),
     }
+
+
+def _witness_records(witnesses) -> _RecordList:
+    """The subsetBits, degrees and splitPerCell records of search witnesses,
+    read off their columns: degrees and split are held once per orbit."""
+    degrees, splits = zip(*witnesses.orbits) if witnesses.orbits else ((), ())
+    return _RecordList(("subsetBits", "degrees", "splitPerCell"), (
+        (list(map("0x%x".__mod__, witnesses.masks)), None),
+        (degrees, witnesses.orbit_of),
+        (splits, witnesses.orbit_of),
+    ))
 
 
 def _cmd_equivalent(args) -> dict:
@@ -291,11 +332,10 @@ def _text_switch_search(p: dict) -> list[str]:
         f"string: {p['string']}   profile {p['profile']}",
         f"matches: {p['count']} over {p['subsets_examined']} switchings",
     ]
-    witnesses = p["witnesses"]
-    degrees = _each_distinct_once(lambda t: f" degrees {list(t)}", [w["degrees"] for w in witnesses])
-    splits = _each_distinct_once(lambda t: f" split {list(t)}" if t else "",
-                                 [w["splitPerCell"] or () for w in witnesses])
-    lines.extend(f"  subset {w['subsetBits']}{d}{s}" for w, d, s in zip(witnesses, degrees, splits))
+    w = p["witnesses"]
+    degrees = w.column("degrees", lambda ds: [f" degrees {list(d)}" for d in ds])
+    splits = w.column("splitPerCell", lambda ss: [f" split {list(s)}" for s in ss])
+    lines.extend(map("  subset %s%s%s".__mod__, zip(w.column("subsetBits"), degrees, splits)))
     return lines
 
 
@@ -314,63 +354,49 @@ def _text_verify_tables(report: dict) -> list[str]:
     ]
 
 
-def _csv_render(rows) -> list[dict]:
-    """A spectrum list renders as `value^mult` joined by spaces, any other list joined by spaces."""
+def _csv_render(rows) -> tuple[list[str], list[list]]:
+    """The header (the first row's keys) and each row's cells in its order:
+    a spectrum list renders as `value^mult` joined by spaces, any other list
+    joined by spaces."""
     def cell(key, value):
         if key == "spectrum":
             return " ".join(f"{e['value']}^{e['mult']}" for e in value)
         if isinstance(value, list):
             return " ".join(map(str, value))
         return value
-    return [{key: cell(key, value) for key, value in row.items()} for row in rows]
+    rows = list(rows)
+    header = list(rows[0])
+    return header, [[cell(key, row[key]) for key in header] for row in rows]
 
 
-def _csv_rows(p: dict) -> list[dict]:
+def _csv_rows(p: dict) -> tuple[list[str], list[list]]:
     """The `pairs` or `hits` of the payload, else the payload; with no rows, the raw payload."""
-    return _csv_render(p.get("pairs", p.get("hits", [p]))) or [p]
+    rows = p.get("pairs", p.get("hits", [p]))
+    return _csv_render(rows) if rows else (list(p), [list(p.values())])
 
 
-def _csv_quotient(p: dict) -> list[dict]:
+def _csv_quotient(p: dict) -> tuple[list[str], list[list]]:
     return _csv_render({"row": i, "entries": row} for i, row in enumerate(p["matrix"]))
 
 
-def _csv_switch_search(p: dict) -> list[dict]:
-    """The rows _csv_render gives the witnesses, each distinct degrees and
-    split joined once."""
-    witnesses = p["witnesses"]
-    if not witnesses:
-        return [{"subsetBits": "", "degrees": "", "splitPerCell": ""}]
-    joined = functools.partial(_each_distinct_once, lambda t: " ".join(map(str, t)))
-    degrees = joined([w["degrees"] for w in witnesses])
-    # None (no cells) and [] both make an empty cell.
-    splits = joined([w["splitPerCell"] or () for w in witnesses])
-    return [{"subsetBits": w["subsetBits"], "degrees": d, "splitPerCell": s}
-            for w, d, s in zip(witnesses, degrees, splits)]
+def _csv_switch_search(p: dict) -> tuple[list[str], list]:
+    """The witness rows, column by column: each orbit's degrees and split
+    are joined once."""
+    w = p["witnesses"]
+    if not len(w):
+        return list(w.keys), [["", "", ""]]
+    joined = lambda values: [" ".join(map(str, v)) for v in values]  # noqa: E731
+    return list(w.keys), list(zip(w.column("subsetBits"), w.column("degrees", joined),
+                                  w.column("splitPerCell", joined)))
 
 
-def _csv_verify_tables(report: dict) -> list[dict]:
-    return [
-        {"table": "cospectral", "row": r["string_a"], "pass": r["pass"]}
-        for r in report["cospectral"]["rows"]
+def _csv_verify_tables(report: dict) -> tuple[list[str], list[list]]:
+    return ["table", "row", "pass"], [
+        ["cospectral", r["string_a"], r["pass"]] for r in report["cospectral"]["rows"]
     ] + [
-        {"table": "integral", "row": f"{r['mirror_string']} | {r['unit_string']}", "pass": r["pass"]}
+        ["integral", f"{r['mirror_string']} | {r['unit_string']}", r["pass"]]
         for r in report["integral"]["rows"]
     ]
-
-
-def _each_distinct_once(fmt, values) -> list[str]:
-    """[fmt(tuple(v)) for v in values], with fmt called once per distinct tuple(v).
-
-    Equal tuples must render alike, so the values are to hold no bools or
-    floats beside ints ((1, True) == (1, 1)).  The witnesses of one orbit
-    share their degrees and split, so a 1000-witness list has a handful of
-    distinct ones.
-    """
-    keys = list(map(tuple, values))
-    texts = dict.fromkeys(keys)
-    for key in texts:
-        texts[key] = fmt(key)
-    return list(map(texts.__getitem__, keys))
 
 
 # The fewest dicts _json_text writes as a record list.  Building the columns
@@ -379,23 +405,21 @@ def _each_distinct_once(fmt, values) -> list[str]:
 _RECORDS_MIN = 4
 
 
-def _json_column(values: list, pad: str) -> list[str]:
+def _json_column(values, pad: str) -> list[str]:
     """_json_text of each value, the values all starting on lines with pad."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
+    if set(map(type, values)) == {str}:
         return list(map(encode_basestring_ascii, values))
-    if kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(values))) == {int}:
-        return _each_distinct_once(functools.partial(_json_text, pad=pad), values)
     return [_json_text(v, pad) for v in values]
 
 
-def _json_records(records: list[dict], keys: tuple[str, ...], pad: str) -> list[str]:
-    """_json_text of dicts with the same non-empty key tuple, column by column:
-    each column is rendered in one pass, and each record is one template fill.
-    The columns are freed on return, before the caller joins the records."""
+def _json_records(records: _RecordList, pad: str) -> list[str]:
+    """_json_text of each record, column by column: each column is rendered
+    in one pass, and each record is one template fill.  The columns are
+    freed on return, before the caller joins the records."""
     inner = pad + "  "
-    columns = [_json_column([r[k] for r in records], inner) for k in keys]
-    fields = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    columns = [records.column(k, functools.partial(_json_column, pad=inner)) for k in records.keys]
+    fields = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                for k in records.keys)
     template = "{" + inner + fields + pad + "}"
     return [template % row for row in zip(*columns)]
 
@@ -405,42 +429,66 @@ def _json_text(value, pad: str = "\n") -> str:
     indent of the line it starts on.
 
     Dict keys must be strings.  A list of exact ints is joined in one call,
-    a list of at least _RECORDS_MIN dicts with the same keys in the same
-    order goes through _json_records, and any leaf other than a string, int,
-    bool or None (a float) is left to json.dumps, which also refuses what
-    json refuses.
+    a _RecordList, and a list of at least _RECORDS_MIN dicts with the same
+    keys in the same order, go through _json_records, and any leaf other
+    than a string, int, bool or None (a float) is left to json.dumps, which
+    also refuses what json refuses.  The pieces of the whole document are
+    joined once, so a large list is not copied again at each level above it.
     """
+    parts: list[str] = []
+    _json_parts(value, pad, parts)
+    return "".join(parts)
+
+
+def _json_parts(value, pad: str, parts: list[str]) -> None:
+    """Append the pieces of _json_text(value, pad) to parts."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, _RecordList)):
+        if not len(value):
+            parts.append("[]")
+            return
         inner = pad + "  "
-        kinds = set(map(type, value))
-        # Key tuples, not keys views: those compare as sets.
-        keys = tuple(value[0]) if kinds == {dict} and len(value) >= _RECORDS_MIN else ()
-        if kinds == {int}:
-            items = map(int.__repr__, value)
-        elif keys and set(map(tuple, value)) == {keys}:
-            items = _json_records(value, keys, inner)
+        sep = "," + inner
+        parts.append("[" + inner)
+        if isinstance(value, _RecordList):
+            parts.append(sep.join(_json_records(value, inner)))
         else:
-            items = [_json_text(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
+            kinds = set(map(type, value))
+            # Key tuples, not keys views: those compare as sets.
+            keys = tuple(value[0]) if kinds == {dict} and len(value) >= _RECORDS_MIN else ()
+            if kinds == {int}:
+                parts.append(sep.join(map(int.__repr__, value)))
+            elif keys and set(map(tuple, value)) == {keys}:
+                records = _RecordList(keys, [([r[k] for r in value], None) for k in keys])
+                parts.append(sep.join(_json_records(records, inner)))
+            else:
+                for i, x in enumerate(value):
+                    if i:
+                        parts.append(sep)
+                    _json_parts(x, inner, parts)
+        parts.append(pad + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            parts.append("{}")
+            return
         inner = pad + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return json.dumps(value)
+        lead = "{" + inner
+        for k, v in value.items():
+            parts.append(lead + encode_basestring_ascii(k) + ": ")
+            lead = "," + inner
+            _json_parts(v, inner, parts)
+        parts.append(pad + "}")
+    else:
+        parts.append(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +570,15 @@ def _emit(args, payload: dict, error: ComputeError | None, out) -> None:
         if error:
             doc["error"] = {"code": error.code, "message": str(error)}
         doc["payload"] = payload
-        out.write(_json_text(doc) + "\n")
+        out.write(_json_text(doc))
+        out.write("\n")
     elif args.format == "csv":
         if payload:
-            rows = args.rows(payload)
+            header, rows = args.rows(payload)
         else:
-            rows = [{"status": "error", "code": error.code, "message": str(error)}]
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
+            header, rows = ["status", "code", "message"], [["error", error.code, str(error)]]
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)
     else:
         lines = args.text(payload) if payload else []

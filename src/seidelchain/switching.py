@@ -16,9 +16,15 @@ graph of the unit-cell string (01)^k, has 2^(n-1) one-subset orbits.
 A degree profile maps an array of switched degree rows (the last axis one
 degree sequence) to one boolean per row; regular_profile and
 biregular_profile are numpy reductions along that axis.  The search calls
-it once per block, and only matching orbits become Python tuples.  The
-class certificate's canonical form takes one switching on N(v) per twin
-component; its degree-multiset prefilter walks every orbit.
+it once per block, and only matching orbits become Python tuples.  Its
+witnesses are WitnessColumns: the matching masks in Gray-code order, the
+orbit of each, and one (degrees, split) per matching orbit, so a
+thousand-witness search builds no object per witness; a SwitchingWitness is
+made only when one is read.  The class certificate's canonical form takes
+one switching on N(v) per twin component; its degree-multiset prefilter
+walks every orbit.  The canonical search splits a cell that is one twin
+class into singletons without a branch or a refinement, and its refinement
+does not try again a cell that has split nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product, repeat
+from operator import itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -242,9 +250,54 @@ class SwitchingWitness:
         }
 
 
+# The (degrees, split_per_cell) that every witness of one orbit shares.
+OrbitWitness = tuple[tuple[int, ...], tuple[int, ...] | None]
+
+
+class WitnessColumns(Sequence):
+    """The witnesses of a search, held as three columns.
+
+    masks are the witness subsets (plain ints), orbit_of[i] indexes the
+    orbit of masks[i] in orbits, and orbits holds one (degrees,
+    split_per_cell) per orbit.  It reads as the tuple of SwitchingWitness it
+    stands for: indexing and iteration build each witness when asked,
+    slicing gives columns again, and it is equal to, and hashes like, that
+    tuple.
+    """
+
+    __slots__ = ("masks", "orbit_of", "orbits")
+
+    def __init__(self, masks: tuple[int, ...], orbit_of: tuple[int, ...],
+                 orbits: tuple[OrbitWitness, ...]):
+        self.masks, self.orbit_of, self.orbits = masks, orbit_of, orbits
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WitnessColumns(self.masks[i], self.orbit_of[i], self.orbits)
+        return SwitchingWitness(self.masks[i], *self.orbits[self.orbit_of[i]])
+
+    def __iter__(self) -> Iterator[SwitchingWitness]:
+        orbits = self.orbits
+        return (SwitchingWitness(m, *orbits[o]) for m, o in zip(self.masks, self.orbit_of))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (WitnessColumns, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"WitnessColumns({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class SearchResult:
-    witnesses: tuple[SwitchingWitness, ...]
+    witnesses: Sequence[SwitchingWitness]
     match_count: int
     subsets_examined: int
 
@@ -272,12 +325,17 @@ def biregular_profile(a: int, b: int) -> DegreeProfile:
 def _witness_split(
     g: Graph, components: list[list[int]],
 ) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
-    """The splitPerCell of a witness, from its orbit's counts and its mask.
+    """The splitPerCell of an orbit's witnesses, from its counts and any one
+    of its masks.
 
     None for a graph without cells.  When every twin component is a whole
     cell, the components are the cells in string order, and an orbit's
-    counts are the split of each of its subsets.  Otherwise (the two cells
-    of "0 1" are twins) the mask's bits are counted in each cell.
+    counts are its split.  Otherwise (the two cells of "0 1" are twins) the
+    mask's bits are counted in each cell.  The subsets of one orbit have one
+    split: the cells of a chain graph are twin classes, and a twin component
+    spans two cells only when vertex 0 alone is the first cell and is a true
+    twin of the next cell's vertices, so the component's free vertices all
+    lie in that next cell.
     """
     if not isinstance(g, ChainGraph):
         return lambda counts, mask: None
@@ -303,15 +361,19 @@ def search_class_by_degree_profile(
     Witnesses are matching subsets in Gray-code order: the first one (least
     Gray rank), or every one when all_witnesses is set.  Ranks come from
     _gray_ranks over arrays of masks: all witnesses are ordered by one
-    argsort, and the first is kept by one argmin per block.
+    argsort, and the first is kept by one argmin per block.  The witnesses
+    come as WitnessColumns: no object is built per witness, only one
+    (degrees, split) per matching orbit.
     """
     check_search_size(g.n)
     components = _twin_components(g)
     free = _free_twins(components)
     split = _witness_split(g, components)
-    # The matching subsets kept so far, each with the (degrees, counts) of its orbit.
+    # The matching subsets kept so far, the index of each one's orbit in
+    # orbits, and per orbit its (degrees, counts, first mask).
     masks: list[int] = []
-    orbits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    orbit_of: list[int] = []
+    orbits: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
     match_count = 0
     for block_counts, block_degrees, block_sizes in _orbit_blocks(g, components):
         mask = np.asarray(profile(block_degrees), dtype=bool)
@@ -334,16 +396,17 @@ def search_class_by_degree_profile(
                 subsets = (_least_gray_mask(free, counts),)
             kept = len(masks)
             masks.extend(subsets)
-            orbits.extend(repeat((dm, counts), len(masks) - kept))
+            orbit_of.extend(repeat(len(orbits), len(masks) - kept))
+            orbits.append((dm, counts, masks[kept]))
         if not all_witnesses and len(masks) > 1:
             # Keep the least of this block's subsets and the one kept before.
             least = int(_gray_ranks(masks).argmin())
-            masks, orbits = [masks[least]], [orbits[least]]
+            masks, orbit_of, orbits = [masks[least]], [0], [orbits[orbit_of[least]]]
     if len(masks) > 1:
-        order = _gray_ranks(masks).argsort().tolist()
-        masks, orbits = [masks[i] for i in order], [orbits[i] for i in order]
-    witnesses = tuple(SwitchingWitness(m, dm, split(counts, m))
-                      for m, (dm, counts) in zip(masks, orbits))
+        pick = itemgetter(*_gray_ranks(masks).argsort().tolist())
+        masks, orbit_of = pick(masks), pick(orbit_of)
+    witnesses = WitnessColumns(tuple(masks), tuple(orbit_of),
+                               tuple((dm, split(counts, m)) for dm, counts, m in orbits))
     return SearchResult(witnesses, match_count, 1 << max(g.n - 1, 0))
 
 
@@ -355,14 +418,20 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     """Refine an ordered partition to equitability.
 
     Cells are repeatedly split by neighbor counts into each cell, sub-cells
-    ordered by count, so the result is invariant under relabeling.
+    ordered by count, so the result is invariant under relabeling.  A cell
+    that has been tried is not tried again while it remains a cell: after
+    its pass every cell has one count into it, and the cells only get finer,
+    so it would split nothing.
     """
+    stable: set[int] = set()
     while True:
         changed = False
         for t in range(len(cells)):
             mask = 0
             for v in cells[t]:
                 mask |= 1 << v
+            if mask in stable:
+                continue
             new_cells: list[list[int]] = []
             for cell in cells:
                 if len(cell) == 1:
@@ -377,6 +446,8 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                     for key in sorted(groups):
                         new_cells.append(groups[key])
                     changed = True
+            # Every cell now has one count into this one.
+            stable.add(mask)
             if changed:
                 cells = new_cells
                 break
@@ -386,7 +457,18 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
 
 def _canonical_search(g: Graph) -> tuple[int, list[int]]:
     """Lexicographically least adjacency bits over all labelings, with the
-    vertex order realizing it."""
+    vertex order realizing it.
+
+    Each node refines its partition and branches on the first cell that is
+    not a singleton, one branch per twin class in it.  A cell that is one
+    twin class is split into singletons in its listed order, with no
+    refinement and no branch: the partition is equitable and the cell's
+    vertices are pairwise twins, so each has the same neighbours outside
+    the cell, every vertex elsewhere sees all of the cell or none of it,
+    and the split partition is equitable again.  Branching on the cell's
+    first vertex, as on any other cell, would reach that same partition
+    with one refinement per vertex.
+    """
     rows, n = g.rows, g.n
     best_bits: int | None = None
     best_order: list[int] = []
@@ -404,15 +486,19 @@ def _canonical_search(g: Graph) -> tuple[int, list[int]]:
 
     def descend(cells: list[list[int]]) -> None:
         cells = _refine(rows, cells)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            leaf([c[0] for c in cells])
-            return
-        cell = cells[target]
-        reps: list[int] = []
-        for v in cell:
-            if not any(_are_twins(rows, u, v) for u in reps):
-                reps.append(v)
+        while True:
+            target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+            if target is None:
+                leaf([c[0] for c in cells])
+                return
+            cell = cells[target]
+            reps = [cell[0]]
+            for v in cell[1:]:
+                if not any(_are_twins(rows, u, v) for u in reps):
+                    reps.append(v)
+            if len(reps) > 1:
+                break
+            cells[target:target + 1] = [[v] for v in cell]
         for v in reps:
             rest = [w for w in cell if w != v]
             descend(cells[:target] + [[v], rest] + cells[target + 1:])

@@ -25,6 +25,12 @@ The library finds the equiangular cosine 1/|lambda| of a root interval on its
 factor's reversal, isolated from float guesses and picked by one sign change;
 reciprocal_abs re-isolates it with no guesses, from Fraction bounds of the
 image cell and a Sturm count in every isolating cell.
+
+The library's canonical search splits a cell that is one twin class into
+singletons without branching, and its refinement tries each cell as a
+splitter once while it remains a cell; canonical_search is the plain form,
+which tries every cell as a splitter on every pass and branches on every
+non-singleton cell, one branch per twin class in it.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ from seidelchain.families import (
     is_perfect_square,
     unit_chain_string,
 )
+from seidelchain.graphs import Graph
 from seidelchain.spectra import INTERVAL_BITS, RootInterval, Surd, exact_spectrum
+from seidelchain.switching import _are_twins
 
 
 def cell_fractions(cell) -> tuple[Fraction, Fraction, int, int]:
@@ -399,3 +407,74 @@ def brute_scan_seidel_integral(n_max: int) -> list[ScanHit]:
             sp = exact_spectrum(unit_chain_string(m, n - 2 * m - 1))
             hits.append(ScanHit(n, m, classify_by_bisection(n, m), sp.is_integral()))
     return hits
+
+
+def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Refine an ordered partition to equitability.
+
+    Cells are repeatedly split by neighbor counts into each cell, sub-cells
+    ordered by count, so the result is invariant under relabeling.
+    """
+    while True:
+        changed = False
+        for t in range(len(cells)):
+            mask = 0
+            for v in cells[t]:
+                mask |= 1 << v
+            new_cells: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & mask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    for key in sorted(groups):
+                        new_cells.append(groups[key])
+                    changed = True
+            if changed:
+                cells = new_cells
+                break
+        if not changed:
+            return cells
+
+
+def canonical_search(g: Graph) -> tuple[int, list[int]]:
+    """Lexicographically least adjacency bits over all labelings, with the
+    vertex order realizing it."""
+    rows, n = g.rows, g.n
+    best_bits: int | None = None
+    best_order: list[int] = []
+
+    def leaf(order: list[int]) -> None:
+        nonlocal best_bits, best_order
+        bits = 0
+        for i in range(n):
+            ri = rows[order[i]]
+            for j in range(i + 1, n):
+                bits = (bits << 1) | ((ri >> order[j]) & 1)
+        if best_bits is None or bits < best_bits:
+            best_bits = bits
+            best_order = order
+
+    def descend(cells: list[list[int]]) -> None:
+        cells = _refine(rows, cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            leaf([c[0] for c in cells])
+            return
+        cell = cells[target]
+        reps: list[int] = []
+        for v in cell:
+            if not any(_are_twins(rows, u, v) for u in reps):
+                reps.append(v)
+        for v in reps:
+            rest = [w for w in cell if w != v]
+            descend(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    descend([list(range(n))])
+    assert best_bits is not None
+    return best_bits, best_order

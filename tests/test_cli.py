@@ -1,8 +1,10 @@
 import ast
 import hashlib
+import importlib.util
 import io
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -237,6 +239,7 @@ def test_json_writer_refuses_what_json_refuses():
         cli._json_text({"payload": [object()]})
 
 
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 _THOUSAND_WITNESSES = ["switch-search", "0 1^5 0^5 1^4", "--profile", "biregular:7,8", "--all"]
 
 
@@ -244,13 +247,41 @@ def test_thousand_witness_json_matches_the_bench_reference():
     """The largest document the CLI prints (362 KB; the golden file holds
     none over 1.4 KB) has the stdout the benchmark checks."""
     argv = ["--format", "json"] + _THOUSAND_WITNESSES
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    reference = json.loads((bench / "cli_reference.json").read_text())[json.dumps(argv)]
+    reference = json.loads((_BENCH / "cli_reference.json").read_text())[json.dumps(argv)]
     code, text = _run(argv)
     assert code == reference["exit"] == 0
     assert len(json.loads(text)["payload"]["witnesses"]) == 1000
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == reference["sha256"]
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """bench/workloads.py as a module of its own name, removed afterwards."""
+    spec = importlib.util.spec_from_file_location("cli_reference_workloads", _BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's string annotations through sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_bench_cli_reference_replays(bench_workloads):
+    """Every command of the benchmark's CLI reference, in every format it
+    was recorded in, gives the recorded exit code, stdout sha256 and JSON
+    fields, compared by the benchmark's own check."""
+    reference = bench_workloads.load_cli_reference()
+    assert len(reference) == 67
+    failures = {}
+    for key in reference:
+        argv = json.loads(key)
+        failure = bench_workloads.check_cli(argv, _run(argv), None, False, reference)
+        if failure is not None:
+            failures[key] = failure
+    assert failures == {}
 
 
 @pytest.mark.parametrize("fmt, size, sha256", [
@@ -268,7 +299,7 @@ def test_thousand_witness_text_and_csv_are_pinned(fmt, size, sha256):
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_thousand_witness_command_budget(fmt):
-    # A loose budget: about 5 ms in json, 3 in text and 5 in csv on a 2-core x86 VM.
+    # A loose budget: about 1.5 ms in json, 1 in text and 1.7 in csv on a 2-core x86 VM.
     argv = ["--format", fmt] + _THOUSAND_WITNESSES
     times = []
     for _ in range(3):

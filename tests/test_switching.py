@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import root_oracles
 from conftest import (
     brute_switch_search,
     cell_split,
@@ -295,9 +296,47 @@ def test_results_hold_plain_ints():
         for w in res.witnesses:
             assert type(w.subset) is int
             assert all(type(d) is int for d in w.degrees + w.split_per_cell)
+        columns = res.witnesses
+        assert all(type(x) is int for x in columns.masks + columns.orbit_of)
+        assert all(type(x) is int for degrees, split in columns.orbits for x in degrees + split)
         prefilter = degree_multiset_prefilter(g)
         assert all(type(d) is int for key in prefilter for d in key)
         assert all(type(size) is int for size in prefilter.values())
+
+
+@pytest.mark.parametrize("string, profile", [
+    ("0 1^3 0^3 1^4", "biregular"), ("0 1", "regular"), ("0101", "all"), ("0^2 1^2 0^2 1^2", "regular"),
+    ("0^3 1^4", "none"),
+])
+def test_witness_columns_read_as_the_tuple_they_stand_for(string, profile):
+    g = chain_graph(string)
+    degrees = degree_sequence(switch_on_subset(g, 0b10))
+    profile = {"biregular": biregular_profile(degrees[0], degrees[-1]), "regular": regular_profile,
+               "all": lambda dm: True, "none": lambda dm: False}[profile]
+    for all_witnesses in (False, True):
+        res = search_class_by_degree_profile(g, profile, all_witnesses=all_witnesses)
+        want = brute_switch_search(g, profile, all_witnesses)
+        cols, t = res.witnesses, want.witnesses
+        assert type(t) is tuple and type(cols) is not tuple
+        assert len(cols) == len(t) and list(cols) == list(t) and tuple(cols) == t
+        assert [cols[i] for i in range(len(t))] == [cols[i - len(t)] for i in range(len(t))] == list(t)
+        for i in (len(t), -len(t) - 1):
+            with pytest.raises(IndexError):
+                cols[i]
+        for part in (slice(None, 1), slice(1, None), slice(None, None, 2), slice(None, None, -1),
+                     slice(-2, None), slice(3, 1), slice(None)):
+            assert cols[part] == t[part] and t[part] == cols[part]
+            assert tuple(cols[part]) == t[part] and hash(cols[part]) == hash(t[part])
+        assert cols == t and t == cols and not cols != t and not t != cols
+        assert hash(cols) == hash(t)
+        assert cols != list(t) and list(t) != cols
+        assert cols != t + (SwitchingWitness(0, ()),)
+        if t:
+            assert t[1:] != cols and cols[1:] != t
+            assert t[-1] in cols and cols.index(t[-1]) == len(t) - 1
+            other = (SwitchingWitness(t[0].subset ^ 1, t[0].degrees, t[0].split_per_cell),) + t[1:]
+            assert cols != other and other != cols
+        assert res == want and want == res and hash(res) == hash(want)
 
 
 def _random_rows(rng: random.Random, width: int, count: int) -> list[list[int]]:
@@ -592,6 +631,37 @@ def test_canonical_label_distinguishes():
 def test_canonical_label_cap():
     with pytest.raises(ValueError):
         canonical_label(Graph.empty(21))
+
+
+@st.composite
+def _graphs_up_to_14(draw) -> Graph:
+    """A random graph on 1 to 14 vertices of random density."""
+    n = draw(st.integers(1, 14))
+    p = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    return random_graph(random.Random(draw(st.integers(0, 2 ** 32))), n, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.one_of(_graphs_up_to_14(), _chain_graphs(14), _blow_ups()), data=st.data())
+def test_canonical_search_equals_the_plain_search(g, data):
+    # The twin-cell split and the skipped stable splitters leave the least
+    # bits and the order realizing them as the plain search has them.
+    if data.draw(st.booleans()):
+        g = switch_on_subset(g, data.draw(st.integers(0, (1 << g.n) - 1)))
+    assert switching._canonical_search(g) == root_oracles.canonical_search(g)
+
+
+def test_canonical_search_equals_the_plain_search_on_named_graphs():
+    rook = Graph.from_edges(9, [(u, v) for u, v in combinations(range(9), 2)
+                                if u // 3 == v // 3 or u % 3 == v % 3])
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    complete = Graph.from_edges(7, list(combinations(range(7), 2)))
+    for g in (Graph.empty(0), Graph.empty(1), Graph.empty(8), complete, cycle_graph(12), rook,
+              petersen, chain_graph("0^4 1^4 0^4 1^4"), chain_graph("0^4 1^4 0^3 1^5"),
+              chain_graph("01" * 7)):
+        assert switching._canonical_search(g) == root_oracles.canonical_search(g)
 
 
 # ---------------------------------------------------------------------------
