@@ -3,10 +3,14 @@
 Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
 Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
-rest on integer pseudo-division.  One Sturm chain serves a polynomial twice:
+rest on one integer pseudo-division, which scales the remainder by |lc(b)|
+at every step and takes no gcd; each caller divides out a content once, by
+one gcd over all coefficients.  One Sturm chain serves a polynomial twice:
 its last member is the gcd that Musser's decomposition starts from, and it
 counts the distinct real roots that isolation must find.  Sign evaluation,
-root isolation and refinement run on integer grids too.  A root cell is the
+root isolation and refinement run on integer grids too; at a dyadic point
+num / 2^m the sign is taken by Horner's rule with the coefficients shifted,
+not multiplied by powers of the denominator.  A root cell is the
 5-tuple (lo, hi, shift, sign_lo, sign_hi): the open interval (lo / 2^shift,
 hi / 2^shift) with the signs of the polynomial at its ends, all integers,
 from isolation through refinement to the caller.
@@ -97,15 +101,24 @@ def sign_at(p: IntPoly, x, den: int = 1) -> int:
     """Sign of p(x / den) at a rational point, computed with integer arithmetic.
 
     x is an int and den a positive int, or den is 1 and x any rational with
-    integer numerator and denominator attributes.
+    integer numerator and denominator attributes.  Horner's rule gives
+    den^deg(p) * p(x / den), the coefficient of x^j times den^(deg(p) - j);
+    for den = 2^m that factor is a shift by m * (deg(p) - j).
     """
     if den == 1:
         x, den = x.numerator, x.denominator
     acc = 0
-    den_pow = 1
-    for c in reversed(p):
-        acc = acc * x + c * den_pow
-        den_pow *= den
+    if den & (den - 1) == 0:  # den = 2^m: scale the coefficients by shifts
+        m = den.bit_length() - 1
+        shift = 0
+        for c in reversed(p):
+            acc = acc * x + (c << shift)
+            shift += m
+    else:
+        den_pow = 1
+        for c in reversed(p):
+            acc = acc * x + c * den_pow
+            den_pow *= den
     return (acc > 0) - (acc < 0)
 
 
@@ -122,10 +135,7 @@ def synthetic_div(p: IntPoly, r: int) -> tuple[IntPoly, int]:
 
 
 def content(p: IntPoly) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-    return g
+    return gcd(*p)
 
 
 def primitive(p: IntPoly) -> IntPoly:
@@ -209,28 +219,29 @@ def integer_roots(p: IntPoly, bound: int | None = None,
 def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """(q, r) with c*a = q*b + r and deg r < deg b, for some integer c > 0.
 
-    Each step scales the running remainder by lc(b) / gcd(lc(r), lc(b)),
-    made positive, so r is a positive multiple of the rational remainder
-    and keeps its sign pattern.
+    Each step scales the running remainder by |lc(b)| and subtracts
+    sign(lc(b)) * lead * x^shift * b, lead being its leading coefficient, so
+    c = |lc(b)|^steps and r is a positive multiple of the rational remainder
+    with its sign pattern.  No gcd is taken: the callers make r or q
+    primitive once, and a positive scale leaves a primitive part unchanged.
     """
     r, b = list(poly_trim(a)), poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lb = b[-1]
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        g = gcd(r[-1], lb)
-        scale, coef = lb // g, r[-1] // g
-        if scale < 0:
-            scale, coef = -scale, -coef
+    sign, scale, db = (1 if b[-1] > 0 else -1), abs(b[-1]), len(b) - 1
+    low = [sign * c for c in b[:-1]]
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        lead = r.pop()
+        shift = len(r) - db
         if scale != 1:
             r = [scale * c for c in r]
             q = [scale * c for c in q]
-        shift = len(r) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            r[shift + i] -= coef * c
-        r = list(poly_trim(r))
+        q[shift] = sign * lead
+        for i, c in enumerate(low, shift):
+            r[i] -= lead * c
+        while r and not r[-1]:
+            r.pop()
     return tuple(q), tuple(r)
 
 

@@ -10,6 +10,11 @@ decimal rendering of a Fraction.  Signs come from Fraction evaluation with
 intpoly.poly_eval, not from intpoly.sign_at.  cell_fractions and
 root_interval convert between the two forms of a cell.
 
+The library pseudo-divides with no gcd, scaling the remainder by |lc(b)| at
+every step; pseudo_divmod is the earlier form, which scales it by
+lc(b) / gcd(lc(r), lc(b)) and takes a gcd at every step, and sturm_chain is
+the chain built on it, with contents taken one gcd at a time.
+
 The library computes a quotient's characteristic polynomial from its cell
 sizes alone, by principal minors; continuant_char_poly derives it from the
 same sizes by the matrix determinant lemma and continuant recurrences, and
@@ -94,6 +99,68 @@ def decimal_string(fr: Fraction) -> str:
 def fraction_sign(p, x: Fraction) -> int:
     val = intpoly.poly_eval(p, Fraction(x))
     return (val > 0) - (val < 0)
+
+
+def content(p) -> int:
+    g = 0
+    for c in p:
+        g = gcd(g, abs(c))
+    return g
+
+
+def primitive(p):
+    """Divide out the content and normalize the leading coefficient positive."""
+    p = intpoly.poly_trim(p)
+    if not p:
+        return p
+    g = content(p)
+    if p[-1] < 0:
+        g = -g
+    return tuple(c // g for c in p)
+
+
+def pseudo_divmod(a, b):
+    """(q, r) with c*a = q*b + r and deg r < deg b, for some integer c > 0.
+
+    Each step scales the running remainder by lc(b) / gcd(lc(r), lc(b)),
+    made positive, so r is a positive multiple of the rational remainder
+    and keeps its sign pattern.
+    """
+    r, b = list(intpoly.poly_trim(a)), intpoly.poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lb = b[-1]
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        g = gcd(r[-1], lb)
+        scale, coef = lb // g, r[-1] // g
+        if scale < 0:
+            scale, coef = -scale, -coef
+        if scale != 1:
+            r = [scale * c for c in r]
+            q = [scale * c for c in q]
+        shift = len(r) - len(b)
+        q[shift] = coef
+        for i, c in enumerate(b):
+            r[shift + i] -= coef * c
+        r = list(intpoly.poly_trim(r))
+    return tuple(q), tuple(r)
+
+
+def sturm_chain(p):
+    """The Sturm chain of p on pseudo_divmod: primitive members, each
+    remainder divided by its positive content only."""
+    chain = [primitive(p)]
+    dp = primitive(intpoly.poly_derivative(p))
+    if dp:
+        chain.append(dp)
+    while intpoly.poly_degree(chain[-1]) > 0:
+        _, r = pseudo_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        g = content(r)
+        chain.append(tuple(-c // g for c in r))
+    return chain
 
 
 def _variations(chain, x: Fraction) -> int:

@@ -276,6 +276,175 @@ def test_pseudo_divmod_scales_by_a_negative_leading_coefficient():
 
 
 # ---------------------------------------------------------------------------
+# Gcd-free pseudo-division, Sturm chains and dyadic signs against the
+# gcd-scaled oracle (root_oracles) and Fraction evaluation
+# ---------------------------------------------------------------------------
+
+_BIG = 2 ** 200
+_coefficients = st.one_of(st.integers(-3, 3), st.integers(-_BIG, _BIG))
+
+
+def _polys(max_degree: int, min_size: int = 1):
+    """Trimmed polynomials of degree <= max_degree, zero coefficients and
+    negative leading ones included; () only when min_size is 0."""
+    polys = st.lists(_coefficients, min_size=min_size, max_size=max_degree + 1).map(intpoly.poly_trim)
+    return polys if min_size == 0 else polys.filter(bool)
+
+
+_small_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=4).map(intpoly.poly_trim).filter(
+    lambda f: len(f) > 1)
+
+
+@st.composite
+def _products(draw, max_degree: int = 14):
+    """A constant times powers of small factors, degree <= max_degree: often
+    with repeated roots, so the Sturm chain ends on a nonconstant gcd."""
+    p = (draw(st.sampled_from((-6, -1, 1, 5))),)
+    for f, e in draw(st.lists(st.tuples(_small_factors, st.integers(1, 3)), min_size=1, max_size=3)):
+        if intpoly.poly_degree(p) + e * intpoly.poly_degree(f) <= max_degree:
+            p = intpoly.poly_mul(p, poly_pow(f, e))
+    return p
+
+
+# x^5 - x: the remainder of p by p' is -4x/5, a drop from degree 4 to 1.
+_DEGREE_DROP = (0, -1, 0, 0, 0, 1)
+# (x^2 - 2)^2 (x + 1)^3, times -3: repeated roots and a negative lead.
+_REPEATED = tuple(-3 * c for c in intpoly.poly_mul(poly_pow((-2, 0, 1), 2), poly_pow((1, 1), 3)))
+
+
+def _spectrum_large_residuals():
+    """Residuals of quotient charpolys at k = 8..16 and n <= 2*10^4, cut
+    uniformly as the spectrum_large benchmark cuts them, with the integer
+    roots stripped as exact_spectrum strips them."""
+    rng = random.Random(28)
+    for k in range(8, 17):
+        for n in (4 * k, rng.randint(2 * k, 20_000), 20_000):
+            q = quotient_matrix(cut_block_string(rng, k, n))
+            coeffs = intpoly.char_poly_ints(q.cell_sizes)
+            yield intpoly.integer_roots(coeffs, bound=n, guesses=spectra._quotient_guesses(q))[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_polys(14), _products()))
+@example(_DEGREE_DROP)
+@example(_REPEATED)
+@example((-(_BIG - 1), 0, 0, -_BIG, 0, 5, 0, -_BIG))
+def test_sturm_chain_equals_the_gcd_scaled_oracle(p):
+    assert intpoly.sturm_chain(p) == root_oracles.sturm_chain(p)
+
+
+def test_sturm_chains_of_spectrum_large_residuals_equal_the_oracle():
+    degrees = []
+    for residual in _spectrum_large_residuals():
+        chain = intpoly.sturm_chain(residual)
+        assert chain == root_oracles.sturm_chain(residual)
+        degrees.append(intpoly.poly_degree(residual))
+    assert len(degrees) == 27 and max(degrees) >= 25, degrees
+
+
+def _positive_multiple(u, v) -> bool:
+    """u = t * v for some rational t > 0 (both trimmed)."""
+    if not u or not v:
+        return u == v
+    return (len(u) == len(v) and (u[-1] > 0) == (v[-1] > 0)
+            and all(x * v[-1] == y * u[-1] for x, y in zip(u, v)))
+
+
+_divisors = st.builds(lambda low, lead: tuple(low) + (lead,),
+                      st.lists(_coefficients, max_size=6),
+                      st.one_of(st.sampled_from((1, -1, -2)), _coefficients.filter(bool)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys(14, min_size=0), _divisors)
+@example((1, 0, 0, 1), (1, -2))
+@example((5, 1), (1, 2, 3))
+@example((0, 0, 0, 0, 7), (-1, 0, 1))
+@example((3, 1, 4, 1, 5), (-9,))
+def test_pseudo_divmod_is_a_pseudo_division(a, b):
+    """c*a = q*b + r with c > 0 and deg r < deg b, and q and r are positive
+    multiples of the oracle's (of the rational quotient and remainder)."""
+    q, r = intpoly._pseudo_divmod(a, b)
+    assert len(r) < len(b)
+    assert q == intpoly.poly_trim(q) and r == intpoly.poly_trim(r)
+    qb_r = intpoly.poly_add(intpoly.poly_mul(q, b), r)
+    if a:
+        c = qb_r[-1] // a[-1]
+        assert c > 0 and qb_r == tuple(c * x for x in a)
+    else:
+        assert q == r == ()
+    oq, o_r = root_oracles.pseudo_divmod(a, b)
+    assert _positive_multiple(q, oq) and _positive_multiple(r, o_r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_polys(7), _products(7)), st.one_of(_polys(7), _products(7)))
+@example((-2, 0, 1), (2, -3, 1))
+@example(_REPEATED[:4], (-1, 1))
+def test_gcd_quotient_and_split_are_those_of_the_oracle_division(f, g):
+    p = intpoly.poly_mul(f, g)
+
+    def results():
+        return (intpoly.poly_gcd(p, f), intpoly.poly_gcd(f, g), intpoly.poly_div_exact(p, g),
+                intpoly.square_free_decomposition(p), intpoly.sturm_chain(p))
+
+    got = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intpoly, "_pseudo_divmod", root_oracles.pseudo_divmod)
+        assert results() == got
+    assert got[2] == intpoly.primitive(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coefficients, max_size=15).map(tuple), st.integers(-_BIG, _BIG),
+       st.one_of(st.integers(0, 300).map(lambda m: 1 << m), st.integers(1, 10 ** 40)))
+@example((), 3, 4)
+@example((-5,), -7, 1 << 300)
+@example((7, 0, 0), 0, 3)
+@example(_DEGREE_DROP, -1, 1)
+def test_sign_at_equals_the_fraction_sign(p, num, den):
+    want = root_oracles.fraction_sign(p, Fraction(num, den))
+    assert intpoly.sign_at(p, num, den) == want
+    assert intpoly.sign_at(p, Fraction(num, den)) == want
+
+
+def test_sign_at_every_dyadic_denominator_up_to_2_300():
+    rng = random.Random(29)
+    p = tuple(rng.randint(-_BIG, _BIG) for _ in range(15))
+    # Roots -sqrt(3), -sqrt(2), sqrt(2), sqrt(3): the grid points next to them
+    # have opposite signs at every depth.
+    q = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
+    for m in range(301):
+        for num in (rng.randint(-_BIG, _BIG), -rng.randint(1, 1 << m), 1, 0):
+            want = root_oracles.fraction_sign(p, Fraction(num, 1 << m))
+            assert intpoly.sign_at(p, num, 1 << m) == want
+            assert intpoly.sign_at(p, Fraction(num, 1 << m)) == want
+        for d in (2, 3):
+            below = math.isqrt(d << 2 * m)
+            for num in (below, below + 1, -below, -below - 1):
+                want = root_oracles.fraction_sign(q, Fraction(num, 1 << m))
+                assert intpoly.sign_at(q, num, 1 << m) == want != 0
+    # A point where p vanishes: x^5 - x at -1/1, 0/2^300 and 1.
+    for num, den in ((-1, 1), (0, 1 << 300), (1 << 7, 1 << 7)):
+        assert intpoly.sign_at(_DEGREE_DROP, num, den) == 0
+
+
+def test_sturm_chain_takes_one_gcd_per_member(monkeypatch):
+    """The contents are the only gcds a chain takes: one per member, none
+    inside the pseudo-division."""
+    calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(intpoly, "gcd", lambda *args: calls.append(len(args)) or gcd(*args))
+    rng = random.Random(30)
+    cases = [_DEGREE_DROP, _REPEATED, tuple(rng.randint(-_BIG, _BIG) for _ in range(15)),
+             next(_spectrum_large_residuals())]
+    for p in cases:
+        calls.clear()
+        chain = intpoly.sturm_chain(p)
+        assert len(calls) == len(chain) >= 3
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle: sympy, on seeded random products of powers of small
 # integer polynomials (non-monic and negative leading coefficients included)
 # ---------------------------------------------------------------------------
