@@ -21,6 +21,9 @@ integer matrices.  Float guesses may steer integer-root stripping, locate
 the isolating cells and start refinement, but every root they lead to is
 certified exactly: a cell by the signs at its ends, and the set of cells by
 the Sturm count, with Sturm bisection as the fallback when they disagree.
+The cells the guesses locate are as wide as the guesses' error, which
+grows with the root bound: below a bound of 128 they are the cells of the
+final 2^-40 grid that refinement would end in.
 Isolation and refinement expect no rational roots; one that a grid point
 hits exactly is raised as a RationalRootError carrying that point, so the
 caller can divide it out.
@@ -38,10 +41,9 @@ from math import gcd, isfinite
 IntPoly = tuple[int, ...]
 # (lo, hi, shift, sign at lo, sign at hi) for the interval (lo / 2^shift, hi / 2^shift).
 Cell = tuple[int, int, int, int, int]
-# Float guesses are placed in bisection-tree cells no wider than 2^-GUESS_BITS.
-# Refinement to a narrower cell ends where bisection ends only while
-# GUESS_BITS is at most the refinement depth (spectra.INTERVAL_BITS).
-GUESS_BITS = 20
+# Root cells are refined onto the final grid: the first depth of their
+# bisection tree no wider than 2^-GRID_BITS (spectra.INTERVAL_BITS).
+GRID_BITS = 40
 
 
 class RationalRootError(ValueError):
@@ -339,9 +341,10 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     cell has span 2 * bound over its power of two and refine_root ends in
     the same cell from either path below.  The Sturm count of the
     roots in (-bound, bound] comes first.  Then the float guesses, in any
-    order, locate the roots (_guessed_cells): if as many tree cells of width
-    at most 2^-GUESS_BITS show a sign change of p at their ends as the count
-    says, each holds exactly one root, and those cells are the answer.
+    order, locate the roots (_guessed_cells): if as many tree cells of one
+    depth, sized by the guesses' error, show a sign change of p at their
+    ends as the count says, each holds exactly one root, and those cells
+    are the answer.
     Otherwise, or if a sign there is 0, the tree is bisected from the top
     with a Sturm count at every point (_bisected_cells).
     """
@@ -361,9 +364,19 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
 
 
 def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> list[Cell] | None:
-    """The cells of the [-b, b] bisection tree at the first width <= 2^-GUESS_BITS
-    that hold the total roots of p there, located from float guesses; None
-    when the guesses do not certify them all.
+    """The cells of the [-b, b] bisection tree at the first width
+    <= 2^-GRID_BITS * max(1, 2^(bitlen(b) - 7)) that hold the total roots of
+    p there, located from float guesses; None when the guesses do not
+    certify them all.
+
+    The width follows the guesses' error.  eigvalsh's absolute error scales
+    with ||Q|| <= n - 1 < b, and over 1680 random quotients (k <= 12, n up
+    to 10^15) a guess was never further than 12.01 * n * 2^-53 from its
+    root.  A cell is wider than 2^-41, and from b = 128 on at least
+    b * 2^-47 wide, so a guess lies less than half a cell from its root: in
+    the root's cell or next to it.  For b < 128 the cells are those of the
+    final grid, which refine_root returns as they are; from b = 128 on
+    about bitlen(b) - 7 halvings are left to it.
 
     A cell whose ends give p two nonzero, opposite signs holds a root, and
     distinct cells of one depth are disjoint.  So once the certified cells
@@ -372,7 +385,7 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     and, if that shows no sign change, its two neighbours; each tree point's
     sign is evaluated once.
     """
-    m = ((2 * b << GUESS_BITS) - 1).bit_length()
+    m = (2 * b - 1).bit_length() + GRID_BITS - max(b.bit_length() - 7, 0)
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
     signs: dict[int, int] = {}
 
@@ -432,7 +445,7 @@ def _bisected_cells(p: IntPoly, chain: list[IntPoly], b: int, total: int) -> lis
     return out
 
 
-def refine_root(p: IntPoly, cell: Cell, bits: int = 40, guess: float | None = None) -> Cell:
+def refine_root(p: IntPoly, cell: Cell, bits: int = GRID_BITS, guess: float | None = None) -> Cell:
     """Shrink a root cell to width at most 2^-bits.
 
     With (lo, hi, shift) the cell, the result is the cell of the grid

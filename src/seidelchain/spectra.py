@@ -15,16 +15,18 @@ eigensolve of the symmetric form of Q gives a guess for every eigenvalue
 that exact synthetic division confirms.  The residual gets one Sturm chain,
 which both splits it square-free (its last member is gcd(p, p')) and counts
 its real roots.  The guesses locate the isolating cells: a cell of the
-[-n, n] bisection tree no wider than 2^-20 whose ends carry opposite signs
-holds a root, and when such cells number the Sturm count each holds exactly
-one; otherwise Sturm bisection isolates them.  Each root is then refined to
-its dyadic cell starting from its guess, all on integer grids.  An integer
-root the guesses missed is found in its square-free factor, inside a
-refined cell or on a grid point, and divided out of that factor alone, so
-no step costs more than a bisection of [-n, n]: the cost does not depend on
-n beyond the size of its digits.  The spectrum is sorted by float and each
-neighbouring pair is then compared exactly; validate() checks the trace and
-Frobenius identities on integers.
+[-n, n] bisection tree whose ends carry opposite signs holds a root, and
+when such cells number the Sturm count each holds exactly one; otherwise
+Sturm bisection isolates them.  The cells are sized by the guesses' error:
+for n < 128 they are the final cells of width at most 2^-40, and from
+n = 128 on about n * 2^-47 wide (intpoly._guessed_cells).  A cell still
+wider is then refined to its dyadic cell starting from its guess, all on
+integer grids.  An integer root the guesses missed is found in its
+square-free factor, inside a refined cell or on a grid point, and divided
+out of that factor alone, so no step costs more than a bisection of
+[-n, n]: the cost does not depend on n beyond the size of its digits.  The
+spectrum is sorted by float and each neighbouring pair is then compared
+exactly; validate() checks the trace and Frobenius identities on integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
 in canonical form, or sign-certified root intervals of an integer polynomial
@@ -55,9 +57,7 @@ from .graphs import Graph
 
 CHAR_POLY_ORDER_CAP = 256
 MATRIX_CAP = 2000
-INTERVAL_BITS = 40
-# Guessed isolating cells must be no narrower than refined ones.
-assert intpoly.GUESS_BITS <= INTERVAL_BITS
+INTERVAL_BITS = intpoly.GRID_BITS
 _TRIAL_BOUND = 100_000
 # value_cmp's rounds: the first at the width of a computed cell, then doubled.
 _CMP_BITS = tuple(INTERVAL_BITS << i for i in range(5))
@@ -566,9 +566,12 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     ints: list[int] = []
     while intpoly.poly_degree(factor) > 2:
         try:
-            cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS,
-                                                               _guess_in(guesses, cell)))
-                     for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
+            cells = []
+            for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain):
+                lo, hi, shift = cell[:3]
+                # refine_root returns a cell on the final grid as it is, with no guess.
+                guess = _guess_in(guesses, cell) if (hi - lo) << INTERVAL_BITS > 1 << shift else None
+                cells.append(RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS, guess)))
         except intpoly.RationalRootError as exc:
             hits = [exc.num // exc.den]
         else:

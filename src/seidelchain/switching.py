@@ -242,13 +242,6 @@ class SwitchingWitness:
     degrees: tuple[int, ...]
     split_per_cell: tuple[int, ...] | None = None
 
-    def serialize(self) -> dict:
-        return {
-            "subsetBits": f"0x{self.subset:x}",
-            "degrees": list(self.degrees),
-            "splitPerCell": list(self.split_per_cell) if self.split_per_cell is not None else None,
-        }
-
 
 # The (degrees, split_per_cell) that every witness of one orbit shares.
 OrbitWitness = tuple[tuple[int, ...], tuple[int, ...] | None]
@@ -548,12 +541,6 @@ class ClassCertificate:
     n: int
     canonical_bits: int
     prefilter_hash: str
-
-    def serialize(self) -> dict:
-        return {
-            "prefilterHash": self.prefilter_hash,
-            "canonicalBits": f"0x{self.canonical_bits:x}",
-        }
 
 
 def degree_multiset_prefilter(g: Graph, *, components: list[list[int]] | None = None) -> Counter:

@@ -788,9 +788,10 @@ def test_intpoly_does_not_import_fractions():
     assert imported and not any(name.split(".")[0] == "fractions" for name in imported)
 
 
-def _criterion4(max_size):
-    """Criterion-4 block strings of 1 to max_size blocks."""
-    return st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=max_size)
+def _criterion4(max_size, max_cell=5):
+    """Criterion-4 block strings of 1 to max_size blocks, cells of 1 to max_cell vertices."""
+    cell = st.integers(1, max_cell)
+    return st.lists(st.tuples(cell, cell), min_size=1, max_size=max_size)
 
 
 _CRITERION4 = _criterion4(6)
@@ -808,12 +809,17 @@ def test_musser_factors_of_quotient_charpolys_match_the_fraction_oracle(blocks, 
         _check_root_path_against_oracle(factor, b.n, good, data)
 
 
-def _count_root_path_evaluations(monkeypatch):
-    """Run exact_spectrum on 60 fixed criterion-4 strings (random.Random(60))
-    and count: "signs", the sign evaluations under isolate_real_roots and
-    refine_root; "refine_signs", those made by refine_root itself; "sturm",
-    the Sturm evaluations made by isolate_real_roots; and the calls of each
-    of the two, under its own name."""
+def _sixty_strings():
+    """60 fixed criterion-4 strings (random.Random(60)): k <= 6, n <= 60."""
+    rng = random.Random(60)
+    return [random_block_string(rng) for _ in range(60)]
+
+
+def _count_root_path_evaluations(monkeypatch, strings):
+    """Run exact_spectrum on the strings and count: "signs", the sign
+    evaluations under isolate_real_roots and refine_root; "refine_signs",
+    those made by refine_root itself; "sturm", the Sturm evaluations made by
+    isolate_real_roots; and the calls of each of the two, under its own name."""
     counts, open_calls = {"signs": 0, "refine_signs": 0, "sturm": 0}, []
     sign_at, sign_variations = intpoly.sign_at, intpoly._sign_variations
 
@@ -844,20 +850,28 @@ def _count_root_path_evaluations(monkeypatch):
     monkeypatch.setattr(intpoly, "_sign_variations", counting_sign_variations)
     for name in ("isolate_real_roots", "refine_root"):
         monkeypatch.setattr(intpoly, name, tracked(name))
-    rng = random.Random(60)
-    for _ in range(60):
-        exact_spectrum(random_block_string(rng))
+    for b in strings:
+        exact_spectrum(b)
     return counts
 
 
 def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
-    """The sign evaluations under isolate_real_roots and refine_root, for 60
-    fixed criterion-4 strings, are at most half of the Fraction form's:
+    """The sign evaluations under isolate_real_roots and refine_root, for the
+    60 fixed criterion-4 strings, are at most half of the Fraction form's:
     23267, counted the same way with every interval end recounted and both
-    endpoint signs evaluated again in refine_root."""
-    counts = _count_root_path_evaluations(monkeypatch)
+    endpoint signs evaluated again in refine_root.  Below n = 128 the guessed
+    cells are on the final grid already, so refine_root evaluates no sign."""
+    counts = _count_root_path_evaluations(monkeypatch, _sixty_strings())
     assert counts["signs"] <= 23267 // 2
-    # refine_root evaluates through intpoly.sign_at, which the benchmark counts.
+    assert counts["refine_root"] > 0 and counts["refine_signs"] == 0
+
+
+def test_refine_root_evaluates_through_the_counted_sign_at(monkeypatch):
+    """Cells placed for n = 20000 are wider than the final grid, and
+    refine_root narrows them through intpoly.sign_at, which the benchmark
+    counts."""
+    rng = random.Random(8)
+    counts = _count_root_path_evaluations(monkeypatch, [cut_block_string(rng, 8, 20000)])
     assert counts["refine_signs"] > 0
 
 
@@ -868,9 +882,15 @@ def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
 def _residual_factors(b):
     """(factor, bound, residual's Sturm chain) of each square-free factor of the quotient
     charpoly of b left after every integer root is stripped, as
-    spectra._quotient_roots isolates it, with the float guesses of the quotient."""
+    spectra._quotient_roots isolates it, with the float guesses of the quotient.
+    The integer roots are the quotient spectrum's, each checked by exact
+    division; a scan of [-n, n] for them would be linear in n."""
     q = quotient_matrix(b)
-    _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(q.cell_sizes), bound=b.n)
+    residual = intpoly.char_poly_ints(q.cell_sizes)
+    for v, mult in spectra.quotient_spectrum(b).entries:
+        for _ in range(mult if isinstance(v, int) else 0):
+            residual, rem = intpoly.synthetic_div(residual, v)
+            assert rem == 0
     if intpoly.poly_degree(residual) < 1:
         return [], []
     chain = intpoly.sturm_chain(residual)
@@ -884,21 +904,64 @@ def _refined_cells(factor, bound, chain, guesses):
             for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
 
 
+def _placement_width(b):
+    """Width of the guess cells of the [-b, b] bisection tree: its first
+    width <= 2^-GRID_BITS * max(1, 2^(bitlen(b) - 7))."""
+    limit = Fraction(2) ** (max(b.bit_length() - 7, 0) - intpoly.GRID_BITS)
+    width = Fraction(2 * b)
+    while width > limit:
+        width /= 2
+    return width
+
+
 @settings(max_examples=40, deadline=None)
-@given(blocks=_criterion4(12), data=st.data())
+@given(blocks=_criterion4(12) | _criterion4(12, 4 * 10 ** 13), data=st.data())
 def test_guessed_isolation_refines_to_the_cells_of_bisection(blocks, data):
     """Isolation then refinement ends in the same cells with the true guesses,
-    with every guess moved by a few 2^-GUESS_BITS cells, with one guess
-    dropped, and with no guesses (Sturm bisection alone)."""
-    factors, guesses = _residual_factors(BlockString(tuple(blocks)))
-    moves = data.draw(st.lists(st.integers(-4, 4), min_size=len(guesses), max_size=len(guesses)))
-    moved = [g + t * 2.0 ** -intpoly.GUESS_BITS for g, t in zip(guesses, moves)]
+    with every guess moved by one guess cell either way (the neighbour
+    probe) or by many (the Sturm fallback), with one guess dropped, and with
+    no guesses (Sturm bisection alone), for n up to about 10^15."""
+    b = BlockString(tuple(blocks))
+    factors, guesses = _residual_factors(b)
+    width = float(_placement_width(b.n))
+    near = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(guesses), max_size=len(guesses)))
+    far = data.draw(st.lists(st.integers(-(1 << 20), 1 << 20).filter(lambda t: abs(t) > 1),
+                             min_size=len(guesses), max_size=len(guesses)))
     dropped = data.draw(st.integers(0, max(len(guesses) - 1, 0)))
     for factor, bound, chain in factors:
         want = _refined_cells(factor, bound, chain, [])
         assert _refined_cells(factor, bound, chain, guesses) == want
-        assert _refined_cells(factor, bound, chain, moved) == want
+        for moves in (near, far):
+            assert _refined_cells(factor, bound, chain, [g + t * width for g, t in zip(guesses, moves)]) == want
         assert _refined_cells(factor, bound, chain, guesses[:dropped] + guesses[dropped + 1:]) == want
+
+
+def test_guesses_locate_every_root_up_to_n_10_15(monkeypatch):
+    """Guess cells sized by the bound, about n * 2^-47 wide beyond n = 127,
+    hold a guess or neighbour it for every n, so isolation never falls back
+    to Sturm bisection on these 101 strings; each placed cell has the width
+    of its bound.  Cells of a fixed width 2^-20 sent strings from about
+    n = 2^39 on to it: 29 of these."""
+    bisected, placed = [], []
+    bisect_cells, guessed_cells = intpoly._bisected_cells, intpoly._guessed_cells
+
+    def placing(p, b, *args):
+        cells = guessed_cells(p, b, *args)
+        placed.append((b, cells))
+        return cells
+
+    monkeypatch.setattr(intpoly, "_bisected_cells", lambda *args: bisected.append(args) or bisect_cells(*args))
+    monkeypatch.setattr(intpoly, "_guessed_cells", placing)
+    rng = random.Random(39)
+    strings = [parse_block_string("0^549755813888 1^549755813895 0^3 1^5")]  # 2^39 and 2^39 + 7
+    for _ in range(100):
+        k = rng.randint(1, 12)
+        strings.append(cut_block_string(rng, k, rng.randint(2 * k, 10 ** rng.randint(2, 15))))
+    for b in strings:
+        exact_spectrum(b)
+    assert not bisected and placed
+    for b, cells in placed:
+        assert all(Fraction(hi - lo, 1 << shift) == _placement_width(b) for lo, hi, shift, _s, _t in cells)
 
 
 def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
@@ -951,12 +1014,13 @@ def test_a_zero_sign_at_a_tree_point_falls_back_to_bisection(p, guesses):
 
 
 def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
-    """For the 60 fixed criterion-4 strings of the test above: at most 3000
-    sign evaluations under isolate_real_roots and refine_root (7270 when
-    isolation bisected with a Sturm evaluation at every point), and exactly
-    two Sturm evaluations per isolation, the count of the roots in
-    (-bound, bound]: the guesses located every root."""
-    counts = _count_root_path_evaluations(monkeypatch)
+    """For the 60 fixed criterion-4 strings of the test above: at most 1801
+    sign evaluations under isolate_real_roots and refine_root (2550 with
+    guess cells of width 2^-20, 7270 when isolation bisected with a Sturm
+    evaluation at every point), and exactly two Sturm evaluations per
+    isolation, the count of the roots in (-bound, bound]: the guesses
+    located every root."""
+    counts = _count_root_path_evaluations(monkeypatch, _sixty_strings())
     assert counts["isolate_real_roots"] > 0
-    assert counts["signs"] <= 3000
+    assert counts["signs"] <= 1801
     assert counts["sturm"] == 2 * counts["isolate_real_roots"]

@@ -586,16 +586,6 @@ def test_search_cap():
         search_class_by_degree_profile(Graph.empty(31), regular_profile)
 
 
-def test_witness_serialization():
-    g = chain_graph("0 1^2 0^2 1")
-    w = search_class_by_degree_profile(g, regular_profile).witnesses[0]
-    doc = w.serialize()
-    assert doc["subsetBits"].startswith("0x")
-    assert int(doc["subsetBits"], 16) == w.subset
-    assert doc["degrees"] == [3] * 6
-    assert len(doc["splitPerCell"]) == 4
-
-
 # ---------------------------------------------------------------------------
 # Canonical labeling
 # ---------------------------------------------------------------------------
@@ -742,19 +732,13 @@ def test_certificate_invariance():
         n = rng.randint(2, 8)
         g = random_graph(rng, n)
         cert = class_certificate(g)
+        assert type(cert.canonical_bits) is int
+        assert len(cert.prefilter_hash) == 16 and set(cert.prefilter_hash) <= set("0123456789abcdef")
         u = random_subset_mask(rng, n)
         assert class_certificate(switch_on_subset(g, u)) == cert
         perm = list(range(n))
         rng.shuffle(perm)
         assert class_certificate(g.relabel(perm)) == cert
-
-
-def test_certificate_serialization():
-    cert = class_certificate(chain_graph("0 1^2 0^2 1"))
-    doc = cert.serialize()
-    assert set(doc) == {"prefilterHash", "canonicalBits"}
-    assert len(doc["prefilterHash"]) == 16
-    assert doc["canonicalBits"].startswith("0x")
 
 
 def test_certificate_cap():
