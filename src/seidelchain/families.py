@@ -24,10 +24,16 @@ since g, a and b are read back off n - 2m and n + 6m.  So
 scan_seidel_integral lists every integral unit chain up to n_max, once,
 from the triples alone.
 
-Every claim here, a pair's shared spectrum, a family member's spectrum and
-a scan hit alike, is certified by spectra.has_spectrum: the quotient's
-characteristic polynomial must be the product of the claimed linear
-factors.  No root is isolated.
+Every string here has four cells, 0^a 1^b 0^c 1^d, and the quotient's
+characteristic polynomial of such a string is y (y^3 - n y^2 + 4pqr) in
+y = x + 1, with {p, q, r} = {a+d, b, c} (four_cell_class, four_cell_cubic).
+unit_chain_spectrum solves that cubic, and a scan hit is certified by
+Vieta's formulas against it: the three claimed roots must have sum n,
+pairwise products summing to 0 and product -4pqr, with no polynomial
+built.  A pair's shared spectrum, a family member's spectrum and a table row
+are certified by spectra.has_spectrum: the quotient's characteristic
+polynomial must be the product of the claimed linear factors.  No root is
+isolated.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .chain import BlockString
+from .intpoly import IntPoly, synthetic_div
 from .spectra import ExactSpectrum, Surd, has_spectrum, spectrum_from_counts
 
 
@@ -58,28 +65,62 @@ def mirror_chain_string(s: int) -> BlockString:
     return BlockString(((s, 2 * s), (2 * s, s)))
 
 
+def four_cell_class(b: BlockString) -> tuple[int, int, int]:
+    """The sorted multiset (p, q, r) of {a+d, b, c} for the four-cell string
+    0^a 1^b 0^c 1^d; any other k is refused.
+
+    It is the string's bracelet (a+d, b, c): three numbers up to rotation
+    and reflection are a multiset.  The quotient's characteristic
+    polynomial is y times four_cell_cubic(p, q, r), so strings with equal
+    sum and product of their multisets are cospectral.
+    """
+    if b.k != 2:
+        raise ValueError(f"a four-cell string has k = 2 blocks, not {b.k}")
+    (a, b1), (c, d) = b.blocks
+    return tuple(sorted((a + d, b1, c)))
+
+
+def four_cell_cubic(p: int, q: int, r: int) -> IntPoly:
+    """The y-coefficients (4pqr, 0, -n, 1) of y^3 - n y^2 + 4pqr, n = p+q+r.
+
+    For a four-cell string 0^a 1^b 0^c 1^d with {p, q, r} = {a+d, b, c}, the
+    quotient's characteristic polynomial is y times this cubic, y = x + 1.
+    Proof, from intpoly.char_poly_y's alternating-set expansion at k = 2:
+    the coefficient of y^(4 - j) is -(-4)^((j - 1) / 2) E_j for odd j and 0
+    for even j >= 2; E_1 = a+b+c+d = n, and the alternating 3-sets of cells
+    0..3 are {0, 1, 2} and {1, 2, 3}, so E_3 = abc + bcd = bc(a+d) = pqr.
+    So chi_Q = y^4 - n y^3 + 4pqr y.
+    """
+    return (4 * p * q * r, 0, -(p + q + r), 1)
+
+
 def unit_chain_spectrum(n: int, m: int) -> ExactSpectrum:
     """Predicted Seidel spectrum of the n-vertex unit chain 0 1^m 0^m 1^(n-2m-1).
 
-    -1 with multiplicity n-3, the value 2m-1, and the conjugate pair
-    -(m+1) + (n +- sqrt(D))/2 with D = (n-2m)(n+6m).  D has the parity of n,
-    so whenever D is a perfect square the pair is integral; coinciding values
-    are merged (at n = 3m the upper branch equals 2m-1).
+    Read off four_cell_cubic(n-2m, m, m), the string's multiset being
+    {n-2m, m, m}: y = 2m is a root (8m^3 - 4nm^2 + 4m^2(n-2m) = 0), and the
+    cofactor y^2 - (n-2m) y - 2m(n-2m) has discriminant D = (n-2m)(n+6m).
+    In x = y - 1: -1 with multiplicity n-3 (the quotient's y = 0 and the
+    n - 4 vertices outside it), the value 2m-1, and the conjugate pair
+    -(m+1) + (n +- sqrt(D))/2.  D has the parity of n, so whenever D is a
+    perfect square the pair is integral; coinciding values are merged (at
+    n = 3m the upper branch equals 2m-1).
     """
     if m < 1 or n <= 2 * m + 1:
         raise ValueError("need n > 2m+1 >= 3")
-    disc = (n - 2 * m) * (n + 6 * m)
+    (c0, c1, _), _remainder = synthetic_div(four_cell_cubic(n - 2 * m, m, m), 2 * m)
+    disc = c1 * c1 - 4 * c0
     counts: list[tuple] = [(-1, n - 3), (2 * m - 1, 1)]
     if is_perfect_square(disc):
         root = math.isqrt(disc)
         for sign in (1, -1):
-            num = n + sign * root - 2 * (m + 1)
+            num = -c1 + sign * root - 2
             if num % 2:
                 raise ArithmeticError("parity violation in integral branch")
             counts.append((num // 2, 1))
     else:
-        counts.append((Surd(n - 2 * m - 2, 1, disc, 2), 1))
-        counts.append((Surd(n - 2 * m - 2, -1, disc, 2), 1))
+        counts.append((Surd(-c1 - 2, 1, disc, 2), 1))
+        counts.append((Surd(-c1 - 2, -1, disc, 2), 1))
     sp = spectrum_from_counts(counts)
     sp.validate()
     return sp
@@ -280,8 +321,8 @@ class ScanHit:
 
     Hits come from the triples (g, a, b) of the module docstring.
     verified_integral is the exact certificate of _integral_certificate:
-    the chain's quotient characteristic polynomial, computed from its cell
-    sizes, splits into the four linear factors that the triple predicts.
+    the three values that the triple predicts are the roots of the chain's
+    four-cell cubic, by Vieta's formulas.
     """
 
     n: int
@@ -316,14 +357,23 @@ def _square_free_flags(n: int) -> bytearray:
 
 def _integral_certificate(n: int, m: int, root: int) -> bool:
     """Whether the unit chain 0 1^m 0^m 1^(n-2m-1) has Seidel spectrum
-    -1^(n-3), 2m-1, -(m+1) + (n +- root)/2, all integers, by
-    spectra.has_spectrum.  It does not use where root came from: a wrong
-    root gives False.
+    -1^(n-3), 2m-1, -(m+1) + (n +- root)/2, all integers.
+
+    In y = x + 1 the claim is the roots 2m and (n +- root)/2 - m of
+    four_cell_cubic(n-2m, m, m), the cubic of the string's multiset
+    {n-2m, m, m}; the -1s are the quotient's y = 0 and the n - 4 vertices
+    outside it.  Three integers are the roots of the monic cubic
+    y^3 + c2 y^2 + c1 y + c0 exactly when their sum is -c2, their pairwise
+    products sum to c1 and their product is -c0 (Vieta), so that is the
+    whole check: O(1) integer operations, no polynomial and no BlockString.
+    It does not use where n, m and root came from: a wrong root, or an
+    (n, m) with no unit chain, gives False.
     """
-    if (n + root) % 2:
+    if m < 1 or n <= 2 * m + 1 or (n + root) % 2:
         return False
-    return has_spectrum(unit_chain_string(m, n - 2 * m - 1), (
-        (-1, n - 3), (2 * m - 1, 1), ((n + root) // 2 - m - 1, 1), ((n - root) // 2 - m - 1, 1)))
+    c0, c1, c2, _ = four_cell_cubic(n - 2 * m, m, m)
+    y1, y2, y3 = 2 * m, (n + root) // 2 - m, (n - root) // 2 - m
+    return y1 + y2 + y3 == -c2 and y1 * y2 + y1 * y3 + y2 * y3 == c1 and y1 * y2 * y3 == -c0
 
 
 def scan_seidel_integral(n_max: int) -> list[ScanHit]:

@@ -29,7 +29,8 @@ hits exactly is raised as a RationalRootError carrying that point, so the
 caller can divide it out.
 The characteristic polynomial of a chain graph's cell quotient is read off
 its cell sizes by principal minors over Z[y], with y = x + 1: only the sets
-of cells alternating in parity contribute, each by a signed power of 4.
+of cells alternating in parity contribute, each by a signed power of 4
+(char_poly_y); char_poly_ints shifts it back to x.
 """
 
 from __future__ import annotations
@@ -520,13 +521,13 @@ def poly_shift(p: IntPoly, t: int) -> IntPoly:
     return tuple(c)
 
 
-def char_poly_ints(cell_sizes) -> IntPoly:
-    """Monic characteristic polynomial of the chain quotient with these
-    interleaved cell sizes (0-cell, 1-cell, 0-cell, ...).
+def char_poly_y(cell_sizes) -> IntPoly:
+    """Characteristic polynomial of the chain quotient with these interleaved
+    cell sizes (0-cell, 1-cell, 0-cell, ...), in y = x + 1.
 
     With Sigma the cell signs (chain.cell_signs) and D = diag(sizes), the
-    quotient is Q = Sigma D - I, so with y = x + 1 the expansion of a
-    determinant by principal minors gives
+    quotient is Q = Sigma D - I, so the expansion of a determinant by
+    principal minors gives
 
         chi_Q(x) = det(y I - Sigma D)
                  = sum over S of (-1)^|S| det(Sigma_S) prod_{p in S} d_p y^(2k - |S|),
@@ -548,18 +549,13 @@ def char_poly_ints(cell_sizes) -> IntPoly:
     cells.  One pass over the cells gives every E_j from two accumulators
     keyed by the parity of the last chosen cell: entry j - 1 sums the
     alternating sets of j cells seen so far, and each cell extends the sets
-    that end on the other parity.  A Taylor shift returns to x: O(k^2)
-    integer operations.
+    that end on the other parity: O(k^2) integer operations.
 
     An odd alternating set begins and ends on one parity, so it never holds
     both cell 0 (size s_1) and cell 2k - 1 (size t_k), and one holding
     either is that cell plus a rest of one kind: empty, or alternating from
     an odd to an even cell within cells 1 to 2k - 2.  So chi_Q depends on
     s_1 + t_k, not on s_1 and t_k apart.
-
-    The name is the one the general-matrix version (Faddeev-LeVerrier, now
-    a test oracle) had: the benchmark's tracer binds intpoly.char_poly_ints
-    by name, until the library has its own stage hooks (ROADMAP item 1).
     """
     sizes = tuple(cell_sizes)
     if not sizes or len(sizes) % 2:
@@ -571,4 +567,15 @@ def char_poly_ints(cell_sizes) -> IntPoly:
     desc = [1]  # coefficients of y^2k, y^(2k-1), ...
     for i, (even, odd) in enumerate(zip(same[::2], other[::2])):
         desc += (-(-4) ** i * (even + odd), 0)
-    return poly_shift(desc[::-1], 1)
+    return tuple(desc[::-1])
+
+
+def char_poly_ints(cell_sizes) -> IntPoly:
+    """Monic characteristic polynomial in x of the chain quotient with these
+    interleaved cell sizes: char_poly_y shifted back by a Taylor shift.
+
+    The name is the one the general-matrix version (Faddeev-LeVerrier, now
+    a test oracle) had: the benchmark's tracer binds intpoly.char_poly_ints
+    by name, until the library has its own stage hooks (ROADMAP item 1).
+    """
+    return poly_shift(char_poly_y(cell_sizes), 1)

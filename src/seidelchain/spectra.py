@@ -604,7 +604,11 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
     Every root lies in [-bound, bound].  Only 0, -1 and the roundings of the
     guesses are tried as integer roots; an integer root the guesses miss
     stays in the residual and is taken out of its square-free factor by
-    _factor_roots.  So no step is linear in the bound.
+    _factor_roots.  So no step is linear in the bound.  Each stripped
+    integer root takes the guess nearest it out of those left for the
+    residual, once per multiplicity, so that isolation does not place it
+    for nothing; a guess taken wrongly costs a placement or a fallback,
+    never a different root (isolate_real_roots).
 
     The residual's Sturm chain is built once: the square-free split reads
     its gcd off it, and when the residual is one simple factor, isolation
@@ -615,6 +619,13 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
     found = sum(int_roots.values())
     rest = sorted(guesses)
+    for z, mult in int_roots.items():
+        for _ in range(min(mult, len(rest))):
+            i = bisect.bisect_left(rest, z)
+            # rest[i - 1] < z <= rest[i]; int-float comparisons are exact.
+            if i == len(rest) or (i > 0 and 2 * z <= rest[i - 1] + rest[i]):
+                i -= 1
+            del rest[i]
     chain = intpoly.sturm_chain(residual) if intpoly.poly_degree(residual) >= 1 else None
     factors = intpoly.square_free_decomposition(residual, chain) if chain else []
     for factor, mult in factors:
@@ -663,18 +674,19 @@ def has_spectrum(b: BlockString, counts) -> bool:
 
     The Seidel spectrum is the quotient's with -1 added n - 2k times (see
     exact_spectrum), so this holds exactly when the quotient's characteristic
-    polynomial, computed from the cell sizes by intpoly.char_poly_ints, is
-    the product of (x - v)^mult over counts with those n - 2k copies of -1
-    taken out: when dividing it by each of these factors in turn leaves no
-    remainder and ends at 1.  No root is located: the cost is O(k^2) integer
-    operations.  A value that is not an int gives False, as does a claim of
-    more than n values (at its first value past the 2k of the quotient).
-    The quotient cap is checked first.
+    polynomial, computed from the cell sizes by intpoly.char_poly_y in
+    y = x + 1, is the product of (y - (v + 1))^mult over counts with those
+    n - 2k copies of -1 taken out: when dividing it by each of these factors
+    in turn leaves no remainder and ends at 1.  No root is located and no
+    Taylor shift is taken: the cost is O(k^2) integer operations.  A value
+    that is not an int gives False, as does a claim of more than n values
+    (at its first value past the 2k of the quotient).  The quotient cap is
+    checked first.
     """
     check_quotient_order(b.k)
     sizes = [size for block in b.blocks for size in block]
     rest = sum(sizes) - len(sizes)  # copies of -1 outside the quotient
-    p = intpoly.char_poly_ints(sizes)
+    p = intpoly.char_poly_y(sizes)
     for v, mult in counts:
         if not isinstance(v, int) or mult < 0:
             return False
@@ -682,7 +694,7 @@ def has_spectrum(b: BlockString, counts) -> bool:
             take = min(mult, rest)
             mult, rest = mult - take, rest - take
         for _ in range(mult):
-            p, remainder = intpoly.synthetic_div(p, v)
+            p, remainder = intpoly.synthetic_div(p, v + 1)
             if remainder:
                 return False
     return not rest and p == (1,)

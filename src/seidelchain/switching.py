@@ -407,45 +407,52 @@ def search_class_by_degree_profile(
 # Canonical labeling (refinement + individualization backtracking)
 # ---------------------------------------------------------------------------
 
+def _mask(cell: list[int]) -> int:
+    mask = 0
+    for v in cell:
+        mask |= 1 << v
+    return mask
+
+
 def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     """Refine an ordered partition to equitability.
 
     Cells are repeatedly split by neighbor counts into each cell, sub-cells
-    ordered by count, so the result is invariant under relabeling.  A cell
-    that has been tried is not tried again while it remains a cell: after
-    its pass every cell has one count into it, and the cells only get finer,
-    so it would split nothing.
+    ordered by count, so the result is invariant under relabeling.  Each
+    pass tries the first cell not yet tried as the splitter of every cell.
+    A cell that has been tried is not tried again while it remains a cell:
+    after its pass every cell has one count into it, and the cells only get
+    finer, so it would split nothing.  Each cell's vertex mask is kept next
+    to it, and a split computes the masks of the cells it creates only.
     """
+    cells = [cell for cell in cells if cell]  # an empty cell (n = 0) splits into no cells
+    masks = [_mask(cell) for cell in cells]
     stable: set[int] = set()
     while True:
-        changed = False
-        for t in range(len(cells)):
-            mask = 0
-            for v in cells[t]:
-                mask |= 1 << v
+        for mask in masks:
             if mask in stable:
                 continue
-            new_cells: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((rows[v] & mask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    for key in sorted(groups):
-                        new_cells.append(groups[key])
-                    changed = True
-            # Every cell now has one count into this one.
+            # Every cell will have one count into this one.
             stable.add(mask)
-            if changed:
-                cells = new_cells
+            split = []
+            for i, cell in enumerate(cells):
+                if len(cell) > 1:
+                    first = (rows[cell[0]] & mask).bit_count()
+                    for v in cell:
+                        if (rows[v] & mask).bit_count() != first:
+                            split.append(i)
+                            break
+            if split:
                 break
-        if not changed:
+        else:
             return cells
+        for i in reversed(split):  # from the right, so the indices stay valid
+            groups: dict[int, list[int]] = {}
+            for v in cells[i]:
+                groups.setdefault((rows[v] & mask).bit_count(), []).append(v)
+            parts = [groups[key] for key in sorted(groups)]
+            cells[i:i + 1] = parts
+            masks[i:i + 1] = map(_mask, parts)
 
 
 def _canonical_search(g: Graph) -> tuple[int, list[int]]:

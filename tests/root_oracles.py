@@ -35,7 +35,9 @@ The library's canonical search splits a cell that is one twin class into
 singletons without branching, and its refinement tries each cell as a
 splitter once while it remains a cell; canonical_search is the plain form,
 which tries every cell as a splitter on every pass and branches on every
-non-singleton cell, one branch per twin class in it.
+non-singleton cell, one branch per twin class in it.  The library keeps each
+cell's vertex mask next to the cell; refine_rebuilding_masks is the earlier
+refinement, which rebuilds the masks on every pass.
 """
 
 from __future__ import annotations
@@ -502,6 +504,42 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                     for key in sorted(groups):
                         new_cells.append(groups[key])
                     changed = True
+            if changed:
+                cells = new_cells
+                break
+        if not changed:
+            return cells
+
+
+def refine_rebuilding_masks(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """The refinement the library had before it kept its cell masks: each
+    pass rebuilds the mask of every splitter it looks at, bit by bit, and a
+    fresh cell list, and skips the splitters already tried."""
+    stable: set[int] = set()
+    while True:
+        changed = False
+        for t in range(len(cells)):
+            mask = 0
+            for v in cells[t]:
+                mask |= 1 << v
+            if mask in stable:
+                continue
+            new_cells: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & mask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    for key in sorted(groups):
+                        new_cells.append(groups[key])
+                    changed = True
+            # Every cell now has one count into this one.
+            stable.add(mask)
             if changed:
                 cells = new_cells
                 break

@@ -25,8 +25,9 @@ from seidelchain import (
     unit_chain_string,
     verify_tables,
 )
-from seidelchain import families, intpoly, spectra, tables
-from seidelchain.spectra import has_spectrum
+from seidelchain import BlockString, families, four_cell_class, four_cell_cubic, intpoly, spectra, tables
+from seidelchain.chain import cell_signs
+from seidelchain.spectra import RootInterval, has_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,60 @@ def test_unit_chain_charpoly_symbolically():
         assert sympy.expand(quad.subs(x, value) - (s ** 2 - disc) / 4) == 0
 
 
+# ---------------------------------------------------------------------------
+# Four-cell chain graphs: the class {a+d, b, c} and its cubic
+# ---------------------------------------------------------------------------
+
+def test_four_cell_cubic_equals_the_charpoly_on_every_string_up_to_n_30():
+    strings = 0
+    for a in range(1, 28):
+        for b in range(1, 29 - a):
+            for c in range(1, 30 - a - b):
+                for d in range(1, 31 - a - b - c):
+                    y_poly = (0, *four_cell_cubic(*four_cell_class(BlockString(((a, b), (c, d))))))
+                    assert intpoly.poly_shift(y_poly, 1) == intpoly.char_poly_ints((a, b, c, d)), (a, b, c, d)
+                    strings += 1
+    assert strings == 27405
+
+
+def test_four_cell_cubic_symbolically():
+    """det(xI - Q) for 0^a 1^b 0^c 1^d, from the cell signs and symbolic
+    sizes, is y (y^3 - n y^2 + 4 bc(a+d)) with y = x + 1."""
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, x = sympy.symbols("a b c d x", positive=True)
+    sizes = (a, b, c, d)
+    signs = cell_signs(BlockString(((1, 1), (1, 1))))
+    q = sympy.Matrix([[signs[i][j] * sizes[j] - int(i == j) for j in range(4)] for i in range(4)])
+    y = x + 1
+    p, n = (a + d) * b * c, a + b + c + d
+    cubic = sum(coeff * y ** i for i, coeff in enumerate(four_cell_cubic(a + d, b, c)))
+    assert sympy.expand((x * sympy.eye(4) - q).det() - y * cubic) == 0
+    assert sympy.expand(cubic - (y ** 3 - n * y ** 2 + 4 * p)) == 0
+
+
+def test_four_cell_class_is_the_sorted_multiset_and_refuses_other_k():
+    assert four_cell_class(parse_block_string("0^2 1^7 0^3 1^5")) == (3, 7, 7)
+    assert four_cell_cubic(3, 7, 7) == (588, 0, -17, 1)
+    for text in ("0 1", "0 1 0 1 0 1"):
+        with pytest.raises(ValueError):
+            four_cell_class(parse_block_string(text))
+
+
+@pytest.mark.parametrize("texts", [
+    ("0 1^5 0 1^7", "0 1^2 0^2 1^9"),  # {1, 5, 8} and {2, 2, 10}, n = 14
+    ("0 1^15 0^20 1^3", "0 1^10 0^24 1^4", "0 1^8 0^25 1^5"),  # {4, 15, 20}, {5, 10, 24}, {6, 8, 25}
+])
+def test_equal_sum_and_product_classes_are_cospectral(texts):
+    strings = [parse_block_string(t) for t in texts]
+    classes = [four_cell_class(b) for b in strings]
+    assert len(set(classes)) == len(classes)
+    assert len({four_cell_cubic(*cls) for cls in classes}) == 1
+    spectra_ = [exact_spectrum(b) for b in strings]
+    assert all(sp == spectra_[0] for sp in spectra_)
+    if strings[0].n == 39:  # the cubic is irreducible: three interval eigenvalues
+        assert sum(isinstance(v, RootInterval) for v, _m in spectra_[0].entries) == 3
+
+
 def test_unit_chain_spectrum_validates_input():
     with pytest.raises(ValueError):
         unit_chain_spectrum(5, 2)  # n = 2m+1
@@ -283,6 +338,22 @@ def test_integral_certificate_refuses_a_non_square_discriminant():
         assert not is_perfect_square(disc)
         for root in (math.isqrt(disc), math.isqrt(disc) + 1):
             assert not families._integral_certificate(n, m, root)
+
+
+def test_integral_certificate_refuses_a_generator_off_by_one():
+    """Each scan hit's root, with n or m off by one, is refused unless the
+    moved (n, m) is itself an integral unit chain with that root: only
+    (39, 6) and (39, 7) share one, 45, up to n = 500."""
+    shared = []
+    for hit in scan_seidel_integral(500):
+        n, m = hit.n, hit.m
+        root = math.isqrt((n - 2 * m) * (n + 6 * m))
+        for n2, m2 in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
+            true_claim = m2 >= 1 and n2 > 2 * m2 + 1 and (n2 - 2 * m2) * (n2 + 6 * m2) == root * root
+            assert families._integral_certificate(n2, m2, root) == true_claim, (n, m, n2, m2)
+            if true_claim:
+                shared.append((n2, m2))
+    assert shared == [(39, 7), (39, 6)]
 
 
 # ---------------------------------------------------------------------------

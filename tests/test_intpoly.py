@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -84,13 +85,12 @@ def test_char_poly_rejects_an_odd_cell_count():
             intpoly.char_poly_ints(sizes)
 
 
-@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="sympy is not installed")
 @settings(max_examples=25, deadline=None)
 @given(blocks=st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), min_size=1, max_size=8))
 @example(blocks=[(1, 1)])
 @example(blocks=[(1, 1)] * 8)
 def test_char_poly_equals_sympy_on_quotients(blocks):
-    import sympy
+    sympy = pytest.importorskip("sympy")
 
     q = quotient_matrix(BlockString(tuple(blocks)))
     want = _from_sympy(sympy.Matrix(q.entries).charpoly(sympy.Symbol("x")))
@@ -1024,3 +1024,43 @@ def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
     assert counts["isolate_real_roots"] > 0
     assert counts["signs"] <= 1801
     assert counts["sturm"] == 2 * counts["isolate_real_roots"]
+
+
+def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
+    """The 500 criterion-4 strings of one spectrum_small pass of the benchmark
+    (bench/workloads.py: criterion4_slots(500), cut by random.Random(seed))."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads_for_tests", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = random.Random(seed)
+    return [BlockString(workloads.random_blocks(rng, k, n)) for k, n in workloads.criterion4_slots(500)]
+
+
+def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
+    """The sign evaluations that guess placement (_guessed_cells) makes on
+    the 500 strings of a spectrum_small pass, random.Random(3): 5709.  With
+    the guesses of stripped integer roots still placed they were 7365."""
+    signs, placing = [0], [0]
+    sign_at, guessed_cells = intpoly.sign_at, intpoly._guessed_cells
+
+    def counting_sign_at(*args):
+        signs[0] += placing[0] > 0
+        return sign_at(*args)
+
+    def counting_guessed_cells(*args):
+        placing[0] += 1
+        try:
+            return guessed_cells(*args)
+        finally:
+            placing[0] -= 1
+
+    monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
+    monkeypatch.setattr(intpoly, "_guessed_cells", counting_guessed_cells)
+    for b in _spectrum_small_pass_strings(3):
+        exact_spectrum(b)
+    assert signs[0] == 5709

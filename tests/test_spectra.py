@@ -937,6 +937,25 @@ def test_missed_pair_of_integer_roots_is_caught_by_the_discriminant():
     assert spectra._quotient_roots(p, 8, []) == [(-1, 1), (2, 1), (5, 1)]
 
 
+def test_each_stripped_integer_root_takes_its_nearest_guess(monkeypatch):
+    # (x + 1)^2 (x - 3)(x^2 - 2): -1 twice and 3 are stripped, so the
+    # residual's factor gets only the guesses of +-sqrt(2).
+    p = intpoly.poly_mul(intpoly.poly_mul(poly_pow((1, 1), 2), (-3, 1)), (-2, 0, 1))
+    handed = []
+    factor_roots = spectra._factor_roots
+    monkeypatch.setattr(spectra, "_factor_roots",
+                        lambda factor, bound, guesses, chain: handed.append(list(guesses))
+                        or factor_roots(factor, bound, guesses, chain))
+    guesses = [3.0000001, -1.0000002, -1.4142, -0.9999998, 1.4142]
+    assert spectra._quotient_roots(p, 8, guesses) == [
+        (-1, 2), (3, 1), (Surd(0, 1, 2, 1), 1), (Surd(0, -1, 2, 1), 1)]
+    assert handed == [[-1.4142, 1.4142]]
+    # Fewer guesses than stripped roots: all are taken, and isolation bisects.
+    handed.clear()
+    spectra._quotient_roots(p, 8, [-1.0, 3.0])
+    assert handed == [[]]
+
+
 @pytest.mark.parametrize("square, bound, stage", [
     (2, 4, "isolation"),   # Sturm bisection of [-4, 4] hits 1 at its third point
     (8, 4, "refinement"),  # 1 is the midpoint of the isolating cell (0, 2)

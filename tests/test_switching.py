@@ -654,6 +654,46 @@ def test_canonical_search_equals_the_plain_search_on_named_graphs():
         assert switching._canonical_search(g) == root_oracles.canonical_search(g)
 
 
+@st.composite
+def _ordered_partitions(draw, n: int) -> list[list[int]]:
+    """The vertices 0..n-1 in a random order, cut into random cells."""
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    return [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def _check_refine_against_the_mask_rebuilding_oracle(rows, cells):
+    given_cells = [list(cell) for cell in cells]
+    want = root_oracles.refine_rebuilding_masks(rows, [list(cell) for cell in cells])
+    assert switching._refine(rows, cells) == want
+    assert cells == given_cells  # the argument is left as it was
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_refine_equals_the_mask_rebuilding_refinement(data):
+    n = data.draw(st.integers(1, 16))
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    g = random_graph(random.Random(data.draw(st.integers(0, 2 ** 32))), n, p)
+    cells = data.draw(_ordered_partitions(n))
+    if data.draw(st.booleans()):  # an empty cell splits into no cells
+        cells.insert(data.draw(st.integers(0, len(cells))), [])
+    _check_refine_against_the_mask_rebuilding_oracle(g.rows, cells)
+
+
+def test_refine_equals_the_mask_rebuilding_refinement_on_every_small_chain_string():
+    # The partitions a canonical search starts from: all vertices in one
+    # cell, and each vertex individualized.  Every string with n <= 12.
+    for n in range(2, 13):
+        for b in _every_block_string(n):
+            rows = build_chain_graph(b).rows
+            _check_refine_against_the_mask_rebuilding_oracle(rows, [list(range(n))])
+            _check_refine_against_the_mask_rebuilding_oracle(rows, [list(range(n)), []])
+            for v in range(n):
+                rest = [w for w in range(n) if w != v]
+                _check_refine_against_the_mask_rebuilding_oracle(rows, [[v], rest])
+
+
 # ---------------------------------------------------------------------------
 # Class certificates and switching equivalence
 # ---------------------------------------------------------------------------
