@@ -5,15 +5,21 @@ c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
 Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
 rest on one integer pseudo-division, which scales the remainder by |lc(b)|
 at every step and takes no gcd; each caller divides out a content once, by
-one gcd over all coefficients.  One Sturm chain serves a polynomial twice:
-its last member is the gcd that Musser's decomposition starts from, and it
-counts the distinct real roots that isolation must find.  Sign evaluation,
-root isolation and refinement run on integer grids too; at a dyadic point
-num / 2^m the sign is taken by Horner's rule with the coefficients shifted,
-not multiplied by powers of the denominator.  A root cell is the
-5-tuple (lo, hi, shift, sign_lo, sign_hi): the open interval (lo / 2^shift,
-hi / 2^shift) with the signs of the polynomial at its ends, all integers,
-from isolation through refinement to the caller.
+one gcd over all coefficients.  A remainder step whose degree drops by one,
+as in nearly every step of a Sturm chain, is one pass over the coefficients
+with no quotient kept (_pseudo_rem).  One Sturm chain serves a polynomial
+twice: its last member is the gcd that Musser's decomposition starts from,
+and it counts the distinct real roots that isolation must find.  That count
+is over the whole line, so by Sturm's theorem it is read off the members'
+leading coefficients and degrees, with no member evaluated; the chain is
+evaluated, at the ends of a window and at bisection points, only when the
+guessed cells fall short of it.  Sign evaluation, root isolation and
+refinement run on integer grids too; at a dyadic point num / 2^m the sign
+is taken by Horner's rule with the coefficients shifted, not multiplied by
+powers of the denominator.  A root cell is the 5-tuple (lo, hi, shift,
+sign_lo, sign_hi): the open interval (lo / 2^shift, hi / 2^shift) with the
+signs of the polynomial at its ends, all integers, from isolation through
+refinement to the caller.
 The root machinery (integer-root stripping, square-free decomposition, Sturm
 isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
@@ -149,6 +155,8 @@ def primitive(p: IntPoly) -> IntPoly:
     g = content(p)
     if p[-1] < 0:
         g = -g
+    elif g == 1:
+        return p
     return tuple(c // g for c in p)
 
 
@@ -248,11 +256,34 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return tuple(q), tuple(r)
 
 
+def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """A positive multiple of the remainder of a by b (both trimmed, b nonzero).
+
+    When deg a = deg b + 1 = n, the rational quotient is q1 x + q0 with
+    q1 = a_n / beta and q0 = (a_(n-1) - q1 b_(n-2)) / beta, beta = lc(b), so
+    beta^2 (a - (q1 x + q0) b) has the integer coefficients
+
+        beta^2 a_i - beta a_n b_(i-1) - (beta a_(n-1) - a_n b_(n-2)) b_i,
+
+    one pass over the coefficients with no quotient kept.  A larger degree
+    drop goes through _pseudo_divmod.
+    """
+    if len(a) != len(b) + 1 or len(b) < 2:
+        return _pseudo_divmod(a, b)[1]
+    beta = b[-1]
+    beta2, beta_lead = beta * beta, beta * a[-1]
+    t = beta * a[-2] - a[-1] * b[-2]
+    r = [beta2 * ai - beta_lead * bp - t * bi for ai, bp, bi in zip(a, (0,) + b, b[:-1])]
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient."""
     a, b = primitive(a), primitive(b)
     while b:
-        a, b = b, primitive(_pseudo_divmod(a, b)[1])
+        a, b = b, primitive(_pseudo_rem(a, b))
     return a
 
 
@@ -302,12 +333,12 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     if dp:
         chain.append(dp)
     while poly_degree(chain[-1]) > 0:
-        _, r = _pseudo_divmod(chain[-2], chain[-1])
+        r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
         # Divide by the positive content only: the sign of -r must survive.
         g = content(r)
-        chain.append(tuple(-c // g for c in r))
+        chain.append(tuple(-c // g for c in r) if g > 1 else tuple(-c for c in r))
     return chain
 
 
@@ -322,9 +353,22 @@ def _sign_variations(chain: list[IntPoly], x, den: int = 1) -> tuple[int, int]:
     return sum(a != b for a, b in zip(nonzero, nonzero[1:])), signs[0]
 
 
+def _variations_at_infinity(chain: list[IntPoly], side: int) -> int:
+    """Sturm sign variations of chain at +infinity (side 1) or -infinity (side -1).
+
+    There each member has the sign of its leading coefficient, times
+    (-1)^degree at -infinity: no member is evaluated.
+    """
+    positive = [(q[-1] > 0) != (side < 0 and len(q) % 2 == 0) for q in chain]
+    return sum(a != b for a, b in zip(positive, positive[1:]))
+
+
 def count_roots_between(chain: list[IntPoly], lo, hi) -> int:
-    """Distinct real roots in (lo, hi], via Sturm sign variations (lo, hi rationals, as for sign_at)."""
-    return _sign_variations(chain, lo)[0] - _sign_variations(chain, hi)[0]
+    """Distinct real roots in (lo, hi], via Sturm sign variations (lo, hi
+    rationals, as for sign_at; lo None is -infinity and hi None +infinity)."""
+    v_lo = _variations_at_infinity(chain, -1) if lo is None else _sign_variations(chain, lo)[0]
+    v_hi = _variations_at_infinity(chain, 1) if hi is None else _sign_variations(chain, hi)[0]
+    return v_lo - v_hi
 
 
 def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[float] = (),
@@ -340,14 +384,20 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
 
     Every cell is a cell of the bisection tree of [-bound, bound], so every
     cell has span 2 * bound over its power of two and refine_root ends in
-    the same cell from either path below.  The Sturm count of the
-    roots in (-bound, bound] comes first.  Then the float guesses, in any
-    order, locate the roots (_guessed_cells): if as many tree cells of one
-    depth, sized by the guesses' error, show a sign change of p at their
-    ends as the count says, each holds exactly one root, and those cells
-    are the answer.
-    Otherwise, or if a sign there is 0, the tree is bisected from the top
-    with a Sturm count at every point (_bisected_cells).
+    the same cell from either path below.  The float guesses, in any order,
+    locate the roots first (_guessed_cells): tree cells of one depth, sized
+    by the guesses' error, that show a sign change of p at their ends.  Each
+    holds a root, and they are disjoint, so when they number the distinct
+    real roots of p they hold all of them, one each.  By Sturm's theorem that
+    number is the chain's sign variations at -infinity less those at
+    +infinity, where each member has the sign of its leading coefficient,
+    flipped at -infinity when its degree is odd: no member is evaluated.
+    Only when the cells fall short, as when some roots lie outside the
+    window, is the chain evaluated at -bound and bound, for the count of the
+    roots in (-bound, bound]; cells numbering that count are the answer too.
+    Otherwise, or if a sign at a tree point is 0, the tree is bisected from
+    the top with a Sturm count at every point (_bisected_cells), starting
+    from the counts at -bound and bound.
     """
     q = primitive(p)
     if poly_degree(q) < 1:
@@ -357,18 +407,20 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     b = bound if bound is not None else root_bound(p)
     if chain is None or chain[0] != p:
         chain = sturm_chain(p)
-    total = count_roots_between(chain, -b, b)
+    total = count_roots_between(chain, None, None)
     cells = _guessed_cells(p, b, total, guesses)
-    if cells is None:
-        cells = _bisected_cells(p, chain, b, total)
+    if cells is None or len(cells) < total:
+        lo_end, hi_end = _sign_variations(chain, -b), _sign_variations(chain, b)
+        if cells is None or len(cells) < lo_end[0] - hi_end[0]:
+            cells = _bisected_cells(chain, b, lo_end, hi_end)
     return [(lo, hi, shift, flip * s_lo, flip * s_hi) for lo, hi, shift, s_lo, s_hi in cells]
 
 
 def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> list[Cell] | None:
     """The cells of the [-b, b] bisection tree at the first width
-    <= 2^-GRID_BITS * max(1, 2^(bitlen(b) - 7)) that hold the total roots of
-    p there, located from float guesses; None when the guesses do not
-    certify them all.
+    <= 2^-GRID_BITS * max(1, 2^(bitlen(b) - 7)) that the float guesses
+    certify to hold a root of p, ascending, and at most total of them; None
+    when p is 0 at a tree point that a guess tries.
 
     The width follows the guesses' error.  eigvalsh's absolute error scales
     with ||Q|| <= n - 1 < b, and over 1680 random quotients (k <= 12, n up
@@ -381,9 +433,10 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
 
     A cell whose ends give p two nonzero, opposite signs holds a root, and
     distinct cells of one depth are disjoint.  So once the certified cells
-    number the Sturm count, each holds exactly one root and no root is left
-    out.  A guess tries the cell it falls in (its index clamped to the tree)
-    and, if that shows no sign change, its two neighbours; each tree point's
+    number a Sturm count of the roots in the tree, each holds exactly one
+    root and no root is left out; the search stops when they number total.
+    A guess tries the cell it falls in (its index clamped to the tree) and,
+    if that shows no sign change, its two neighbours; each tree point's
     sign is evaluated once.
     """
     m = (2 * b - 1).bit_length() + GRID_BITS - max(b.bit_length() - 7, 0)
@@ -412,23 +465,22 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
                 if s_lo != s_hi:
                     found.add(i)
                     break
-    if len(found) != total:
-        return None
     return [(origin + i * span, origin + (i + 1) * span, m, signs[i], signs[i + 1]) for i in sorted(found)]
 
 
-def _bisected_cells(p: IntPoly, chain: list[IntPoly], b: int, total: int) -> list[Cell]:
-    """The isolating cells of the total roots of p in (-b, b], by Sturm bisection.
+def _bisected_cells(chain: list[IntPoly], b: int, lo_end: tuple[int, int],
+                    hi_end: tuple[int, int]) -> list[Cell]:
+    """The isolating cells of the roots of chain[0] in (-b, b], by Sturm bisection.
 
-    Each bisection point gets its Sturm sign variations once, shared by the
-    two halves, and the upper half is stacked first, so the cells come out
-    in order.
+    lo_end and hi_end are _sign_variations(chain, -b) and (chain, b).  Each
+    bisection point gets its Sturm sign variations once, shared by the two
+    halves, and the upper half is stacked first, so the cells come out in
+    order.
     """
-    v_hi, s_hi = _sign_variations(chain, b)
     out: list[Cell] = []
     # (lo, hi, shift, variations at lo and hi, signs of p at lo and hi) for
     # the interval (lo / 2^shift, hi / 2^shift].
-    stack = [(-b, b, 0, v_hi + total, v_hi, sign_at(p, -b), s_hi)]
+    stack = [(-b, b, 0, lo_end[0], hi_end[0], lo_end[1], hi_end[1])]
     while stack:
         lo, hi, shift, v_lo, v_hi, s_lo, s_hi = stack.pop()
         cnt = v_lo - v_hi

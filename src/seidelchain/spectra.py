@@ -14,12 +14,15 @@ eigensolve of the symmetric form of Q gives a guess for every eigenvalue
 (none when the floats overflow).  Integer roots are the rounded guesses
 that exact synthetic division confirms.  The residual gets one Sturm chain,
 which both splits it square-free (its last member is gcd(p, p')) and counts
-its real roots.  The guesses locate the isolating cells: a cell of the
-[-n, n] bisection tree whose ends carry opposite signs holds a root, and
-when such cells number the Sturm count each holds exactly one; otherwise
-Sturm bisection isolates them.  The cells are sized by the guesses' error:
-for n < 128 they are the final cells of width at most 2^-40, and from
-n = 128 on about n * 2^-47 wide (intpoly._guessed_cells).  A cell still
+its distinct real roots, all inside [-(n-1), n-1]: by Sturm's theorem at
+-infinity and +infinity that count comes from the members' leading
+coefficients and degrees, so no member is evaluated.  The guesses locate
+the isolating cells: a cell of the [-n, n] bisection tree whose ends carry
+opposite signs holds a root, and when such cells number the Sturm count
+each holds exactly one; otherwise Sturm bisection isolates them.  The
+cells are sized by the guesses' error: for n < 128 they are the final
+cells of width at most 2^-40, and from n = 128 on about n * 2^-47 wide
+(intpoly._guessed_cells).  A cell still
 wider is then refined to its dyadic cell starting from its guess, all on
 integer grids.  An integer root the guesses missed is found in its
 square-free factor, inside a refined cell or on a grid point, and divided
@@ -45,6 +48,7 @@ import bisect
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -137,7 +141,7 @@ class Surd:
 
     def __str__(self) -> str:
         s = "+" if self.sign > 0 else "-"
-        return f"({self.a}{s}√{self.d})/{self.c}"
+        return f"({_digits(self.a)}{s}√{_digits(self.d)})/{_digits(self.c)}"
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,22 @@ def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
     raise ArithmeticError("could not separate two distinct eigenvalues")
 
 
+def _digits(v: int) -> str:
+    """str(v) at any size, the interpreter's int -> str digit limit left alone.
+
+    Below 3 * limit bits (under 0.91 * limit digits) that is str(v) itself;
+    a larger v is split at a power of ten near half its digits, and each
+    part converted the same way.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or v.bit_length() <= 3 * limit:
+        return str(v)
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    k = v.bit_length() * 3 // 20  # 0.15 * bits: about half the 0.301 * bits digits
+    hi, lo = divmod(v, 10 ** k)
+    return sign + _digits(hi) + _digits(lo).rjust(k, "0")
+
+
 def _decimal_string(num: int, shift: int) -> str:
     """Exact decimal rendering of num / 2^shift in the fewest digits.
 
@@ -229,7 +249,7 @@ def _decimal_string(num: int, shift: int) -> str:
     t = min((num & -num).bit_length() - 1, shift)
     num, shift = num >> t, shift - t
     sign = "-" if num < 0 else ""
-    text = str(abs(num) * 5 ** shift).rjust(shift + 1, "0")
+    text = _digits(abs(num) * 5 ** shift).rjust(shift + 1, "0")
     if shift == 0:
         return sign + text
     return f"{sign}{text[:-shift]}.{text[-shift:]}"
@@ -748,9 +768,11 @@ def _reciprocal_abs(v: Eigenvalue, sp: ExactSpectrum) -> Union[Fraction, Surd, R
     v's cell (lo, hi) / 2^shift, below -1, onto (2^shift / -lo, 2^shift / -hi),
     which therefore holds exactly one root of rev, 1/|v|.  rev is isolated
     on [-1, 1] like any factor, its float guesses -1/u for each root u of p
-    that sp lists with |u| > 1.  The isolating cell whose part inside that
-    image shows a sign change of rev holds 1/|v|; no other cell can, since
-    the image holds no other root.  That cell is refined from the guess -1/v.
+    that sp lists with |u| > 1; when rev also has roots outside [-1, 1],
+    the guessed cells fall short of its whole-line count and are certified
+    by the chain's count in (-1, 1] instead.  The isolating cell whose part
+    inside that image shows a sign change of rev holds 1/|v|; no other cell
+    can, since the image holds no other root.  That cell is refined from the guess -1/v.
     """
     if isinstance(v, int):
         return Fraction(1, -v)

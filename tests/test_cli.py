@@ -47,6 +47,18 @@ def test_spectrum_command():
     assert payload["integral"] is True
 
 
+def test_spectrum_past_the_int_str_digit_limit_exits_0():
+    """0^(10^1000 - 1) 1^3 0 1 has interval eigenvalues whose printed ends
+    run past the interpreter's 4300-digit int -> str limit.  They print in
+    full and the command exits 0; the limit's ValueError used to escape
+    run.  About 3 s, most of it in validate's refinement."""
+    code, doc = _run_json(["spectrum", "0^" + "9" * 1000 + " 1^3 0 1"])
+    assert code == 0 and doc["status"] == "ok"
+    ends = [end for entry in doc["payload"]["spectrum"] if entry["value"].startswith("interval:")
+            for end in entry["value"][len("interval:["):-1].split(",")]
+    assert ends and max(map(len, ends)) > 4300
+
+
 def test_quotient_command():
     code, doc = _run_json(["quotient", "0 1^3 0^3 1^7"])
     assert code == 0

@@ -324,13 +324,54 @@ def _spectrum_large_residuals():
             yield intpoly.integer_roots(coeffs, bound=n, guesses=spectra._quotient_guesses(q))[1]
 
 
+# x^5 + x^2 + 2: a drop from degree 4 to 2 (through _pseudo_divmod), then
+# one-pass steps by members with negative leads.
+_DROP_OF_TWO = (2, 0, 1, 0, 0, 1)
+# -2 (x - 1)^3: a negative input lead, and a one-pass step with zero remainder.
+_ZERO_REMAINDER = (2, -6, 6, -2)
+# x^3 + x + 1: members -(2x + 3) and -1, divided by a negative lead in one pass.
+_NEGATIVE_LEADS = (1, 1, 0, 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_polys(14), _products()))
 @example(_DEGREE_DROP)
 @example(_REPEATED)
 @example((-(_BIG - 1), 0, 0, -_BIG, 0, 5, 0, -_BIG))
+@example(_DROP_OF_TWO)
+@example(_ZERO_REMAINDER)
+@example(_NEGATIVE_LEADS)
 def test_sturm_chain_equals_the_gcd_scaled_oracle(p):
     assert intpoly.sturm_chain(p) == root_oracles.sturm_chain(p)
+
+
+def test_the_chain_examples_take_both_remainder_paths():
+    """The examples above reach what they are named for: a step dropping
+    two degrees, a one-pass step whose remainder is zero, and one-pass steps
+    dividing by a negative lead."""
+    def steps(p):
+        chain = intpoly.sturm_chain(p)
+        return [(len(a) - len(b), b[-1] < 0) for a, b in zip(chain, chain[1:])], chain
+
+    drops, _ = steps(_DROP_OF_TWO)
+    assert (2, True) in drops and (1, True) in drops
+    _, chain = steps(_ZERO_REMAINDER)
+    assert len(chain[-2]) == len(chain[-1]) + 1 and len(chain[-1]) > 1
+    assert intpoly._pseudo_rem(chain[-2], chain[-1]) == ()
+    drops, chain = steps(_NEGATIVE_LEADS)
+    assert drops[-1] == (1, True) and chain[-2] == (-3, -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys(10), _polys(9))
+@example(_DROP_OF_TWO, (0, 2, 0, 0, 5))
+@example((-1, 3, -3, 1), (1, -2, 1))
+def test_pseudo_remainder_is_a_positive_multiple_of_the_rational_one(a, b):
+    """_pseudo_rem, one pass or through _pseudo_divmod, is t times the
+    remainder of a by b over the rationals, t > 0."""
+    r = intpoly._pseudo_rem(a, b)
+    _, want = root_oracles.pseudo_divmod(a, b)
+    assert _positive_multiple(r, want)
 
 
 def test_sturm_chains_of_spectrum_large_residuals_equal_the_oracle():
@@ -340,6 +381,14 @@ def test_sturm_chains_of_spectrum_large_residuals_equal_the_oracle():
         assert chain == root_oracles.sturm_chain(residual)
         degrees.append(intpoly.poly_degree(residual))
     assert len(degrees) == 27 and max(degrees) >= 25, degrees
+
+
+def test_primitive_of_a_content_one_input_is_that_input():
+    for p in [(1, 2, 3), (-5, 0, 7), (3, 2), (1,), _DEGREE_DROP, _NEGATIVE_LEADS]:
+        assert intpoly.primitive(p) == p
+    assert intpoly.primitive((3, 2, 0, 0)) == (3, 2)
+    assert intpoly.primitive((-3, -2)) == (3, 2)
+    assert intpoly.primitive((2, -6, 6, -2)) == (-1, 3, -3, 1)
 
 
 def _positive_multiple(u, v) -> bool:
@@ -560,6 +609,46 @@ def test_sturm_root_counting():
     assert intpoly.count_roots_between(chain, Fraction(-2), Fraction(2)) == 2
     assert intpoly.count_roots_between(chain, Fraction(0), Fraction(2)) == 1
     assert intpoly.count_roots_between(chain, Fraction(2), Fraction(3)) == 0
+    assert intpoly.count_roots_between(chain, None, None) == 2
+    assert intpoly.count_roots_between(chain, None, Fraction(0)) == 1
+    assert intpoly.count_roots_between(chain, Fraction(2), None) == 0
+    assert intpoly.count_roots_between(intpoly.sturm_chain((1, 0, 1)), None, None) == 0  # x^2 + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_polys(12), _products()))
+@example((1, 0, 1))  # x^2 + 1: no real root
+@example(_REPEATED)
+@example(_DROP_OF_TWO)
+def test_whole_line_count_equals_the_count_within_the_root_bound(p):
+    """The count over the whole line, read off leading coefficients and
+    degrees, equals the Sturm count over (-B, B] by evaluation, B the root
+    bound, and splits at 0 as the evaluated counts do."""
+    assume(intpoly.poly_degree(p) >= 1)
+    chain = intpoly.sturm_chain(p)
+    b = intpoly.root_bound(p)
+    total = intpoly.count_roots_between(chain, None, None)
+    assert total == intpoly.count_roots_between(chain, -b, b)
+    assert intpoly.count_roots_between(chain, None, 0) == intpoly.count_roots_between(chain, -b, 0)
+    assert intpoly.count_roots_between(chain, 0, None) == intpoly.count_roots_between(chain, 0, b)
+
+
+def test_whole_line_count_against_sympy():
+    """The whole-line count is the number of distinct real roots, on seeded
+    products of powers of small factors: complex roots and repeated roots
+    included."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    complex_roots = repeated = 0
+    for _ in range(200):
+        p = _random_product(rng)
+        want = len(_to_sympy(sympy, p).real_roots(multiple=False))
+        chain = intpoly.sturm_chain(p)
+        assert intpoly.count_roots_between(chain, None, None) == want
+        sqf_degree = intpoly.poly_degree(p) - intpoly.poly_degree(chain[-1])
+        complex_roots += want < sqf_degree
+        repeated += intpoly.poly_degree(chain[-1]) > 0
+    assert complex_roots > 50 and repeated > 50, (complex_roots, repeated)
 
 
 def test_sign_at_matches_eval():
@@ -979,6 +1068,30 @@ def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
     assert len(bisected) == 1
 
 
+def test_roots_outside_the_window_take_the_evaluated_window_count(monkeypatch):
+    """(x^2 - 3)(3x^2 - 1), isolated on [-1, 1] as _reciprocal_abs isolates a
+    reversed factor: the guesses locate the two roots +-1/sqrt(3) inside,
+    fewer than the four real roots, so the chain is evaluated at -1 and 1
+    (two Sturm evaluations), and its count of two certifies the cells with
+    no bisection.  The cells are those that bisection with no guesses
+    reaches."""
+    p = intpoly.poly_mul((-3, 0, 1), (-1, 0, 3))
+    chain = intpoly.sturm_chain(p)
+    assert intpoly.count_roots_between(chain, None, None) == 4
+    evaluated, bisected = [], []
+    sign_variations, bisect_cells = intpoly._sign_variations, intpoly._bisected_cells
+    monkeypatch.setattr(intpoly, "_sign_variations", lambda *args: evaluated.append(args) or sign_variations(*args))
+    monkeypatch.setattr(intpoly, "_bisected_cells", lambda *args: bisected.append(args) or bisect_cells(*args))
+    guesses = [-1 / math.sqrt(3), 1 / math.sqrt(3)]
+    cells = intpoly.isolate_real_roots(p, 1, guesses, chain)
+    assert len(cells) == 2 and len(evaluated) == 2 and not bisected
+    assert [intpoly.refine_root(p, cell) for cell in cells] == [
+        intpoly.refine_root(p, cell) for cell in intpoly.isolate_real_roots(p, 1, (), chain)]
+    assert len(bisected) == 1
+    # One guess located: the window count of two sends isolation to bisection.
+    assert intpoly.isolate_real_roots(p, 1, guesses[:1], chain) == intpoly.isolate_real_roots(p, 1, (), chain)
+
+
 def _isolated(p, guesses):
     """isolate_real_roots(p) with these guesses, or the point of its RationalRootError."""
     try:
@@ -993,7 +1106,7 @@ _SQRT2 = math.sqrt(2)
 def test_nan_and_infinite_guesses_are_skipped():
     p = (-2, 0, 1)  # x^2 - 2
     finite = [-_SQRT2, _SQRT2]
-    assert intpoly._guessed_cells(p, 2, 2, [math.nan, math.inf, -math.inf]) is None
+    assert intpoly._guessed_cells(p, 2, 2, [math.nan, math.inf, -math.inf]) == []
     assert _isolated(p, [math.nan, math.inf, -math.inf]) == _isolated(p, ())
     assert _isolated(p, [math.nan, -_SQRT2, math.inf, _SQRT2, -math.inf]) == _isolated(p, finite)
     assert _isolated(p, finite) != _isolated(p, ())  # the guessed cells are the narrow ones
@@ -1017,13 +1130,14 @@ def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
     """For the 60 fixed criterion-4 strings of the test above: at most 1801
     sign evaluations under isolate_real_roots and refine_root (2550 with
     guess cells of width 2^-20, 7270 when isolation bisected with a Sturm
-    evaluation at every point), and exactly two Sturm evaluations per
-    isolation, the count of the roots in (-bound, bound]: the guesses
-    located every root."""
+    evaluation at every point), and no Sturm evaluation at all: the guesses
+    located every root, which the count over the whole line, read off the
+    chain's leading coefficients, certifies (it took two evaluations per
+    isolation, at -bound and bound, when the count was of (-bound, bound])."""
     counts = _count_root_path_evaluations(monkeypatch, _sixty_strings())
     assert counts["isolate_real_roots"] > 0
     assert counts["signs"] <= 1801
-    assert counts["sturm"] == 2 * counts["isolate_real_roots"]
+    assert counts["sturm"] == 0
 
 
 def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:

@@ -4,6 +4,7 @@ import io
 import math
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -295,6 +296,32 @@ def test_interval_eigenvalues_certified():
 @example(num=1, shift=41)
 def test_decimal_rendering_equals_the_fraction_oracle(num, shift):
     assert spectra._decimal_string(num, shift) == root_oracles.decimal_string(Fraction(num, 1 << shift))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit")
+def test_values_past_the_int_str_digit_limit_render_in_full():
+    """Interval ends and surd fields past the interpreter's int -> str digit
+    limit (4300 by default; interval cells reach it from about n = 10^900)
+    are converted in chunks, to the text that plain str gives with the limit
+    lifted.  The limit is restored afterwards."""
+    cells = [(3 ** 6000 + 1, 3400), (-(7 ** 5200), 17), (1 << 20000, 0), ((10 ** 4400 + 1) << 3, 9000)]
+    surds = [(1, 1, 10 ** 4400 + 3, 2), (-(10 ** 4301), -1, 10 ** 9000 + 7, 3)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str((3 ** 6000 + 1) * 5 ** 3400)  # the digits of the first cell end
+        got = [spectra._decimal_string(num, shift) for num, shift in cells]
+        got += [str(Surd(*fields)) for fields in surds]
+        sys.set_int_max_str_digits(0)
+        want = [root_oracles.decimal_string(Fraction(num, 1 << shift)) for num, shift in cells]
+        for fields in surds:
+            a, sign, d, c = _fields(Surd(*fields))
+            want.append(f"({a}{'+' if sign > 0 else '-'}√{d})/{c}")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert max(map(len, got)) > 9000
 
 
 def test_interval_ends_render_in_their_own_fewest_digits():
