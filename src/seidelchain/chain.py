@@ -11,12 +11,39 @@ the 1-cells are therefore nested, which characterizes these graphs as the
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph
 
 _ATOM = re.compile(r"\s*([01])(?:\^(\d+))?")
+
+
+# The interpreter's int <-> str digit limit (0: none, or an interpreter without one).
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+# A limit is 0 or at least 640 digits, so str() takes any int of this many bits.
+_ALWAYS_STR_BITS = 3 * 640
+
+
+def _digits(v: int) -> str:
+    """str(v) at any size, the interpreter's int -> str digit limit left alone.
+
+    Below 3 * limit bits (under 0.91 * limit digits) that is str(v) itself;
+    a larger v is split at a power of ten near half its digits, and each
+    part converted the same way.  Every int that the library and the CLI
+    render goes through here: a string's exponents are each within the
+    limit, but merged runs, n and the values derived from them need not be.
+    """
+    if v.bit_length() <= _ALWAYS_STR_BITS:
+        return str(v)
+    limit = _int_max_str_digits()
+    if not limit or v.bit_length() <= 3 * limit:
+        return str(v)
+    sign, v = ("-", -v) if v < 0 else ("", v)
+    k = v.bit_length() * 3 // 20  # 0.15 * bits: about half the 0.301 * bits digits
+    hi, lo = divmod(v, 10 ** k)
+    return sign + _digits(hi) + _digits(lo).rjust(k, "0")
 
 
 @dataclass(frozen=True)
@@ -44,11 +71,11 @@ class BlockString:
         return sum(s + t for s, t in self.blocks)
 
     def caret(self) -> str:
-        """Canonical rendering `0^s1 1^t1 ...` with ^1 omitted."""
+        """Canonical rendering `0^s1 1^t1 ...` with ^1 omitted, exponents of any size."""
         parts = []
         for s, t in self.blocks:
-            parts.append("0" if s == 1 else f"0^{s}")
-            parts.append("1" if t == 1 else f"1^{t}")
+            parts.append("0" if s == 1 else "0^" + _digits(s))
+            parts.append("1" if t == 1 else "1^" + _digits(t))
         return " ".join(parts)
 
     def literal(self) -> str:
@@ -75,7 +102,13 @@ def parse_block_string(text: str) -> BlockString:
 
     The string must start with a 0-block and end with a 1-block; exponents
     must be positive; characters outside {0, 1, ^, digits, whitespace} are
-    rejected.
+    rejected.  An exponent past the interpreter's int <-> str digit limit
+    (4300 digits by default) is refused too, as int() refuses it.  The
+    limit is kept: ExactSpectrum.validate bisects root cells to
+    n.bit_length() + 12 bits, about 14300 at the limit, and without it a
+    string's digits would set that depth with no bound.
+    Adjacent runs of one digit merge, so a block, and n, may still exceed
+    the limit; they are rendered by _digits.
     """
     if not text or not text.strip():
         raise ValueError("empty block string")

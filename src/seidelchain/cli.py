@@ -41,9 +41,10 @@ import csv
 import functools
 import json
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .chain import BlockString, build_chain_graph, parse_block_string
+from .chain import BlockString, _digits, build_chain_graph, parse_block_string
 from .families import (
     FAMILY_IDS,
     cospectral_pairs_up_to,
@@ -108,7 +109,21 @@ def _parse_quotient_string(text: str) -> BlockString:
 
 
 def _spectrum_text(serialized: list[dict]) -> str:
-    return ", ".join(f"{e['value']} (x{e['mult']})" for e in serialized)
+    return ", ".join(f"{e['value']} (x{_digits(e['mult'])})" for e in serialized)
+
+
+def _text(value) -> str:
+    """str(value) for a payload leaf, a Fraction or a list of them, with every
+    int in it written by _digits, so none trips the interpreter's int -> str
+    limit."""
+    if type(value) is int:
+        return _digits(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    if isinstance(value, Fraction):
+        num = _digits(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_digits(value.denominator)}"
+    return str(value)
 
 
 class _RecordList:
@@ -173,7 +188,7 @@ def _cmd_equiangular(args) -> dict:
         "string": b.caret(),
         "lines": ep.lines,
         "dimension": ep.dimension,
-        "cosine": str(ep.cosine),
+        "cosine": _text(ep.cosine),
         "lambda_min": value_to_string(ep.lambda_min),
         "multiplicity": ep.multiplicity,
     }
@@ -282,23 +297,23 @@ def _cmd_verify_tables(args) -> dict:
 
 def _text_spectrum(p: dict) -> list[str]:
     return [
-        f"string: {p['string']}   n={p['n']} k={p['k']}",
+        f"string: {p['string']}   n={_digits(p['n'])} k={p['k']}",
         f"spectrum: {_spectrum_text(p['spectrum'])}",
         f"integral: {p['integral']}",
     ]
 
 
 def _text_quotient(p: dict) -> list[str]:
-    return [f"string: {p['string']}   quotient size {p['size']}, cells {p['cell_sizes']}"] + [
-        "  [" + ", ".join(f"{x:4d}" for x in row) + "]" for row in p["matrix"]
+    return [f"string: {p['string']}   quotient size {p['size']}, cells {_text(p['cell_sizes'])}"] + [
+        "  [" + ", ".join(_digits(x).rjust(4) for x in row) + "]" for row in p["matrix"]
     ]
 
 
 def _text_equiangular(p: dict) -> list[str]:
     return [
         f"string: {p['string']}",
-        f"{p['lines']} equiangular lines in dimension {p['dimension']}, cosine {p['cosine']}",
-        f"lambda_min {p['lambda_min']} with multiplicity {p['multiplicity']}",
+        f"{_digits(p['lines'])} equiangular lines in dimension {_digits(p['dimension'])}, cosine {p['cosine']}",
+        f"lambda_min {p['lambda_min']} with multiplicity {_digits(p['multiplicity'])}",
     ]
 
 
@@ -306,7 +321,8 @@ def _text_cospectral(p: dict) -> list[str]:
     lines = []
     for rec in p["pairs"]:
         lines.append(
-            f"r={rec['r']} m={rec['m']} n={rec['n']}: {rec['string_a']}  /  {rec['string_b']}"
+            f"r={_digits(rec['r'])} m={_digits(rec['m'])} n={_digits(rec['n'])}: "
+            f"{rec['string_a']}  /  {rec['string_b']}"
         )
         lines.append(
             f"  spectrum {_spectrum_text(rec['spectrum'])}   verified={rec['verified']}"
@@ -317,12 +333,13 @@ def _text_cospectral(p: dict) -> list[str]:
 def _text_integral(p: dict) -> list[str]:
     if "hits" in p:
         return [
-            f"(n={r['n']}, m={r['m']}) families={','.join(r['families']) or 'unclassified'}"
+            f"(n={_digits(r['n'])}, m={_digits(r['m'])}) families={','.join(r['families']) or 'unclassified'}"
             f" verified={r['verified']}"
             for r in p["hits"]
         ]
     return [
-        f"family {p['family']} r={p['r']}: (n, m) = ({p['n']}, {p['m']})   {p['string']}",
+        f"family {p['family']} r={_digits(p['r'])}: (n, m) = ({_digits(p['n'])}, {_digits(p['m'])})"
+        f"   {p['string']}",
         f"  spectrum {_spectrum_text(p['spectrum'])}   verified={p['verified']}",
     ]
 
@@ -357,13 +374,13 @@ def _text_verify_tables(report: dict) -> list[str]:
 def _csv_render(rows) -> tuple[list[str], list[list]]:
     """The header (the first row's keys) and each row's cells in its order:
     a spectrum list renders as `value^mult` joined by spaces, any other list
-    joined by spaces."""
+    joined by spaces, and an int by _digits."""
     def cell(key, value):
         if key == "spectrum":
-            return " ".join(f"{e['value']}^{e['mult']}" for e in value)
+            return " ".join(f"{e['value']}^{_digits(e['mult'])}" for e in value)
         if isinstance(value, list):
-            return " ".join(map(str, value))
-        return value
+            return " ".join(map(_text, value))
+        return _digits(value) if type(value) is int else value
     rows = list(rows)
     header = list(rows[0])
     return header, [[cell(key, row[key]) for key in header] for row in rows]
@@ -451,7 +468,7 @@ def _json_parts(value, pad: str, parts: list[str]) -> None:
     elif value is False:
         parts.append("false")
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        parts.append(_digits(value))
     elif isinstance(value, (list, tuple, _RecordList)):
         if not len(value):
             parts.append("[]")
@@ -466,7 +483,7 @@ def _json_parts(value, pad: str, parts: list[str]) -> None:
             # Key tuples, not keys views: those compare as sets.
             keys = tuple(value[0]) if kinds == {dict} and len(value) >= _RECORDS_MIN else ()
             if kinds == {int}:
-                parts.append(sep.join(map(int.__repr__, value)))
+                parts.append(sep.join(map(_digits, value)))
             elif keys and set(map(tuple, value)) == {keys}:
                 records = _RecordList(keys, [([r[k] for r in value], None) for k in keys])
                 parts.append(sep.join(_json_records(records, inner)))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .chain import BlockString
-from .intpoly import IntPoly, synthetic_div
+from .intpoly import four_cell_cubic, synthetic_div
 from .spectra import ExactSpectrum, Surd, has_spectrum, spectrum_from_counts
 
 
@@ -78,20 +78,6 @@ def four_cell_class(b: BlockString) -> tuple[int, int, int]:
         raise ValueError(f"a four-cell string has k = 2 blocks, not {b.k}")
     (a, b1), (c, d) = b.blocks
     return tuple(sorted((a + d, b1, c)))
-
-
-def four_cell_cubic(p: int, q: int, r: int) -> IntPoly:
-    """The y-coefficients (4pqr, 0, -n, 1) of y^3 - n y^2 + 4pqr, n = p+q+r.
-
-    For a four-cell string 0^a 1^b 0^c 1^d with {p, q, r} = {a+d, b, c}, the
-    quotient's characteristic polynomial is y times this cubic, y = x + 1.
-    Proof, from intpoly.char_poly_y's alternating-set expansion at k = 2:
-    the coefficient of y^(4 - j) is -(-4)^((j - 1) / 2) E_j for odd j and 0
-    for even j >= 2; E_1 = a+b+c+d = n, and the alternating 3-sets of cells
-    0..3 are {0, 1, 2} and {1, 2, 3}, so E_3 = abc + bcd = bc(a+d) = pqr.
-    So chi_Q = y^4 - n y^3 + 4pqr y.
-    """
-    return (4 * p * q * r, 0, -(p + q + r), 1)
 
 
 def unit_chain_spectrum(n: int, m: int) -> ExactSpectrum:

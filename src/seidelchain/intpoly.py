@@ -16,7 +16,10 @@ evaluated, at the ends of a window and at bisection points, only when the
 guessed cells fall short of it.  Sign evaluation, root isolation and
 refinement run on integer grids too; at a dyadic point num / 2^m the sign
 is taken by Horner's rule with the coefficients shifted, not multiplied by
-powers of the denominator.  A root cell is the 5-tuple (lo, hi, shift,
+powers of the denominator.  A grid search (guess placement, refinement)
+shifts them once, scaling p to the integers of 2^(m deg p) p(x / 2^m)
+(scaled_to_grid), and then takes the sign at each integer grid point in
+one plain Horner pass.  A root cell is the 5-tuple (lo, hi, shift,
 sign_lo, sign_hi): the open interval (lo / 2^shift, hi / 2^shift) with the
 signs of the polynomial at its ends, all integers, from isolation through
 refinement to the caller.
@@ -36,7 +39,8 @@ caller can divide it out.
 The characteristic polynomial of a chain graph's cell quotient is read off
 its cell sizes by principal minors over Z[y], with y = x + 1: only the sets
 of cells alternating in parity contribute, each by a signed power of 4
-(char_poly_y); char_poly_ints shifts it back to x.
+(char_poly_y); char_poly_ints shifts it back to x.  For four cells it is y
+times the cubic y^3 - n y^2 + 4pqr (four_cell_cubic).
 """
 
 from __future__ import annotations
@@ -112,12 +116,18 @@ def sign_at(p: IntPoly, x, den: int = 1) -> int:
     x is an int and den a positive int, or den is 1 and x any rational with
     integer numerator and denominator attributes.  Horner's rule gives
     den^deg(p) * p(x / den), the coefficient of x^j times den^(deg(p) - j);
-    for den = 2^m that factor is a shift by m * (deg(p) - j).
+    for den = 2^m that factor is a shift by m * (deg(p) - j).  At an integer
+    point it is one plain Horner pass: the branch that a grid search takes
+    with its polynomial scaled to the grid once (scaled_to_grid), so that
+    sign_at(scaled_to_grid(p, m), x) is the sign of p(x / 2^m).
     """
     if den == 1:
         x, den = x.numerator, x.denominator
     acc = 0
-    if den & (den - 1) == 0:  # den = 2^m: scale the coefficients by shifts
+    if den == 1:
+        for c in reversed(p):
+            acc = acc * x + c
+    elif den & (den - 1) == 0:  # den = 2^m: scale the coefficients by shifts
         m = den.bit_length() - 1
         shift = 0
         for c in reversed(p):
@@ -129,6 +139,13 @@ def sign_at(p: IntPoly, x, den: int = 1) -> int:
             acc = acc * x + c * den_pow
             den_pow *= den
     return (acc > 0) - (acc < 0)
+
+
+def scaled_to_grid(p: IntPoly, m: int) -> IntPoly:
+    """The integer coefficients of 2^(m * deg(p)) * p(x / 2^m): p read on
+    the grid of step 2^-m, the coefficient of x^j shifted by m * (deg(p) - j)."""
+    d = len(p) - 1
+    return tuple(c << m * (d - j) for j, c in enumerate(p))
 
 
 def synthetic_div(p: IntPoly, r: int) -> tuple[IntPoly, int]:
@@ -338,7 +355,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
             break
         # Divide by the positive content only: the sign of -r must survive.
         g = content(r)
-        chain.append(tuple(-c // g for c in r) if g > 1 else tuple(-c for c in r))
+        chain.append(tuple([-c // g for c in r] if g > 1 else [-c for c in r]))
     return chain
 
 
@@ -441,12 +458,13 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     """
     m = (2 * b - 1).bit_length() + GRID_BITS - max(b.bit_length() - 7, 0)
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
+    grid = scaled_to_grid(p, m)
     signs: dict[int, int] = {}
 
     def sign(j: int) -> int:
         """Sign of p at the tree point origin + j * span, over 2^m."""
         if j not in signs:
-            signs[j] = sign_at(p, origin + j * span, 1 << m)
+            signs[j] = sign_at(grid, origin + j * span)
         return signs[j]
 
     found: set[int] = set()
@@ -524,13 +542,13 @@ def refine_root(p: IntPoly, cell: Cell, bits: int = GRID_BITS, guess: float | No
         return cell
     m = (steps - 1).bit_length()
     base, shift = lo << m, shift + m
-    den = 1 << shift
+    grid = scaled_to_grid(p, shift)
 
     def below(j: int) -> bool:
         """True when the root lies below grid point j."""
-        s = sign_at(p, base + j * span, den)
+        s = sign_at(grid, base + j * span)
         if s == 0:
-            raise RationalRootError("refinement", base + j * span, den)
+            raise RationalRootError("refinement", base + j * span, 1 << shift)
         return s != s_lo
 
     a, b = 0, 1 << m  # the root lies between grid points a and b
@@ -620,6 +638,20 @@ def char_poly_y(cell_sizes) -> IntPoly:
     for i, (even, odd) in enumerate(zip(same[::2], other[::2])):
         desc += (-(-4) ** i * (even + odd), 0)
     return tuple(desc[::-1])
+
+
+def four_cell_cubic(p: int, q: int, r: int) -> IntPoly:
+    """The y-coefficients (4pqr, 0, -n, 1) of y^3 - n y^2 + 4pqr, n = p+q+r.
+
+    For a four-cell string 0^a 1^b 0^c 1^d with {p, q, r} = {a+d, b, c}, the
+    quotient's characteristic polynomial is y times this cubic, y = x + 1.
+    Proof, from char_poly_y's alternating-set expansion at k = 2: the
+    coefficient of y^(4 - j) is -(-4)^((j - 1) / 2) E_j for odd j and 0 for
+    even j >= 2; E_1 = a+b+c+d = n, and the alternating 3-sets of cells
+    0..3 are {0, 1, 2} and {1, 2, 3}, so E_3 = abc + bcd = bc(a+d) = pqr.
+    So chi_Q = y^4 - n y^3 + 4pqr y.
+    """
+    return (4 * p * q * r, 0, -(p + q + r), 1)
 
 
 def char_poly_ints(cell_sizes) -> IntPoly:

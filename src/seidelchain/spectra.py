@@ -7,11 +7,16 @@ splits as spectrum(Q) together with -1 repeated n - 2k times, where Q is the
 spectrum depends on k, not on n: the characteristic polynomial of Q comes
 from the cell sizes by principal minors, of which only the sets of cells
 alternating in parity count, O(k^2) integer operations
-(intpoly.char_poly_ints).
+(intpoly.char_poly_ints).  Strings of one or two blocks need none of that:
+k = 1 has the quotient spectrum {-1, n - 1}, and k = 2 the eigenvalue -1
+and the roots of the cubic y^3 - n y^2 + 4pqr in y = x + 1
+(intpoly.four_cell_cubic), so quotient_spectrum takes them in closed form.
 
 Roots are located by guess, then certified, in one pass.  One float
 eigensolve of the symmetric form of Q gives a guess for every eigenvalue
-(none when the floats overflow).  Integer roots are the rounded guesses
+(none when the floats overflow); the cubic of k = 2 gets its guesses from
+the trigonometric formula instead, computed in y / n so that no float
+overflows below the float range of n.  Integer roots are the rounded guesses
 that exact synthetic division confirms.  The residual gets one Sturm chain,
 which both splits it square-free (its last member is gcd(p, p')) and counts
 its distinct real roots, all inside [-(n-1), n-1]: by Sturm's theorem at
@@ -48,7 +53,6 @@ import bisect
 import functools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -56,7 +60,7 @@ from typing import Union
 import numpy as np
 
 from . import intpoly
-from .chain import BlockString, cell_signs
+from .chain import BlockString, _digits, cell_signs
 from .graphs import Graph
 
 CHAR_POLY_ORDER_CAP = 256
@@ -222,22 +226,6 @@ def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
     raise ArithmeticError("could not separate two distinct eigenvalues")
 
 
-def _digits(v: int) -> str:
-    """str(v) at any size, the interpreter's int -> str digit limit left alone.
-
-    Below 3 * limit bits (under 0.91 * limit digits) that is str(v) itself;
-    a larger v is split at a power of ten near half its digits, and each
-    part converted the same way.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or v.bit_length() <= 3 * limit:
-        return str(v)
-    sign, v = ("-", -v) if v < 0 else ("", v)
-    k = v.bit_length() * 3 // 20  # 0.15 * bits: about half the 0.301 * bits digits
-    hi, lo = divmod(v, 10 ** k)
-    return sign + _digits(hi) + _digits(lo).rjust(k, "0")
-
-
 def _decimal_string(num: int, shift: int) -> str:
     """Exact decimal rendering of num / 2^shift in the fewest digits.
 
@@ -257,7 +245,7 @@ def _decimal_string(num: int, shift: int) -> str:
 
 def value_to_string(v: Eigenvalue) -> str:
     if isinstance(v, int):
-        return f"int:{v}"
+        return "int:" + _digits(v)
     if isinstance(v, Surd):
         return f"surd:{v}"
     return f"interval:{v}"
@@ -345,11 +333,23 @@ def quotient_matrix(b: BlockString) -> QuotientMatrix:
     """
     sizes = tuple(size for _lab, _start, size in b.cells())
     rows = []
-    for p, signs in enumerate(cell_signs(b)):
+    for p, signs in enumerate(_cell_sign_template(b.k)[0]):
         row = list(map(operator.mul, signs, sizes))
         row[p] -= 1
         rows.append(tuple(row))
     return QuotientMatrix(len(sizes), tuple(rows), sizes)
+
+
+@functools.lru_cache(maxsize=32)
+def _cell_sign_template(k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The cell signs of every k-block string (chain.cell_signs reads k
+    alone), as int rows for quotient_matrix and as a read-only float array
+    for _quotient_guesses: built once per quotient order, for the 32 orders
+    last used."""
+    rows = cell_signs(BlockString(((1, 1),) * k))
+    sigma = np.array(rows, dtype=float)
+    sigma.flags.writeable = False
+    return rows, sigma
 
 
 @dataclass(frozen=True)
@@ -544,11 +544,12 @@ def _quotient_guesses(q: QuotientMatrix) -> list[float]:
     hints, so a spectrum runs without those that floats cannot give.
     """
     try:
-        root = np.sqrt(np.array(q.cell_sizes, dtype=float))
-        shifted = np.array(q.entries, dtype=float) + np.eye(q.size)
+        sizes = np.array(q.cell_sizes, dtype=float)
+        root = np.sqrt(sizes)
+        sigma = _cell_sign_template(q.size // 2)[1]
         # Scaling sigma_pq |C_q| by sqrt(|C_p| / |C_q|) cannot overflow: the
         # product is at most n.
-        vals = np.linalg.eigvalsh(shifted * (root[:, None] / root) - np.eye(q.size))
+        vals = np.linalg.eigvalsh(sigma * sizes * (root[:, None] / root) - np.eye(q.size))
     except (OverflowError, np.linalg.LinAlgError):
         return []
     return [g for g in vals.tolist() if math.isfinite(g)]
@@ -657,17 +658,64 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
     return counts
 
 
+def _four_cell_guesses(p: int, q: int, r: int, n: int) -> list[float]:
+    """Float roots, ascending, of the four-cell cubic (intpoly.four_cell_cubic)
+    in x = y - 1; none when n is beyond the float range.
+
+    In u = y / n, n = p + q + r, the cubic is u^3 - u^2 + c with c = 4pqr /
+    n^3 in (0, 4/27], whose roots lie in [-1/3, 1]: no float overflows
+    however large n is, and x = u n - 1.  By the trigonometric formula the
+    roots are 1/3 + (2/3) cos((theta - 2 pi j) / 3), j = 0, 1, 2, where
+    cos(theta) = 1 - 27c/2.  So theta / 2 has sin^2 = 27pqr / n^3 and cos^2
+    = (n^3 - 27pqr) / n^3, each one correctly rounded integer division, and
+    theta is taken from the smaller of the two: it keeps its relative
+    precision where two roots nearly meet (p, q, r nearly equal) and where
+    two are near u = 0 (one of p, q, r far above the others), where
+    arccos(1 - 27c/2) in floats would lose half the digits.  Over 1500
+    random triples with up to 60 digits every guess was within 4.3 * n *
+    2^-53 of its root, below eigvalsh's 12.01 (intpoly._guessed_cells).
+    """
+    try:
+        scale = float(n)
+    except OverflowError:
+        return []
+    cube, prod = n ** 3, 27 * p * q * r
+    if 2 * prod <= cube:
+        half = math.asin(math.sqrt(prod / cube))
+    else:
+        half = math.acos(math.sqrt((cube - prod) / cube))
+    guesses = (1 / 3 + 2 / 3 * math.cos((2 * half - 2 * math.pi * j) / 3) for j in range(3))
+    return sorted(g for g in (u * scale - 1 for u in guesses) if math.isfinite(g))
+
+
 def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     """Exact eigenvalue multiset of the quotient matrix (2k values with multiplicity).
 
     The cap is checked before any work.  The float guesses steer the search
     for roots; the roots are certified exactly whatever they are.
+
+    Strings of one or two blocks take their closed forms, with no quotient
+    matrix, principal-minor charpoly or eigensolve.  For k = 1 the
+    charpoly is y (y - n) in y = x + 1, so the spectrum is {-1, n - 1}.  For
+    k = 2 it is y times intpoly.four_cell_cubic(a + d, b, c): -1 and the
+    roots of the cubic shifted to x, which _quotient_roots certifies like
+    any charpoly from guesses by the trigonometric formula
+    (_four_cell_guesses).  Those are computed in y / n, where every
+    quantity stays in [-1, 1], so n up to the float range gives guesses.
     """
     check_quotient_order(b.k)
+    n = b.n
+    if b.k == 1:
+        return spectrum_from_counts([(-1, 1), (n - 1, 1)])
+    if b.k == 2:
+        (s1, t1), (s2, t2) = b.blocks
+        cubic = intpoly.poly_shift(intpoly.four_cell_cubic(s1 + t2, t1, s2), 1)
+        counts = _quotient_roots(cubic, n, _four_cell_guesses(s1 + t2, t1, s2, n))
+        return spectrum_from_counts(counts + [(-1, 1)])
     q = quotient_matrix(b)
     cp = char_poly(q)
     # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
-    return spectrum_from_counts(_quotient_roots(cp.coeffs, b.n, _quotient_guesses(q)))
+    return spectrum_from_counts(_quotient_roots(cp.coeffs, n, _quotient_guesses(q)))
 
 
 def exact_spectrum(b: BlockString) -> ExactSpectrum:

@@ -4,8 +4,10 @@ import importlib.util
 import io
 import json
 import math
+import re
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,52 @@ def test_spectrum_past_the_int_str_digit_limit_exits_0():
     ends = [end for entry in doc["payload"]["spectrum"] if entry["value"].startswith("interval:")
             for end in entry["value"][len("interval:["):-1].split(",")]
     assert ends and max(map(len, ends)) > 4300
+
+
+# The most digits an exponent may have under the default int -> str limit.
+_LIMIT_EXPONENT = "9" * 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("argv", [
+    # n, the multiplicity of -1 and the eigenvalue n - 1 have 4301 digits.
+    ["spectrum", f"0^{_LIMIT_EXPONENT} 1^{_LIMIT_EXPONENT}"],
+    # The merged run 0^(2 * 10^4300 - 2): a cell size of 4301 digits.
+    ["quotient", f"0^{_LIMIT_EXPONENT} 0^{_LIMIT_EXPONENT} 1"],
+    # m and n of the pair, and the exponents of its strings, run past 4300 digits.
+    ["cospectral", "--r", "9" * 4299 + "7"],
+], ids=["spectrum", "quotient", "cospectral"])
+def test_ints_past_the_int_str_digit_limit_render_in_full(argv, fmt):
+    """Every int the CLI renders goes through _digits, so output at the
+    default limit is the output of plain str with the limit lifted; the
+    limit's ValueError used to escape run.  The limit is restored after."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = _run(["--format", fmt] + argv)
+        sys.set_int_max_str_digits(0)
+        want = _run(["--format", fmt] + argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want and got[0] == 0
+    assert max(map(len, re.findall(r"\d+", got[1]))) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit")
+def test_a_fraction_past_the_int_str_digit_limit_renders_as_str_does():
+    """The equiangular cosine is a Fraction; past the limit in its
+    denominator too it renders as str gives it with the limit lifted."""
+    fractions = [Fraction(1, 10 ** 4400 + 1), Fraction(-(10 ** 4400), 3), Fraction(10 ** 4400), Fraction(1, 5)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = list(map(cli._text, fractions))
+        sys.set_int_max_str_digits(0)
+        want = list(map(str, fractions))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_quotient_command():

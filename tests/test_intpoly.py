@@ -478,6 +478,25 @@ def test_sign_at_every_dyadic_denominator_up_to_2_300():
         assert intpoly.sign_at(_DEGREE_DROP, num, den) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.lists(_coefficients, max_size=15).map(tuple), m=st.integers(0, 300),
+       num=st.one_of(st.integers(-(1 << 400), 1 << 400), st.integers(-5, 0)), root=st.booleans())
+@example(p=(), m=0, num=0, root=False)
+@example(p=(3, -1), m=300, num=0, root=True)
+@example(p=_DEGREE_DROP, m=0, num=-1, root=False)
+def test_sign_on_grid_coefficients_equals_the_dyadic_sign(p, m, num, root):
+    """The grid searches scale p to their grid once (scaled_to_grid) and
+    take each sign at an integer point: sign_at(scaled, x) is the sign of p
+    at x / 2^m, also where p vanishes there (root: p times (2^m x - num))."""
+    if root:
+        p = intpoly.poly_mul(p, (-num, 1 << m))
+    scaled = intpoly.scaled_to_grid(p, m)
+    assert intpoly.sign_at(scaled, num) == intpoly.sign_at(p, num, 1 << m)
+    assert intpoly.sign_at(scaled, num) == root_oracles.fraction_sign(p, Fraction(num, 1 << m))
+    if root and p:
+        assert intpoly.sign_at(scaled, num) == 0
+
+
 def test_sturm_chain_takes_one_gcd_per_member(monkeypatch):
     """The contents are the only gcds a chain takes: one per member, none
     inside the pseudo-division."""
@@ -1157,8 +1176,10 @@ def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
 
 def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
     """The sign evaluations that guess placement (_guessed_cells) makes on
-    the 500 strings of a spectrum_small pass, random.Random(3): 5709.  With
-    the guesses of stripped integer roots still placed they were 7365."""
+    the 500 strings of a spectrum_small pass, random.Random(3): 5707.  They
+    were 5709 with the four-cell strings' guesses from eigvalsh rather than
+    from their cubic, and 7365 with the guesses of stripped integer roots
+    still placed."""
     signs, placing = [0], [0]
     sign_at, guessed_cells = intpoly.sign_at, intpoly._guessed_cells
 
@@ -1177,4 +1198,4 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
     monkeypatch.setattr(intpoly, "_guessed_cells", counting_guessed_cells)
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
-    assert signs[0] == 5709
+    assert signs[0] == 5707

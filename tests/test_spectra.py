@@ -255,6 +255,111 @@ def test_exact_spectrum_needs_the_quotient_eigenvalue_minus_one(monkeypatch):
         exact_spectrum(parse_block_string("0^3 1^7"))
 
 
+# ---------------------------------------------------------------------------
+# Closed forms for one and two blocks
+# ---------------------------------------------------------------------------
+
+def _general_quotient_spectrum(b):
+    """The quotient spectrum by the path that k >= 3 takes: quotient matrix,
+    principal-minor charpoly and eigensolve guesses."""
+    q = quotient_matrix(b)
+    return spectrum_from_counts(spectra._quotient_roots(char_poly(q).coeffs, b.n, spectra._quotient_guesses(q)))
+
+
+def _assert_closed_form_is_general(b):
+    assert repr(quotient_spectrum(b).entries) == repr(_general_quotient_spectrum(b).entries), b.caret()
+
+
+def test_closed_forms_equal_the_general_path_on_every_string_up_to_n_24():
+    strings = 0
+    for n in range(2, 25):
+        for a in range(1, n):
+            _assert_closed_form_is_general(BlockString(((a, n - a),)))
+            for b in range(1, n - a):
+                for c in range(1, n - a - b):
+                    _assert_closed_form_is_general(BlockString(((a, b), (c, n - a - b - c))))
+                    strings += 1
+    assert strings == math.comb(24, 4)  # every four-cell string with n <= 24
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 10 ** 15), st.integers(1, 10 ** 15)), min_size=1, max_size=2))
+@example(blocks=[(10 ** 15, 10 ** 15), (10 ** 15, 1)])  # p = q = r: a double root
+@example(blocks=[(1, 10 ** 15), (10 ** 15 + 1, 10 ** 15 - 1)])  # two roots 4/3 apart near 2 * 10^15
+@example(blocks=[(1, 1), (10 ** 15, 1)])  # two roots near -1 +- 2 * sqrt(2)
+def test_closed_forms_equal_the_general_path_up_to_n_10_15(blocks):
+    _assert_closed_form_is_general(BlockString(tuple(blocks)))
+
+
+@pytest.mark.parametrize("e", [100, 200, 307, 309, 400])
+def test_closed_forms_equal_the_general_path_for_huge_n(e):
+    """Up to n of 10^307 both paths have guesses; past the float range
+    neither has, and both isolate by Sturm bisection."""
+    rng = random.Random(e)
+    for k in (1, 2, 2):
+        sizes = [rng.randint(10 ** (e - 1), 10 ** e) for _ in range(2 * k)]
+        b = BlockString(tuple(zip(sizes[::2], sizes[1::2])))
+        assert (b.n < 2 ** 1024) == (e < 308)
+        _assert_closed_form_is_general(b)
+
+
+@pytest.mark.parametrize("text, kinds", [
+    ("0 1 0^3 1^2", "int int int int"),  # {-3, -1, 2, 5}
+    ("0 1 0 1", "Surd int int Surd"),  # {-sqrt(5), -1, 1, sqrt(5)}
+    ("0 1 0^2 1^2", "RootInterval int RootInterval RootInterval"),
+    ("0 1^2 0^2 1", "int int int"),  # p = q = r = 2: {-3, -1, 3^2}
+    ("0^7 1^3", "int int"),  # {-1, 9}
+])
+def test_closed_forms_cover_every_kind_of_root(text, kinds):
+    b = parse_block_string(text)
+    assert " ".join(type(v).__name__ for v, _m in quotient_spectrum(b).entries) == kinds
+    _assert_closed_form_is_general(b)
+
+
+def test_one_and_two_blocks_build_no_quotient_and_solve_no_eigenproblem(monkeypatch):
+    spies = {}
+    for module, name in ((spectra, "quotient_matrix"), (np.linalg, "eigvalsh"),
+                         (intpoly, "char_poly_ints"), (intpoly, "sturm_chain")):
+        spies[name] = _Spy(getattr(module, name))
+        monkeypatch.setattr(module, name, spies[name])
+    for text in ("0 1", "0^5 1^3", "0 1 0^2 1^2", "0 1^2 0^2 1", "0^9 1^2 0^4 1"):
+        exact_spectrum(parse_block_string(text))
+    assert [spies[name].calls for name in ("quotient_matrix", "eigvalsh", "char_poly_ints")] == [0, 0, 0]
+    exact_spectrum(parse_block_string("0 1^2 0^3 1 0 1^4"))  # k = 3 takes the general path
+    assert [spies[name].calls for name in ("quotient_matrix", "eigvalsh", "char_poly_ints")] == [1, 1, 1]
+    assert spies["sturm_chain"].calls > 0
+
+
+# (p, q, r) = (a + d, b, c) of four-cell strings: spread, and nearly equal
+# (a double root at p = q = r, two roots nearly meeting next to it).
+_FOUR_CELL_CLASSES = st.one_of(
+    st.tuples(st.integers(2, 10 ** 15), st.integers(1, 10 ** 15), st.integers(1, 10 ** 15)),
+    st.builds(lambda m, i, j: (m, m + i, m + j), st.integers(2, 10 ** 15), st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pqr=_FOUR_CELL_CLASSES)
+@example(pqr=(5, 5, 5))
+@example(pqr=(2, 1, 10 ** 15))
+@example(pqr=(10 ** 15, 10 ** 15, 10 ** 15 + 1))
+def test_four_cell_guesses_lie_within_a_few_units_of_n_ulp(pqr):
+    """Every guess is within 8 * n * 2^-53 of its root (4.3 at most seen),
+    eigvalsh's 12.01 being the bound that guess placement is sized by.  The
+    roots are the certified ones, cells of width at most 2^-40."""
+    p, q, r = pqr
+    b = BlockString(((1, q), (r, p - 1)))
+    guesses = spectra._four_cell_guesses(p, q, r, b.n)
+    roots = [float(v) for v, m in quotient_spectrum(b).entries for _ in range(m) if v != -1]
+    assert len(guesses) == 3 and guesses == sorted(guesses)
+    assert max(abs(g - v) for g, v in zip(guesses, roots)) <= 8 * b.n * 2.0 ** -53 + 2.0 ** -40
+
+
+def test_four_cell_guesses_stop_at_the_float_range():
+    assert spectra._four_cell_guesses(1, 1, 10 ** 308, 10 ** 308 + 2) != []
+    assert spectra._four_cell_guesses(1, 1, 10 ** 309, 10 ** 309 + 2) == []
+
+
 def test_minus_one_multiplicity():
     rng = random.Random(25)
     for _ in range(40):
@@ -357,6 +462,20 @@ def test_quotient_guesses_are_the_eigenvalues_of_the_quotient(blocks):
     want = np.sort(np.linalg.eigvals(np.array(q.entries, dtype=float)).real)
     assert got == sorted(got)
     assert np.max(np.abs(np.array(got) - want)) <= 1e-9 * sum(q.cell_sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 2 ** 53), st.integers(1, 2 ** 53)), min_size=3, max_size=8))
+@example(blocks=[(1, 1)] * 3)
+def test_quotient_guesses_from_the_sign_template_are_the_entrywise_ones(blocks):
+    """Up to 2^53 every cell size and quotient entry is an exact float, so the
+    guesses from the cached cell-sign template equal, bit for bit, those
+    from the quotient's own entries: Q + I scaled to its symmetric form."""
+    q = quotient_matrix(BlockString(tuple(blocks)))
+    root = np.sqrt(np.array(q.cell_sizes, dtype=float))
+    shifted = np.array(q.entries, dtype=float) + np.eye(q.size)
+    want = np.linalg.eigvalsh(shifted * (root[:, None] / root) - np.eye(q.size)).tolist()
+    assert spectra._quotient_guesses(q) == [g for g in want if math.isfinite(g)]
 
 
 def test_refined_interval_matches_the_fraction_oracle():
@@ -901,8 +1020,16 @@ def _unguided(monkeypatch, strings):
     integer roots, Sturm bisection, every other integer root taken out of
     its square-free factor."""
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_quotient_guesses", lambda q: [])
+        _patch_guesses(m, lambda gs: [])
         return [exact_spectrum(b).serialize() for b in strings]
+
+
+def _patch_guesses(monkeypatch, change):
+    """Pass the float guesses of both sources, the quotient's eigensolve and
+    the four-cell cubic's closed form, through change."""
+    quotient_guesses, four_cell_guesses = spectra._quotient_guesses, spectra._four_cell_guesses
+    monkeypatch.setattr(spectra, "_quotient_guesses", lambda q: change(quotient_guesses(q)))
+    monkeypatch.setattr(spectra, "_four_cell_guesses", lambda *args: change(four_cell_guesses(*args)))
 
 
 def _int_entries_by_full_scan(b):
@@ -933,14 +1060,9 @@ def test_guesses_that_miss_an_integer_root_peel_it_off_its_factor(monkeypatch, t
     b = parse_block_string(text)
     want = exact_spectrum(b).serialize()
     assert any(e["value"] == f"int:{missed}" for e in want)
-    true_guesses = spectra._quotient_guesses
-
-    def misrounded(q):
-        # The guesses of `missed` now round to its neighbour.
-        return [g + 0.7 if round(g) == missed else g for g in true_guesses(q)]
-
+    # The guesses of `missed` now round to its neighbour.
+    _patch_guesses(monkeypatch, lambda gs: [g + 0.7 if round(g) == missed else g for g in gs])
     strip = _Spy(intpoly.integer_roots)
-    monkeypatch.setattr(spectra, "_quotient_guesses", misrounded)
     monkeypatch.setattr(intpoly, "integer_roots", strip)
     assert exact_spectrum(b).serialize() == want
     assert strip.calls == 1  # one pass: no second strip
@@ -951,8 +1073,7 @@ def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
     rng = random.Random(31)
     strings = [random_block_string(rng, max_k=5, max_n=40) for _ in range(20)]
     want = _unguided(monkeypatch, strings)
-    true_guesses = spectra._quotient_guesses
-    monkeypatch.setattr(spectra, "_quotient_guesses", lambda q: bad(true_guesses(q)))
+    _patch_guesses(monkeypatch, bad)
     assert [exact_spectrum(b).serialize() for b in strings] == want
 
 
