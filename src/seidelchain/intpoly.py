@@ -19,20 +19,23 @@ is taken by Horner's rule with the coefficients shifted, not multiplied by
 powers of the denominator.  A grid search (guess placement, refinement)
 shifts them once, scaling p to the integers of 2^(m deg p) p(x / 2^m)
 (scaled_to_grid), and then takes the sign at each integer grid point in
-one plain Horner pass.  A root cell is the 5-tuple (lo, hi, shift,
+one plain Horner pass; its exact Newton steps x -= G(x) // G'(x) run on
+the same integers (_newton).  A root cell is the 5-tuple (lo, hi, shift,
 sign_lo, sign_hi): the open interval (lo / 2^shift, hi / 2^shift) with the
 signs of the polynomial at its ends, all integers, from isolation through
 refinement to the caller.
 The root machinery (integer-root stripping, square-free decomposition, Sturm
 isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
-integer matrices.  Float guesses may steer integer-root stripping, locate
-the isolating cells and start refinement, but every root they lead to is
-certified exactly: a cell by the signs at its ends, and the set of cells by
-the Sturm count, with Sturm bisection as the fallback when they disagree.
-The cells the guesses locate are as wide as the guesses' error, which
-grows with the root bound: below a bound of 128 they are the cells of the
-final 2^-40 grid that refinement would end in.
+integer matrices.  Float guesses may steer integer-root stripping and
+locate the isolating cells, but every root they lead to is certified
+exactly: a cell by the signs at its ends, and the set of cells by the Sturm
+count, with Sturm bisection as the fallback when they disagree.  The cells
+the guesses locate are those of the final 2^-40 grid, which refinement
+returns as they are: from a root bound of 128 on, where a guess's error can
+exceed a quarter cell, Newton steps on the grid carry it to its cell first.
+Refinement of a wider cell takes Newton steps from its midpoint before it
+bisects.
 Isolation and refinement expect no rational roots; one that a grid point
 hits exactly is raised as a RationalRootError carrying that point, so the
 caller can divide it out.
@@ -402,13 +405,14 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     Every cell is a cell of the bisection tree of [-bound, bound], so every
     cell has span 2 * bound over its power of two and refine_root ends in
     the same cell from either path below.  The float guesses, in any order,
-    locate the roots first (_guessed_cells): tree cells of one depth, sized
-    by the guesses' error, that show a sign change of p at their ends.  Each
-    holds a root, and they are disjoint, so when they number the distinct
-    real roots of p they hold all of them, one each.  By Sturm's theorem that
-    number is the chain's sign variations at -infinity less those at
-    +infinity, where each member has the sign of its leading coefficient,
-    flipped at -infinity when its degree is odd: no member is evaluated.
+    locate the roots first (_guessed_cells): cells of the tree's final
+    grid, the first depth no wider than 2^-GRID_BITS, that show a sign
+    change of p at their ends.  Each holds a root, and they are disjoint,
+    so when they number the distinct real roots of p they hold all of them,
+    one each.  By Sturm's theorem that number is the chain's sign
+    variations at -infinity less those at +infinity, where each member has
+    the sign of its leading coefficient, flipped at -infinity when its
+    degree is odd: no member is evaluated.
     Only when the cells fall short, as when some roots lie outside the
     window, is the chain evaluated at -bound and bound, for the count of the
     roots in (-bound, bound]; cells numbering that count are the answer too.
@@ -434,19 +438,17 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
 
 
 def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> list[Cell] | None:
-    """The cells of the [-b, b] bisection tree at the first width
-    <= 2^-GRID_BITS * max(1, 2^(bitlen(b) - 7)) that the float guesses
-    certify to hold a root of p, ascending, and at most total of them; None
-    when p is 0 at a tree point that a guess tries.
+    """The cells of the final grid of the [-b, b] bisection tree, the first
+    depth no wider than 2^-GRID_BITS, that the float guesses certify to hold
+    a root of p, ascending, and at most total of them; None when p is 0 at a
+    tree point that a guess tries.
 
-    The width follows the guesses' error.  eigvalsh's absolute error scales
-    with ||Q|| <= n - 1 < b, and over 1680 random quotients (k <= 12, n up
-    to 10^15) a guess was never further than 12.01 * n * 2^-53 from its
-    root.  A cell is wider than 2^-41, and from b = 128 on at least
-    b * 2^-47 wide, so a guess lies less than half a cell from its root: in
-    the root's cell or next to it.  For b < 128 the cells are those of the
-    final grid, which refine_root returns as they are; from b = 128 on
-    about bitlen(b) - 7 halvings are left to it.
+    eigvalsh's absolute error scales with ||Q|| <= n - 1 < b, and over 1680
+    random quotients (k <= 12, n up to 10^15) a guess was never further than
+    12.01 * n * 2^-53 from its root.  Below b = 128 that is under a quarter
+    cell, so the guess lies in its root's cell or next to it.  From b = 128
+    on the guess's grid point first takes exact Newton steps (_newton) until
+    one is under a quarter cell, and the point they reach is the guess.
 
     A cell whose ends give p two nonzero, opposite signs holds a root, and
     distinct cells of one depth are disjoint.  So once the certified cells
@@ -456,9 +458,10 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     if that shows no sign change, its two neighbours; each tree point's
     sign is evaluated once.
     """
-    m = (2 * b - 1).bit_length() + GRID_BITS - max(b.bit_length() - 7, 0)
+    m = (2 * b - 1).bit_length() + GRID_BITS
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
     grid = scaled_to_grid(p, m)
+    slope = poly_derivative(grid) if b >= 128 else None
     signs: dict[int, int] = {}
 
     def sign(j: int) -> int:
@@ -474,7 +477,10 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
         if not isfinite(g):
             continue
         g_num, g_den = g.as_integer_ratio()
-        j = min(max(((g_num << m) - origin * g_den) // (span * g_den), 0), last)
+        x = (g_num << m) // g_den
+        if slope:
+            x = _newton(grid, slope, x, origin, -origin, span, m.bit_length())
+        j = min(max((x - origin) // span, 0), last)
         for i in (j, j - 1, j + 1):
             if 0 <= i <= last:
                 s_lo, s_hi = sign(i), sign(i + 1)
@@ -484,6 +490,27 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
                     found.add(i)
                     break
     return [(origin + i * span, origin + (i + 1) * span, m, signs[i], signs[i + 1]) for i in sorted(found)]
+
+
+def _newton(grid: IntPoly, slope: IntPoly, x: int, lo: int, hi: int, span: int, steps: int) -> int:
+    """The integer point that exact Newton steps x -= G(x) // G'(x) reach
+    from x, G = grid and G' = slope, each kept in [lo, hi]: at most steps of
+    them, ending after the first of 0 or under a quarter of span, or where
+    G' is 0.
+
+    On G = scaled_to_grid(p, m) a step is 2^m p / p' in units of 2^-m, so
+    near a simple root each step roughly doubles the bits that x shares with
+    it, and about log2 of the grid's depth of them reach any cell.
+    """
+    for _ in range(steps):
+        num, den = poly_eval(grid, x), poly_eval(slope, x)
+        if den == 0:
+            break
+        step = num // den
+        x = min(max(x - step, lo), hi)
+        if step == 0 or 4 * abs(num) < span * abs(den):
+            break
+    return x
 
 
 def _bisected_cells(chain: list[IntPoly], b: int, lo_end: tuple[int, int],
@@ -516,18 +543,20 @@ def _bisected_cells(chain: list[IntPoly], b: int, lo_end: tuple[int, int],
     return out
 
 
-def refine_root(p: IntPoly, cell: Cell, bits: int = GRID_BITS, guess: float | None = None) -> Cell:
+def refine_root(p: IntPoly, cell: Cell, bits: int = GRID_BITS) -> Cell:
     """Shrink a root cell to width at most 2^-bits.
 
     With (lo, hi, shift) the cell, the result is the cell of the grid
     (lo * 2^m + j * (hi - lo)) / 2^(shift + m) that holds the root, with m
     the least depth at which a cell is no wider than 2^-bits: the cell that
-    sign bisection reaches.  The cell holds exactly one root, so the exact
-    sign at a grid point tells on which side of it the root lies.  The
-    search starts at the cell of guess and gallops outward, then bisects the
-    bracket: a good float guess costs about two sign evaluations, a bad one
-    at most about 2m, and guess=None exactly m.  The cell is the same for
-    every guess.
+    sign bisection reaches, and the cell itself when it is that narrow.  The
+    cell holds exactly one root, so the exact sign at a grid point tells on
+    which side of it the root lies.  Exact Newton steps (_newton) from the
+    cell's midpoint come first.  The signs at the grid point nearest the
+    point they reach, then at its neighbour on the root's side, bracket the
+    root's grid cell when the steps converged, and bisection closes the
+    rest.  A converging start costs two sign evaluations whatever m is, a
+    misled one at most about m more.
 
     The differing endpoint signs of the cell, as isolate_real_roots returns
     them, are the certificate that a root lies inside; the result carries
@@ -544,37 +573,28 @@ def refine_root(p: IntPoly, cell: Cell, bits: int = GRID_BITS, guess: float | No
     base, shift = lo << m, shift + m
     grid = scaled_to_grid(p, shift)
 
-    def below(j: int) -> bool:
-        """True when the root lies below grid point j."""
+    a, b = 0, 1 << m  # the root lies between grid points a and b
+
+    def narrow(j: int) -> None:
+        """Move a or b to grid point j, by the sign there."""
+        nonlocal a, b
         s = sign_at(grid, base + j * span)
         if s == 0:
             raise RationalRootError("refinement", base + j * span, 1 << shift)
-        return s != s_lo
+        if s == s_lo:
+            a = j
+        else:
+            b = j
 
-    a, b = 0, 1 << m  # the root lies between grid points a and b
-    if guess is not None and isfinite(guess):
-        g_num, g_den = guess.as_integer_ratio()
-        j = min(max(((g_num << shift) - base * g_den) // (span * g_den), 0), b - 1)
-        if j > 0 and below(j):
-            b, gap = j, 1
-            while b - gap > a:
-                if not below(b - gap):
-                    a = b - gap
-                    break
-                b, gap = b - gap, 2 * gap
-        else:
-            a, gap = j, 1
-            while a + gap < b:
-                if below(a + gap):
-                    b = a + gap
-                    break
-                a, gap = a + gap, 2 * gap
+    top = base + b * span
+    x = _newton(grid, poly_derivative(grid), (base + top) // 2, base, top, span, shift.bit_length())
+    j = min(max((x - base + span // 2) // span, 1), b - 1)  # the inner grid point nearest x
+    narrow(j)
+    j = j - 1 if j == b else j + 1  # and its neighbour on the root's side
+    if a < j < b:
+        narrow(j)
     while b - a > 1:
-        mid = (a + b) // 2
-        if below(mid):
-            b = mid
-        else:
-            a = mid
+        narrow((a + b) // 2)
     return base + a * span, base + b * span, shift, s_lo, s_hi
 
 

@@ -25,16 +25,17 @@ coefficients and degrees, so no member is evaluated.  The guesses locate
 the isolating cells: a cell of the [-n, n] bisection tree whose ends carry
 opposite signs holds a root, and when such cells number the Sturm count
 each holds exactly one; otherwise Sturm bisection isolates them.  The
-cells are sized by the guesses' error: for n < 128 they are the final
-cells of width at most 2^-40, and from n = 128 on about n * 2^-47 wide
-(intpoly._guessed_cells).  A cell still
-wider is then refined to its dyadic cell starting from its guess, all on
-integer grids.  An integer root the guesses missed is found in its
-square-free factor, inside a refined cell or on a grid point, and divided
-out of that factor alone, so no step costs more than a bisection of
-[-n, n]: the cost does not depend on n beyond the size of its digits.  The
-spectrum is sorted by float and each neighbouring pair is then compared
-exactly; validate() checks the trace and Frobenius identities on integers.
+guesses are placed on the tree's final grid, of width at most 2^-40: from
+n = 128 on, where a guess's error can exceed a quarter cell, exact Newton
+steps on the grid carry it to its cell first (intpoly._guessed_cells).
+refine_root returns such a cell as it is, and narrows a cell of Sturm
+bisection to its dyadic cell, all on integer grids.  An integer root the
+guesses missed is found in its square-free factor, inside a refined cell
+or on a grid point, and divided out of that factor alone, so no step costs
+more than a bisection of [-n, n]: the cost does not depend on n beyond the
+size of its digits.  The spectrum is sorted by float and each neighbouring
+pair is then compared exactly; validate() checks the trace and Frobenius
+identities on integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
 in canonical form, or sign-certified root intervals of an integer polynomial
@@ -486,8 +487,10 @@ def _assert_enclosed_sums(entries, n: int) -> None:
 
     bits is INTERVAL_BITS (40), the width of computed root cells, up to
     n < 2^28, and n.bit_length() + 12 beyond, where the cells are refined to
-    2^-bits first.  The square of a value below n in such a cell is known to
-    within 2n 2^-bits < 2^-11, so the at most 256 quotient values keep the
+    2^-bits first: by Newton steps from each cell's midpoint, a few
+    evaluations a cell for any n when they converge (intpoly.refine_root).
+    The square of a value below n in such a cell is known to within
+    2n 2^-bits < 2^-11, so the at most 256 quotient values keep the
     enclosed sum narrower than 1.
     """
     bits = max(INTERVAL_BITS, n.bit_length() + 12)
@@ -555,21 +558,6 @@ def _quotient_guesses(q: QuotientMatrix) -> list[float]:
     return [g for g in vals.tolist() if math.isfinite(g)]
 
 
-def _guess_in(guesses: list[float], cell: intpoly.Cell) -> float | None:
-    """The first of the sorted guesses inside the cell's closure, if any.
-
-    The cell may also hold guesses of other factors' roots; a wrong pick
-    costs refine_root more sign evaluations, never a different cell, and so
-    does no pick for a cell with an end beyond the float range.
-    """
-    lo, hi, shift = cell[:3]
-    try:
-        i = bisect.bisect_left(guesses, lo / (1 << shift))
-        return guesses[i] if i < len(guesses) and guesses[i] <= hi / (1 << shift) else None
-    except OverflowError:
-        return None
-
-
 def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
                   chain: list[tuple[int, ...]] | None) -> list[Eigenvalue]:
     """Every root of a monic square-free factor whose roots lie in [-bound, bound].
@@ -587,12 +575,9 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     ints: list[int] = []
     while intpoly.poly_degree(factor) > 2:
         try:
-            cells = []
-            for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain):
-                lo, hi, shift = cell[:3]
-                # refine_root returns a cell on the final grid as it is, with no guess.
-                guess = _guess_in(guesses, cell) if (hi - lo) << INTERVAL_BITS > 1 << shift else None
-                cells.append(RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS, guess)))
+            # A placed cell is on the final grid already, and refine_root returns it as it is.
+            cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS))
+                     for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
         except intpoly.RationalRootError as exc:
             hits = [exc.num // exc.den]
         else:
@@ -820,7 +805,8 @@ def _reciprocal_abs(v: Eigenvalue, sp: ExactSpectrum) -> Union[Fraction, Surd, R
     the guessed cells fall short of its whole-line count and are certified
     by the chain's count in (-1, 1] instead.  The isolating cell whose part
     inside that image shows a sign change of rev holds 1/|v|; no other cell
-    can, since the image holds no other root.  That cell is refined from the guess -1/v.
+    can, since the image holds no other root.  That cell is refined to the
+    final grid.
     """
     if isinstance(v, int):
         return Fraction(1, -v)
@@ -842,7 +828,7 @@ def _reciprocal_abs(v: Eigenvalue, sp: ExactSpectrum) -> Union[Fraction, Surd, R
             right = s_hi if hi * b_den <= b_num << shift else s_b
             if left != right:
                 cell = (lo, hi, shift, s_lo, s_hi)
-                return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS, _negated_reciprocal(v)))
+                return RootInterval(rev, *intpoly.refine_root(rev, cell, INTERVAL_BITS))
     raise ArithmeticError("failed to isolate the reciprocal eigenvalue")
 
 

@@ -18,8 +18,17 @@ from seidelchain import (
 
 
 def cut_block_string(rng: random.Random, k: int, n: int) -> BlockString:
-    """A block string with k blocks on n vertices, cut uniformly at random."""
-    cuts = sorted(rng.sample(range(1, n), 2 * k - 1))
+    """A block string with k blocks on n vertices, cut uniformly at random.
+
+    random.sample takes a range of fewer than 2^63 items; beyond that the
+    cuts are distinct randint draws."""
+    if n <= 1 << 62:
+        cuts = sorted(rng.sample(range(1, n), 2 * k - 1))
+    else:
+        cuts = set()
+        while len(cuts) < 2 * k - 1:
+            cuts.add(rng.randint(1, n - 1))
+        cuts = sorted(cuts)
     parts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     return BlockString(tuple((parts[2 * i], parts[2 * i + 1]) for i in range(k)))
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from math import floor, gcd, isfinite, isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from seidelchain import intpoly
@@ -196,9 +196,10 @@ def isolate_real_roots(p, bound: int | None = None) -> list[tuple[Fraction, Frac
     return out
 
 
-def refine_root(p, lo: Fraction, hi: Fraction, width: Fraction = Fraction(1, 2 ** 40),
-                guess: float | None = None) -> tuple[Fraction, Fraction, int, int]:
-    """Guess-started gallop and bisection on the Fraction grid lo + j * (hi - lo) / 2^m."""
+def refine_root(p, lo: Fraction, hi: Fraction,
+                width: Fraction = Fraction(1, 2 ** 40)) -> tuple[Fraction, Fraction, int, int]:
+    """Bisection on the Fraction grid lo + j * (hi - lo) / 2^m, m the least
+    depth at which a grid cell is no wider than width."""
     s_lo, s_hi = fraction_sign(p, lo), fraction_sign(p, hi)
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("interval endpoints do not certify a sign change")
@@ -208,33 +209,13 @@ def refine_root(p, lo: Fraction, hi: Fraction, width: Fraction = Fraction(1, 2 *
         return lo, hi, s_lo, s_hi
     cells = 1 << (steps - 1).bit_length()
     step = (hi - lo) / cells
-
-    def below(j: int) -> bool:
-        s = fraction_sign(p, lo + j * step)
-        if s == 0:
-            raise ValueError("rational root encountered during refinement")
-        return s != s_lo
-
     a, b = 0, cells
-    if guess is not None and isfinite(guess):
-        j = min(max(floor((Fraction(guess) - lo) / step), 0), cells - 1)
-        if j > 0 and below(j):
-            b, gap = j, 1
-            while b - gap > a:
-                if not below(b - gap):
-                    a = b - gap
-                    break
-                b, gap = b - gap, 2 * gap
-        else:
-            a, gap = j, 1
-            while a + gap < b:
-                if below(a + gap):
-                    b = a + gap
-                    break
-                a, gap = a + gap, 2 * gap
     while b - a > 1:
         mid = (a + b) // 2
-        if below(mid):
+        s = fraction_sign(p, lo + mid * step)
+        if s == 0:
+            raise ValueError("rational root encountered during refinement")
+        if s != s_lo:
             b = mid
         else:
             a = mid

@@ -728,7 +728,7 @@ def test_integer_roots_tries_only_rounded_guesses():
 
 def _bisect_reference(p, cell, bits):
     """Plain sign bisection of a cell to width 2^-bits: the cell refine_root
-    must return for every guess."""
+    must return, whatever its Newton steps reach."""
     lo, hi, shift, s_lo, s_hi = cell
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise ValueError("interval endpoints do not certify a sign change")
@@ -753,10 +753,11 @@ def _outcome(fn, *args):
     coeffs=st.lists(st.integers(-12, 12), min_size=3, max_size=7).filter(lambda c: c[-1] != 0),
     depth=st.integers(0, 44),
     pick=st.integers(0, 10),
-    t=st.fractions(0, 1, max_denominator=1 << 20),
-    off=st.floats(1e-9, 1e3),
 )
-def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, off):
+def test_refine_root_ends_in_the_cell_of_plain_bisection(coeffs, depth, pick):
+    """Newton steps from the cell's midpoint, then the signs at the ends of
+    the grid cell they reach, then bisection: the same cell, or the same
+    error, as plain sign bisection."""
     p = tuple(coeffs)
     p = intpoly.poly_div_exact(p, intpoly.poly_gcd(p, intpoly.poly_derivative(p)))
     assume(intpoly.poly_degree(p) >= 1)
@@ -766,13 +767,7 @@ def test_refine_root_cell_does_not_depend_on_the_guess(coeffs, depth, pick, t, o
         assume(False)
     assume(intervals)
     cell = intervals[pick % len(intervals)]
-    lo, hi, shift = cell[:3]
-    want = _outcome(_bisect_reference, p, cell, depth)
-    inside = (lo * t.denominator + t.numerator * (hi - lo)) / (t.denominator << shift)
-    guesses = [None, inside, lo / (1 << shift) - off, hi / (1 << shift) + off,
-               1e300, -1e300, float("inf"), float("nan")]
-    for guess in guesses:
-        assert _outcome(intpoly.refine_root, p, cell, depth, guess) == want, guess
+    assert _outcome(intpoly.refine_root, p, cell, depth) == _outcome(_bisect_reference, p, cell, depth)
 
 
 def test_a_rational_root_on_a_grid_point_is_raised_with_the_point():
@@ -788,16 +783,19 @@ def test_a_rational_root_on_a_grid_point_is_raised_with_the_point():
         assert isinstance(exc, ValueError) and exc.num == exc.den
 
 
-def test_refine_root_from_a_good_guess_needs_few_signs(monkeypatch):
-    calls = []
-    sign_at = intpoly.sign_at
+def test_refine_root_by_newton_steps_needs_few_signs(monkeypatch):
+    """x^2 - 2 from the cell (1, 2) to 2^-40: Newton steps from 3/2 reach the
+    root's grid cell, whose two ends are the only signs taken (plain
+    bisection takes 40)."""
+    calls, evals = [], []
+    sign_at, poly_eval = intpoly.sign_at, intpoly.poly_eval
     monkeypatch.setattr(intpoly, "sign_at", lambda p, *x: calls.append(x) or sign_at(p, *x))
+    monkeypatch.setattr(intpoly, "poly_eval", lambda p, x: evals.append(x) or poly_eval(p, x))
     p, cell = (-2, 0, 1), (1, 2, 0, -1, 1)  # the endpoint signs come with the cell
-    got = intpoly.refine_root(p, cell, guess=2 ** 0.5)
-    assert len(calls) == 2  # the two ends of the guessed cell
-    calls.clear()
-    assert intpoly.refine_root(p, cell) == got
-    assert len(calls) == 40
+    got = intpoly.refine_root(p, cell)
+    assert len(calls) == 2  # the two ends of the cell the Newton steps reach
+    assert 0 < len(evals) <= 2 * (40).bit_length()
+    assert got == _bisect_reference(p, cell, 40)
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +832,11 @@ def _as_fractions(outcome):
     return root_oracles.cell_fractions(outcome) if len(outcome) == 5 else outcome
 
 
-def _check_root_path_against_oracle(p, bound, good, data):
-    """Isolation, then refinement of every cell with no guess, the good guess
-    good[i] and misleading guesses, against the Fraction oracle.  Each cell
-    is refined as isolation returned it and with its ends scaled by 2^3."""
+def _check_root_path_against_oracle(p, bound, data):
+    """Isolation, then refinement of every cell, against the Fraction oracle;
+    p has all its roots real and in [-bound, bound], so there is one cell per
+    degree.  Each cell is refined as isolation returned it and with its ends
+    scaled by 2^3."""
     want = _outcome(root_oracles.isolate_real_roots, p, bound)
     got = _outcome(intpoly.isolate_real_roots, p, bound)
     if not isinstance(want, list):  # a rational root on a bisection point
@@ -845,46 +844,36 @@ def _check_root_path_against_oracle(p, bound, good, data):
         return
     sign = root_oracles.fraction_sign
     assert [_as_fractions(cell) for cell in got] == [(lo, hi, sign(p, lo), sign(p, hi)) for lo, hi in want]
-    assert len(got) == len(good)
+    assert len(got) == intpoly.poly_degree(p)
     bits = data.draw(st.sampled_from((0, 3, 17, 40, 44)))
     for i, cell in enumerate(got):
         lo, hi, shift, s_lo, s_hi = cell
-        flo, fhi = lo / (1 << shift), hi / (1 << shift)
-        misleading = [
-            good[i - 1] if i else fhi + 1,  # another root's guess
-            flo - data.draw(st.floats(1e-9, 1e3)),
-            data.draw(st.floats(-float(bound), float(bound))),
-            float("nan"),
-        ]
         scaled = (lo << 3, hi << 3, shift + 3, s_lo, s_hi)
-        for guess in [None, good[i], *misleading]:
-            want_cell = _outcome(root_oracles.refine_root, p, *want[i], Fraction(1, 1 << bits), guess)
-            assert _as_fractions(_outcome(intpoly.refine_root, p, cell, bits, guess)) == want_cell, guess
-            assert _as_fractions(_outcome(intpoly.refine_root, p, scaled, bits, guess)) == want_cell, guess
+        want_cell = _outcome(root_oracles.refine_root, p, *want[i], Fraction(1, 1 << bits))
+        assert _as_fractions(_outcome(intpoly.refine_root, p, cell, bits)) == want_cell
+        assert _as_fractions(_outcome(intpoly.refine_root, p, scaled, bits)) == want_cell
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_REAL_ROOTED, data=st.data())
 def test_real_rooted_products_match_the_fraction_oracle(p, data):
     assume(intpoly.poly_degree(intpoly.poly_gcd(p, intpoly.poly_derivative(p))) == 0)
-    roots = sorted(np.roots(list(reversed(p))).real.tolist())
-    _check_root_path_against_oracle(p, intpoly.root_bound(intpoly.primitive(p)), roots, data)
+    _check_root_path_against_oracle(p, intpoly.root_bound(intpoly.primitive(p)), data)
 
 
 @settings(max_examples=150, deadline=None)
-@given(p=_REAL_ROOTED, pick=st.integers(0, 8), scale=st.integers(0, 6), bits=st.integers(0, 48),
-       guess=st.one_of(st.none(), st.floats(-16, 16), st.floats()))
-def test_refine_root_ends_in_the_oracle_cell_for_any_guess(p, pick, scale, bits, guess):
-    """Any cell of a root, in any form (its ends scaled by 2^scale), refined
-    from any guess, ends in the cell the Fraction oracle reaches."""
+@given(p=_REAL_ROOTED, pick=st.integers(0, 8), scale=st.integers(0, 6), bits=st.integers(0, 48))
+def test_refine_root_ends_in_the_oracle_cell(p, pick, scale, bits):
+    """Any cell of a root, in any form (its ends scaled by 2^scale), ends in
+    the cell the Fraction oracle's bisection reaches."""
     assume(intpoly.poly_degree(intpoly.poly_gcd(p, intpoly.poly_derivative(p))) == 0)
     cells = _outcome(intpoly.isolate_real_roots, p)
     assume(isinstance(cells, list) and cells)
     lo, hi, shift, s_lo, s_hi = cells[pick % len(cells)]
     cell = (lo << scale, hi << scale, shift + scale, s_lo, s_hi)
     flo, fhi, _s_lo, _s_hi = root_oracles.cell_fractions(cell)
-    want = _outcome(root_oracles.refine_root, p, flo, fhi, Fraction(1, 1 << bits), guess)
-    assert _as_fractions(_outcome(intpoly.refine_root, p, cell, bits, guess)) == want
+    want = _outcome(root_oracles.refine_root, p, flo, fhi, Fraction(1, 1 << bits))
+    assert _as_fractions(_outcome(intpoly.refine_root, p, cell, bits)) == want
 
 
 def test_intpoly_does_not_import_fractions():
@@ -910,11 +899,9 @@ _CRITERION4 = _criterion4(6)
 def test_musser_factors_of_quotient_charpolys_match_the_fraction_oracle(blocks, data):
     b = BlockString(tuple(blocks))
     _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(quotient_matrix(b).cell_sizes), bound=b.n)
-    guesses = spectra._quotient_guesses(quotient_matrix(b))
     factors = intpoly.square_free_decomposition(residual) if intpoly.poly_degree(residual) >= 1 else []
     for factor, _mult in factors:
-        good = [spectra._guess_in(guesses, cell) for cell in intpoly.isolate_real_roots(factor, b.n)]
-        _check_root_path_against_oracle(factor, b.n, good, data)
+        _check_root_path_against_oracle(factor, b.n, data)
 
 
 def _sixty_strings():
@@ -975,11 +962,11 @@ def test_isolation_and_refinement_sign_evaluations_halved(monkeypatch):
 
 
 def test_refine_root_evaluates_through_the_counted_sign_at(monkeypatch):
-    """Cells placed for n = 20000 are wider than the final grid, and
-    refine_root narrows them through intpoly.sign_at, which the benchmark
-    counts."""
+    """From n = 2^28 on, validate refines each root cell beyond the final
+    grid, and refine_root narrows it through intpoly.sign_at, which the
+    benchmark counts."""
     rng = random.Random(8)
-    counts = _count_root_path_evaluations(monkeypatch, [cut_block_string(rng, 8, 20000)])
+    counts = _count_root_path_evaluations(monkeypatch, [cut_block_string(rng, 8, 1 << 30)])
     assert counts["refine_signs"] > 0
 
 
@@ -1007,15 +994,14 @@ def _residual_factors(b):
 
 
 def _refined_cells(factor, bound, chain, guesses):
-    rest = sorted(guesses)
-    return [intpoly.refine_root(factor, cell, spectra.INTERVAL_BITS, spectra._guess_in(rest, cell))
+    return [intpoly.refine_root(factor, cell, spectra.INTERVAL_BITS)
             for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
 
 
 def _placement_width(b):
-    """Width of the guess cells of the [-b, b] bisection tree: its first
-    width <= 2^-GRID_BITS * max(1, 2^(bitlen(b) - 7))."""
-    limit = Fraction(2) ** (max(b.bit_length() - 7, 0) - intpoly.GRID_BITS)
+    """Width of the cells of the final grid of the [-b, b] bisection tree,
+    where guesses are placed: its first width <= 2^-GRID_BITS."""
+    limit = Fraction(1, 1 << intpoly.GRID_BITS)
     width = Fraction(2 * b)
     while width > limit:
         width /= 2
@@ -1026,9 +1012,10 @@ def _placement_width(b):
 @given(blocks=_criterion4(12) | _criterion4(12, 4 * 10 ** 13), data=st.data())
 def test_guessed_isolation_refines_to_the_cells_of_bisection(blocks, data):
     """Isolation then refinement ends in the same cells with the true guesses,
-    with every guess moved by one guess cell either way (the neighbour
-    probe) or by many (the Sturm fallback), with one guess dropped, and with
-    no guesses (Sturm bisection alone), for n up to about 10^15."""
+    with every guess moved by one final cell either way (the neighbour
+    probe, or Newton steps from n = 128 on) or by many (Newton steps or the
+    Sturm fallback), with one guess dropped, and with no guesses (Sturm
+    bisection alone), for n up to about 10^15."""
     b = BlockString(tuple(blocks))
     factors, guesses = _residual_factors(b)
     width = float(_placement_width(b.n))
@@ -1044,12 +1031,13 @@ def test_guessed_isolation_refines_to_the_cells_of_bisection(blocks, data):
         assert _refined_cells(factor, bound, chain, guesses[:dropped] + guesses[dropped + 1:]) == want
 
 
-def test_guesses_locate_every_root_up_to_n_10_15(monkeypatch):
-    """Guess cells sized by the bound, about n * 2^-47 wide beyond n = 127,
-    hold a guess or neighbour it for every n, so isolation never falls back
-    to Sturm bisection on these 101 strings; each placed cell has the width
-    of its bound.  Cells of a fixed width 2^-20 sent strings from about
-    n = 2^39 on to it: 29 of these."""
+def test_guesses_locate_every_root_up_to_n_10_24(monkeypatch):
+    """Every guess, moved by Newton steps from n = 128 on, holds its root's
+    final cell or neighbours it, so isolation never falls back to Sturm
+    bisection on these 101 strings (k <= 12, n up to 10^24, cells within
+    the float range); each placed cell has the final width of its bound.
+    Cells of a fixed width 2^-20 sent strings from about n = 2^39 on to
+    Sturm bisection."""
     bisected, placed = [], []
     bisect_cells, guessed_cells = intpoly._bisected_cells, intpoly._guessed_cells
 
@@ -1064,12 +1052,30 @@ def test_guesses_locate_every_root_up_to_n_10_15(monkeypatch):
     strings = [parse_block_string("0^549755813888 1^549755813895 0^3 1^5")]  # 2^39 and 2^39 + 7
     for _ in range(100):
         k = rng.randint(1, 12)
-        strings.append(cut_block_string(rng, k, rng.randint(2 * k, 10 ** rng.randint(2, 15))))
+        strings.append(cut_block_string(rng, k, rng.randint(2 * k, 10 ** rng.randint(2, 24))))
+    assert max(b.n for b in strings) > 10 ** 23
     for b in strings:
         exact_spectrum(b)
     assert not bisected and placed
     for b, cells in placed:
         assert all(Fraction(hi - lo, 1 << shift) == _placement_width(b) for lo, hi, shift, _s, _t in cells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), bits=st.integers(7, 66), data=st.data())
+def test_placed_cells_are_the_oracle_cells_of_sturm_bisection(k, bits, data):
+    """For n in [128, 10^20], isolate_real_roots places every root of each
+    residual factor from the guesses in exactly the cell that the Fraction
+    oracle's refinement to 2^-GRID_BITS reaches from its Sturm-bisected
+    cells: the final cell, with no refinement left."""
+    n = data.draw(st.integers(max(128, 1 << bits), min(10 ** 20, 2 << bits)), label="n")
+    b = cut_block_string(random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")), k, n)
+    factors, guesses = _residual_factors(b)
+    width = Fraction(1, 1 << intpoly.GRID_BITS)
+    for factor, bound, chain in factors:
+        want = [root_oracles.refine_root(factor, lo, hi, width) for lo, hi in root_oracles.isolate_real_roots(factor, bound)]
+        got = intpoly.isolate_real_roots(factor, bound, guesses, chain)
+        assert [root_oracles.cell_fractions(cell) for cell in got] == want
 
 
 def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
@@ -1081,8 +1087,8 @@ def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
     monkeypatch.setattr(intpoly, "_bisected_cells", lambda *args: bisected.append(args) or bisect_cells(*args))
     want = _refined_cells(factor, bound, chain, guesses)
     assert not bisected  # every root was located from its guess
-    first = intpoly.isolate_real_roots(factor, bound, guesses, chain)[0]
-    missing = spectra._guess_in(sorted(guesses), first)
+    lo, hi, shift, _s, _t = intpoly.isolate_real_roots(factor, bound, guesses, chain)[0]
+    missing = min(guesses, key=lambda g: abs(g - (lo + hi) / (2 << shift)))
     assert _refined_cells(factor, bound, chain, [g for g in guesses if g != missing]) == want
     assert len(bisected) == 1
 
@@ -1159,9 +1165,8 @@ def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
     assert counts["sturm"] == 0
 
 
-def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
-    """The 500 criterion-4 strings of one spectrum_small pass of the benchmark
-    (bench/workloads.py: criterion4_slots(500), cut by random.Random(seed))."""
+def _bench_workloads():
+    """bench/workloads.py, imported as a module of its own."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads_for_tests", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -1170,6 +1175,13 @@ def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
+    """The 500 criterion-4 strings of one spectrum_small pass of the benchmark
+    (bench/workloads.py: criterion4_slots(500), cut by random.Random(seed))."""
+    workloads = _bench_workloads()
     rng = random.Random(seed)
     return [BlockString(workloads.random_blocks(rng, k, n)) for k, n in workloads.criterion4_slots(500)]
 
@@ -1199,3 +1211,55 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
     assert signs[0] == 5707
+
+
+def _bench_inputs(workload: str, seed: int) -> list[BlockString]:
+    """The non-refused inputs of one pass of a benchmark spectrum workload
+    (bench/workloads.py), drawn from the seed."""
+    [ops] = _bench_workloads().make_passes(workload, seed, 1)
+    return [BlockString(op.data) for op in ops if not op.refuse]
+
+
+def test_spectrum_large_cells_are_placed_final(monkeypatch):
+    """On the inputs of one spectrum_large pass (k up to 16, n up to 10^6),
+    every cell is placed on the final grid, so refine_root, called on each
+    (193 calls), evaluates no sign.  It made 396 when cells from n = 128 on
+    were placed about n * 2^-47 wide and refined from their guess."""
+    counts = _count_root_path_evaluations(monkeypatch, _bench_inputs("spectrum_large", 1))
+    assert counts["refine_root"] > 0
+    assert counts["refine_signs"] == 0
+
+
+def test_refinement_for_validate_at_n_10_300_takes_few_evaluations(monkeypatch):
+    """0^(10^300) 1^5 0 1: validate refines each root cell to
+    2^-(bitlen(n) + 12), about 1000 bits.  The sign_at and poly_eval calls
+    inside refine_root are pinned below a bound just over the 2062 and 78
+    measured; plain bisection from the placed cells took 6926 signs and no
+    poly_eval.  Most of what is left is bisection of the two cells that
+    Sturm bisection isolates: their guesses are about 10^284 from roots
+    near 4, too far for Newton steps, which refine_root takes from the
+    midpoints of those cells too."""
+    counts, depth = {"sign_at": 0, "poly_eval": 0}, [0]
+    refine_root = intpoly.refine_root
+
+    def counting(name):
+        fn = getattr(intpoly, name)
+
+        def wrapper(*args):
+            counts[name] += depth[0] > 0
+            return fn(*args)
+        return wrapper
+
+    def tracked_refine_root(*args):
+        depth[0] += 1
+        try:
+            return refine_root(*args)
+        finally:
+            depth[0] -= 1
+
+    for name in counts:
+        monkeypatch.setattr(intpoly, name, counting(name))
+    monkeypatch.setattr(intpoly, "refine_root", tracked_refine_root)
+    exact_spectrum(parse_block_string(f"0^{10 ** 300} 1^5 0 1"))
+    assert counts["sign_at"] <= 2100
+    assert counts["poly_eval"] <= 100

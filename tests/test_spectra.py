@@ -1234,13 +1234,16 @@ def test_an_infinite_eigenvalue_guess_is_dropped():
     assert sp.serialize() == [{"value": "int:-1", "mult": 2 * n - 1}, {"value": f"int:{2 * n - 1}", "mult": 1}]
 
 
-def test_a_root_cell_beyond_the_float_range_takes_no_guess():
+def test_a_root_cell_beyond_the_float_range_is_refined():
     n = 10 ** 308  # n fits in a float, 2n + 8 does not: cells near 2n have no float ends
     b = parse_block_string(f"0^{n} 1^{n} 0^3 1^5")
     assert len(spectra._quotient_guesses(quotient_matrix(b))) == 3
-    assert spectra._guess_in([1.0], (2 * n, 2 * n + 1, 0, -1, 1)) is None
     sp = _spectrum_with_finite_guesses(b.caret())
     assert sp.n == 2 * n + 8 and sum(isinstance(v, RootInterval) for v, _m in sp.entries) >= 2
+    top = sp.max_value
+    assert isinstance(top, RootInterval) and top.lo >> top.shift > 2 ** 1024
+    want = root_oracles.refine_root(top.poly, *root_oracles.interval_fractions(top), Fraction(1, 2 ** 80))
+    assert top.refined(80) == root_oracles.root_interval(top.poly, *want)
 
 
 def test_quotient_guesses_keep_only_finite_values(monkeypatch):
