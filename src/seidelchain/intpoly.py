@@ -4,8 +4,12 @@ Polynomials are tuples of Python ints in ascending power order, so (c0, c1,
 c2) is c0 + c1*x + c2*x^2.  Everything here is exact: no floats, no rounding.
 Gcds, exact quotients, Musser square-free decomposition and Sturm chains all
 rest on one integer pseudo-division, which scales the remainder by |lc(b)|
-at every step and takes no gcd; each caller divides out a content once, by
-one gcd over all coefficients.  A remainder step whose degree drops by one,
+at every step and takes no gcd; each caller divides out a content once.
+primitive takes it by one gcd over all coefficients.  A Sturm chain's
+remainders carry contents of most of their bits, so it takes the gcd of
+the lead and the constant term and divides every coefficient by it with
+its remainder, refining the gcd by any nonzero remainder
+(_negated_primitive).  A remainder step whose degree drops by one,
 as in nearly every step of a Sturm chain, is one pass over the coefficients
 with no quotient kept (_pseudo_rem).  One Sturm chain serves a polynomial
 twice: its last member is the gcd that Musser's decomposition starts from,
@@ -18,12 +22,13 @@ refinement run on integer grids too; at a dyadic point num / 2^m the sign
 is taken by Horner's rule with the coefficients shifted, not multiplied by
 powers of the denominator.  A grid search (guess placement, refinement)
 shifts them once, scaling p to the integers of 2^(m deg p) p(x / 2^m)
-(scaled_to_grid), and then takes the sign at each integer grid point in
-one plain Horner pass; its exact Newton steps x -= G(x) // G'(x) run on
-the same integers (_newton).  A root cell is the 5-tuple (lo, hi, shift,
-sign_lo, sign_hi): the open interval (lo / 2^shift, hi / 2^shift) with the
-signs of the polynomial at its ends, all integers, from isolation through
-refinement to the caller.
+(scaled_to_grid), and then takes the sign (refinement) or the value
+(guess placement, whose secant steps read it) at each integer grid point
+in one plain Horner pass; refinement's exact Newton steps
+x -= G(x) // G'(x) run on the same integers (_newton).  A root cell is
+the 5-tuple (lo, hi, shift, sign_lo, sign_hi): the open interval
+(lo / 2^shift, hi / 2^shift) with the signs of the polynomial at its ends,
+all integers, from isolation through refinement to the caller.
 The root machinery (integer-root stripping, square-free decomposition, Sturm
 isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
@@ -33,7 +38,8 @@ exactly: a cell by the signs at its ends, and the set of cells by the Sturm
 count, with Sturm bisection as the fallback when they disagree.  The cells
 the guesses locate are those of the final 2^-40 grid, which refinement
 returns as they are: from a root bound of 128 on, where a guess's error can
-exceed a quarter cell, Newton steps on the grid carry it to its cell first.
+exceed a quarter cell, a guess tries its own cell first, then takes secant
+steps through the values at cell ends.
 Refinement of a wider cell takes Newton steps from its midpoint before it
 bisects.
 Isolation and refinement expect no rational roots; one that a grid point
@@ -347,7 +353,45 @@ def square_free_decomposition(p: IntPoly, chain: list[IntPoly] | None = None) ->
     return out
 
 
+def _negated_primitive(r: IntPoly) -> IntPoly:
+    """-r divided by the content of r (r nonzero), with the content taken
+    from two coefficients and exact division.
+
+    g = gcd(lead, constant) is a multiple of the content c.  Each
+    coefficient is divided by g with its remainder; a nonzero remainder m
+    is a multiple of c too (c divides g and the coefficient), so
+    g = gcd(g, m), still a multiple of c and smaller than before, and the
+    division starts over.  When every remainder is 0, g divides every
+    coefficient, so g = c and the quotients are those of one gcd over every
+    coefficient.
+    """
+    g = gcd(r[-1], r[0])
+    while g > 1:
+        out = []
+        for c in r:
+            q, m = divmod(-c, g)
+            if m:
+                g = gcd(g, m)
+                break
+            out.append(q)
+        else:
+            return tuple(out)
+    return tuple([-c for c in r])
+
+
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """The Sturm chain of p: primitive(p), primitive(p'), then each
+    negated remainder of the two members before it over its positive
+    content, up to the last nonzero one, a multiple of gcd(p, p').
+
+    Dividing by the positive content keeps the sign of -r, which is all
+    that Sturm's theorem reads, and makes each member the same whatever
+    positive multiple of the remainder _pseudo_rem returns.  By the
+    subresultant theorem (Brown and Traub, JACM 18, 1971) that multiple is
+    about the square of the dividend's leading coefficient, so the content
+    is most of each coefficient's bits and is found without a gcd over
+    every coefficient (_negated_primitive).
+    """
     chain = [primitive(p)]
     dp = primitive(poly_derivative(p))
     if dp:
@@ -356,9 +400,7 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
         r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
-        # Divide by the positive content only: the sign of -r must survive.
-        g = content(r)
-        chain.append(tuple([-c // g for c in r] if g > 1 else [-c for c in r]))
+        chain.append(_negated_primitive(r))
     return chain
 
 
@@ -443,32 +485,58 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     a root of p, ascending, and at most total of them; None when p is 0 at a
     tree point that a guess tries.
 
-    eigvalsh's absolute error scales with ||Q|| <= n - 1 < b, and over 1680
-    random quotients (k <= 12, n up to 10^15) a guess was never further than
-    12.01 * n * 2^-53 from its root.  Below b = 128 that is under a quarter
-    cell, so the guess lies in its root's cell or next to it.  From b = 128
-    on the guess's grid point first takes exact Newton steps (_newton) until
-    one is under a quarter cell, and the point they reach is the guess.
-
     A cell whose ends give p two nonzero, opposite signs holds a root, and
     distinct cells of one depth are disjoint.  So once the certified cells
     number a Sturm count of the roots in the tree, each holds exactly one
     root and no root is left out; the search stops when they number total.
-    A guess tries the cell it falls in (its index clamped to the tree) and,
-    if that shows no sign change, its two neighbours; each tree point's
-    sign is evaluated once.
+    Each tree point is evaluated once.  The index of a cell is clamped to
+    the tree, and "a cell and its neighbours" tries the cell, then the one
+    below, then the one above, and takes the first showing a sign change.
+
+    eigvalsh's absolute error scales with ||Q|| <= n - 1 < b, and over 1680
+    random quotients (k <= 12, n up to 10^15) a guess was never further than
+    12.01 * n * 2^-53 from its root.  Below b = 128 that is under a quarter
+    cell, so a guess tries the cell it falls in and its neighbours.  From
+    b = 128 on the error can pass a cell, and the guess walks first
+    (walked): it tries the cell it falls in, since most guesses lie in their
+    root's cell, and while the cell tried shows no sign change, the secant
+    through the values at its ends names the next cell to try.  That is a
+    Newton step with the slope over one cell, so near a root each step lands
+    in the root's cell or next to it, and the two values it needs are the
+    cell's certificate too.  The walk stops where the secant has no slope or
+    names the cell it came from, or after m.bit_length() steps, about as
+    many as Newton steps take to reach any cell of the grid; the cell where
+    it stops is tried with its neighbours.  A guess that certifies no cell
+    is left to the Sturm count and bisection of isolate_real_roots.
     """
     m = (2 * b - 1).bit_length() + GRID_BITS
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
     grid = scaled_to_grid(p, m)
-    slope = poly_derivative(grid) if b >= 128 else None
-    signs: dict[int, int] = {}
+    values: dict[int, int] = {}
 
     def sign(j: int) -> int:
-        """Sign of p at the tree point origin + j * span, over 2^m."""
-        if j not in signs:
-            signs[j] = sign_at(grid, origin + j * span)
-        return signs[j]
+        """Sign of p at the tree point origin + j * span, over 2^m; the value
+        of grid there is kept in values."""
+        v = values.get(j)
+        if v is None:
+            v = values[j] = poly_eval(grid, origin + j * span)
+        return (v > 0) - (v < 0)
+
+    def walked(j: int) -> int:
+        """The first cell of the secant steps from cell j whose ends show a
+        sign change or a 0, else the cell where the steps stop."""
+        for _ in range(m.bit_length()):
+            s_lo, s_hi = sign(j), sign(j + 1)
+            if s_lo != s_hi or not s_lo:
+                break
+            rise = values[j + 1] - values[j]
+            if not rise:
+                break
+            j_next = min(max(j + (-values[j]) // rise, 0), last)
+            if j_next == j:
+                break
+            j = j_next
+        return j
 
     found: set[int] = set()
     for g in guesses:
@@ -477,10 +545,9 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
         if not isfinite(g):
             continue
         g_num, g_den = g.as_integer_ratio()
-        x = (g_num << m) // g_den
-        if slope:
-            x = _newton(grid, slope, x, origin, -origin, span, m.bit_length())
-        j = min(max((x - origin) // span, 0), last)
+        j = min(max(((g_num << m) // g_den - origin) // span, 0), last)
+        if b >= 128:
+            j = walked(j)
         for i in (j, j - 1, j + 1):
             if 0 <= i <= last:
                 s_lo, s_hi = sign(i), sign(i + 1)
@@ -489,7 +556,7 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
                 if s_lo != s_hi:
                     found.add(i)
                     break
-    return [(origin + i * span, origin + (i + 1) * span, m, signs[i], signs[i + 1]) for i in sorted(found)]
+    return [(origin + i * span, origin + (i + 1) * span, m, sign(i), sign(i + 1)) for i in sorted(found)]
 
 
 def _newton(grid: IntPoly, slope: IntPoly, x: int, lo: int, hi: int, span: int, steps: int) -> int:

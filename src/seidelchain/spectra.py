@@ -26,8 +26,9 @@ the isolating cells: a cell of the [-n, n] bisection tree whose ends carry
 opposite signs holds a root, and when such cells number the Sturm count
 each holds exactly one; otherwise Sturm bisection isolates them.  The
 guesses are placed on the tree's final grid, of width at most 2^-40: from
-n = 128 on, where a guess's error can exceed a quarter cell, exact Newton
-steps on the grid carry it to its cell first (intpoly._guessed_cells).
+n = 128 on, where a guess's error can exceed a quarter cell, a guess whose
+own cell shows no sign change is carried to its root's cell by secant steps
+through the values at cell ends (intpoly._guessed_cells).
 refine_root returns such a cell as it is, and narrows a cell of Sturm
 bisection to its dyadic cell, all on integer grids.  An integer root the
 guesses missed is found in its square-free factor, inside a refined cell

@@ -333,6 +333,22 @@ _ZERO_REMAINDER = (2, -6, 6, -2)
 _NEGATIVE_LEADS = (1, 1, 0, 1)
 
 
+def _random_residual(k: int):
+    """The residual of a random k-block string (cells of 1 to 6,
+    random.Random(5)): its quotient charpoly with the integer roots stripped."""
+    rng = random.Random(5)
+    sizes = [rng.randint(1, 6) for _ in range(2 * k)]
+    return intpoly.integer_roots(intpoly.char_poly_ints(sizes), bound=sum(sizes))[1]
+
+
+# Degrees 47 and 63: remainders whose lead and constant term share more than
+# the content, so _negated_primitive refines its gcd.
+_RESIDUAL_K24, _RESIDUAL_K32 = _random_residual(24), _random_residual(32)
+# x (x^2 - (2^70 + 1)) (x^2 - 3 * 2^69): odd, so every other remainder is odd
+# too, with constant term 0, and gcd(lead, 0) is the lead itself.
+_ODD_WIDE = intpoly.poly_mul((0, 1), intpoly.poly_mul((-(1 << 70) - 1, 0, 1), (-(3 << 69), 0, 1)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_polys(14), _products()))
 @example(_DEGREE_DROP)
@@ -341,8 +357,34 @@ _NEGATIVE_LEADS = (1, 1, 0, 1)
 @example(_DROP_OF_TWO)
 @example(_ZERO_REMAINDER)
 @example(_NEGATIVE_LEADS)
+@example(_RESIDUAL_K24)
+@example(_RESIDUAL_K32)
+@example(_ODD_WIDE)
 def test_sturm_chain_equals_the_gcd_scaled_oracle(p):
     assert intpoly.sturm_chain(p) == root_oracles.sturm_chain(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys(8).map(lambda r: tuple(6 * c for c in r)))
+@example((4, 2, 8))  # gcd(lead, constant) = 4 against a content of 2
+@example((12, 30, 20, 0, 36))  # refined twice: 12, then 6, then 2
+@example((0, 15, 0, 10))  # constant term 0: the gcd starts from the lead
+def test_negated_primitive_divides_by_the_content(r):
+    assert intpoly._negated_primitive(r) == tuple(-c // math.gcd(*r) for c in r)
+
+
+def test_the_chain_examples_refine_the_two_coefficient_gcd():
+    """The wide examples above reach what they are named for: remainders
+    where gcd(lead, constant), from which _negated_primitive starts,
+    exceeds the content, and remainders with constant term 0."""
+    def remainders(p):
+        chain = intpoly.sturm_chain(p)
+        return [intpoly._pseudo_rem(a, b) for a, b in zip(chain, chain[1:-1])]
+
+    assert (len(_RESIDUAL_K24), len(_RESIDUAL_K32)) == (48, 64)
+    for p in (_RESIDUAL_K24, _RESIDUAL_K32):
+        assert any(math.gcd(r[-1], r[0]) > math.gcd(*r) for r in remainders(p))
+    assert any(r[0] == 0 and r[-1].bit_length() > 64 for r in remainders(_ODD_WIDE))
 
 
 def test_the_chain_examples_take_both_remainder_paths():
@@ -497,19 +539,36 @@ def test_sign_on_grid_coefficients_equals_the_dyadic_sign(p, m, num, root):
         assert intpoly.sign_at(scaled, num) == 0
 
 
-def test_sturm_chain_takes_one_gcd_per_member(monkeypatch):
-    """The contents are the only gcds a chain takes: one per member, none
-    inside the pseudo-division."""
-    calls = []
+def test_sturm_chain_gcd_calls(monkeypatch):
+    """The gcds a chain takes, each as its number of arguments: one over all
+    coefficients for primitive(p) and primitive(p'), then for each remainder
+    one of its lead and constant term, and one more for each refinement of
+    the content (_negated_primitive); none refines on these cases.  None
+    runs inside the pseudo-division.  A gcd over all coefficients of each
+    member took 15 and 16 arguments at most on the last two cases."""
+    calls, dividing = [], [0]
     gcd = math.gcd
-    monkeypatch.setattr(intpoly, "gcd", lambda *args: calls.append(len(args)) or gcd(*args))
+    monkeypatch.setattr(intpoly, "gcd", lambda *args: calls.append((len(args), dividing[0])) or gcd(*args))
+
+    def inside(fn):
+        def wrapper(*args):
+            dividing[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                dividing[0] -= 1
+        return wrapper
+
+    for name in ("_pseudo_rem", "_pseudo_divmod"):
+        monkeypatch.setattr(intpoly, name, inside(getattr(intpoly, name)))
     rng = random.Random(30)
     cases = [_DEGREE_DROP, _REPEATED, tuple(rng.randint(-_BIG, _BIG) for _ in range(15)),
              next(_spectrum_large_residuals())]
-    for p in cases:
+    want = [[6, 5, 2, 2], [8, 7, 2, 2], [15, 14] + [2] * 19, [16, 15] + [2] * 22]
+    for p, arities in zip(cases, want):
         calls.clear()
-        chain = intpoly.sturm_chain(p)
-        assert len(calls) == len(chain) >= 3
+        intpoly.sturm_chain(p)
+        assert calls == [(n, 0) for n in arities]
 
 
 # ---------------------------------------------------------------------------
@@ -1117,10 +1176,10 @@ def test_roots_outside_the_window_take_the_evaluated_window_count(monkeypatch):
     assert intpoly.isolate_real_roots(p, 1, guesses[:1], chain) == intpoly.isolate_real_roots(p, 1, (), chain)
 
 
-def _isolated(p, guesses):
-    """isolate_real_roots(p) with these guesses, or the point of its RationalRootError."""
+def _isolated(p, guesses, bound=None):
+    """isolate_real_roots(p, bound) with these guesses, or the point of its RationalRootError."""
     try:
-        return intpoly.isolate_real_roots(p, None, guesses)
+        return intpoly.isolate_real_roots(p, bound, guesses)
     except intpoly.RationalRootError as exc:
         return ("rational root", exc.num, exc.den)
 
@@ -1137,18 +1196,19 @@ def test_nan_and_infinite_guesses_are_skipped():
     assert _isolated(p, finite) != _isolated(p, ())  # the guessed cells are the narrow ones
 
 
+@pytest.mark.parametrize("bound", [None, 128])  # the root bound, and a tree placed by values
 @pytest.mark.parametrize("p,guesses", [
     ((0, -2, 0, 1), [-_SQRT2, 0.0, _SQRT2]),  # x^3 - 2x: bisection hits the root 0 too
-    ((2, -8, -1, 4), [-_SQRT2, 0.25, _SQRT2]),  # (4x - 1)(x^2 - 2): bisection misses 1/4
+    ((2, -8, -1, 4), [-_SQRT2, 0.25, _SQRT2]),  # (4x - 1)(x^2 - 2): bisection misses 1/4 in [-4, 4]
 ])
-def test_a_zero_sign_at_a_tree_point_falls_back_to_bisection(p, guesses):
+def test_a_zero_sign_at_a_tree_point_falls_back_to_bisection(p, guesses, bound):
     """A guessed rational root sits on a point of the guess tree, so p is 0
     there and the guesses give way to Sturm bisection, which ends as it does
     with no guesses."""
-    b = intpoly.root_bound(p)
+    b = bound or intpoly.root_bound(p)
     total = intpoly.count_roots_between(intpoly.sturm_chain(p), -b, b)
     assert intpoly._guessed_cells(p, b, total, guesses) is None
-    assert _isolated(p, guesses) == _isolated(p, ())
+    assert _isolated(p, guesses, bound) == _isolated(p, (), bound)
 
 
 def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
@@ -1187,17 +1247,19 @@ def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
 
 
 def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
-    """The sign evaluations that guess placement (_guessed_cells) makes on
-    the 500 strings of a spectrum_small pass, random.Random(3): 5707.  They
-    were 5709 with the four-cell strings' guesses from eigvalsh rather than
-    from their cubic, and 7365 with the guesses of stripped integer roots
-    still placed."""
+    """The sign evaluations (sign_at and poly_eval calls) that guess
+    placement (_guessed_cells) makes on the 500 strings of a spectrum_small
+    pass, random.Random(3): 5707.  They were 5709 with the four-cell
+    strings' guesses from eigvalsh rather than from their cubic, and 7365
+    with the guesses of stripped integer roots still placed."""
     signs, placing = [0], [0]
-    sign_at, guessed_cells = intpoly.sign_at, intpoly._guessed_cells
+    guessed_cells = intpoly._guessed_cells
 
-    def counting_sign_at(*args):
-        signs[0] += placing[0] > 0
-        return sign_at(*args)
+    def counting(fn):
+        def wrapper(*args):
+            signs[0] += placing[0] > 0
+            return fn(*args)
+        return wrapper
 
     def counting_guessed_cells(*args):
         placing[0] += 1
@@ -1206,11 +1268,67 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
         finally:
             placing[0] -= 1
 
-    monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
+    for name in ("sign_at", "poly_eval"):
+        monkeypatch.setattr(intpoly, name, counting(getattr(intpoly, name)))
     monkeypatch.setattr(intpoly, "_guessed_cells", counting_guessed_cells)
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
     assert signs[0] == 5707
+
+
+def test_placement_evaluations_on_a_spectrum_large_pass(monkeypatch):
+    """The sign_at and poly_eval calls that guess placement (_guessed_cells)
+    makes on the non-refused inputs of a spectrum_large pass, seed 1, per
+    input class: 462 in all, none above the 766 (386 sign_at, 380 poly_eval)
+    made when every guess from b = 128 on took Newton steps before any cell
+    was tried.  From b = 128 on each guess's own cell, then the secant steps
+    through cell ends, place every guess; below (k14, k16) the evaluations
+    are those of the neighbour search."""
+    counts: dict[str, int] = {}
+    placing, label = [0], [""]
+
+    def counting(fn):
+        def wrapper(*args):
+            if placing[0]:
+                counts[label[0]] = counts.get(label[0], 0) + 1
+            return fn(*args)
+        return wrapper
+
+    def counting_guessed_cells(*args):
+        placing[0] += 1
+        try:
+            return guessed_cells(*args)
+        finally:
+            placing[0] -= 1
+
+    guessed_cells = intpoly._guessed_cells
+    for name in ("sign_at", "poly_eval"):
+        monkeypatch.setattr(intpoly, name, counting(getattr(intpoly, name)))
+    monkeypatch.setattr(intpoly, "_guessed_cells", counting_guessed_cells)
+    [ops] = _bench_workloads().make_passes("spectrum_large", 1, 1)
+    for op in ops:
+        if not op.refuse:
+            label[0] = op.label
+            exact_spectrum(BlockString(op.data))
+    before = {"k8_n20000": 262, "k10_n2000": 164, "k12_n500": 188, "k14_n100": 54, "k16_n64": 62,
+              "k2_n1e5-3e5": 36}
+    assert counts == {"k8_n20000": 145, "k10_n2000": 82, "k12_n500": 95, "k14_n100": 54, "k16_n64": 62,
+                      "k2_n1e5-3e5": 24}
+    assert all(counts[c] <= before[c] for c in before) and sum(counts.values()) == 462 < 766
+
+
+def test_a_stalled_secant_walk_gives_way_to_sturm_bisection():
+    """(2^41 x - 2^40 - 1)^2 - 2^6 has its vertex at the midpoint of the
+    final cell (1/2, 1/2 + 2^-40) of the [-128, 128] tree, and its roots 4
+    cells either side.  A guess in that cell sees equal values at its ends,
+    so the secant has no slope and the walk stops there; neither the cell
+    nor its neighbours hold a root, so no cell is placed and isolation ends
+    as it does with no guesses."""
+    half = (-(1 << 40) - 1, 1 << 41)
+    p = intpoly.poly_add(intpoly.poly_mul(half, half), (-(1 << 6),))
+    guesses = [0.5 + 2.0 ** -42, 0.5 + 3 * 2.0 ** -42]
+    assert intpoly._guessed_cells(p, 128, 2, guesses) == []
+    assert _isolated(p, guesses, 128) == _isolated(p, (), 128)
 
 
 def _bench_inputs(workload: str, seed: int) -> list[BlockString]:
@@ -1238,28 +1356,36 @@ def test_refinement_for_validate_at_n_10_300_takes_few_evaluations(monkeypatch):
     poly_eval.  Most of what is left is bisection of the two cells that
     Sturm bisection isolates: their guesses are about 10^284 from roots
     near 4, too far for Newton steps, which refine_root takes from the
-    midpoints of those cells too."""
-    counts, depth = {"sign_at": 0, "poly_eval": 0}, [0]
-    refine_root = intpoly.refine_root
+    midpoints of those cells too.  Guess placement (_guessed_cells) makes
+    56 evaluations, and the secant walks of those two guesses certify no
+    cell; Newton steps from every guess before any cell was tried made 60."""
+    counts, scope = {}, [None]
 
     def counting(name):
         fn = getattr(intpoly, name)
 
         def wrapper(*args):
-            counts[name] += depth[0] > 0
+            if scope[0]:
+                counts[scope[0], name] = counts.get((scope[0], name), 0) + 1
             return fn(*args)
         return wrapper
 
-    def tracked_refine_root(*args):
-        depth[0] += 1
-        try:
-            return refine_root(*args)
-        finally:
-            depth[0] -= 1
+    def scoped(name):
+        fn = getattr(intpoly, name)
 
-    for name in counts:
+        def wrapper(*args):
+            outer, scope[0] = scope[0], name
+            try:
+                return fn(*args)
+            finally:
+                scope[0] = outer
+        return wrapper
+
+    for name in ("sign_at", "poly_eval"):
         monkeypatch.setattr(intpoly, name, counting(name))
-    monkeypatch.setattr(intpoly, "refine_root", tracked_refine_root)
+    for name in ("refine_root", "_guessed_cells"):
+        monkeypatch.setattr(intpoly, name, scoped(name))
     exact_spectrum(parse_block_string(f"0^{10 ** 300} 1^5 0 1"))
-    assert counts["sign_at"] <= 2100
-    assert counts["poly_eval"] <= 100
+    assert counts.get(("refine_root", "sign_at"), 0) <= 2100
+    assert counts.get(("refine_root", "poly_eval"), 0) <= 100
+    assert counts.get(("_guessed_cells", "sign_at"), 0) + counts.get(("_guessed_cells", "poly_eval"), 0) == 56
