@@ -17,7 +17,10 @@ and it counts the distinct real roots that isolation must find.  That count
 is over the whole line, so by Sturm's theorem it is read off the members'
 leading coefficients and degrees, with no member evaluated; the chain is
 evaluated, at the ends of a window and at bisection points, only when the
-guessed cells fall short of it.  Sign evaluation, root isolation and
+guessed cells fall short of it.  A polynomial isolated with no chain of
+its own is certified by its degree first: degree-many guessed cells with
+a sign change hold all of its roots, one each, and its chain is built
+only when they fall short.  Sign evaluation, root isolation and
 refinement run on integer grids too; at a dyadic point num / 2^m the sign
 is taken by Horner's rule with the coefficients shifted, not multiplied by
 powers of the denominator.  A grid search (guess placement, refinement)
@@ -34,8 +37,9 @@ isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
 integer matrices.  Float guesses may steer integer-root stripping and
 locate the isolating cells, but every root they lead to is certified
-exactly: a cell by the signs at its ends, and the set of cells by the Sturm
-count, with Sturm bisection as the fallback when they disagree.  The cells
+exactly: a cell by the signs at its ends, and the set of cells by the
+degree or the Sturm count, with Sturm bisection as the fallback when they
+disagree.  The cells
 the guesses locate are those of the final 2^-40 grid, which refinement
 returns as they are: from a root bound of 128 on, where a guess's error can
 exceed a quarter cell, a guess tries its own cell first, then takes secant
@@ -81,27 +85,6 @@ def poly_trim(p) -> IntPoly:
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return poly_trim(out)
 
 
 def poly_derivative(p: IntPoly) -> IntPoly:
@@ -442,7 +425,7 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     refine_root takes the cell as it is.  p must be square-free; a rational
     root that a bisection point hits raises RationalRootError, so the
     (always dyadic) cell ends are never roots themselves.  chain, if it is
-    sturm_chain(p), is used instead of building it again.
+    sturm_chain(p), counts the roots; any other chain is not used.
 
     Every cell is a cell of the bisection tree of [-bound, bound], so every
     cell has span 2 * bound over its power of two and refine_root ends in
@@ -451,16 +434,20 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     grid, the first depth no wider than 2^-GRID_BITS, that show a sign
     change of p at their ends.  Each holds a root, and they are disjoint,
     so when they number the distinct real roots of p they hold all of them,
-    one each.  By Sturm's theorem that number is the chain's sign
-    variations at -infinity less those at +infinity, where each member has
-    the sign of its leading coefficient, flipped at -infinity when its
-    degree is odd: no member is evaluated.
-    Only when the cells fall short, as when some roots lie outside the
-    window, is the chain evaluated at -bound and bound, for the count of the
-    roots in (-bound, bound]; cells numbering that count are the answer too.
-    Otherwise, or if a sign at a tree point is 0, the tree is bisected from
-    the top with a Sturm count at every point (_bisected_cells), starting
-    from the counts at -bound and bound.
+    one each.  With no chain of p that number is first taken to be the
+    degree: degree-many such cells hold every complex root, one each, so p
+    is real-rooted and square-free there and no chain is built.  With its
+    chain, or when the cells fall short of the degree and the chain is
+    built then, it is the Sturm count: the chain's sign variations at
+    -infinity less those at +infinity, where each member has the sign of
+    its leading coefficient, flipped at -infinity when its degree is odd,
+    so no member is evaluated, and the cells already placed are kept.
+    Only when the cells fall short of that too, as when some roots lie
+    outside the window, is the chain evaluated at -bound and bound, for the
+    count of the roots in (-bound, bound]; cells numbering that count are
+    the answer too.  Otherwise, or if a sign at a tree point is 0, the tree
+    is bisected from the top with a Sturm count at every point
+    (_bisected_cells), starting from the counts at -bound and bound.
     """
     q = primitive(p)
     if poly_degree(q) < 1:
@@ -468,10 +455,12 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     flip = 1 if poly_trim(p)[-1] > 0 else -1  # primitive() made the lead positive
     p = q
     b = bound if bound is not None else root_bound(p)
-    if chain is None or chain[0] != p:
-        chain = sturm_chain(p)
-    total = count_roots_between(chain, None, None)
+    own = chain is not None and chain[0] == p
+    total = count_roots_between(chain, None, None) if own else poly_degree(p)
     cells = _guessed_cells(p, b, total, guesses)
+    if not own and (cells is None or len(cells) < total):
+        chain = sturm_chain(p)
+        total = count_roots_between(chain, None, None)
     if cells is None or len(cells) < total:
         lo_end, hi_end = _sign_variations(chain, -b), _sign_variations(chain, b)
         if cells is None or len(cells) < lo_end[0] - hi_end[0]:
@@ -487,76 +476,69 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
 
     A cell whose ends give p two nonzero, opposite signs holds a root, and
     distinct cells of one depth are disjoint.  So once the certified cells
-    number a Sturm count of the roots in the tree, each holds exactly one
-    root and no root is left out; the search stops when they number total.
-    Each tree point is evaluated once.  The index of a cell is clamped to
-    the tree, and "a cell and its neighbours" tries the cell, then the one
-    below, then the one above, and takes the first showing a sign change.
+    number a count of the roots in the tree (the degree, or a Sturm count),
+    each holds exactly one root and no root is left out; the search stops
+    when they number total.  It is one pass over the guesses: each tree
+    point is evaluated once, as the value of grid there, and a certified
+    cell keeps the end signs read off those values.  The index of a cell
+    is clamped to the tree, and "a cell and its neighbours" tries the cell,
+    then the one below, then the one above, and takes the first showing a
+    sign change.
 
     eigvalsh's absolute error scales with ||Q|| <= n - 1 < b, and over 1680
     random quotients (k <= 12, n up to 10^15) a guess was never further than
     12.01 * n * 2^-53 from its root.  Below b = 128 that is under a quarter
     cell, so a guess tries the cell it falls in and its neighbours.  From
-    b = 128 on the error can pass a cell, and the guess walks first
-    (walked): it tries the cell it falls in, since most guesses lie in their
-    root's cell, and while the cell tried shows no sign change, the secant
-    through the values at its ends names the next cell to try.  That is a
-    Newton step with the slope over one cell, so near a root each step lands
-    in the root's cell or next to it, and the two values it needs are the
-    cell's certificate too.  The walk stops where the secant has no slope or
-    names the cell it came from, or after m.bit_length() steps, about as
-    many as Newton steps take to reach any cell of the grid; the cell where
-    it stops is tried with its neighbours.  A guess that certifies no cell
-    is left to the Sturm count and bisection of isolate_real_roots.
+    b = 128 on the error can pass a cell, and the guess walks first: it
+    tries the cell it falls in, since most guesses lie in their root's cell,
+    and while the cell tried shows no sign change, the secant through the
+    values at its ends names the next cell to try.  That is a Newton step
+    with the slope over one cell, so near a root each step lands in the
+    root's cell or next to it, and the two values it needs are the cell's
+    certificate too.  The walk stops where the secant has no slope or names
+    the cell it came from, or after m.bit_length() steps, about as many as
+    Newton steps take to reach any cell of the grid; the neighbours of the
+    cell where it stops are tried next.  A guess that certifies no cell is
+    left to the Sturm count and bisection of isolate_real_roots.
     """
     m = (2 * b - 1).bit_length() + GRID_BITS
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
     grid = scaled_to_grid(p, m)
-    values: dict[int, int] = {}
-
-    def sign(j: int) -> int:
-        """Sign of p at the tree point origin + j * span, over 2^m; the value
-        of grid there is kept in values."""
-        v = values.get(j)
-        if v is None:
-            v = values[j] = poly_eval(grid, origin + j * span)
-        return (v > 0) - (v < 0)
-
-    def walked(j: int) -> int:
-        """The first cell of the secant steps from cell j whose ends show a
-        sign change or a 0, else the cell where the steps stop."""
-        for _ in range(m.bit_length()):
-            s_lo, s_hi = sign(j), sign(j + 1)
-            if s_lo != s_hi or not s_lo:
-                break
-            rise = values[j + 1] - values[j]
-            if not rise:
-                break
-            j_next = min(max(j + (-values[j]) // rise, 0), last)
-            if j_next == j:
-                break
-            j = j_next
-        return j
-
-    found: set[int] = set()
+    steps = m.bit_length() if b >= 128 else 0
+    values: dict[int, int] = {}  # the value of grid at each tree point evaluated
+    found: dict[int, tuple[int, int]] = {}  # cell -> the signs at its ends
     for g in guesses:
         if len(found) == total:
             break
         if not isfinite(g):
             continue
         g_num, g_den = g.as_integer_ratio()
-        j = min(max(((g_num << m) // g_den - origin) // span, 0), last)
-        if b >= 128:
-            j = walked(j)
-        for i in (j, j - 1, j + 1):
-            if 0 <= i <= last:
-                s_lo, s_hi = sign(i), sign(i + 1)
-                if s_lo == 0 or s_hi == 0:
-                    return None
-                if s_lo != s_hi:
-                    found.add(i)
-                    break
-    return [(origin + i * span, origin + (i + 1) * span, m, sign(i), sign(i + 1)) for i in sorted(found)]
+        i = min(max(((g_num << m) // g_den - origin) // span, 0), last)
+        left, neighbours = steps, None
+        while True:
+            v_lo = values.get(i)
+            if v_lo is None:
+                v_lo = values[i] = poly_eval(grid, origin + i * span)
+            v_hi = values.get(i + 1)
+            if v_hi is None:
+                v_hi = values[i + 1] = poly_eval(grid, origin + (i + 1) * span)
+            if not v_lo or not v_hi:
+                return None
+            if (v_lo > 0) != (v_hi > 0):
+                found[i] = (1 if v_lo > 0 else -1, 1 if v_hi > 0 else -1)
+                break
+            if neighbours is None:
+                rise = v_hi - v_lo
+                if left and rise:
+                    step_to = min(max(i + -v_lo // rise, 0), last)
+                    if step_to != i:
+                        i, left = step_to, left - 1
+                        continue
+                neighbours = [c for c in (i + 1, i - 1) if 0 <= c <= last]
+            if not neighbours:
+                break
+            i = neighbours.pop()
+    return [(origin + i * span, origin + (i + 1) * span, m, *found[i]) for i in sorted(found)]
 
 
 def _newton(grid: IntPoly, slope: IntPoly, x: int, lo: int, hi: int, span: int, steps: int) -> int:

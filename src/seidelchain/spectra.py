@@ -7,24 +7,32 @@ splits as spectrum(Q) together with -1 repeated n - 2k times, where Q is the
 spectrum depends on k, not on n: the characteristic polynomial of Q comes
 from the cell sizes by principal minors, of which only the sets of cells
 alternating in parity count, O(k^2) integer operations
-(intpoly.char_poly_ints).  Strings of one or two blocks need none of that:
-k = 1 has the quotient spectrum {-1, n - 1}, and k = 2 the eigenvalue -1
-and the roots of the cubic y^3 - n y^2 + 4pqr in y = x + 1
+(intpoly.char_poly_ints).  The quotient matrix itself is its cell sizes;
+its rows are built only when read.  Strings of one or two blocks need none
+of that: k = 1 has the quotient spectrum {-1, n - 1}, and k = 2 the
+eigenvalue -1 and the roots of the cubic y^3 - n y^2 + 4pqr in y = x + 1
 (intpoly.four_cell_cubic), so quotient_spectrum takes them in closed form.
+The cubic's discriminant is 16pqr(n^3 - 27pqr), n = p + q + r, and by the
+AM-GM inequality n^3 >= 27pqr with equality only at p = q = r.  So p = q =
+r = m gives (y + m)(y - 2m)^2, the quotient values -(m + 1), -1 and
+(2m - 1) twice, and every other cubic is square-free: its roots are
+isolated and certified by its degree, with no Sturm chain and no
+square-free split.
 
 Roots are located by guess, then certified, in one pass.  One float
 eigensolve of the symmetric form of Q gives a guess for every eigenvalue
 (none when the floats overflow); the cubic of k = 2 gets its guesses from
 the trigonometric formula instead, computed in y / n so that no float
 overflows below the float range of n.  Integer roots are the rounded guesses
-that exact synthetic division confirms.  The residual gets one Sturm chain,
-which both splits it square-free (its last member is gcd(p, p')) and counts
-its distinct real roots, all inside [-(n-1), n-1]: by Sturm's theorem at
--infinity and +infinity that count comes from the members' leading
-coefficients and degrees, so no member is evaluated.  The guesses locate
-the isolating cells: a cell of the [-n, n] bisection tree whose ends carry
-opposite signs holds a root, and when such cells number the Sturm count
-each holds exactly one; otherwise Sturm bisection isolates them.  The
+that exact synthetic division confirms.  From k = 3 on the residual gets
+one Sturm chain, which both splits it square-free (its last member is
+gcd(p, p')) and counts its distinct real roots, all inside [-(n-1), n-1]:
+by Sturm's theorem at -infinity and +infinity that count comes from the
+members' leading coefficients and degrees, so no member is evaluated.  The
+guesses locate the isolating cells: a cell of the [-n, n] bisection tree
+whose ends carry opposite signs holds a root, and when such cells number
+the Sturm count (or, for a factor with no chain, its degree) each holds
+exactly one; otherwise Sturm bisection isolates them.  The
 guesses are placed on the tree's final grid, of width at most 2^-40: from
 n = 128 on, where a guess's error can exceed a quarter cell, a guess whose
 own cell shows no sign change is carried to its root's cell by secant steps
@@ -34,9 +42,10 @@ bisection to its dyadic cell, all on integer grids.  An integer root the
 guesses missed is found in its square-free factor, inside a refined cell
 or on a grid point, and divided out of that factor alone, so no step costs
 more than a bisection of [-n, n]: the cost does not depend on n beyond the
-size of its digits.  The spectrum is sorted by float and each neighbouring
-pair is then compared exactly; validate() checks the trace and Frobenius
-identities on integers.
+size of its digits.  The spectrum is sorted by one integer enclosure of
+each value, and only neighbours whose enclosures overlap are compared
+exactly; validate() checks the trace and Frobenius identities on
+integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
 in canonical form, or sign-certified root intervals of an integer polynomial
@@ -313,11 +322,26 @@ def seidel_matrix(g: Graph) -> SeidelMatrix:
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Quotient of the Seidel matrix over the 2k-cell chain partition."""
+    """Quotient of the Seidel matrix over the 2k-cell chain partition.
+
+    The cell sizes determine it; its charpoly and its float guesses read
+    them alone.  The rows, Q = Sigma D - I with Sigma the cell signs
+    (chain.cell_signs) and D the diagonal of cell sizes, are built when
+    entries is first read: the (p, q) entry is sigma_pq * |C_q|, and the
+    diagonal entry for cell C_p is |C_p| - 1.
+    """
 
     size: int
-    entries: tuple[tuple[int, ...], ...]
     cell_sizes: tuple[int, ...]
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        rows = []
+        for p, signs in enumerate(_cell_sign_template(self.size // 2)[0]):
+            row = list(map(operator.mul, signs, self.cell_sizes))
+            row[p] -= 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def check_quotient_order(k: int) -> None:
@@ -327,27 +351,18 @@ def check_quotient_order(k: int) -> None:
 
 
 def quotient_matrix(b: BlockString) -> QuotientMatrix:
-    """The 2k x 2k quotient matrix of a block string's cell partition.
-
-    Q = Sigma D - I, with Sigma the cell signs (chain.cell_signs) and D the
-    diagonal of cell sizes: the (p, q) entry is sigma_pq * |C_q|, and the
-    diagonal entry for cell C_p is |C_p| - 1.
-    """
-    sizes = tuple(size for _lab, _start, size in b.cells())
-    rows = []
-    for p, signs in enumerate(_cell_sign_template(b.k)[0]):
-        row = list(map(operator.mul, signs, sizes))
-        row[p] -= 1
-        rows.append(tuple(row))
-    return QuotientMatrix(len(sizes), tuple(rows), sizes)
+    """The 2k x 2k quotient matrix of a block string's cell partition: its
+    cell sizes in string order, O(k); the rows wait until they are read."""
+    sizes = tuple(size for block in b.blocks for size in block)
+    return QuotientMatrix(len(sizes), sizes)
 
 
 @functools.lru_cache(maxsize=32)
 def _cell_sign_template(k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """The cell signs of every k-block string (chain.cell_signs reads k
-    alone), as int rows for quotient_matrix and as a read-only float array
-    for _quotient_guesses: built once per quotient order, for the 32 orders
-    last used."""
+    alone), as int rows for QuotientMatrix.entries and as a read-only float
+    array for _quotient_guesses: built once per quotient order, for the 32
+    orders last used."""
     rows = cell_signs(BlockString(((1, 1),) * k))
     sigma = np.array(rows, dtype=float)
     sigma.flags.writeable = False
@@ -517,19 +532,19 @@ def _assert_enclosed_sums(entries, n: int) -> None:
 def spectrum_from_counts(counts) -> ExactSpectrum:
     """Build a sorted ExactSpectrum from (value, multiplicity) pairs, merging equals.
 
-    The pairs are sorted by float and each neighbouring pair is checked with
-    value_cmp.  Values that floats cannot order, tied or beyond the float
-    range, fall back to a full sort by value_cmp; the order is the same
-    either way.  Equal neighbours then merge: values are equal when their
-    representations are (see ExactSpectrum).
+    The pairs are sorted by one integer key each, the enclosure
+    _enclosure(v, INTERVAL_BITS), which exists at any size.  Neighbours
+    whose enclosures are disjoint are ordered by them; only neighbours
+    whose enclosures overlap are compared exactly by value_cmp, and if one
+    such pair is out of order, a full sort by value_cmp runs.  The order is
+    the same either way.  Equal neighbours then merge: values are equal when
+    their representations are (see ExactSpectrum).
     """
-    pairs = [(v, m) for v, m in counts if m]
-    try:
-        pairs.sort(key=lambda p: p[0] if isinstance(p[0], int) else float(p[0]))
-        ordered = all(value_cmp(u, v) <= 0 for (u, _m), (v, _n) in zip(pairs, pairs[1:]))
-    except OverflowError:
-        ordered = False
-    if not ordered:
+    keyed = sorted(((_enclosure(v, INTERVAL_BITS), v, m) for v, m in counts if m),
+                   key=operator.itemgetter(0))
+    pairs = [(v, m) for _key, v, m in keyed]
+    if any(hi >= lo and value_cmp(u, v) > 0
+           for ((_lo, hi), u, _m), ((lo, _hi), v, _n) in zip(keyed, keyed[1:])):
         pairs.sort(key=functools.cmp_to_key(lambda p, q: value_cmp(p[0], q[0])))
     entries: list[tuple[Eigenvalue, int]] = []
     for v, m in pairs:
@@ -604,8 +619,8 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     return ints
 
 
-def _quotient_roots(coeffs: tuple[int, ...], bound: int,
-                    guesses: list[float]) -> list[tuple[Eigenvalue, int]]:
+def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
+                    square_free: bool = False) -> list[tuple[Eigenvalue, int]]:
     """(value, multiplicity) of every root of a monic quotient charpoly, in one pass.
 
     Every root lies in [-bound, bound].  Only 0, -1 and the roundings of the
@@ -619,8 +634,10 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
 
     The residual's Sturm chain is built once: the square-free split reads
     its gcd off it, and when the residual is one simple factor, isolation
-    counts its roots with it and certifies the cells the guesses locate
-    (every other factor's chain is built by isolate_real_roots).
+    counts its roots with it and certifies the cells the guesses locate.
+    A residual known to be square-free (square_free) is one factor with no
+    chain and no split: isolation certifies its cells by its degree, as it
+    does every other factor's (isolate_real_roots).
     """
     int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=guesses)
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
@@ -633,8 +650,14 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int,
             if i == len(rest) or (i > 0 and 2 * z <= rest[i - 1] + rest[i]):
                 i -= 1
             del rest[i]
-    chain = intpoly.sturm_chain(residual) if intpoly.poly_degree(residual) >= 1 else None
-    factors = intpoly.square_free_decomposition(residual, chain) if chain else []
+    chain = None
+    if intpoly.poly_degree(residual) < 1:
+        factors = []
+    elif square_free:
+        factors = [(residual, 1)]
+    else:
+        chain = intpoly.sturm_chain(residual)
+        factors = intpoly.square_free_decomposition(residual, chain)
     for factor, mult in factors:
         values = _factor_roots(factor, bound, rest, chain)
         counts.extend((v, mult) for v in values)
@@ -683,9 +706,13 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     Strings of one or two blocks take their closed forms, with no quotient
     matrix, principal-minor charpoly or eigensolve.  For k = 1 the
     charpoly is y (y - n) in y = x + 1, so the spectrum is {-1, n - 1}.  For
-    k = 2 it is y times intpoly.four_cell_cubic(a + d, b, c): -1 and the
-    roots of the cubic shifted to x, which _quotient_roots certifies like
-    any charpoly from guesses by the trigonometric formula
+    k = 2 it is y times intpoly.four_cell_cubic(p, q, r), (p, q, r) =
+    (a + d, b, c): -1 and the roots of the cubic shifted to x.  At p = q =
+    r = m the cubic is (y + m)(y - 2m)^2, so the values are -(m + 1), -1 and
+    2m - 1 twice.  Every other cubic has the positive discriminant
+    16pqr(n^3 - 27pqr) and is square-free, so _quotient_roots strips its
+    integer roots and isolates the rest by its degree, with no Sturm chain
+    and no square-free split, from guesses by the trigonometric formula
     (_four_cell_guesses).  Those are computed in y / n, where every
     quantity stays in [-1, 1], so n up to the float range gives guesses.
     """
@@ -695,8 +722,11 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
         return spectrum_from_counts([(-1, 1), (n - 1, 1)])
     if b.k == 2:
         (s1, t1), (s2, t2) = b.blocks
-        cubic = intpoly.poly_shift(intpoly.four_cell_cubic(s1 + t2, t1, s2), 1)
-        counts = _quotient_roots(cubic, n, _four_cell_guesses(s1 + t2, t1, s2, n))
+        p, q, r = s1 + t2, t1, s2
+        if p == q == r:
+            return spectrum_from_counts([(-(p + 1), 1), (-1, 1), (2 * p - 1, 2)])
+        cubic = intpoly.poly_shift(intpoly.four_cell_cubic(p, q, r), 1)
+        counts = _quotient_roots(cubic, n, _four_cell_guesses(p, q, r, n), square_free=True)
         return spectrum_from_counts(counts + [(-1, 1)])
     q = quotient_matrix(b)
     cp = char_poly(q)

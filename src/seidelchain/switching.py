@@ -170,7 +170,9 @@ def _orbit_blocks(
     first = [comp[0] for comp in components]
     adj = np.array([[g.rows[u] >> comp[-1] & 1 for comp in components] for u in first],
                    dtype=np.int32).reshape(m, m)
-    w = 1 - 2 * adj
+    # W in float64, so that counts @ W runs in BLAS (numpy's integer matmul
+    # has none); every entry of the product is at most n in size, exact in a double.
+    w = (1 - 2 * adj).astype(np.float64)
     deg = np.array([g.rows[u].bit_count() for u in first], dtype=np.int32)
     inside = n - 2 * np.diagonal(adj)
     col = np.array([i for i, comp in enumerate(components) for _ in comp], dtype=np.intp)
@@ -183,7 +185,7 @@ def _orbit_blocks(
         orbits = np.arange(start, min(start + _ORBIT_BLOCK, total))
         # The leading axis of length 1 lets a graph without vertices have its one orbit.
         counts = np.array(np.unravel_index(orbits, (1, *dims)), dtype=np.int32)[1:].T
-        out = (deg + counts @ w)[:, col]
+        out = (deg + (counts @ w).astype(np.int32))[:, col]
         degrees = np.where(rank < counts[:, col], inside[col] - out, out)
         degrees.sort(axis=1)
         sizes = np.ones(len(orbits), dtype=large)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import random
 
+import root_oracles
 from seidelchain import (
     BlockString,
     ChainGraph,
@@ -12,7 +13,6 @@ from seidelchain import (
     SearchResult,
     SwitchingWitness,
     degree_sequence,
-    intpoly,
     switch_on_subset,
 )
 
@@ -41,7 +41,7 @@ def random_block_string(rng: random.Random, max_k: int = 6, max_n: int = 60) -> 
 def poly_pow(p: tuple[int, ...], e: int) -> tuple[int, ...]:
     out: tuple[int, ...] = (1,)
     for _ in range(e):
-        out = intpoly.poly_mul(out, p)
+        out = root_oracles.poly_mul(out, p)
     return out
 
 

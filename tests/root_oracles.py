@@ -10,6 +10,9 @@ decimal rendering of a Fraction.  Signs come from Fraction evaluation with
 intpoly.poly_eval, not from intpoly.sign_at.  cell_fractions and
 root_interval convert between the two forms of a cell.
 
+The library multiplies no polynomials; poly_add and poly_mul build the
+test polynomials.
+
 The library pseudo-divides with no gcd, scaling the remainder by |lc(b)| at
 every step; pseudo_divmod is the earlier form, which scales it by
 lc(b) / gcd(lc(r), lc(b)) and takes a gcd at every step, and sturm_chain is
@@ -96,6 +99,27 @@ def decimal_string(fr: Fraction) -> str:
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return intpoly.poly_trim(out)
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return intpoly.poly_trim(out)
 
 
 def fraction_sign(p, x: Fraction) -> int:

@@ -31,8 +31,8 @@ def _poly_det(m):
     acc = ()
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = intpoly.poly_mul(m[0][j], _poly_det(minor))
-        acc = intpoly.poly_add(acc, term if j % 2 == 0 else tuple(-c for c in term))
+        term = root_oracles.poly_mul(m[0][j], _poly_det(minor))
+        acc = root_oracles.poly_add(acc, term if j % 2 == 0 else tuple(-c for c in term))
     return acc
 
 
@@ -220,15 +220,15 @@ def test_integer_roots_strips_zero():
 
 def test_integer_roots_leaves_irrational_factor():
     # (x - 1)(x^2 - 2)
-    p = intpoly.poly_mul((-1, 1), (-2, 0, 1))
+    p = root_oracles.poly_mul((-1, 1), (-2, 0, 1))
     roots, residual = intpoly.integer_roots(p)
     assert roots == {1: 1}
     assert residual == (-2, 0, 1)
 
 
 def test_poly_gcd_and_exact_division():
-    a = intpoly.poly_mul((1, 1), (-2, 1))
-    b = intpoly.poly_mul((1, 1), (3, 1))
+    a = root_oracles.poly_mul((1, 1), (-2, 1))
+    b = root_oracles.poly_mul((1, 1), (3, 1))
     assert intpoly.poly_gcd(a, b) == (1, 1)
     assert intpoly.poly_div_exact(a, (1, 1)) == (-2, 1)
     with pytest.raises(ValueError):
@@ -237,12 +237,12 @@ def test_poly_gcd_and_exact_division():
 
 def test_square_free_decomposition():
     # (x - 1)^2 (x + 2)
-    p = intpoly.poly_mul(intpoly.poly_mul((-1, 1), (-1, 1)), (2, 1))
+    p = root_oracles.poly_mul(root_oracles.poly_mul((-1, 1), (-1, 1)), (2, 1))
     assert intpoly.square_free_decomposition(p) == [((2, 1), 1), ((-1, 1), 2)]
     # Already square-free
     assert intpoly.square_free_decomposition((-2, 0, 1)) == [((-2, 0, 1), 1)]
     # (x^2 - 2)^2
-    p = intpoly.poly_mul((-2, 0, 1), (-2, 0, 1))
+    p = root_oracles.poly_mul((-2, 0, 1), (-2, 0, 1))
     assert intpoly.square_free_decomposition(p) == [((-2, 0, 1), 2)]
 
 
@@ -251,7 +251,7 @@ def test_square_free_input_takes_no_division_or_gcd(monkeypatch):
     def refuse(*_args):
         raise AssertionError("square-free input reached the Musser loop")
 
-    cases = [(-2, 0, 1), (-4, 0, 2), (6, 0, -3), intpoly.poly_mul((-2, 0, 1), (-3, 0, 1)), (5, 1)]
+    cases = [(-2, 0, 1), (-4, 0, 2), (6, 0, -3), root_oracles.poly_mul((-2, 0, 1), (-3, 0, 1)), (5, 1)]
     chains = [intpoly.sturm_chain(p) for p in cases]
     monkeypatch.setattr(intpoly, "poly_div_exact", refuse)
     monkeypatch.setattr(intpoly, "poly_gcd", refuse)
@@ -267,12 +267,12 @@ def test_pseudo_divmod_scales_by_a_negative_leading_coefficient():
     # the remainder positive.
     a, b = (1, 0, 0, 1), (1, -2)
     q, r = intpoly._pseudo_divmod(a, b)
-    qb_r = intpoly.poly_add(intpoly.poly_mul(q, b), r)
+    qb_r = root_oracles.poly_add(root_oracles.poly_mul(q, b), r)
     c = qb_r[-1] // a[-1]
     assert c > 0
     assert qb_r == tuple(c * x for x in a)
     assert len(r) == 1 and r[0] > 0
-    assert intpoly.poly_div_exact(intpoly.poly_mul(a, b), b) == a
+    assert intpoly.poly_div_exact(root_oracles.poly_mul(a, b), b) == a
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +302,14 @@ def _products(draw, max_degree: int = 14):
     p = (draw(st.sampled_from((-6, -1, 1, 5))),)
     for f, e in draw(st.lists(st.tuples(_small_factors, st.integers(1, 3)), min_size=1, max_size=3)):
         if intpoly.poly_degree(p) + e * intpoly.poly_degree(f) <= max_degree:
-            p = intpoly.poly_mul(p, poly_pow(f, e))
+            p = root_oracles.poly_mul(p, poly_pow(f, e))
     return p
 
 
 # x^5 - x: the remainder of p by p' is -4x/5, a drop from degree 4 to 1.
 _DEGREE_DROP = (0, -1, 0, 0, 0, 1)
 # (x^2 - 2)^2 (x + 1)^3, times -3: repeated roots and a negative lead.
-_REPEATED = tuple(-3 * c for c in intpoly.poly_mul(poly_pow((-2, 0, 1), 2), poly_pow((1, 1), 3)))
+_REPEATED = tuple(-3 * c for c in root_oracles.poly_mul(poly_pow((-2, 0, 1), 2), poly_pow((1, 1), 3)))
 
 
 def _spectrum_large_residuals():
@@ -346,7 +346,7 @@ def _random_residual(k: int):
 _RESIDUAL_K24, _RESIDUAL_K32 = _random_residual(24), _random_residual(32)
 # x (x^2 - (2^70 + 1)) (x^2 - 3 * 2^69): odd, so every other remainder is odd
 # too, with constant term 0, and gcd(lead, 0) is the lead itself.
-_ODD_WIDE = intpoly.poly_mul((0, 1), intpoly.poly_mul((-(1 << 70) - 1, 0, 1), (-(3 << 69), 0, 1)))
+_ODD_WIDE = root_oracles.poly_mul((0, 1), root_oracles.poly_mul((-(1 << 70) - 1, 0, 1), (-(3 << 69), 0, 1)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -458,7 +458,7 @@ def test_pseudo_divmod_is_a_pseudo_division(a, b):
     q, r = intpoly._pseudo_divmod(a, b)
     assert len(r) < len(b)
     assert q == intpoly.poly_trim(q) and r == intpoly.poly_trim(r)
-    qb_r = intpoly.poly_add(intpoly.poly_mul(q, b), r)
+    qb_r = root_oracles.poly_add(root_oracles.poly_mul(q, b), r)
     if a:
         c = qb_r[-1] // a[-1]
         assert c > 0 and qb_r == tuple(c * x for x in a)
@@ -473,7 +473,7 @@ def test_pseudo_divmod_is_a_pseudo_division(a, b):
 @example((-2, 0, 1), (2, -3, 1))
 @example(_REPEATED[:4], (-1, 1))
 def test_gcd_quotient_and_split_are_those_of_the_oracle_division(f, g):
-    p = intpoly.poly_mul(f, g)
+    p = root_oracles.poly_mul(f, g)
 
     def results():
         return (intpoly.poly_gcd(p, f), intpoly.poly_gcd(f, g), intpoly.poly_div_exact(p, g),
@@ -504,7 +504,7 @@ def test_sign_at_every_dyadic_denominator_up_to_2_300():
     p = tuple(rng.randint(-_BIG, _BIG) for _ in range(15))
     # Roots -sqrt(3), -sqrt(2), sqrt(2), sqrt(3): the grid points next to them
     # have opposite signs at every depth.
-    q = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
+    q = root_oracles.poly_mul((-2, 0, 1), (-3, 0, 1))
     for m in range(301):
         for num in (rng.randint(-_BIG, _BIG), -rng.randint(1, 1 << m), 1, 0):
             want = root_oracles.fraction_sign(p, Fraction(num, 1 << m))
@@ -531,7 +531,7 @@ def test_sign_on_grid_coefficients_equals_the_dyadic_sign(p, m, num, root):
     take each sign at an integer point: sign_at(scaled, x) is the sign of p
     at x / 2^m, also where p vanishes there (root: p times (2^m x - num))."""
     if root:
-        p = intpoly.poly_mul(p, (-num, 1 << m))
+        p = root_oracles.poly_mul(p, (-num, 1 << m))
     scaled = intpoly.scaled_to_grid(p, m)
     assert intpoly.sign_at(scaled, num) == intpoly.sign_at(p, num, 1 << m)
     assert intpoly.sign_at(scaled, num) == root_oracles.fraction_sign(p, Fraction(num, 1 << m))
@@ -586,7 +586,7 @@ def _random_factor(rng):
 def _random_product(rng):
     p = (rng.choice((-3, -2, -1, 1, 2, 3)),)
     for _ in range(rng.randint(1, 4)):
-        p = intpoly.poly_mul(p, poly_pow(_random_factor(rng), rng.randint(1, 3)))
+        p = root_oracles.poly_mul(p, poly_pow(_random_factor(rng), rng.randint(1, 3)))
     return p
 
 
@@ -621,8 +621,8 @@ def test_poly_gcd_against_sympy():
     rng = random.Random(6)
     for _ in range(200):
         shared = _random_product(rng)
-        a = intpoly.poly_mul(_random_product(rng), shared)
-        b = intpoly.poly_mul(_random_product(rng), shared)
+        a = root_oracles.poly_mul(_random_product(rng), shared)
+        b = root_oracles.poly_mul(_random_product(rng), shared)
         want = _from_sympy(sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b)))
         assert intpoly.poly_gcd(a, b) == intpoly.primitive(want)
 
@@ -654,7 +654,7 @@ def test_sturm_root_count_against_sympy():
 
 def test_isolation_and_refinement():
     # (x^2 - 2)(x^2 - 3): roots +-sqrt(2), +-sqrt(3)
-    p = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
+    p = root_oracles.poly_mul((-2, 0, 1), (-3, 0, 1))
     intervals = intpoly.isolate_real_roots(p)
     assert len(intervals) == 4
     for (_lo1, hi1, shift1, *_), (lo2, _hi2, shift2, *_) in zip(intervals, intervals[1:]):
@@ -673,12 +673,49 @@ def test_isolation_and_refinement():
 
 
 def test_a_chain_of_another_polynomial_is_not_used():
-    """A chain that is not sturm_chain(p) is built again, not trusted."""
+    """A chain that is not sturm_chain(p) is not trusted: isolation goes on
+    as with no chain."""
     other = intpoly.sturm_chain((-5, 0, 1))
-    p = intpoly.poly_mul(intpoly.poly_mul((-1, 1), (-1, 1)), (2, 1))
+    p = root_oracles.poly_mul(root_oracles.poly_mul((-1, 1), (-1, 1)), (2, 1))
     assert intpoly.square_free_decomposition(p, other) == [((2, 1), 1), ((-1, 1), 2)]
-    p = intpoly.poly_mul((-2, 0, 1), (-3, 0, 1))
+    p = root_oracles.poly_mul((-2, 0, 1), (-3, 0, 1))
     assert intpoly.isolate_real_roots(p, 4, (), other) == intpoly.isolate_real_roots(p, 4)
+
+
+def _no_call(*args):
+    raise AssertionError("not to be called")
+
+
+def _residual_and_guesses(text):
+    """The residual of a k >= 3 string's quotient charpoly, its integer
+    roots stripped, and the quotient's float guesses."""
+    b = parse_block_string(text)
+    q = quotient_matrix(b)
+    guesses = spectra._quotient_guesses(q)
+    _roots, residual = intpoly.integer_roots(intpoly.char_poly_ints(q.cell_sizes), b.n, guesses)
+    return residual, b.n, guesses
+
+
+@pytest.mark.parametrize("text", ["0 1^2 0^3 1 0 1^4", "0^3 1 0 1^2 0 1^4", "0^40 1^3 0^900 1^7 0^2 1^50"])
+def test_isolation_without_a_chain_certifies_by_degree(monkeypatch, text):
+    """Degree-many cells with a sign change each hold every root, one each,
+    so isolation given no chain builds none when the guesses certify that
+    many.  Drop a guess and the cells may fall short: then it builds the
+    chain and ends with the cells of the chain route."""
+    residual, n, guesses = _residual_and_guesses(text)
+    chain = intpoly.sturm_chain(residual)
+    with_chain = intpoly.isolate_real_roots(residual, n, guesses, chain)
+    assert len(with_chain) == intpoly.poly_degree(residual) >= 3
+    sturm_chain = intpoly.sturm_chain
+    monkeypatch.setattr(intpoly, "sturm_chain", _no_call)
+    assert intpoly.isolate_real_roots(residual, n, guesses) == with_chain
+    built = []
+    monkeypatch.setattr(intpoly, "sturm_chain", lambda p: built.append(p) or sturm_chain(p))
+    for dropped in range(len(guesses)):
+        fewer = guesses[:dropped] + guesses[dropped + 1:]
+        assert intpoly.isolate_real_roots(residual, n, fewer) == intpoly.isolate_real_roots(residual, n, fewer, chain)
+    # Every root has a guess of its own, and the others belong to stripped integer roots.
+    assert len(built) == len(with_chain)
 
 
 def test_sturm_root_counting():
@@ -739,7 +776,7 @@ def test_sign_at_matches_eval():
 
 
 def test_poly_helpers():
-    assert intpoly.poly_mul((1, 1), (1, 1)) == (1, 2, 1)
+    assert root_oracles.poly_mul((1, 1), (1, 1)) == (1, 2, 1)
     assert intpoly.poly_derivative((5, 3, 1)) == (3, 2)
     assert intpoly.poly_trim((0, 0)) == ()
     assert intpoly.primitive((-4, -2)) == (2, 1)
@@ -775,12 +812,12 @@ def test_integer_roots_tries_only_rounded_guesses():
     # (x + 1)(x - 3)(x - 7)(x^2 - 2)
     p = (1,)
     for f in ((1, 1), (-3, 1), (-7, 1), (-2, 0, 1)):
-        p = intpoly.poly_mul(p, f)
+        p = root_oracles.poly_mul(p, f)
     assert intpoly.integer_roots(p, guesses=[-1.2, 2.9, 7.4, -1.41, 1.41]) == ({-1: 1, 3: 1, 7: 1}, (-2, 0, 1))
     # A guess that rounds to the wrong integer leaves that root in the residual.
     roots, residual = intpoly.integer_roots(p, guesses=[3.6, 7.0])
     assert roots == {-1: 1, 7: 1}
-    assert residual == intpoly.poly_mul((-3, 1), (-2, 0, 1))
+    assert residual == root_oracles.poly_mul((-3, 1), (-2, 0, 1))
     # Guesses outside [-bound, bound] are not tried.
     assert intpoly.integer_roots(p, bound=5, guesses=[3.0, 7.0])[0] == {-1: 1, 3: 1}
 
@@ -832,7 +869,7 @@ def test_refine_root_ends_in_the_cell_of_plain_bisection(coeffs, depth, pick):
 def test_a_rational_root_on_a_grid_point_is_raised_with_the_point():
     """Isolation and refinement name the dyadic point where p is 0, so the
     caller can divide that root out."""
-    cubic = intpoly.poly_mul((-1, 1), (-2, 0, 1))  # (x - 1)(x^2 - 2): bisection of [-4, 4] hits 1
+    cubic = root_oracles.poly_mul((-1, 1), (-2, 0, 1))  # (x - 1)(x^2 - 2): bisection of [-4, 4] hits 1
     with pytest.raises(intpoly.RationalRootError, match="during isolation") as isolated:
         intpoly.isolate_real_roots(cubic, 4)
     quadratic = (3, -4, 1)  # (x - 1)(x - 3): the midpoint of the cell (0, 2) is 1
@@ -877,7 +914,7 @@ _CUBICS = st.builds(intpoly.poly_shift, st.integers(-24, -3).flatmap(_depressed_
 def _scaled_product(factors, scale):
     p = (scale,)
     for f in factors:
-        p = intpoly.poly_mul(p, f)
+        p = root_oracles.poly_mul(p, f)
     return p
 
 
@@ -1159,7 +1196,7 @@ def test_roots_outside_the_window_take_the_evaluated_window_count(monkeypatch):
     (two Sturm evaluations), and its count of two certifies the cells with
     no bisection.  The cells are those that bisection with no guesses
     reaches."""
-    p = intpoly.poly_mul((-3, 0, 1), (-1, 0, 3))
+    p = root_oracles.poly_mul((-3, 0, 1), (-1, 0, 3))
     chain = intpoly.sturm_chain(p)
     assert intpoly.count_roots_between(chain, None, None) == 4
     evaluated, bisected = [], []
@@ -1325,7 +1362,7 @@ def test_a_stalled_secant_walk_gives_way_to_sturm_bisection():
     nor its neighbours hold a root, so no cell is placed and isolation ends
     as it does with no guesses."""
     half = (-(1 << 40) - 1, 1 << 41)
-    p = intpoly.poly_add(intpoly.poly_mul(half, half), (-(1 << 6),))
+    p = root_oracles.poly_add(root_oracles.poly_mul(half, half), (-(1 << 6),))
     guesses = [0.5 + 2.0 ** -42, 0.5 + 3 * 2.0 ** -42]
     assert intpoly._guessed_cells(p, 128, 2, guesses) == []
     assert _isolated(p, guesses, 128) == _isolated(p, (), 128)

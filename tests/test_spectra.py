@@ -49,6 +49,10 @@ from seidelchain.families import (
 from seidelchain.spectra import value_cmp, value_to_string
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
 class _Spy:
     """Counts the calls of a wrapped function."""
 
@@ -176,6 +180,20 @@ def test_quotient_matrix_examples():
     assert quotient_matrix(parse_block_string("01")).entries == ((0, -1), (-1, 0))
 
 
+def test_quotient_rows_are_built_when_read(monkeypatch):
+    """quotient_matrix keeps the cell sizes; the rows are built on the first
+    read of entries, once, and exact_spectrum never reads them."""
+    q = quotient_matrix(parse_block_string("0 1^3 0^3 1^7"))
+    assert "entries" not in vars(q)
+    rows = q.entries
+    assert vars(q)["entries"] is rows and q.entries is rows
+    assert q == quotient_matrix(parse_block_string("0 1^3 0^3 1^7"))
+    built = []
+    monkeypatch.setattr(spectra, "quotient_matrix", lambda b: built.append(quotient_matrix(b)) or built[-1])
+    exact_spectrum(parse_block_string("0 1^2 0^3 1 0 1^4"))
+    assert len(built) == 1 and "entries" not in vars(built[0])
+
+
 def test_quotient_row_sums_are_equitable():
     rng = random.Random(22)
     for _ in range(15):
@@ -223,7 +241,7 @@ def test_full_char_poly_factors_through_quotient():
         g = build_chain_graph(b)
         full = root_oracles.faddeev_leverrier(seidel_matrix(g).entries)
         quot = char_poly(quotient_matrix(b)).coeffs
-        lifted = intpoly.poly_mul(quot, poly_pow((1, 1), b.n - 2 * b.k))
+        lifted = root_oracles.poly_mul(quot, poly_pow((1, 1), b.n - 2 * b.k))
         assert full == lifted
 
 
@@ -270,16 +288,33 @@ def _assert_closed_form_is_general(b):
     assert repr(quotient_spectrum(b).entries) == repr(_general_quotient_spectrum(b).entries), b.caret()
 
 
-def test_closed_forms_equal_the_general_path_on_every_string_up_to_n_24():
+def test_closed_forms_equal_the_general_path_on_every_string_up_to_n_30():
+    """k = 2 takes p = q = r in closed form and isolates every other cubic,
+    square-free, with no Sturm chain and no split; the general path builds
+    the chain and splits.  Every four-cell string with n <= 30 gets the same
+    spectrum from both."""
     strings = 0
-    for n in range(2, 25):
+    for n in range(2, 31):
         for a in range(1, n):
             _assert_closed_form_is_general(BlockString(((a, n - a),)))
             for b in range(1, n - a):
                 for c in range(1, n - a - b):
                     _assert_closed_form_is_general(BlockString(((a, b), (c, n - a - b - c))))
                     strings += 1
-    assert strings == math.comb(24, 4)  # every four-cell string with n <= 24
+    assert strings == math.comb(30, 4)  # every four-cell string with n <= 30
+
+
+@pytest.mark.parametrize("m", [*range(2, 13), 10 ** 20])
+def test_equal_arcs_take_the_closed_form(monkeypatch, m):
+    """p = q = r = m: the cubic is (y + m)(y - 2m)^2, so the spectrum is
+    {-(m + 1), -1^(3m - 3), (2m - 1)^2}, with no root isolated."""
+    b = BlockString(((1, m), (m, m - 1)))
+    want = ((-(m + 1), 1), (-1, 3 * m - 3), (2 * m - 1, 2))
+    assert spectra.has_spectrum(b, want)
+    for name in ("integer_roots", "isolate_real_roots", "sturm_chain"):
+        monkeypatch.setattr(intpoly, name, _raise)
+    assert exact_spectrum(b).entries == want
+    assert quotient_spectrum(b).entries == ((-(m + 1), 1), (-1, 1), (2 * m - 1, 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,17 +352,20 @@ def test_closed_forms_cover_every_kind_of_root(text, kinds):
 
 
 def test_one_and_two_blocks_build_no_quotient_and_solve_no_eigenproblem(monkeypatch):
+    """Nor do they build a Sturm chain or split a residual square-free:
+    every four-cell cubic but p = q = r is square-free, and its roots are
+    certified by its degree."""
     spies = {}
-    for module, name in ((spectra, "quotient_matrix"), (np.linalg, "eigvalsh"),
-                         (intpoly, "char_poly_ints"), (intpoly, "sturm_chain")):
+    for module, name in ((spectra, "quotient_matrix"), (np.linalg, "eigvalsh"), (intpoly, "char_poly_ints"),
+                         (intpoly, "sturm_chain"), (intpoly, "square_free_decomposition")):
         spies[name] = _Spy(getattr(module, name))
         monkeypatch.setattr(module, name, spies[name])
-    for text in ("0 1", "0^5 1^3", "0 1 0^2 1^2", "0 1^2 0^2 1", "0^9 1^2 0^4 1"):
+    for text in ("0 1", "0^5 1^3", "0 1 0^2 1^2", "0 1^2 0^2 1", "0^9 1^2 0^4 1", "0 1 0 1", "0^3 1^6 0^6 1^3",
+                 "0^40 1^900 0^7 1^5000", "0^999 1^1000 0^1001 1"):
         exact_spectrum(parse_block_string(text))
-    assert [spies[name].calls for name in ("quotient_matrix", "eigvalsh", "char_poly_ints")] == [0, 0, 0]
+    assert [spy.calls for spy in spies.values()] == [0, 0, 0, 0, 0]
     exact_spectrum(parse_block_string("0 1^2 0^3 1 0 1^4"))  # k = 3 takes the general path
-    assert [spies[name].calls for name in ("quotient_matrix", "eigvalsh", "char_poly_ints")] == [1, 1, 1]
-    assert spies["sturm_chain"].calls > 0
+    assert [spy.calls for spy in spies.values()] == [1, 1, 1, 1, 1]
 
 
 # (p, q, r) = (a + d, b, c) of four-cell strings: spread, and nearly equal
@@ -640,35 +678,47 @@ def test_merging_split_and_shuffled_entries_rebuilds_the_spectrum(blocks, data):
 
 
 # ---------------------------------------------------------------------------
-# Sorting by float, checked exactly
+# Sorting by integer enclosures, checked exactly
 # ---------------------------------------------------------------------------
 
-def test_float_ties_fall_back_to_the_exact_sort(monkeypatch):
-    big = Surd(0, 1, 10 ** 30 + 1, 1)  # sqrt(10^30 + 1) > 10^15, with the same float
-    assert float(big) == 10 ** 15
+def test_enclosure_ties_fall_back_to_the_exact_sort(monkeypatch):
+    """Values whose 2^-40 enclosures overlap are compared exactly, and only
+    those; neighbours out of order send the whole list to the exact sort."""
+    big = Surd(0, 1, 10 ** 30 + 1, 1)  # sqrt(10^30 + 1) = 10^15 + 5 * 10^-16
+    bigger = Surd(0, 1, 10 ** 30 + 2, 1)  # 10^15 + 10^-15, in big's enclosure
+    key = spectra._enclosure(10 ** 15, spectra.INTERVAL_BITS)
+    assert spectra._enclosure(big, spectra.INTERVAL_BITS) == spectra._enclosure(bigger, spectra.INTERVAL_BITS) == (key[0], key[1] + 1)
     cmp = _Spy(spectra.value_cmp)
     monkeypatch.setattr(spectra, "value_cmp", cmp)
-    # In this order the float sort keeps 10^15 first: both neighbour checks pass.
+    # -1 and 10^15 have disjoint enclosures; only 10^15 and big are compared.
     assert spectrum_from_counts([(10 ** 15, 2), (big, 1), (-1, 1)]).entries == ((-1, 1), (10 ** 15, 2), (big, 1))
-    assert cmp.calls == 2
+    assert cmp.calls == 1
     # Equal neighbours pass the check too, and merge afterwards.
     cmp.calls = 0
     assert spectrum_from_counts([(10 ** 15, 1), (-1, 1), (10 ** 15, 1), (big, 1)]).entries == ((-1, 1), (10 ** 15, 2), (big, 1))
-    assert cmp.calls == 3
-    # Here the stable float sort puts big first; the check finds it and the full sort runs.
+    assert cmp.calls == 2
+    # The integer key puts 10^15 (lo = hi) before big (hi one higher) in any input order.
     cmp.calls = 0
-    counts = [(big, 1), (10 ** 15, 2), (-1, 1)]
+    assert spectrum_from_counts([(big, 1), (10 ** 15, 2), (-1, 1)]).entries == ((-1, 1), (10 ** 15, 2), (big, 1))
+    assert cmp.calls == 1
+    # bigger and big share a key, so the stable sort keeps bigger first; the
+    # check finds it and the full sort runs.
+    cmp.calls = 0
+    counts = [(bigger, 1), (big, 1), (10 ** 15, 2), (-1, 1)]
     sp = spectrum_from_counts(counts)
-    assert cmp.calls > 2
-    assert sp.entries == ((-1, 1), (10 ** 15, 2), (big, 1))
+    assert cmp.calls > 3
+    assert sp.entries == ((-1, 1), (10 ** 15, 2), (big, 1), (bigger, 1))
     assert [v for v, _m in sp.entries] == sorted(dict(counts), key=functools.cmp_to_key(value_cmp))
 
 
-def test_values_beyond_the_float_range_fall_back_to_the_exact_sort():
+def test_values_beyond_the_float_range_sort_by_their_integer_keys(monkeypatch):
     huge = Surd(10 ** 400, -1, 2, 1)  # 10^400 - sqrt(2): no float holds it
     with pytest.raises(OverflowError):
         float(huge)
+    cmp = _Spy(spectra.value_cmp)
+    monkeypatch.setattr(spectra, "value_cmp", cmp)
     assert spectrum_from_counts([(10 ** 400, 1), (huge, 1), (0, 1)]).entries == ((0, 1), (huge, 1), (10 ** 400, 1))
+    assert cmp.calls == 0
 
 
 # Root intervals from a few exact spectra, for mixing with ints and surds.
@@ -679,14 +729,14 @@ _VALUES = st.one_of(
     st.integers(-40, 40),
     st.builds(Surd, st.integers(-40, 40), st.sampled_from((-1, 1)), _NON_SQUARE, st.integers(1, 4)),
     st.sampled_from(_INTERVALS),
-    # n and sqrt(n^2 + 1), whose floats tie once n is large.
+    # n and sqrt(n^2 + 1) = n + 1/(2n) - ..., whose 2^-40 enclosures overlap from n of about 5 * 10^11 on.
     st.integers(10 ** 8, 10 ** 15).flatmap(lambda n: st.sampled_from((n, Surd(0, 1, n * n + 1, 1)))),
 )
 
 
 @settings(max_examples=80, deadline=None)
 @given(counts=st.lists(st.tuples(_VALUES, st.integers(0, 3)), max_size=12))
-def test_float_sort_then_exact_check_equals_the_exact_sort(counts):
+def test_enclosure_sort_then_exact_check_equals_the_exact_sort(counts):
     merged: dict = {}
     for v, m in counts:
         if m:
@@ -1052,7 +1102,7 @@ def test_guided_path_equals_scan_and_bisect(monkeypatch):
 
 
 @pytest.mark.parametrize("text, missed", [
-    ("0 1^2 0^2 1", 3),     # the residual keeps (x - 3)^2: a linear square-free factor
+    ("0 1 0^2 1^2 0 1^2", -3),  # the residual keeps (x + 3)^2: a linear square-free factor
     ("0 1 0 1 0 1^3", -3),  # n = 8: isolation on [-8, 8] bisects at -3
     ("0 1 0 1 0^2 1", 3),   # n = 7: 3 ends inside a certified cell of a quartic residual
 ])
@@ -1080,7 +1130,7 @@ def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
 def test_missed_pair_of_integer_roots_is_caught_by_the_discriminant():
     # (x + 1)(x - 2)(x - 5): guesses that miss 2 and 5 leave x^2 - 7x + 10,
     # whose discriminant 9 is a square.
-    p = intpoly.poly_mul(intpoly.poly_mul((1, 1), (-2, 1)), (-5, 1))
+    p = root_oracles.poly_mul(root_oracles.poly_mul((1, 1), (-2, 1)), (-5, 1))
     assert spectra._quotient_roots(p, 8, [-1.0, 9.0, 9.0]) == [(-1, 1), (2, 1), (5, 1)]
     assert spectra._quotient_roots(p, 8, []) == [(-1, 1), (2, 1), (5, 1)]
 
@@ -1088,7 +1138,7 @@ def test_missed_pair_of_integer_roots_is_caught_by_the_discriminant():
 def test_each_stripped_integer_root_takes_its_nearest_guess(monkeypatch):
     # (x + 1)^2 (x - 3)(x^2 - 2): -1 twice and 3 are stripped, so the
     # residual's factor gets only the guesses of +-sqrt(2).
-    p = intpoly.poly_mul(intpoly.poly_mul(poly_pow((1, 1), 2), (-3, 1)), (-2, 0, 1))
+    p = root_oracles.poly_mul(root_oracles.poly_mul(poly_pow((1, 1), 2), (-3, 1)), (-2, 0, 1))
     handed = []
     factor_roots = spectra._factor_roots
     monkeypatch.setattr(spectra, "_factor_roots",
@@ -1125,7 +1175,7 @@ def test_an_integer_root_of_a_cubic_factor_is_peeled_off(monkeypatch, square, bo
 
     for name in ("isolate_real_roots", "refine_root"):
         monkeypatch.setattr(intpoly, name, recording(getattr(intpoly, name)))
-    p = intpoly.poly_mul((-1, 1), (-square, 0, 1))
+    p = root_oracles.poly_mul((-1, 1), (-square, 0, 1))
     assert spectra._factor_roots(p, bound, [], None) == [1, Surd(0, 1, 4 * square, 2), Surd(0, -1, 4 * square, 2)]
     assert hits == ([(stage, 1, 0)] if stage else [])
 
