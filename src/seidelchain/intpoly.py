@@ -35,12 +35,13 @@ all integers, from isolation through refinement to the caller.
 The root machinery (integer-root stripping, square-free decomposition, Sturm
 isolation, sign-certified refinement) assumes monic inputs whose remaining
 roots are all real, which holds for characteristic polynomials of symmetric
-integer matrices.  Float guesses may steer integer-root stripping and
-locate the isolating cells, but every root they lead to is certified
-exactly: a cell by the signs at its ends, and the set of cells by the
-degree or the Sturm count, with Sturm bisection as the fallback when they
-disagree.  The cells
-the guesses locate are those of the final 2^-40 grid, which refinement
+integer matrices.  Float guesses may steer integer-root stripping, which
+tries the rounding of every finite guess it is given (spectra gives it
+only the guesses within n 2^-40 of an integer), and locate the isolating
+cells, but every root they lead to is certified exactly: a cell by the
+signs at its ends, and the set of cells by the degree or the Sturm count,
+with Sturm bisection as the fallback when they disagree.  Non-finite
+guesses are skipped.  The cells the guesses locate are those of the final 2^-40 grid, which refinement
 returns as they are: from a root bound of 128 on, where a guess's error can
 exceed a quarter cell, a guess tries its own cell first, then takes secant
 steps through the values at cell ends.
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from math import gcd, isfinite
+from math import floor, gcd, isfinite, ldexp
 
 IntPoly = tuple[int, ...]
 # (lo, hi, shift, sign at lo, sign at hi) for the interval (lo / 2^shift, hi / 2^shift).
@@ -137,7 +138,7 @@ def scaled_to_grid(p: IntPoly, m: int) -> IntPoly:
     """The integer coefficients of 2^(m * deg(p)) * p(x / 2^m): p read on
     the grid of step 2^-m, the coefficient of x^j shifted by m * (deg(p) - j)."""
     d = len(p) - 1
-    return tuple(c << m * (d - j) for j, c in enumerate(p))
+    return tuple([c << m * (d - j) for j, c in enumerate(p)])
 
 
 def synthetic_div(p: IntPoly, r: int) -> tuple[IntPoly, int]:
@@ -201,10 +202,10 @@ def integer_roots(p: IntPoly, bound: int | None = None,
     0 is stripped first and -1 is always tried next.  Without guesses the
     other candidates are every integer in [-bound, bound] (bound defaults to
     root_bound), so all integer roots are found.  With float guesses they are
-    only the distinct roundings of the guesses inside [-bound, bound], and
-    completeness is up to the caller to certify.  Every candidate dividing
-    the running constant term is tried by exact synthetic division.  Returns
-    ({root: multiplicity}, residual factor).
+    only the distinct roundings of the finite guesses inside [-bound, bound],
+    and completeness is up to the caller to certify.  Every candidate
+    dividing the running constant term is tried by exact synthetic division.
+    Returns ({root: multiplicity}, residual factor).
     """
     p = poly_trim(p)
     if not p or p[-1] != 1:
@@ -219,7 +220,8 @@ def integer_roots(p: IntPoly, bound: int | None = None,
     if guesses is None:
         rest = (d for d in range(-b, b + 1) if d not in (0, -1))
     else:
-        rest = sorted({d for d in map(round, guesses) if -b <= d <= b} - {0, -1})
+        rounded = {round(g) for g in guesses if isfinite(g)} - {0, -1}
+        rest = sorted(d for d in rounded if -b <= d <= b)
     for d in itertools.chain((-1,), rest):
         if len(p) == 1:
             break
@@ -449,11 +451,12 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
     is bisected from the top with a Sturm count at every point
     (_bisected_cells), starting from the counts at -bound and bound.
     """
-    q = primitive(p)
-    if poly_degree(q) < 1:
+    p = poly_trim(p)
+    if len(p) < 2:
         return []
-    flip = 1 if poly_trim(p)[-1] > 0 else -1  # primitive() made the lead positive
-    p = q
+    flip = 1 if p[-1] > 0 else -1  # primitive() makes the lead positive
+    if p[-1] != 1:  # a monic p is primitive already
+        p = primitive(p)
     b = bound if bound is not None else root_bound(p)
     own = chain is not None and chain[0] == p
     total = count_roots_between(chain, None, None) if own else poly_degree(p)
@@ -465,7 +468,9 @@ def isolate_real_roots(p: IntPoly, bound: int | None = None, guesses: Iterable[f
         lo_end, hi_end = _sign_variations(chain, -b), _sign_variations(chain, b)
         if cells is None or len(cells) < lo_end[0] - hi_end[0]:
             cells = _bisected_cells(chain, b, lo_end, hi_end)
-    return [(lo, hi, shift, flip * s_lo, flip * s_hi) for lo, hi, shift, s_lo, s_hi in cells]
+    if flip < 0:
+        return [(lo, hi, shift, -s_lo, -s_hi) for lo, hi, shift, s_lo, s_hi in cells]
+    return cells
 
 
 def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> list[Cell] | None:
@@ -503,29 +508,34 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     """
     m = (2 * b - 1).bit_length() + GRID_BITS
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
-    grid = scaled_to_grid(p, m)
+    grid, evaluate = scaled_to_grid(p, m), poly_eval
     steps = m.bit_length() if b >= 128 else 0
     values: dict[int, int] = {}  # the value of grid at each tree point evaluated
-    found: dict[int, tuple[int, int]] = {}  # cell -> the signs at its ends
+    found: dict[int, Cell] = {}  # index -> certified cell
     for g in guesses:
         if len(found) == total:
             break
         if not isfinite(g):
             continue
-        g_num, g_den = g.as_integer_ratio()
-        i = min(max(((g_num << m) // g_den - origin) // span, 0), last)
+        try:
+            x = floor(ldexp(g, m))  # g * 2^m is exact in floats unless it overflows
+        except OverflowError:
+            g_num, g_den = g.as_integer_ratio()
+            x = (g_num << m) // g_den
+        i = min(max((x - origin) // span, 0), last)
         left, neighbours = steps, None
         while True:
+            lo = origin + i * span
             v_lo = values.get(i)
             if v_lo is None:
-                v_lo = values[i] = poly_eval(grid, origin + i * span)
+                v_lo = values[i] = evaluate(grid, lo)
             v_hi = values.get(i + 1)
             if v_hi is None:
-                v_hi = values[i + 1] = poly_eval(grid, origin + (i + 1) * span)
+                v_hi = values[i + 1] = evaluate(grid, lo + span)
             if not v_lo or not v_hi:
                 return None
             if (v_lo > 0) != (v_hi > 0):
-                found[i] = (1 if v_lo > 0 else -1, 1 if v_hi > 0 else -1)
+                found[i] = (lo, lo + span, m, 1, -1) if v_lo > 0 else (lo, lo + span, m, -1, 1)
                 break
             if neighbours is None:
                 rise = v_hi - v_lo
@@ -538,7 +548,7 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
             if not neighbours:
                 break
             i = neighbours.pop()
-    return [(origin + i * span, origin + (i + 1) * span, m, *found[i]) for i in sorted(found)]
+    return [found[i] for i in sorted(found)]
 
 
 def _newton(grid: IntPoly, slope: IntPoly, x: int, lo: int, hi: int, span: int, steps: int) -> int:

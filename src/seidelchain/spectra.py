@@ -23,29 +23,31 @@ Roots are located by guess, then certified, in one pass.  One float
 eigensolve of the symmetric form of Q gives a guess for every eigenvalue
 (none when the floats overflow); the cubic of k = 2 gets its guesses from
 the trigonometric formula instead, computed in y / n so that no float
-overflows below the float range of n.  Integer roots are the rounded guesses
-that exact synthetic division confirms.  From k = 3 on the residual gets
-one Sturm chain, which both splits it square-free (its last member is
+overflows below the float range of n.  A guess is within about 12 n 2^-53
+of its root, so the integer-root candidates are the roundings of the
+guesses within n 2^-40 of an integer, and integer roots are the candidates
+that exact synthetic division confirms; the rounding of a guess further
+from every integer would only fail a division.  From k = 3 on the residual
+gets one Sturm chain, which both splits it square-free (its last member is
 gcd(p, p')) and counts its distinct real roots, all inside [-(n-1), n-1]:
 by Sturm's theorem at -infinity and +infinity that count comes from the
 members' leading coefficients and degrees, so no member is evaluated.  The
 guesses locate the isolating cells: a cell of the [-n, n] bisection tree
 whose ends carry opposite signs holds a root, and when such cells number
 the Sturm count (or, for a factor with no chain, its degree) each holds
-exactly one; otherwise Sturm bisection isolates them.  The
-guesses are placed on the tree's final grid, of width at most 2^-40: from
-n = 128 on, where a guess's error can exceed a quarter cell, a guess whose
-own cell shows no sign change is carried to its root's cell by secant steps
-through the values at cell ends (intpoly._guessed_cells).
-refine_root returns such a cell as it is, and narrows a cell of Sturm
-bisection to its dyadic cell, all on integer grids.  An integer root the
-guesses missed is found in its square-free factor, inside a refined cell
-or on a grid point, and divided out of that factor alone, so no step costs
-more than a bisection of [-n, n]: the cost does not depend on n beyond the
-size of its digits.  The spectrum is sorted by one integer enclosure of
-each value, and only neighbours whose enclosures overlap are compared
-exactly; validate() checks the trace and Frobenius identities on
-integers.
+exactly one; otherwise Sturm bisection isolates them.  The guesses are
+placed on the tree's final grid, of width at most 2^-40: from n = 128 on,
+where a guess's error can exceed a quarter cell, a guess whose own cell
+shows no sign change is carried to its root's cell by secant steps through
+the values at cell ends (intpoly._guessed_cells).  refine_root returns such
+a cell as it is, and narrows a cell of Sturm bisection to its dyadic cell,
+all on integer grids.  An integer root the candidates missed is found in
+its square-free factor, inside a refined cell or on a grid point, and
+divided out of that factor alone, so no step costs more than a bisection of
+[-n, n]: the cost does not depend on n beyond the size of its digits.  The
+spectrum is sorted by one integer enclosure of each value, and only
+neighbours whose enclosures overlap are compared exactly; validate() checks
+the trace and Frobenius identities on integers.
 
 Eigenvalues are exact objects: plain ints, quadratic surds (a +- sqrt(D))/c
 in canonical form, or sign-certified root intervals of an integer polynomial
@@ -78,6 +80,8 @@ CHAR_POLY_ORDER_CAP = 256
 MATRIX_CAP = 2000
 INTERVAL_BITS = intpoly.GRID_BITS
 _TRIAL_BOUND = 100_000
+# An integer-root candidate is a guess within bound * 2^-_CANDIDATE_BITS of an integer.
+_CANDIDATE_BITS = 40
 # value_cmp's rounds: the first at the width of a computed cell, then doubled.
 _CMP_BITS = tuple(INTERVAL_BITS << i for i in range(5))
 
@@ -159,7 +163,7 @@ class Surd:
         return f"({_digits(self.a)}{s}√{_digits(self.d)})/{_digits(self.c)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RootInterval:
     """A real algebraic number: the unique root of `poly` inside the dyadic
     cell (lo / 2^shift, hi / 2^shift).
@@ -179,13 +183,15 @@ class RootInterval:
     sign_lo: int
     sign_hi: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, poly: tuple[int, ...], lo: int, hi: int, shift: int, sign_lo: int, sign_hi: int) -> None:
         # Drop the factors of two that lo and hi share, down to shift 0.
-        t = min(((self.lo | self.hi) & -(self.lo | self.hi)).bit_length() - 1, self.shift)
+        both = lo | hi
+        t = min((both & -both).bit_length() - 1, shift)
         if t > 0:
-            for name in ("lo", "hi"):
-                object.__setattr__(self, name, getattr(self, name) >> t)
-            object.__setattr__(self, "shift", self.shift - t)
+            lo, hi, shift = lo >> t, hi >> t, shift - t
+        # One dict for the fields: the frozen class's own __setattr__ refuses them.
+        object.__setattr__(self, "__dict__", {"poly": poly, "lo": lo, "hi": hi, "shift": shift,
+                                              "sign_lo": sign_lo, "sign_hi": sign_hi})
 
     def refined(self, bits: int) -> RootInterval:
         """The cell of the root at width at most 2^-bits."""
@@ -204,16 +210,16 @@ Eigenvalue = Union[int, Surd, RootInterval]
 
 
 def _enclosure(v: Eigenvalue, bits: int) -> tuple[int, int]:
-    """Integers lo <= v * 2^bits <= hi, rounded outward: an int exactly, a
-    surd through isqrt, a root interval by its cell as it is."""
+    """Integers lo <= v * 2^bits <= hi, rounded outward: a root interval by
+    its cell as it is, an int exactly, a surd through isqrt."""
+    if isinstance(v, RootInterval):
+        return (v.lo << bits) >> v.shift, -((-v.hi << bits) >> v.shift)
     if isinstance(v, int):
         return v << bits, v << bits
-    if isinstance(v, Surd):
-        r = math.isqrt(v.d << 2 * bits)  # r <= sqrt(d) * 2^bits < r + 1
-        a = v.a << bits
-        lo, hi = (a + r, a + r + 1) if v.sign > 0 else (a - r - 1, a - r)
-        return lo // v.c, -(-hi // v.c)
-    return (v.lo << bits) >> v.shift, -((-v.hi << bits) >> v.shift)
+    r = math.isqrt(v.d << 2 * bits)  # r <= sqrt(d) * 2^bits < r + 1
+    a = v.a << bits
+    lo, hi = (a + r, a + r + 1) if v.sign > 0 else (a - r - 1, a - r)
+    return lo // v.c, -(-hi // v.c)
 
 
 def value_cmp(u: Eigenvalue, v: Eigenvalue) -> int:
@@ -271,7 +277,9 @@ class SeidelMatrix:
     """Symmetric {-1, 0, +1} matrix with zero diagonal: J - I - 2A.
 
     entries is a read-only n x n int8 numpy array, copied from any n x n
-    array-like of integers.  A matrix compares by identity.
+    array-like of integers and checked.  A matrix compares by identity.
+    seidel_matrix builds its matrix from a checked graph through _of_graph,
+    which neither checks nor copies it again.
     """
 
     n: int
@@ -298,6 +306,16 @@ class SeidelMatrix:
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _of_graph(cls, entries: np.ndarray) -> SeidelMatrix:
+        """The matrix of a fresh n x n int8 array 1 - 2A of a checked graph,
+        with its diagonal zeroed: valid by construction, so it is made
+        read-only and taken as it is."""
+        entries.flags.writeable = False
+        s = object.__new__(cls)
+        object.__setattr__(s, "__dict__", {"n": len(entries), "entries": entries})
+        return s
+
 
 def check_matrix_size(n: int) -> None:
     """Refuse a Seidel matrix or numeric spectrum on more than MATRIX_CAP vertices."""
@@ -311,13 +329,14 @@ def seidel_matrix(g: Graph) -> SeidelMatrix:
     The size cap is checked first, so a refused graph never has an n x n
     array built.  Then S = 1 - 2A is formed as 1 - 2B on the r x n rows of
     g's runs of equal consecutive rows (Graph.run_rows), and repeated over
-    the runs.
+    the runs.  g is a checked simple graph, so S is a Seidel matrix and is
+    not checked again.
     """
     check_matrix_size(g.n)
     b, lengths = g.run_rows()
     s = (1 - 2 * b.view(np.int8)).repeat(lengths, axis=0)
     np.fill_diagonal(s, 0)
-    return SeidelMatrix(g.n, s)
+    return SeidelMatrix._of_graph(s)
 
 
 @dataclass(frozen=True)
@@ -510,19 +529,20 @@ def _assert_enclosed_sums(entries, n: int) -> None:
     enclosed sum narrower than 1.
     """
     bits = max(INTERVAL_BITS, n.bit_length() + 12)
-    one = 1 << 2 * bits
+    scale = 2 * bits
+    one = 1 << scale
     lo1 = hi1 = lo2 = hi2 = 0
     for v, m in entries:
         if bits > INTERVAL_BITS and isinstance(v, RootInterval):
             v = v.refined(bits)
-        lo, hi = _enclosure(v, 2 * bits)
-        # The square, scaled by one and rounded outward.
+        lo, hi = _enclosure(v, scale)
+        # The square, scaled by one and rounded outward (a shift floors).
         if lo >= 0:
-            sq_lo, sq_hi = lo * lo // one, -(-hi * hi // one)
+            sq_lo, sq_hi = lo * lo >> scale, -(-hi * hi >> scale)
         elif hi <= 0:
-            sq_lo, sq_hi = hi * hi // one, -(-lo * lo // one)
+            sq_lo, sq_hi = hi * hi >> scale, -(-lo * lo >> scale)
         else:
-            sq_lo, sq_hi = 0, -(-max(lo * lo, hi * hi) // one)
+            sq_lo, sq_hi = 0, -(-max(lo * lo, hi * hi) >> scale)
         lo1, hi1, lo2, hi2 = lo1 + m * lo, hi1 + m * hi, lo2 + m * sq_lo, hi2 + m * sq_hi
     for power, target, lo_sum, hi_sum in ((1, 0, lo1, hi1), (2, n * (n - 1), lo2, hi2)):
         if not (lo_sum <= target * one <= hi_sum) or hi_sum - lo_sum >= one:
@@ -538,19 +558,21 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     whose enclosures overlap are compared exactly by value_cmp, and if one
     such pair is out of order, a full sort by value_cmp runs.  The order is
     the same either way.  Equal neighbours then merge: values are equal when
-    their representations are (see ExactSpectrum).
+    their representations are (see ExactSpectrum), so only neighbours with
+    equal keys are compared.
     """
-    keyed = sorted(((_enclosure(v, INTERVAL_BITS), v, m) for v, m in counts if m),
+    keyed = sorted([(_enclosure(v, INTERVAL_BITS), v, m) for v, m in counts if m],
                    key=operator.itemgetter(0))
-    pairs = [(v, m) for _key, v, m in keyed]
     if any(hi >= lo and value_cmp(u, v) > 0
            for ((_lo, hi), u, _m), ((lo, _hi), v, _n) in zip(keyed, keyed[1:])):
-        pairs.sort(key=functools.cmp_to_key(lambda p, q: value_cmp(p[0], q[0])))
+        keyed.sort(key=functools.cmp_to_key(lambda p, q: value_cmp(p[1], q[1])))
     entries: list[tuple[Eigenvalue, int]] = []
-    for v, m in pairs:
-        if entries and entries[-1][0] == v:
+    last = None
+    for key, v, m in keyed:
+        if key == last and entries[-1][0] == v:
             m += entries.pop()[1]
         entries.append((v, m))
+        last = key
     return ExactSpectrum(tuple(entries))
 
 
@@ -565,10 +587,14 @@ def _quotient_guesses(q: QuotientMatrix) -> list[float]:
     try:
         sizes = np.array(q.cell_sizes, dtype=float)
         root = np.sqrt(sizes)
-        sigma = _cell_sign_template(q.size // 2)[1]
-        # Scaling sigma_pq |C_q| by sqrt(|C_p| / |C_q|) cannot overflow: the
-        # product is at most n.
-        vals = np.linalg.eigvalsh(sigma * sizes * (root[:, None] / root) - np.eye(q.size))
+        # sigma_pq |C_q| sqrt(|C_p| / |C_q|), built in place: the same rounded
+        # products as sigma * sizes * (root[:, None] / root).  It cannot
+        # overflow: the product is at most n.
+        m = root[:, None] / root
+        m *= sizes
+        m *= _cell_sign_template(q.size // 2)[1]
+        m.ravel()[::q.size + 1] -= 1.0  # - I
+        vals = np.linalg.eigvalsh(m)
     except (OverflowError, np.linalg.LinAlgError):
         return []
     return [g for g in vals.tolist() if math.isfinite(g)]
@@ -583,8 +609,12 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     is isolated and refined; each integer root it turns out to hold, inside
     a refined cell or hit exactly by a grid point (a rational root of a
     monic integer polynomial is an integer), is divided out, and the
-    cofactor is solved the same way.  Cells are canonical, so the cofactor's
-    cells are the ones it would have had with the integer stripped first.
+    cofactor is solved the same way.  Such a root is one that no integer
+    candidate named (_integer_candidates): its guess was missing or off.
+    The cells are checked for an integer as refine_root returns them, and
+    become root intervals only when none holds one.  Cells are canonical,
+    so the cofactor's cells are the ones it would have had with the
+    integer stripped first.
     """
     if factor[-1] != 1:
         raise ArithmeticError("residual factor is not monic")
@@ -592,16 +622,16 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     while intpoly.poly_degree(factor) > 2:
         try:
             # A placed cell is on the final grid already, and refine_root returns it as it is.
-            cells = [RootInterval(factor, *intpoly.refine_root(factor, cell, INTERVAL_BITS))
+            cells = [intpoly.refine_root(factor, cell, INTERVAL_BITS)
                      for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
         except intpoly.RationalRootError as exc:
             hits = [exc.num // exc.den]
         else:
             # The one integer a cell may hold is the least one above its lower end.
-            hits = [z for c in cells for z in ((c.lo >> c.shift) + 1,)
-                    if z << c.shift < c.hi and intpoly.poly_eval(factor, z) == 0]
+            hits = [z for lo, hi, shift, _s_lo, _s_hi in cells for z in ((lo >> shift) + 1,)
+                    if z << shift < hi and intpoly.poly_eval(factor, z) == 0]
             if not hits:
-                return ints + cells
+                return ints + [RootInterval(factor, *cell) for cell in cells]
         for z in hits:
             factor, rem = intpoly.synthetic_div(factor, z)
             if rem:
@@ -619,17 +649,35 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     return ints
 
 
+def _integer_candidates(guesses: list[float], bound: int) -> list[float]:
+    """The guesses within bound * 2^-40 of an integer: the only ones whose
+    rounding can be an integer root.
+
+    A guess is within 12.01 * bound * 2^-53 of its root (see
+    intpoly._guessed_cells), so an integer root's guess is inside the window
+    with a margin of about 680; a guess further from every integer belongs
+    to another root, and its rounding would cost integer_roots a failed
+    synthetic division.  From bound = 2^39 on the window is 1/2 or more and
+    every guess is a candidate.
+    """
+    if bound.bit_length() >= _CANDIDATE_BITS:
+        return guesses
+    window = bound / (1 << _CANDIDATE_BITS)
+    return [g for g in guesses if abs(g - round(g)) <= window]
+
+
 def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
                     square_free: bool = False) -> list[tuple[Eigenvalue, int]]:
     """(value, multiplicity) of every root of a monic quotient charpoly, in one pass.
 
-    Every root lies in [-bound, bound].  Only 0, -1 and the roundings of the
-    guesses are tried as integer roots; an integer root the guesses miss
-    stays in the residual and is taken out of its square-free factor by
-    _factor_roots.  So no step is linear in the bound.  Each stripped
-    integer root takes the guess nearest it out of those left for the
-    residual, once per multiplicity, so that isolation does not place it
-    for nothing; a guess taken wrongly costs a placement or a fallback,
+    Every root lies in [-bound, bound], and the guesses are finite.  Only 0,
+    -1 and the roundings of the guesses within bound * 2^-40 of an integer
+    (_integer_candidates) are tried as integer roots; an integer root they
+    miss stays in the residual and is taken out of its square-free factor
+    by _factor_roots.  So no step is linear in the bound.  Each stripped
+    integer root takes the guess nearest it out of all the guesses left for
+    the residual, once per multiplicity, so that isolation does not place
+    it for nothing; a guess taken wrongly costs a placement or a fallback,
     never a different root (isolate_real_roots).
 
     The residual's Sturm chain is built once: the square-free split reads
@@ -639,7 +687,7 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
     chain and no split: isolation certifies its cells by its degree, as it
     does every other factor's (isolate_real_roots).
     """
-    int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=guesses)
+    int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=_integer_candidates(guesses, bound))
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
     found = sum(int_roots.values())
     rest = sorted(guesses)
@@ -743,7 +791,7 @@ def exact_spectrum(b: BlockString) -> ExactSpectrum:
     at least n - 2k + 1 and needs no second merge.
     """
     entries = list(quotient_spectrum(b).entries)
-    i = next((i for i, (v, _m) in enumerate(entries) if v == -1), None)
+    i = next((i for i, (v, _m) in enumerate(entries) if isinstance(v, int) and v == -1), None)
     if i is None:
         raise ArithmeticError("quotient spectrum lacks the eigenvalue -1")
     entries[i] = (-1, entries[i][1] + b.n - 2 * b.k)

@@ -1231,6 +1231,11 @@ def test_nan_and_infinite_guesses_are_skipped():
     assert _isolated(p, [math.nan, math.inf, -math.inf]) == _isolated(p, ())
     assert _isolated(p, [math.nan, -_SQRT2, math.inf, _SQRT2, -math.inf]) == _isolated(p, finite)
     assert _isolated(p, finite) != _isolated(p, ())  # the guessed cells are the narrow ones
+    # integer_roots skips them too: round() would raise on each.
+    q = (2, -3, 1)  # (x - 1)(x - 2)
+    assert intpoly.integer_roots(q, guesses=[math.inf, 1.0]) == ({1: 1}, (-2, 1))
+    assert intpoly.integer_roots(q, guesses=[math.nan, -math.inf, 2.0, math.inf]) == ({2: 1}, (-1, 1))
+    assert intpoly.integer_roots(q, guesses=[math.nan, math.inf, -math.inf]) == ({}, q)
 
 
 @pytest.mark.parametrize("bound", [None, 128])  # the root bound, and a tree placed by values
@@ -1311,6 +1316,34 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
     assert signs[0] == 5707
+
+
+def test_integer_root_trial_divisions_on_a_spectrum_small_pass(monkeypatch):
+    """The synthetic divisions that integer_roots makes on the 500 strings
+    of a spectrum_small pass, random.Random(3): 797.  They were 1416 when
+    the rounding of every guess was a candidate, most of the extra ones the
+    rounding of a non-integer guess that divides the constant term; now a
+    candidate is a guess within n * 2^-40 of an integer
+    (spectra._integer_candidates)."""
+    divisions, stripping = [0], [0]
+    synthetic_div, integer_roots = intpoly.synthetic_div, intpoly.integer_roots
+
+    def counting_synthetic_div(*args):
+        divisions[0] += stripping[0] > 0
+        return synthetic_div(*args)
+
+    def counting_integer_roots(*args, **kwargs):
+        stripping[0] += 1
+        try:
+            return integer_roots(*args, **kwargs)
+        finally:
+            stripping[0] -= 1
+
+    monkeypatch.setattr(intpoly, "synthetic_div", counting_synthetic_div)
+    monkeypatch.setattr(intpoly, "integer_roots", counting_integer_roots)
+    for b in _spectrum_small_pass_strings(3):
+        exact_spectrum(b)
+    assert divisions[0] == 797
 
 
 def test_placement_evaluations_on_a_spectrum_large_pass(monkeypatch):

@@ -43,6 +43,7 @@ from seidelchain import cli, intpoly, spectra
 from seidelchain.families import (
     generate_cospectral_pair,
     generate_integral_family,
+    mirror_chain_string,
     unit_chain_spectrum,
     unit_chain_string,
 )
@@ -166,6 +167,21 @@ def test_seidel_matrix_matches_the_entrywise_rule():
         assert s.entries.tolist() == rule
         reference = np.linalg.eigvalsh(np.array(rule, dtype=float))
         assert np.abs(np.array(numeric_spectrum(s)) - reference).max() < 1e-12
+
+
+def test_seidel_matrix_of_a_graph_is_the_checked_matrix_read_only():
+    """seidel_matrix skips the constructor's checks for a checked graph; its
+    entries are still those the checked constructor keeps, and read-only."""
+    rng = random.Random(37)
+    graphs = [Graph.empty(0), Graph.empty(1)] + [random_graph(rng, rng.randint(2, 40)) for _ in range(40)]
+    graphs += [build_chain_graph(random_block_string(rng, max_k=5, max_n=40)) for _ in range(20)]
+    for g in graphs:
+        s = seidel_matrix(g)
+        checked = SeidelMatrix(g.n, s.entries)
+        assert s.n == g.n and s.entries.shape == (g.n, g.n)
+        assert s.entries.dtype == checked.entries.dtype == np.int8
+        assert np.array_equal(s.entries, checked.entries)
+        assert not s.entries.flags.writeable
 
 
 def test_quotient_matrix_examples():
@@ -1118,6 +1134,53 @@ def test_guesses_that_miss_an_integer_root_peel_it_off_its_factor(monkeypatch, t
     assert strip.calls == 1  # one pass: no second strip
 
 
+@pytest.mark.parametrize("text, root", [
+    ("0 1 0 1 0^2 1", 3),  # k = 3: a simple integer root
+    ("0 1 0^2 1^2 0 1^2", -3),  # k = 3: a double one, both guesses moved
+    ("0 1^3 0^3 1^5", 5),  # k = 2: a root of the four-cell cubic
+])
+def test_a_guess_0_3_off_its_integer_root_is_no_candidate(monkeypatch, text, root):
+    """A guess 0.3 from its integer root still rounds to it, but lies
+    outside the candidate window, so integer_roots is not handed it; the
+    root is peeled off its factor instead, and the spectrum is unchanged."""
+    b = parse_block_string(text)
+    want = exact_spectrum(b).serialize()
+    assert any(e["value"] == f"int:{root}" for e in want)
+    _patch_guesses(monkeypatch, lambda gs: [g + 0.3 if round(g) == root else g for g in gs])
+    handed = []
+    integer_roots = intpoly.integer_roots
+    monkeypatch.setattr(intpoly, "integer_roots",
+                        lambda p, **kw: handed.append(kw["guesses"]) or integer_roots(p, **kw))
+    assert exact_spectrum(b).serialize() == want
+    [candidates] = handed
+    assert root not in map(round, candidates)
+
+
+_WINDOW_STRINGS = st.one_of(
+    st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=6).map(
+        lambda blocks: BlockString(tuple(blocks))),
+    st.builds(unit_chain_string, st.integers(1, 29), st.integers(1, 29)),
+    st.builds(lambda family, r: generate_integral_family(family, r).string,
+              st.sampled_from(("F1", "F2", "F3", "F4", "F5", "F6")), st.integers(3, 12)),
+    st.builds(mirror_chain_string, st.integers(1, 10)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=_WINDOW_STRINGS)
+@example(b=parse_block_string("0 1 0 1 0^2 1"))
+@example(b=unit_chain_string(3, 5))
+def test_the_candidate_window_leaves_every_spectrum_as_it_is(b):
+    """k <= 6 and n <= 60, with unit-chain strings, the integral families'
+    and the mirror strings, whose quotients have integer eigenvalues: the
+    spectrum is the same when every guess's rounding is an integer-root
+    candidate."""
+    want = exact_spectrum(b).serialize()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_integer_candidates", lambda guesses, bound: guesses)
+        assert exact_spectrum(b).serialize() == want
+
+
 @pytest.mark.parametrize("bad", [lambda gs: [g + 100.3 for g in gs], lambda gs: [], lambda gs: [0.0] * 40])
 def test_arbitrary_guesses_still_give_the_exact_spectrum(monkeypatch, bad):
     rng = random.Random(31)
@@ -1137,14 +1200,16 @@ def test_missed_pair_of_integer_roots_is_caught_by_the_discriminant():
 
 def test_each_stripped_integer_root_takes_its_nearest_guess(monkeypatch):
     # (x + 1)^2 (x - 3)(x^2 - 2): -1 twice and 3 are stripped, so the
-    # residual's factor gets only the guesses of +-sqrt(2).
+    # residual's factor gets only the guesses of +-sqrt(2).  The integer
+    # guesses are about 1e-13 off, inside the candidate window 8 * 2^-40
+    # and near eigvalsh's error at bound 8 (12.01 * 8 * 2^-53).
     p = root_oracles.poly_mul(root_oracles.poly_mul(poly_pow((1, 1), 2), (-3, 1)), (-2, 0, 1))
     handed = []
     factor_roots = spectra._factor_roots
     monkeypatch.setattr(spectra, "_factor_roots",
                         lambda factor, bound, guesses, chain: handed.append(list(guesses))
                         or factor_roots(factor, bound, guesses, chain))
-    guesses = [3.0000001, -1.0000002, -1.4142, -0.9999998, 1.4142]
+    guesses = [3.0000000000001, -1.0000000000002, -1.4142, -0.9999999999998, 1.4142]
     assert spectra._quotient_roots(p, 8, guesses) == [
         (-1, 2), (3, 1), (Surd(0, 1, 2, 1), 1), (Surd(0, -1, 2, 1), 1)]
     assert handed == [[-1.4142, 1.4142]]
