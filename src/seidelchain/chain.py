@@ -10,6 +10,7 @@ the 1-cells are therefore nested, which characterizes these graphs as the
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -50,17 +51,25 @@ def _digits(v: int) -> str:
 class BlockString:
     """Run-length form of an alternating block binary string.
 
-    blocks[i] = (s_i, t_i): the sizes of the i-th 0-block and 1-block.
+    blocks[i] = (s_i, t_i): the sizes of the i-th 0-block and 1-block.  Each
+    size passes through operator.index and is stored as a Python int, in a
+    tuple of tuples: a float or a string is refused with TypeError, and a
+    numpy integer becomes the int it holds, so no size overflows a fixed
+    width.
     """
 
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("block string needs at least one (0-block, 1-block) pair")
+        index, blocks = operator.index, []
         for s, t in self.blocks:
+            s, t = index(s), index(t)
             if s < 1 or t < 1:
                 raise ValueError("block sizes must be positive")
+            blocks.append((s, t))
+        if not blocks:
+            raise ValueError("block string needs at least one (0-block, 1-block) pair")
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def k(self) -> int:

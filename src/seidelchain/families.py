@@ -26,14 +26,16 @@ from the triples alone.
 
 Every string here has four cells, 0^a 1^b 0^c 1^d, and the quotient's
 characteristic polynomial of such a string is y (y^3 - n y^2 + 4pqr) in
-y = x + 1, with {p, q, r} = {a+d, b, c} (four_cell_class, four_cell_cubic).
-unit_chain_spectrum solves that cubic, and a scan hit is certified by
-Vieta's formulas against it: the three claimed roots must have sum n,
-pairwise products summing to 0 and product -4pqr, with no polynomial
-built.  A pair's shared spectrum, a family member's spectrum and a table row
-are certified by spectra.has_spectrum: the quotient's characteristic
-polynomial must be the product of the claimed linear factors.  No root is
-isolated.
+y = x + 1, with {p, q, r} = {a+d, b, c} (spectra.four_cell_class,
+four_cell_cubic).  A unit chain's class is {n-2m, m, m} and a mirror
+chain's {2s, 2s, 2s}: two equal arcs m, whose cubic has the root y = 2m, so
+their spectra are read off spectra.four_cell_spectrum.  A scan hit is
+certified by Vieta's formulas against the cubic: the three claimed roots
+must have sum n, pairwise products summing to 0 and product -4pqr, with
+no polynomial built.  A pair's shared spectrum, a family member's
+spectrum and a table row are certified by spectra.has_spectrum: the
+quotient's characteristic polynomial must be the product of the claimed
+linear factors.  No root is isolated.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from dataclasses import dataclass
 from itertools import count
 
 from .chain import BlockString
-from .intpoly import four_cell_cubic, synthetic_div
-from .spectra import ExactSpectrum, Surd, has_spectrum, spectrum_from_counts
+from .intpoly import four_cell_cubic
+# four_cell_class is imported to stay importable from here.
+from .spectra import ExactSpectrum, four_cell_class, four_cell_spectrum, has_spectrum  # noqa: F401
 
 
 def is_perfect_square(x: int) -> bool:
@@ -65,51 +68,22 @@ def mirror_chain_string(s: int) -> BlockString:
     return BlockString(((s, 2 * s), (2 * s, s)))
 
 
-def four_cell_class(b: BlockString) -> tuple[int, int, int]:
-    """The sorted multiset (p, q, r) of {a+d, b, c} for the four-cell string
-    0^a 1^b 0^c 1^d; any other k is refused.
-
-    It is the string's bracelet (a+d, b, c): three numbers up to rotation
-    and reflection are a multiset.  The quotient's characteristic
-    polynomial is y times four_cell_cubic(p, q, r), so strings with equal
-    sum and product of their multisets are cospectral.
-    """
-    if b.k != 2:
-        raise ValueError(f"a four-cell string has k = 2 blocks, not {b.k}")
-    (a, b1), (c, d) = b.blocks
-    return tuple(sorted((a + d, b1, c)))
-
-
 def unit_chain_spectrum(n: int, m: int) -> ExactSpectrum:
     """Predicted Seidel spectrum of the n-vertex unit chain 0 1^m 0^m 1^(n-2m-1).
 
-    Read off four_cell_cubic(n-2m, m, m), the string's multiset being
-    {n-2m, m, m}: y = 2m is a root (8m^3 - 4nm^2 + 4m^2(n-2m) = 0), and the
-    cofactor y^2 - (n-2m) y - 2m(n-2m) has discriminant D = (n-2m)(n+6m).
-    In x = y - 1: -1 with multiplicity n-3 (the quotient's y = 0 and the
-    n - 4 vertices outside it), the value 2m-1, and the conjugate pair
-    -(m+1) + (n +- sqrt(D))/2.  D has the parity of n, so whenever D is a
-    perfect square the pair is integral; coinciding values are merged (at
-    n = 3m the upper branch equals 2m-1).
+    The string's class is {n-2m, m, m}, so this is
+    spectra.four_cell_spectrum(n-2m, m, m): y = 2m is a root of the cubic
+    (8m^3 - 4nm^2 + 4m^2(n-2m) = 0), and the cofactor y^2 - (n-2m) y -
+    2m(n-2m) has discriminant D = (n-2m)(n+6m).  In x = y - 1: -1 with
+    multiplicity n-3 (the quotient's y = 0 and the n - 4 vertices outside
+    it), the value 2m-1, and the conjugate pair -(m+1) + (n +- sqrt(D))/2.
+    D has the parity of n, so whenever D is a perfect square the pair is
+    integral; coinciding values are merged (at n = 3m the upper branch
+    equals 2m-1).
     """
     if m < 1 or n <= 2 * m + 1:
         raise ValueError("need n > 2m+1 >= 3")
-    (c0, c1, _), _remainder = synthetic_div(four_cell_cubic(n - 2 * m, m, m), 2 * m)
-    disc = c1 * c1 - 4 * c0
-    counts: list[tuple] = [(-1, n - 3), (2 * m - 1, 1)]
-    if is_perfect_square(disc):
-        root = math.isqrt(disc)
-        for sign in (1, -1):
-            num = -c1 + sign * root - 2
-            if num % 2:
-                raise ArithmeticError("parity violation in integral branch")
-            counts.append((num // 2, 1))
-    else:
-        counts.append((Surd(-c1 - 2, 1, disc, 2), 1))
-        counts.append((Surd(-c1 - 2, -1, disc, 2), 1))
-    sp = spectrum_from_counts(counts)
-    sp.validate()
-    return sp
+    return four_cell_spectrum(n - 2 * m, m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +163,13 @@ def cospectral_pairs_up_to(n_max: int) -> list[CospectralPair]:
 # ---------------------------------------------------------------------------
 
 def mirror_chain_family(s: int) -> tuple[BlockString, ExactSpectrum]:
-    """The integral mirror chain 0^s 1^2s 0^2s 1^s with its predicted spectrum."""
-    if s < 1:
-        raise ValueError("s must be positive")
-    predicted = spectrum_from_counts([
-        (-1, 6 * s - 3),
-        (-(2 * s + 1), 1),
-        (4 * s - 1, 2),
-    ])
-    predicted.validate()
-    return mirror_chain_string(s), predicted
+    """The integral mirror chain 0^s 1^2s 0^2s 1^s with its predicted spectrum.
+
+    Its class is {2s, 2s, 2s}, so the spectrum is
+    spectra.four_cell_spectrum(2s, 2s, 2s): the cubic is (y + 2s)(y - 4s)^2,
+    and the values are -1^(6s-3), -(2s+1) and (4s-1)^2.
+    """
+    return mirror_chain_string(s), four_cell_spectrum(2 * s, 2 * s, 2 * s)
 
 
 def _pronic_index(p: int) -> int:

@@ -11,13 +11,16 @@ alternating in parity count, O(k^2) integer operations
 its rows are built only when read.  Strings of one or two blocks need none
 of that: k = 1 has the quotient spectrum {-1, n - 1}, and k = 2 the
 eigenvalue -1 and the roots of the cubic y^3 - n y^2 + 4pqr in y = x + 1
-(intpoly.four_cell_cubic), so quotient_spectrum takes them in closed form.
-The cubic's discriminant is 16pqr(n^3 - 27pqr), n = p + q + r, and by the
-AM-GM inequality n^3 >= 27pqr with equality only at p = q = r.  So p = q =
-r = m gives (y + m)(y - 2m)^2, the quotient values -(m + 1), -1 and
-(2m - 1) twice, and every other cubic is square-free: its roots are
-isolated and certified by its degree, with no Sturm chain and no
-square-free split.
+(intpoly.four_cell_cubic), {p, q, r} the string's class (four_cell_class).
+When two arcs equal m and the third is o, y = 2m is a root, as 8m^3 -
+4(o + 2m)m^2 + 4om^2 = 0, so the values are 2m - 1 and the roots of x^2 +
+(2 - o) x + (1 - o - 2om), of discriminant o(o + 8m): two ints or two
+surds, in closed form at any size (four_cell_spectrum; the unit and mirror
+chains of the families module are such classes).  Otherwise the cubic's
+discriminant 16pqr(n^3 - 27pqr), n = p + q + r, is positive, since by the
+AM-GM inequality n^3 >= 27pqr with equality only at p = q = r.  So the
+cubic is square-free: its roots are isolated and certified by its degree,
+with no Sturm chain and no square-free split.
 
 Roots are located by guess, then certified, in one pass.  One float
 eigensolve of the symmetric form of Q gives a guess for every eigenvalue
@@ -640,13 +643,19 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     if len(factor) == 2:
         return ints + [-factor[0]]
     if len(factor) == 3:
-        c0, c1, _ = factor
-        disc = c1 * c1 - 4 * c0
-        r = math.isqrt(disc)
-        if r * r == disc:
-            return ints + [(-c1 - r) // 2, (-c1 + r) // 2]
-        return ints + [Surd(-c1, 1, disc, 2), Surd(-c1, -1, disc, 2)]
+        return ints + _quadratic_roots(factor[0], factor[1])
     return ints
+
+
+def _quadratic_roots(c0: int, c1: int) -> list[Eigenvalue]:
+    """The two roots of x^2 + c1 x + c0, with real roots: two ints when the
+    discriminant is a square (then it has the parity of c1), two surds
+    otherwise."""
+    disc = c1 * c1 - 4 * c0
+    r = math.isqrt(disc)
+    if r * r == disc:
+        return [(-c1 - r) // 2, (-c1 + r) // 2]
+    return [Surd(-c1, 1, disc, 2), Surd(-c1, -1, disc, 2)]
 
 
 def _integer_candidates(guesses: list[float], bound: int) -> list[float]:
@@ -745,6 +754,61 @@ def _four_cell_guesses(p: int, q: int, r: int, n: int) -> list[float]:
     return sorted(g for g in (u * scale - 1 for u in guesses) if math.isfinite(g))
 
 
+def four_cell_class(b: BlockString) -> tuple[int, int, int]:
+    """The sorted multiset (p, q, r) of {a+d, b, c} for the four-cell string
+    0^a 1^b 0^c 1^d; any other k is refused.
+
+    It is the string's bracelet (a+d, b, c): three numbers up to rotation
+    and reflection are a multiset.  The quotient's characteristic
+    polynomial is y times intpoly.four_cell_cubic(p, q, r), so strings with
+    equal sum and product of their multisets are cospectral.
+    """
+    if b.k != 2:
+        raise ValueError(f"a four-cell string has k = 2 blocks, not {b.k}")
+    (a, b1), (c, d) = b.blocks
+    return tuple(sorted((a + d, b1, c)))
+
+
+def _four_cell_roots(p: int, q: int, r: int) -> list[tuple[Eigenvalue, int]]:
+    """(value, multiplicity) of the roots, in x = y - 1, of the cubic
+    y^3 - n y^2 + 4pqr of the four-cell class p <= q <= r, n = p + q + r.
+
+    Two equal arcs m = q and a third o = n - 2m give the closed form: y = 2m
+    is a root, since 8m^3 - 4(o + 2m)m^2 + 4om^2 = 0, and the cofactor
+    y^2 - o y - 2om is x^2 + (2 - o) x + (1 - o - 2om), whose discriminant
+    is o(o + 8m).  So the values are 2m - 1 and two ints or two surds
+    (_quadratic_roots); at p = q = r one of them is 2m - 1 again.  Three
+    distinct arcs give the positive discriminant 16pqr(n^3 - 27pqr) (n^3 >
+    27pqr by the AM-GM inequality), so the cubic is square-free:
+    _quotient_roots strips its integer roots and isolates the rest by its
+    degree, with no Sturm chain and no square-free split, from guesses by
+    the trigonometric formula (_four_cell_guesses).
+    """
+    n = p + q + r
+    if q in (p, r):
+        o = n - 2 * q
+        return [(2 * q - 1, 1)] + [(v, 1) for v in _quadratic_roots(1 - o - 2 * o * q, 2 - o)]
+    cubic = intpoly.poly_shift(intpoly.four_cell_cubic(p, q, r), 1)
+    return _quotient_roots(cubic, n, _four_cell_guesses(p, q, r, n), square_free=True)
+
+
+def four_cell_spectrum(p: int, q: int, r: int) -> ExactSpectrum:
+    """Exact Seidel spectrum of every four-cell string of the class {p, q, r}
+    (four_cell_class), on n = p + q + r vertices: -1 with multiplicity n - 3
+    (the quotient's y = 0 and the n - 4 vertices outside it) and the roots
+    of the class's cubic (_four_cell_roots).
+
+    The arcs may come in any order.  A class has arcs of at least 1, and
+    a + d >= 2, so (1, 1, 1) is the class of no string; both are refused.
+    """
+    p, q, r = sorted((p, q, r))
+    if p < 1 or r < 2:
+        raise ValueError("a four-cell class has arcs of at least 1, one of them at least 2")
+    sp = spectrum_from_counts(_four_cell_roots(p, q, r) + [(-1, p + q + r - 3)])
+    sp.validate()
+    return sp
+
+
 def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     """Exact eigenvalue multiset of the quotient matrix (2k values with multiplicity).
 
@@ -754,13 +818,12 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     Strings of one or two blocks take their closed forms, with no quotient
     matrix, principal-minor charpoly or eigensolve.  For k = 1 the
     charpoly is y (y - n) in y = x + 1, so the spectrum is {-1, n - 1}.  For
-    k = 2 it is y times intpoly.four_cell_cubic(p, q, r), (p, q, r) =
-    (a + d, b, c): -1 and the roots of the cubic shifted to x.  At p = q =
-    r = m the cubic is (y + m)(y - 2m)^2, so the values are -(m + 1), -1 and
-    2m - 1 twice.  Every other cubic has the positive discriminant
-    16pqr(n^3 - 27pqr) and is square-free, so _quotient_roots strips its
-    integer roots and isolates the rest by its degree, with no Sturm chain
-    and no square-free split, from guesses by the trigonometric formula
+    k = 2 it is y times intpoly.four_cell_cubic(p, q, r), {p, q, r} the
+    class {a + d, b, c} (four_cell_class): -1 and the roots of the cubic
+    shifted to x (_four_cell_roots).  Two equal arcs m and a third o give
+    2m - 1 and the roots of x^2 + (2 - o) x + (1 - o - 2om), since y = 2m is
+    a root of the cubic; three distinct arcs give a square-free cubic,
+    isolated by its degree from guesses by the trigonometric formula
     (_four_cell_guesses).  Those are computed in y / n, where every
     quantity stays in [-1, 1], so n up to the float range gives guesses.
     """
@@ -769,13 +832,7 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     if b.k == 1:
         return spectrum_from_counts([(-1, 1), (n - 1, 1)])
     if b.k == 2:
-        (s1, t1), (s2, t2) = b.blocks
-        p, q, r = s1 + t2, t1, s2
-        if p == q == r:
-            return spectrum_from_counts([(-(p + 1), 1), (-1, 1), (2 * p - 1, 2)])
-        cubic = intpoly.poly_shift(intpoly.four_cell_cubic(p, q, r), 1)
-        counts = _quotient_roots(cubic, n, _four_cell_guesses(p, q, r, n), square_free=True)
-        return spectrum_from_counts(counts + [(-1, 1)])
+        return spectrum_from_counts(_four_cell_roots(*four_cell_class(b)) + [(-1, 1)])
     q = quotient_matrix(b)
     cp = char_poly(q)
     # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.

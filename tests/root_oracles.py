@@ -29,6 +29,11 @@ and certifies each by one characteristic-polynomial identity;
 brute_scan_seidel_integral is the O(n_max^2) perfect-square scan that checks
 every hit's exact spectrum, and tags it by bisecting each family's m(r).
 
+The library reads the spectra of unit and mirror chains off the closed form
+of a four-cell class with two equal arcs; unit_chain_oracle and
+mirror_chain_oracle are the paper's formulas for them, with surds in the
+canonical form of surd_fields, compared by spectrum_fields.
+
 The library finds the equiangular cosine 1/|lambda| of a root interval on its
 factor's reversal, isolated from float guesses and picked by one sign change;
 reciprocal_abs re-isolates it with no guesses, from Fraction bounds of the
@@ -468,6 +473,39 @@ def classify_by_bisection(n: int, m: int) -> tuple[str, ...]:
     if (n, m) in SPORADIC_PAIRS:
         tags.append("S")
     return tuple(tags)
+
+
+def _add(counts: dict, value, mult: int) -> dict:
+    counts[value] = counts.get(value, 0) + mult
+    return counts
+
+
+def unit_chain_oracle(n: int, m: int) -> dict:
+    """{value: multiplicity} of the Seidel spectrum of 0 1^m 0^m 1^(n-2m-1) by
+    the paper's formula: -1^(n-3), 2m - 1 and -(m+1) + (n +- sqrt(D))/2 with
+    D = (n-2m)(n+6m).  An int stands for itself, a surd for its canonical
+    fields ("surd", a, sign, d, c)."""
+    counts = _add({-1: n - 3}, 2 * m - 1, 1)
+    d = (n - 2 * m) * (n + 6 * m)
+    root = isqrt(d)
+    for sign in (1, -1):
+        if root * root == d:
+            _add(counts, -(m + 1) + (n + sign * root) // 2, 1)
+        else:
+            _add(counts, ("surd", *surd_fields(n - 2 * m - 2, sign, d, 2)), 1)
+    return counts
+
+
+def mirror_chain_oracle(s: int) -> dict:
+    """{value: multiplicity} of the Seidel spectrum of 0^s 1^2s 0^2s 1^s by the
+    paper's formula: -1^(6s-3), -(2s+1), (4s-1)^2."""
+    return {-1: 6 * s - 3, -(2 * s + 1): 1, 4 * s - 1: 2}
+
+
+def spectrum_fields(sp) -> dict:
+    """An ExactSpectrum of ints and surds as {value: multiplicity}, in the
+    form of unit_chain_oracle."""
+    return {v if isinstance(v, int) else ("surd", v.a, v.sign, v.d, v.c): mult for v, mult in sp.entries}
 
 
 def brute_scan_seidel_integral(n_max: int) -> list[ScanHit]:

@@ -1,5 +1,7 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import cycle_graph, path_graph, random_block_string
@@ -9,6 +11,7 @@ from seidelchain import (
     build_chain_graph,
     chain_graph,
     degree_sequence,
+    exact_spectrum,
     is_chain_graph,
     parse_block_string,
 )
@@ -58,6 +61,29 @@ def test_block_string_invariants():
         BlockString(((0, 2),))
     b = BlockString(((2, 3), (2, 2)))
     assert b.k == 2 and b.n == 9
+    assert BlockString([[2, 3], [2, 2]]) == b and BlockString([[2, 3], [2, 2]]).blocks == ((2, 3), (2, 2))
+
+
+@pytest.mark.parametrize("size", [2.0, 2.5, "2", None])
+def test_block_sizes_that_are_not_integers_are_refused_at_construction(size):
+    with pytest.raises(TypeError):
+        BlockString(((size, 1),))
+    with pytest.raises(TypeError):
+        BlockString(((1, 1), (1, size)))
+
+
+def test_numpy_integer_block_sizes_become_ints():
+    """k = 6 with numpy.int64 sizes from 10^5 to 10^6: each is stored as the
+    Python int it holds, so the charpoly's coefficients overflow no fixed
+    width (no RuntimeWarning) and the spectrum is the int string's."""
+    rng = random.Random(6)
+    sizes = [(rng.randint(10 ** 5, 10 ** 6), rng.randint(10 ** 5, 10 ** 6)) for _ in range(6)]
+    b = BlockString(tuple((np.int64(s), np.int64(t)) for s, t in sizes))
+    assert b.blocks == tuple(sizes)
+    assert all(type(size) is int for block in b.blocks for size in block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact_spectrum(b) == exact_spectrum(BlockString(tuple(sizes)))
 
 
 def test_round_trip_both_renderings():

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,10 +21,11 @@ from seidelchain import (
     scan_seidel_integral,
     spectrum_from_counts,
     unit_chain_spectrum,
-    unit_chain_string,
     verify_tables,
 )
-from seidelchain import BlockString, families, four_cell_class, four_cell_cubic, intpoly, spectra, tables
+from seidelchain import (
+    BlockString, families, four_cell_class, four_cell_cubic, four_cell_spectrum, intpoly, spectra, tables,
+)
 from seidelchain.chain import cell_signs
 from seidelchain.spectra import RootInterval, has_spectrum
 
@@ -172,12 +172,31 @@ def test_unit_chain_spectrum_examples():
     assert not sp.is_integral()
 
 
-def test_unit_chain_spectrum_matches_exact():
-    rng = random.Random(51)
-    for _ in range(30):
-        m = rng.randint(1, 12)
-        n = rng.randint(2 * m + 2, 2 * m + 60)
-        assert unit_chain_spectrum(n, m) == exact_spectrum(unit_chain_string(m, n - 2 * m - 1))
+def _assert_ascending(sp) -> None:
+    values = [float(v) for v, _m in sp.entries]
+    assert values == sorted(set(values))
+
+
+def test_unit_chain_spectrum_matches_the_papers_formula():
+    """Every unit chain with n < 200 against -1^(n-3), 2m-1 and
+    -(m+1) + (n +- sqrt((n-2m)(n+6m)))/2 (root_oracles.unit_chain_oracle)."""
+    chains = 0
+    for n in range(4, 200):
+        for m in range(1, (n - 2) // 2 + 1):
+            sp = unit_chain_spectrum(n, m)
+            assert root_oracles.spectrum_fields(sp) == root_oracles.unit_chain_oracle(n, m), (n, m)
+            _assert_ascending(sp)
+            chains += 1
+    assert chains == sum((n - 2) // 2 for n in range(4, 200))
+
+
+def test_mirror_chain_family_matches_the_papers_formula():
+    """Every mirror chain with s <= 100 against -1^(6s-3), -(2s+1), (4s-1)^2
+    (root_oracles.mirror_chain_oracle)."""
+    for s in range(1, 101):
+        sp = mirror_chain_family(s)[1]
+        assert root_oracles.spectrum_fields(sp) == root_oracles.mirror_chain_oracle(s), s
+        _assert_ascending(sp)
 
 
 def test_unit_chain_charpoly_symbolically():
@@ -256,6 +275,23 @@ def test_unit_chain_spectrum_validates_input():
         unit_chain_spectrum(5, 2)  # n = 2m+1
     with pytest.raises(ValueError):
         unit_chain_spectrum(4, 0)
+
+
+@pytest.mark.parametrize("arcs", [(0, 2, 3), (3, -1, 3), (1, 1, 1), (0, 0, 0)])
+def test_four_cell_spectrum_refuses_what_is_no_class(arcs):
+    """A class {a+d, b, c} has arcs of at least 1 and a + d >= 2."""
+    with pytest.raises(ValueError, match="four-cell class"):
+        four_cell_spectrum(*arcs)
+
+
+def test_four_cell_spectrum_is_the_spectrum_of_its_class():
+    """On every four-cell string with n <= 16, in any order of the arcs; and
+    four_cell_class is the one of spectra, importable from families too."""
+    assert families.four_cell_class is spectra.four_cell_class is four_cell_class
+    for a, b, c, d in itertools.product(range(1, 14), repeat=4):
+        if a + b + c + d <= 16:
+            string = BlockString(((a, b), (c, d)))
+            assert four_cell_spectrum(c, a + d, b) == exact_spectrum(string), string
 
 
 @pytest.mark.parametrize("family,r,expected", [

@@ -1320,11 +1320,13 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
 
 def test_integer_root_trial_divisions_on_a_spectrum_small_pass(monkeypatch):
     """The synthetic divisions that integer_roots makes on the 500 strings
-    of a spectrum_small pass, random.Random(3): 797.  They were 1416 when
-    the rounding of every guess was a candidate, most of the extra ones the
-    rounding of a non-integer guess that divides the constant term; now a
-    candidate is a guess within n * 2^-40 of an integer
-    (spectra._integer_candidates)."""
+    of a spectrum_small pass, random.Random(3): 763.  They were 797 while
+    four-cell strings with two equal arcs, 15 of this pass, were stripped by
+    integer_roots rather than read off their closed form
+    (spectra._four_cell_roots), and 1416 when the rounding of every guess
+    was a candidate, most of the extra ones the rounding of a non-integer
+    guess that divides the constant term; now a candidate is a guess within
+    n * 2^-40 of an integer (spectra._integer_candidates)."""
     divisions, stripping = [0], [0]
     synthetic_div, integer_roots = intpoly.synthetic_div, intpoly.integer_roots
 
@@ -1343,7 +1345,7 @@ def test_integer_root_trial_divisions_on_a_spectrum_small_pass(monkeypatch):
     monkeypatch.setattr(intpoly, "integer_roots", counting_integer_roots)
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
-    assert divisions[0] == 797
+    assert divisions[0] == 763
 
 
 def test_placement_evaluations_on_a_spectrum_large_pass(monkeypatch):

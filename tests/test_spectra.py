@@ -30,6 +30,8 @@ from seidelchain import (
     chain_graph,
     equiangular_params,
     exact_spectrum,
+    four_cell_class,
+    four_cell_spectrum,
     is_integral,
     numeric_spectrum,
     parse_block_string,
@@ -305,8 +307,8 @@ def _assert_closed_form_is_general(b):
 
 
 def test_closed_forms_equal_the_general_path_on_every_string_up_to_n_30():
-    """k = 2 takes p = q = r in closed form and isolates every other cubic,
-    square-free, with no Sturm chain and no split; the general path builds
+    """k = 2 takes two equal arcs in closed form and isolates every other
+    cubic, square-free, with no Sturm chain and no split; the general path builds
     the chain and splits.  Every four-cell string with n <= 30 gets the same
     spectrum from both."""
     strings = 0
@@ -320,17 +322,50 @@ def test_closed_forms_equal_the_general_path_on_every_string_up_to_n_30():
     assert strings == math.comb(30, 4)  # every four-cell string with n <= 30
 
 
-@pytest.mark.parametrize("m", [*range(2, 13), 10 ** 20])
-def test_equal_arcs_take_the_closed_form(monkeypatch, m):
-    """p = q = r = m: the cubic is (y + m)(y - 2m)^2, so the spectrum is
-    {-(m + 1), -1^(3m - 3), (2m - 1)^2}, with no root isolated."""
-    b = BlockString(((1, m), (m, m - 1)))
-    want = ((-(m + 1), 1), (-1, 3 * m - 3), (2 * m - 1, 2))
-    assert spectra.has_spectrum(b, want)
+def _forbid_root_search(monkeypatch):
     for name in ("integer_roots", "isolate_real_roots", "sturm_chain"):
         monkeypatch.setattr(intpoly, name, _raise)
-    assert exact_spectrum(b).entries == want
-    assert quotient_spectrum(b).entries == ((-(m + 1), 1), (-1, 1), (2 * m - 1, 2))
+
+
+@pytest.mark.parametrize("blocks", [
+    *(((1, m), (m, m - 1)) for m in (*range(2, 13), 10 ** 20)),  # {m, m, m}
+    ((2, 3), (1, 1)),  # {1, 3, 3}: o = 1
+    ((1, 1), (1, 1)),  # {1, 1, 2}: the surds -sqrt(5) and sqrt(5)
+    ((1, 3), (3, 5)),  # {3, 3, 6}
+    ((1, 7), (7, 1)),  # {2, 7, 7}
+    ((4, 2), (2, 5)),  # {2, 2, 9}
+    ((10 ** 20 - 1, 5), (10 ** 20, 1)),  # {5, 10^20, 10^20}
+    ((1, 10 ** 20), (10 ** 20, 10 ** 30)),  # {10^20, 10^20, 10^30 + 1}
+])
+def test_equal_arcs_take_the_closed_form(monkeypatch, blocks):
+    """Two arcs m and a third o: y = 2m is a root of the cubic, so the
+    quotient values are -1, 2m - 1 and the roots of x^2 + (2 - o) x +
+    (1 - o - 2om), with no root isolated: the values of the general path,
+    which builds the Sturm chain and isolates.  At p = q = r = m the
+    spectrum is {-(m + 1), -1^(3m - 3), (2m - 1)^2}."""
+    b = BlockString(blocks)
+    p, q, r = four_cell_class(b)
+    assert q in (p, r)
+    want = _general_quotient_spectrum(b).entries
+    if p == r:
+        assert want == ((-(q + 1), 1), (-1, 1), (2 * q - 1, 2))
+        assert spectra.has_spectrum(b, ((-(q + 1), 1), (-1, 3 * q - 3), (2 * q - 1, 2)))
+    _forbid_root_search(monkeypatch)
+    assert repr(quotient_spectrum(b).entries) == repr(want)
+    assert exact_spectrum(b) == four_cell_spectrum(r, q, p)
+
+
+def test_two_equal_arcs_past_the_float_range_take_the_closed_form(monkeypatch):
+    """0 1^X 0^X 1^5 with X = 10^1000 - 1 is the unit chain of class {6, X, X}:
+    no float guesses its integer value 2X - 1, and none is needed.  Its
+    spectrum is the paper's formula (root_oracles.unit_chain_oracle).  And
+    0^2 1^3 0 1, of class {1, 3, 3}, is {-3, -1^4, 2, 5}."""
+    x = 10 ** 1000 - 1
+    _forbid_root_search(monkeypatch)
+    sp = exact_spectrum(BlockString(((1, x), (x, 5))))
+    assert root_oracles.spectrum_fields(sp) == root_oracles.unit_chain_oracle(2 * x + 6, x)
+    assert sp.entries[-1] == (2 * x - 1, 1)  # the largest: the pair is about 2 +- sqrt(12X)
+    assert str(exact_spectrum(parse_block_string("0^2 1^3 0 1"))) == "{-3, -1^4, 2, 5}"
 
 
 @settings(max_examples=150, deadline=None)
@@ -1137,7 +1172,7 @@ def test_guesses_that_miss_an_integer_root_peel_it_off_its_factor(monkeypatch, t
 @pytest.mark.parametrize("text, root", [
     ("0 1 0 1 0^2 1", 3),  # k = 3: a simple integer root
     ("0 1 0^2 1^2 0 1^2", -3),  # k = 3: a double one, both guesses moved
-    ("0 1^3 0^3 1^5", 5),  # k = 2: a root of the four-cell cubic
+    ("0 1^15 0^24 1^9", 23),  # k = 2: a root of the four-cell cubic of {10, 15, 24}
 ])
 def test_a_guess_0_3_off_its_integer_root_is_no_candidate(monkeypatch, text, root):
     """A guess 0.3 from its integer root still rounds to it, but lies
