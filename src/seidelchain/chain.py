@@ -51,16 +51,28 @@ def _digits(v: int) -> str:
 class BlockString:
     """Run-length form of an alternating block binary string.
 
-    blocks[i] = (s_i, t_i): the sizes of the i-th 0-block and 1-block.  Each
-    size passes through operator.index and is stored as a Python int, in a
-    tuple of tuples: a float or a string is refused with TypeError, and a
-    numpy integer becomes the int it holds, so no size overflows a fixed
-    width.
+    blocks[i] = (s_i, t_i): the sizes of the i-th 0-block and 1-block, stored
+    as Python ints in a tuple of tuples.  A tuple of pairs, each a tuple of
+    two sizes of type exactly int and at least 1, is kept as given.  Any
+    other input passes each size through operator.index and is stored
+    afresh: a float or a string is refused with TypeError, and a bool, an
+    int subclass or a numpy integer becomes the int it holds, so no size
+    overflows a fixed width.
     """
 
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        blocks = self.blocks
+        if type(blocks) is tuple and blocks:
+            for pair in blocks:
+                if type(pair) is not tuple or len(pair) != 2:
+                    break
+                s, t = pair
+                if type(s) is not int or type(t) is not int or s < 1 or t < 1:
+                    break
+            else:
+                return
         index, blocks = operator.index, []
         for s, t in self.blocks:
             s, t = index(s), index(t)

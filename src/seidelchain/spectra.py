@@ -189,12 +189,13 @@ class RootInterval:
     def __init__(self, poly: tuple[int, ...], lo: int, hi: int, shift: int, sign_lo: int, sign_hi: int) -> None:
         # Drop the factors of two that lo and hi share, down to shift 0.
         both = lo | hi
-        t = min((both & -both).bit_length() - 1, shift)
+        t = (both & -both).bit_length() - 1
+        if t > shift:
+            t = shift
         if t > 0:
             lo, hi, shift = lo >> t, hi >> t, shift - t
-        # One dict for the fields: the frozen class's own __setattr__ refuses them.
-        object.__setattr__(self, "__dict__", {"poly": poly, "lo": lo, "hi": hi, "shift": shift,
-                                              "sign_lo": sign_lo, "sign_hi": sign_hi})
+        # Straight into the instance dict: the frozen class's own __setattr__ refuses the fields.
+        self.__dict__.update(poly=poly, lo=lo, hi=hi, shift=shift, sign_lo=sign_lo, sign_hi=sign_hi)
 
     def refined(self, bits: int) -> RootInterval:
         """The cell of the root at width at most 2^-bits."""
@@ -437,7 +438,7 @@ class ExactSpectrum:
 
     @property
     def n(self) -> int:
-        return sum(m for _v, m in self.entries)
+        return sum(map(operator.itemgetter(1), self.entries))
 
     @property
     def distinct_count(self) -> int:
@@ -480,10 +481,10 @@ class ExactSpectrum:
 
         Both sums are integers (0 and n(n-1)).  Without root intervals they
         are checked exactly, surd parts symbolically.  With root intervals
-        every value is enclosed in integers scaled by 2^80 (more for n of
-        2^28 and beyond), rounded outward, and the enclosed sum must hold
-        the target and be narrower than 1; that is exact because the
-        enclosures are far narrower than 1.
+        every other value is enclosed in integers scaled by 2^80 (more for n
+        of 2^28 and beyond), rounded outward, the integer values are added
+        exactly, and the enclosed sum must hold the target and be narrower
+        than 1; that is exact because the enclosures are far narrower than 1.
         """
         n = self.n
         if n <= 0:
@@ -529,16 +530,27 @@ def _assert_enclosed_sums(entries, n: int) -> None:
     evaluations a cell for any n when they converge (intpoly.refine_root).
     The square of a value below n in such a cell is known to within
     2n 2^-bits < 2^-11, so the at most 256 quotient values keep the
-    enclosed sum narrower than 1.
+    enclosed sum narrower than 1.  Integer values are summed exactly, apart,
+    and a root interval is enclosed by its cell, read where it is met
+    (_enclosure's rule); only surds go through _enclosure.
     """
     bits = max(INTERVAL_BITS, n.bit_length() + 12)
+    refine = bits > INTERVAL_BITS
     scale = 2 * bits
     one = 1 << scale
+    sum1 = sum2 = 0  # the exact sums of the integer values and their squares
     lo1 = hi1 = lo2 = hi2 = 0
     for v, m in entries:
-        if bits > INTERVAL_BITS and isinstance(v, RootInterval):
-            v = v.refined(bits)
-        lo, hi = _enclosure(v, scale)
+        if isinstance(v, RootInterval):
+            if refine:
+                v = v.refined(bits)
+            lo, hi = (v.lo << scale) >> v.shift, -((-v.hi << scale) >> v.shift)
+        elif isinstance(v, int):
+            sum1 += m * v
+            sum2 += m * v * v
+            continue
+        else:
+            lo, hi = _enclosure(v, scale)
         # The square, scaled by one and rounded outward (a shift floors).
         if lo >= 0:
             sq_lo, sq_hi = lo * lo >> scale, -(-hi * hi >> scale)
@@ -547,7 +559,8 @@ def _assert_enclosed_sums(entries, n: int) -> None:
         else:
             sq_lo, sq_hi = 0, -(-max(lo * lo, hi * hi) >> scale)
         lo1, hi1, lo2, hi2 = lo1 + m * lo, hi1 + m * hi, lo2 + m * sq_lo, hi2 + m * sq_hi
-    for power, target, lo_sum, hi_sum in ((1, 0, lo1, hi1), (2, n * (n - 1), lo2, hi2)):
+    sum1, sum2 = sum1 << scale, sum2 << scale
+    for power, target, lo_sum, hi_sum in ((1, 0, lo1 + sum1, hi1 + sum1), (2, n * (n - 1), lo2 + sum2, hi2 + sum2)):
         if not (lo_sum <= target * one <= hi_sum) or hi_sum - lo_sum >= one:
             raise ValueError(f"spectrum identity failed: power {power} enclosure misses {target}")
 
@@ -560,23 +573,36 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     whose enclosures are disjoint are ordered by them; only neighbours
     whose enclosures overlap are compared exactly by value_cmp, and if one
     such pair is out of order, a full sort by value_cmp runs.  The order is
-    the same either way.  Equal neighbours then merge: values are equal when
-    their representations are (see ExactSpectrum), so only neighbours with
-    equal keys are compared.
+    the same either way.  Equal neighbours, which value_cmp finds by their
+    fields (values are equal when their representations are, see
+    ExactSpectrum), then merge, in the same pass.
     """
     keyed = sorted([(_enclosure(v, INTERVAL_BITS), v, m) for v, m in counts if m],
                    key=operator.itemgetter(0))
-    if any(hi >= lo and value_cmp(u, v) > 0
-           for ((_lo, hi), u, _m), ((lo, _hi), v, _n) in zip(keyed, keyed[1:])):
+    entries = _merged(keyed)
+    if entries is None:
         keyed.sort(key=functools.cmp_to_key(lambda p, q: value_cmp(p[1], q[1])))
-    entries: list[tuple[Eigenvalue, int]] = []
-    last = None
-    for key, v, m in keyed:
-        if key == last and entries[-1][0] == v:
-            m += entries.pop()[1]
-        entries.append((v, m))
-        last = key
+        entries = _merged(keyed)
     return ExactSpectrum(tuple(entries))
+
+
+def _merged(keyed) -> list[tuple[Eigenvalue, int]] | None:
+    """The (value, multiplicity) pairs of keyed, (enclosure, value,
+    multiplicity) triples in order, with equal neighbours merged; None when
+    two neighbours with overlapping enclosures are out of order."""
+    entries: list[tuple[Eigenvalue, int]] = []
+    top = None  # the upper end of the last enclosure
+    for (lo, hi), v, m in keyed:
+        if top is not None and lo <= top:
+            order = value_cmp(entries[-1][0], v)
+            if order > 0:
+                return None
+            if order == 0:
+                entries[-1] = (v, entries[-1][1] + m)
+                continue
+        entries.append((v, m))
+        top = hi
+    return entries
 
 
 def _quotient_guesses(q: QuotientMatrix) -> list[float]:
@@ -631,8 +657,8 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
             hits = [exc.num // exc.den]
         else:
             # The one integer a cell may hold is the least one above its lower end.
-            hits = [z for lo, hi, shift, _s_lo, _s_hi in cells for z in ((lo >> shift) + 1,)
-                    if z << shift < hi and intpoly.poly_eval(factor, z) == 0]
+            hits = [z for lo, hi, shift, _s_lo, _s_hi in cells
+                    if (z := (lo >> shift) + 1) << shift < hi and intpoly.poly_eval(factor, z) == 0]
             if not hits:
                 return ints + [RootInterval(factor, *cell) for cell in cells]
         for z in hits:
@@ -750,8 +776,8 @@ def _four_cell_guesses(p: int, q: int, r: int, n: int) -> list[float]:
         half = math.asin(math.sqrt(prod / cube))
     else:
         half = math.acos(math.sqrt((cube - prod) / cube))
-    guesses = (1 / 3 + 2 / 3 * math.cos((2 * half - 2 * math.pi * j) / 3) for j in range(3))
-    return sorted(g for g in (u * scale - 1 for u in guesses) if math.isfinite(g))
+    guesses = [(1 / 3 + 2 / 3 * math.cos((2 * half - 2 * math.pi * j) / 3)) * scale - 1 for j in range(3)]
+    return sorted(g for g in guesses if math.isfinite(g))
 
 
 def four_cell_class(b: BlockString) -> tuple[int, int, int]:
@@ -809,6 +835,20 @@ def four_cell_spectrum(p: int, q: int, r: int) -> ExactSpectrum:
     return sp
 
 
+def _quotient_counts(b: BlockString, n: int) -> list[tuple[Eigenvalue, int]]:
+    """(value, multiplicity) of every eigenvalue of the quotient matrix of b,
+    on n = b.n vertices, unsorted: the one place the three paths of
+    quotient_spectrum part.  The caller has checked the cap."""
+    if b.k == 1:
+        return [(-1, 1), (n - 1, 1)]
+    if b.k == 2:
+        return [(-1, 1)] + _four_cell_roots(*four_cell_class(b))
+    q = quotient_matrix(b)
+    cp = char_poly(q)
+    # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
+    return _quotient_roots(cp.coeffs, n, _quotient_guesses(q))
+
+
 def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     """Exact eigenvalue multiset of the quotient matrix (2k values with multiplicity).
 
@@ -828,31 +868,29 @@ def quotient_spectrum(b: BlockString) -> ExactSpectrum:
     quantity stays in [-1, 1], so n up to the float range gives guesses.
     """
     check_quotient_order(b.k)
-    n = b.n
-    if b.k == 1:
-        return spectrum_from_counts([(-1, 1), (n - 1, 1)])
-    if b.k == 2:
-        return spectrum_from_counts(_four_cell_roots(*four_cell_class(b)) + [(-1, 1)])
-    q = quotient_matrix(b)
-    cp = char_poly(q)
-    # All eigenvalues lie in [-(n-1), n-1]: every |row| sum of Q is n - 1.
-    return spectrum_from_counts(_quotient_roots(cp.coeffs, n, _quotient_guesses(q)))
+    return spectrum_from_counts(_quotient_counts(b, b.n))
 
 
 def exact_spectrum(b: BlockString) -> ExactSpectrum:
     """Exact Seidel spectrum of the chain graph of b.
 
     Computed as the quotient spectrum plus the eigenvalue -1 with
-    multiplicity n - 2k.  The quotient always has the eigenvalue -1, since
-    Q + I = Sigma D is singular, so the result carries -1 with multiplicity
-    at least n - 2k + 1 and needs no second merge.
+    multiplicity n - 2k, assembled once: the quotient's counts
+    (_quotient_counts) always hold the eigenvalue -1, since Q + I = Sigma D
+    is singular, and the n - 2k copies are added to its multiplicity there,
+    before the one sort and merge (spectrum_from_counts).  The spectrum is
+    then validated.  The cap is checked before any work, n included.
     """
-    entries = list(quotient_spectrum(b).entries)
-    i = next((i for i, (v, _m) in enumerate(entries) if isinstance(v, int) and v == -1), None)
-    if i is None:
+    check_quotient_order(b.k)
+    n = b.n
+    counts = _quotient_counts(b, n)
+    for i, (v, m) in enumerate(counts):
+        if isinstance(v, int) and v == -1:
+            counts[i] = (-1, m + n - 2 * b.k)
+            break
+    else:
         raise ArithmeticError("quotient spectrum lacks the eigenvalue -1")
-    entries[i] = (-1, entries[i][1] + b.n - 2 * b.k)
-    sp = ExactSpectrum(tuple(entries))
+    sp = spectrum_from_counts(counts)
     sp.validate()
     return sp
 

@@ -72,6 +72,27 @@ def test_block_sizes_that_are_not_integers_are_refused_at_construction(size):
         BlockString(((1, 1), (1, size)))
 
 
+class _Size(int):
+    """An int subclass, as a block size."""
+
+
+def test_exact_int_pairs_are_kept_as_given():
+    """A tuple of (int, int) pairs, each size at least 1, is stored as the
+    very tuple passed; any other input is stored afresh, as plain ints."""
+    blocks = ((2, 3), (2, 2))
+    assert BlockString(blocks).blocks is blocks
+    for other, want in ((((True, 3), (2, 2)), ((1, 3), (2, 2))), (((_Size(2), 3), (2, _Size(2))), blocks),
+                        ([(2, 3), (2, 2)], blocks), (((2, 3), [2, 2]), blocks)):
+        b = BlockString(other)
+        assert b.blocks is not other and b.blocks == want, other
+        assert type(b.blocks) is tuple and all(type(pair) is tuple for pair in b.blocks)
+        assert all(type(size) is int for pair in b.blocks for size in pair)
+    assert BlockString(((True, True),)).blocks == ((1, 1),)
+    for bad in (((False, 1),), ((1, _Size(0)),), ((2, 3), (0, 1))):
+        with pytest.raises(ValueError):
+            BlockString(bad)
+
+
 def test_numpy_integer_block_sizes_become_ints():
     """k = 6 with numpy.int64 sizes from 10^5 to 10^6: each is stored as the
     Python int it holds, so the charpoly's coefficients overflow no fixed

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import importlib.util
 import itertools
+import json
 import math
 import random
 import sys
@@ -155,6 +157,9 @@ def _cell_sizes(max_k, max_size=30):
 @example(sizes=[10 ** 400, 1])
 @example(sizes=[1, 10 ** 400, 3, 10 ** 400])
 @example(sizes=[2 ** 53 + 1, 2, 2 ** 53 + 1, 1, 5, 2 ** 53 + 1])
+@example(sizes=[2 ** 31 - 1] * 30)  # 960 bits a packed digit, the widest below _PACKED_BITS
+@example(sizes=[2 ** 31] * 30)  # 990 bits
+@example(sizes=[2 ** 32] * 30)  # 1020 bits
 def test_char_poly_equals_the_continuant_and_faddeev_oracles(sizes):
     q = quotient_matrix(BlockString(tuple(zip(sizes[::2], sizes[1::2]))))
     assert q.cell_sizes == tuple(sizes)
@@ -175,6 +180,23 @@ def test_char_poly_in_y_has_only_odd_terms_and_no_constant(sizes):
     assert len(y_poly) == m + 1 and y_poly[m] == 1 and y_poly[0] == 0
     assert all(y_poly[m - j] == 0 for j in range(2, m + 1, 2))
     assert y_poly[m - 1] == -sum(sizes)
+
+
+def test_char_poly_y_packed_and_listed_agree(monkeypatch):
+    """Sums packed in one int each (cells of positive ints, digits below
+    _PACKED_BITS) and the coefficient lists give the same polynomial."""
+    rng = random.Random(39)
+    cases = [[rng.randint(1, rng.choice((2, 60, 2 ** 20, 2 ** 60))) for _ in range(2 * rng.randint(1, 20))]
+             for _ in range(300)]
+    cases += [[1, 1], [2 ** 31 - 1] * 30, [2 ** 32] * 30, [1] * 256]
+    packed = []
+    for sizes in cases:
+        bits = len(sizes) * (max(sizes) + 1).bit_length()
+        packed.append(bits < intpoly._PACKED_BITS)
+    assert 100 < sum(packed) < len(cases) - 100  # both ways are taken
+    want = [intpoly.char_poly_y(sizes) for sizes in cases]
+    monkeypatch.setattr(intpoly, "_PACKED_BITS", 0)
+    assert [intpoly.char_poly_y(sizes) for sizes in cases] == want
 
 
 def _bracelet_strings(sizes):
@@ -1316,6 +1338,26 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
     assert signs[0] == 5707
+
+
+# (k, n) of the k = 8-16 strings of the spectrum byte pin, cut by random.Random(8).
+_PINNED_LARGE_SLOTS = ((8, 20_000), (8, 2_000), (9, 10_000), (10, 2_000), (11, 1_000), (12, 500),
+                       (13, 300), (14, 100), (15, 80), (16, 64), (16, 20_000))
+
+
+def test_spectrum_bytes_are_pinned():
+    """sha256 over serialize() of the 500 strings of a spectrum_small pass,
+    random.Random(1), and 11 seeded strings with k = 8-16 and n up to
+    2 * 10^4, one JSON line each: a change to the spectrum path that moves
+    any printed value or multiplicity fails here."""
+    workloads = _bench_workloads()
+    rng = random.Random(8)
+    strings = _spectrum_small_pass_strings(1)
+    strings += [BlockString(workloads.random_blocks(rng, k, n)) for k, n in _PINNED_LARGE_SLOTS]
+    digest = hashlib.sha256()
+    for b in strings:
+        digest.update(json.dumps(exact_spectrum(b).serialize()).encode() + b"\n")
+    assert digest.hexdigest() == "3ceee448c448aa7439faf23cad32bd10d97c1946d3636e402f35099fb32d0473"
 
 
 def test_integer_root_trial_divisions_on_a_spectrum_small_pass(monkeypatch):

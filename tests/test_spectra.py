@@ -285,8 +285,28 @@ def test_exact_spectrum_assembles_once(monkeypatch):
         assert assembled.calls == 1
 
 
+_HUGE = 10 ** 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6)
+       .filter(lambda blocks: sum(s + t for s, t in blocks) <= 60))
+@example(blocks=[(_HUGE, _HUGE)])
+@example(blocks=[(_HUGE, 1), (_HUGE + 7, 3)])
+@example(blocks=[(_HUGE, 3), (7, _HUGE + 1), (2, 5)])
+@example(blocks=[(1, _HUGE), (_HUGE, 2), (3, _HUGE + 5), (_HUGE - 1, 1)])
+def test_exact_spectrum_is_the_quotient_spectrum_with_minus_one_added(blocks):
+    """exact_spectrum assembles its entries once, from the quotient's counts:
+    they are quotient_spectrum's entries with n - 2k more copies of -1."""
+    b = BlockString(tuple(blocks))
+    extra = b.n - 2 * b.k
+    want = tuple((v, m + extra) if isinstance(v, int) and v == -1 else (v, m)
+                 for v, m in quotient_spectrum(b).entries)
+    assert exact_spectrum(b).entries == want
+
+
 def test_exact_spectrum_needs_the_quotient_eigenvalue_minus_one(monkeypatch):
-    monkeypatch.setattr(spectra, "quotient_spectrum", lambda b: spectrum_from_counts([(-2, 1), (2, 1)]))
+    monkeypatch.setattr(spectra, "_quotient_counts", lambda b, n: [(-2, 1), (2, 1)])
     with pytest.raises(ArithmeticError, match="lacks the eigenvalue -1"):
         exact_spectrum(parse_block_string("0^3 1^7"))
 
