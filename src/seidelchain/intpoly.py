@@ -668,20 +668,12 @@ def refine_root(p: IntPoly, cell: Cell, bits: int = GRID_BITS) -> Cell:
 # ---------------------------------------------------------------------------
 
 def poly_shift(p: IntPoly, t: int) -> IntPoly:
-    """p(x + t), by repeated synthetic division (Ruffini-Horner Taylor shift).
-
-    Each round of synthetic division by x - t is a Horner pass from the top
-    coefficient down, keeping every partial value: an accumulate over the
-    descending coefficients, whose last value is the next coefficient of the
-    result, from the constant term up.  For t = 1 the pass is a running sum,
-    accumulate's default.
-    """
-    step = None if t == 1 else (lambda acc, c: acc * t + c)
-    desc, out = tuple(p)[::-1], []
-    while desc:
-        *desc, c = itertools.accumulate(desc, step)
-        out.append(c)
-    return tuple(out)
+    """p(x + t), by repeated synthetic division (Ruffini-Horner Taylor shift)."""
+    c = list(p)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += t * c[j + 1]
+    return tuple(c)
 
 
 def char_poly_y(cell_sizes) -> IntPoly:
@@ -709,12 +701,10 @@ def char_poly_y(cell_sizes) -> IntPoly:
     is 0 for even |S| >= 2 and (-4)^((j - 1) / 2) for odd |S| = j.  So the
     coefficient of y^(2k - j) is -(-4)^((j - 1) / 2) E_j for odd j and 0 for
     even j >= 2, with E_j the sum of prod d_p over the alternating sets of j
-    cells.  One pass over the cells gives every E_j from two generating
-    polynomials in t, keyed by the parity of the last chosen cell: the
-    coefficient of t^j sums the alternating sets of j cells seen so far, and
-    a cell of size d adds d t (1 + the other polynomial) to its own, as it
-    extends the empty set and every set that ends on the other parity:
-    O(k^2) ring operations (_odd_alternating_sums).
+    cells.  One pass over the cells gives every E_j from two accumulators
+    keyed by the parity of the last chosen cell: entry j - 1 sums the
+    alternating sets of j cells seen so far, and each cell extends the sets
+    that end on the other parity: O(k^2) integer operations.
 
     An odd alternating set begins and ends on one parity, so it never holds
     both cell 0 (size s_1) and cell 2k - 1 (size t_k), and one holding
@@ -725,48 +715,14 @@ def char_poly_y(cell_sizes) -> IntPoly:
     sizes = tuple(cell_sizes)
     if not sizes or len(sizes) % 2:
         raise ValueError("a chain quotient has an even, positive number of cells")
-    desc, scale = [1], -1  # coefficients of y^2k, y^(2k-1), ...; scale = -(-4)^((j - 1) / 2)
-    for e in _odd_alternating_sums(sizes):
-        desc += (scale * e, 0)
-        scale *= -4
-    return tuple(desc[::-1])
-
-
-# _odd_alternating_sums packs when each packed coefficient gets fewer bits
-# than this: there three big-int operations a cell beat one small one per
-# coefficient (both ways timed for k = 3 to 128 and cells of 3 to 200 bits).
-_PACKED_BITS = 1024
-
-
-def _odd_alternating_sums(sizes: tuple) -> list:
-    """[E_1, E_3, ..., E_(2k-1)] for the 2k cell sizes (see char_poly_y).
-
-    Positive int sizes whose sums fit in digits of fewer than _PACKED_BITS
-    bits take the generating polynomials packed at t = 2^bits, one int
-    each, so a cell costs three integer operations, not one per
-    coefficient: no coefficient carries into the next, since each is at most
-    E_j <= prod (1 + d_p) - 1 < (1 + max d)^(2k) <= 2^bits.  Other sizes
-    (wide ints, or any ring elements, such as symbols) take the coefficient
-    lists, the entry j - 1 for the sets of j cells.
-    """
-    k = len(sizes) // 2
-    if {*map(type, sizes)} == {int} and min(sizes) > 0:
-        bits = len(sizes) * (max(sizes) + 1).bit_length()
-        if bits < _PACKED_BITS:
-            even = odd = 0  # the sets ending on an even / an odd cell
-            for i in range(0, 2 * k, 2):
-                even += (odd + 1) * sizes[i] << bits
-                odd += (even + 1) * sizes[i + 1] << bits
-            packed, mask, out = (even + odd) >> bits, (1 << bits) - 1, []  # E_1 in the lowest digit
-            for _ in range(k):
-                out.append(packed & mask)
-                packed >>= 2 * bits
-            return out
     # same / other: the sets ending on the parity of the next cell / the other one.
     same, other = [], []
     for d in sizes:
         same, other = other, [a + d * b for a, b in zip(same + [0, 0], [1] + other)]
-    return [even + odd for even, odd in zip(same[::2], other[::2])]
+    desc = [1]  # coefficients of y^2k, y^(2k-1), ...
+    for i, (even, odd) in enumerate(zip(same[::2], other[::2])):
+        desc += (-(-4) ** i * (even + odd), 0)
+    return tuple(desc[::-1])
 
 
 def four_cell_cubic(p: int, q: int, r: int) -> IntPoly:
@@ -785,8 +741,7 @@ def four_cell_cubic(p: int, q: int, r: int) -> IntPoly:
 
 def char_poly_ints(cell_sizes) -> IntPoly:
     """Monic characteristic polynomial in x of the chain quotient with these
-    interleaved cell sizes: char_poly_y shifted back by a Taylor shift by 1,
-    2k running sums (poly_shift).
+    interleaved cell sizes: char_poly_y shifted back by a Taylor shift.
 
     The name is the one the general-matrix version (Faddeev-LeVerrier, now
     a test oracle) had: the benchmark's tracer binds intpoly.char_poly_ints

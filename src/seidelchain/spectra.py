@@ -530,9 +530,8 @@ def _assert_enclosed_sums(entries, n: int) -> None:
     evaluations a cell for any n when they converge (intpoly.refine_root).
     The square of a value below n in such a cell is known to within
     2n 2^-bits < 2^-11, so the at most 256 quotient values keep the
-    enclosed sum narrower than 1.  Integer values are summed exactly, apart,
-    and a root interval is enclosed by its cell, read where it is met
-    (_enclosure's rule); only surds go through _enclosure.
+    enclosed sum narrower than 1.  Integer values are summed exactly, apart;
+    root intervals and surds go through _enclosure.
     """
     bits = max(INTERVAL_BITS, n.bit_length() + 12)
     refine = bits > INTERVAL_BITS
@@ -541,16 +540,13 @@ def _assert_enclosed_sums(entries, n: int) -> None:
     sum1 = sum2 = 0  # the exact sums of the integer values and their squares
     lo1 = hi1 = lo2 = hi2 = 0
     for v, m in entries:
-        if isinstance(v, RootInterval):
-            if refine:
-                v = v.refined(bits)
-            lo, hi = (v.lo << scale) >> v.shift, -((-v.hi << scale) >> v.shift)
-        elif isinstance(v, int):
+        if isinstance(v, int):
             sum1 += m * v
             sum2 += m * v * v
             continue
-        else:
-            lo, hi = _enclosure(v, scale)
+        if refine and isinstance(v, RootInterval):
+            v = v.refined(bits)
+        lo, hi = _enclosure(v, scale)
         # The square, scaled by one and rounded outward (a shift floors).
         if lo >= 0:
             sq_lo, sq_hi = lo * lo >> scale, -(-hi * hi >> scale)

@@ -157,9 +157,6 @@ def _cell_sizes(max_k, max_size=30):
 @example(sizes=[10 ** 400, 1])
 @example(sizes=[1, 10 ** 400, 3, 10 ** 400])
 @example(sizes=[2 ** 53 + 1, 2, 2 ** 53 + 1, 1, 5, 2 ** 53 + 1])
-@example(sizes=[2 ** 31 - 1] * 30)  # 960 bits a packed digit, the widest below _PACKED_BITS
-@example(sizes=[2 ** 31] * 30)  # 990 bits
-@example(sizes=[2 ** 32] * 30)  # 1020 bits
 def test_char_poly_equals_the_continuant_and_faddeev_oracles(sizes):
     q = quotient_matrix(BlockString(tuple(zip(sizes[::2], sizes[1::2]))))
     assert q.cell_sizes == tuple(sizes)
@@ -180,23 +177,6 @@ def test_char_poly_in_y_has_only_odd_terms_and_no_constant(sizes):
     assert len(y_poly) == m + 1 and y_poly[m] == 1 and y_poly[0] == 0
     assert all(y_poly[m - j] == 0 for j in range(2, m + 1, 2))
     assert y_poly[m - 1] == -sum(sizes)
-
-
-def test_char_poly_y_packed_and_listed_agree(monkeypatch):
-    """Sums packed in one int each (cells of positive ints, digits below
-    _PACKED_BITS) and the coefficient lists give the same polynomial."""
-    rng = random.Random(39)
-    cases = [[rng.randint(1, rng.choice((2, 60, 2 ** 20, 2 ** 60))) for _ in range(2 * rng.randint(1, 20))]
-             for _ in range(300)]
-    cases += [[1, 1], [2 ** 31 - 1] * 30, [2 ** 32] * 30, [1] * 256]
-    packed = []
-    for sizes in cases:
-        bits = len(sizes) * (max(sizes) + 1).bit_length()
-        packed.append(bits < intpoly._PACKED_BITS)
-    assert 100 < sum(packed) < len(cases) - 100  # both ways are taken
-    want = [intpoly.char_poly_y(sizes) for sizes in cases]
-    monkeypatch.setattr(intpoly, "_PACKED_BITS", 0)
-    assert [intpoly.char_poly_y(sizes) for sizes in cases] == want
 
 
 def _bracelet_strings(sizes):
