@@ -25,9 +25,10 @@ refinement run on integer grids too; at a dyadic point num / 2^m the sign
 is taken by Horner's rule with the coefficients shifted, not multiplied by
 powers of the denominator.  A grid search (guess placement, refinement)
 shifts them once, scaling p to the integers of 2^(m deg p) p(x / 2^m)
-(scaled_to_grid), and then takes the sign (refinement) or the value
-(guess placement, whose secant steps read it) at each integer grid point
-in one plain Horner pass; refinement's exact Newton steps
+(scaled_to_grid), and then works at integer grid points: refinement takes
+the sign at one point at a time, and guess placement the values at both
+ends of a cell (its secant steps read them) in one Horner pass with two
+accumulators (poly_eval_pair); refinement's exact Newton steps
 x -= G(x) // G'(x) run on the same integers (_newton).  A root cell is
 the 5-tuple (lo, hi, shift, sign_lo, sign_hi): the open interval
 (lo / 2^shift, hi / 2^shift) with the signs of the polynomial at its ends,
@@ -97,6 +98,15 @@ def poly_eval(p: IntPoly, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def poly_eval_pair(p: IntPoly, a, b) -> tuple:
+    """(p(a), p(b)) in one Horner pass over p, with two accumulators."""
+    u = v = 0
+    for c in reversed(p):
+        u = u * a + c
+        v = v * b + c
+    return u, v
 
 
 def poly_degree(p: IntPoly) -> int:
@@ -483,12 +493,15 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     distinct cells of one depth are disjoint.  So once the certified cells
     number a count of the roots in the tree (the degree, or a Sturm count),
     each holds exactly one root and no root is left out; the search stops
-    when they number total.  It is one pass over the guesses: each tree
-    point is evaluated once, as the value of grid there, and a certified
-    cell keeps the end signs read off those values.  The index of a cell
-    is clamped to the tree, and "a cell and its neighbours" tries the cell,
-    then the one below, then the one above, and takes the first showing a
-    sign change.
+    when they number total.  It is one pass over the guesses, and every
+    cell tried is read afresh: the values of grid at both of its ends come
+    from one Horner pass (poly_eval_pair), and a certified cell keeps the
+    end signs read off them.  No value is kept from one cell to the next:
+    a neighbour shares an end with the cell tried before it, but that is
+    rare enough that keeping values cost more than it saved.  The index of
+    a cell is clamped to the tree, and "a cell and its neighbours" tries
+    the cell, then the one below, then the one above, and takes the first
+    showing a sign change.
 
     eigvalsh's absolute error scales with ||Q|| <= n - 1 < b, and over 1680
     random quotients (k <= 12, n up to 10^15) a guess was never further than
@@ -508,9 +521,8 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
     """
     m = (2 * b - 1).bit_length() + GRID_BITS
     origin, span, last = -b << m, 2 * b, (1 << m) - 1
-    grid, evaluate = scaled_to_grid(p, m), poly_eval
+    grid, evaluate = scaled_to_grid(p, m), poly_eval_pair
     steps = m.bit_length() if b >= 128 else 0
-    values: dict[int, int] = {}  # the value of grid at each tree point evaluated
     found: dict[int, Cell] = {}  # index -> certified cell
     for g in guesses:
         if len(found) == total:
@@ -530,18 +542,12 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
         left, neighbours = steps, None
         while True:
             lo = origin + i * span
-            if i in values:
-                v_lo = values[i]
-            else:
-                v_lo = values[i] = evaluate(grid, lo)
-            if i + 1 in values:
-                v_hi = values[i + 1]
-            else:
-                v_hi = values[i + 1] = evaluate(grid, lo + span)
+            hi = lo + span
+            v_lo, v_hi = evaluate(grid, lo, hi)
             if not v_lo or not v_hi:
                 return None
             if (v_lo > 0) != (v_hi > 0):
-                found[i] = (lo, lo + span, m, 1, -1) if v_lo > 0 else (lo, lo + span, m, -1, 1)
+                found[i] = (lo, hi, m, 1, -1) if v_lo > 0 else (lo, hi, m, -1, 1)
                 break
             if neighbours is None:
                 rise = v_hi - v_lo
@@ -554,7 +560,7 @@ def _guessed_cells(p: IntPoly, b: int, total: int, guesses: Iterable[float]) -> 
             if not neighbours:
                 break
             i = neighbours.pop()
-    return [found[i] for i in sorted(found)]
+    return sorted(found.values())  # distinct cells of one depth, so by their lower ends
 
 
 def _newton(grid: IntPoly, slope: IntPoly, x: int, lo: int, hi: int, span: int, steps: int) -> int:

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -195,7 +196,10 @@ class RootInterval:
         if t > 0:
             lo, hi, shift = lo >> t, hi >> t, shift - t
         # Straight into the instance dict: the frozen class's own __setattr__ refuses the fields.
-        self.__dict__.update(poly=poly, lo=lo, hi=hi, shift=shift, sign_lo=sign_lo, sign_hi=sign_hi)
+        d = self.__dict__
+        d["poly"] = poly
+        d["lo"], d["hi"], d["shift"] = lo, hi, shift
+        d["sign_lo"], d["sign_hi"] = sign_lo, sign_hi
 
     def refined(self, bits: int) -> RootInterval:
         """The cell of the root at width at most 2^-bits."""
@@ -217,7 +221,10 @@ def _enclosure(v: Eigenvalue, bits: int) -> tuple[int, int]:
     """Integers lo <= v * 2^bits <= hi, rounded outward: a root interval by
     its cell as it is, an int exactly, a surd through isqrt."""
     if isinstance(v, RootInterval):
-        return (v.lo << bits) >> v.shift, -((-v.hi << bits) >> v.shift)
+        d = bits - v.shift
+        if d >= 0:
+            return v.lo << d, v.hi << d
+        return v.lo >> -d, -(-v.hi >> -d)
     if isinstance(v, int):
         return v << bits, v << bits
     r = math.isqrt(v.d << 2 * bits)  # r <= sqrt(d) * 2^bits < r + 1
@@ -489,8 +496,7 @@ class ExactSpectrum:
         n = self.n
         if n <= 0:
             raise ValueError("empty spectrum")
-        if any(isinstance(v, RootInterval) for v, _m in self.entries):
-            _assert_enclosed_sums(self.entries, n)
+        if _enclosed_sums_checked(self.entries, n):
             return
         for power, target in ((1, 0), (2, n * (n - 1))):
             if not _exact_power_sum_is(self.entries, power, target):
@@ -521,8 +527,10 @@ def _exact_power_sum_is(entries, power: int, target: int) -> bool:
     return rational == target * den and not any(radicals.values())
 
 
-def _assert_enclosed_sums(entries, n: int) -> None:
-    """The trace and Frobenius identities by integer enclosures at 2^(2 bits).
+def _enclosed_sums_checked(entries, n: int) -> bool:
+    """The trace and Frobenius identities by integer enclosures at 2^(2 bits),
+    in one pass over the entries; False, with nothing checked, when no value
+    is a root interval.
 
     bits is INTERVAL_BITS (40), the width of computed root cells, up to
     n < 2^28, and n.bit_length() + 12 beyond, where the cells are refined to
@@ -531,34 +539,45 @@ def _assert_enclosed_sums(entries, n: int) -> None:
     The square of a value below n in such a cell is known to within
     2n 2^-bits < 2^-11, so the at most 256 quotient values keep the
     enclosed sum narrower than 1.  Integer values are summed exactly, apart;
-    root intervals and surds go through _enclosure.
+    root intervals and surds go through _enclosure, the only rounding: the
+    squares of its integer ends are exact, at twice its scale.
     """
     bits = max(INTERVAL_BITS, n.bit_length() + 12)
     refine = bits > INTERVAL_BITS
     scale = 2 * bits
-    one = 1 << scale
     sum1 = sum2 = 0  # the exact sums of the integer values and their squares
     lo1 = hi1 = lo2 = hi2 = 0
+    interval = False
     for v, m in entries:
         if isinstance(v, int):
             sum1 += m * v
             sum2 += m * v * v
             continue
-        if refine and isinstance(v, RootInterval):
-            v = v.refined(bits)
+        if isinstance(v, RootInterval):
+            interval = True
+            if refine:
+                v = v.refined(bits)
         lo, hi = _enclosure(v, scale)
-        # The square, scaled by one and rounded outward (a shift floors).
         if lo >= 0:
-            sq_lo, sq_hi = lo * lo >> scale, -(-hi * hi >> scale)
+            sq_lo, sq_hi = lo * lo, hi * hi
         elif hi <= 0:
-            sq_lo, sq_hi = hi * hi >> scale, -(-lo * lo >> scale)
+            sq_lo, sq_hi = hi * hi, lo * lo
         else:
-            sq_lo, sq_hi = 0, -(-max(lo * lo, hi * hi) >> scale)
-        lo1, hi1, lo2, hi2 = lo1 + m * lo, hi1 + m * hi, lo2 + m * sq_lo, hi2 + m * sq_hi
-    sum1, sum2 = sum1 << scale, sum2 << scale
-    for power, target, lo_sum, hi_sum in ((1, 0, lo1 + sum1, hi1 + sum1), (2, n * (n - 1), lo2 + sum2, hi2 + sum2)):
-        if not (lo_sum <= target * one <= hi_sum) or hi_sum - lo_sum >= one:
+            sq_lo, sq_hi = 0, max(lo * lo, hi * hi)
+        if m != 1:
+            lo, hi, sq_lo, sq_hi = m * lo, m * hi, m * sq_lo, m * sq_hi
+        lo1 += lo
+        hi1 += hi
+        lo2 += sq_lo
+        hi2 += sq_hi
+    if not interval:
+        return False
+    for power, target, lo_sum, hi_sum, shift in ((1, 0, lo1 + (sum1 << scale), hi1 + (sum1 << scale), scale),
+                                                 (2, n * (n - 1), lo2 + (sum2 << 2 * scale),
+                                                  hi2 + (sum2 << 2 * scale), 2 * scale)):
+        if not (lo_sum <= target << shift <= hi_sum) or (hi_sum - lo_sum) >> shift:
             raise ValueError(f"spectrum identity failed: power {power} enclosure misses {target}")
+    return True
 
 
 def spectrum_from_counts(counts) -> ExactSpectrum:
@@ -573,8 +592,8 @@ def spectrum_from_counts(counts) -> ExactSpectrum:
     fields (values are equal when their representations are, see
     ExactSpectrum), then merge, in the same pass.
     """
-    keyed = sorted([(_enclosure(v, INTERVAL_BITS), v, m) for v, m in counts if m],
-                   key=operator.itemgetter(0))
+    keyed = [(_enclosure(v, INTERVAL_BITS), v, m) for v, m in counts if m]
+    keyed.sort(key=operator.itemgetter(0))
     entries = _merged(keyed)
     if entries is None:
         keyed.sort(key=functools.cmp_to_key(lambda p, q: value_cmp(p[1], q[1])))
@@ -636,27 +655,31 @@ def _factor_roots(factor: tuple[int, ...], bound: int, guesses: list[float],
     monic integer polynomial is an integer), is divided out, and the
     cofactor is solved the same way.  Such a root is one that no integer
     candidate named (_integer_candidates): its guess was missing or off.
-    The cells are checked for an integer as refine_root returns them, and
-    become root intervals only when none holds one.  Cells are canonical,
-    so the cofactor's cells are the ones it would have had with the
-    integer stripped first.
+    Each cell is refined, checked for an integer and made a root interval
+    in one loop; after a cell that holds an integer no further root
+    interval is made, since the cofactor is solved again.  Cells are
+    canonical, so the cofactor's cells are the ones it would have had with
+    the integer stripped first.
     """
     if factor[-1] != 1:
         raise ArithmeticError("residual factor is not monic")
     ints: list[int] = []
     while intpoly.poly_degree(factor) > 2:
+        roots, hits = [], []
         try:
-            # A placed cell is on the final grid already, and refine_root returns it as it is.
-            cells = [intpoly.refine_root(factor, cell, INTERVAL_BITS)
-                     for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain)]
+            for cell in intpoly.isolate_real_roots(factor, bound, guesses, chain):
+                # A placed cell is on the final grid already, and refine_root returns it as it is.
+                lo, hi, shift, s_lo, s_hi = intpoly.refine_root(factor, cell, INTERVAL_BITS)
+                # The one integer a cell may hold is the least one above its lower end.
+                z = (lo >> shift) + 1
+                if z << shift < hi and intpoly.poly_eval(factor, z) == 0:
+                    hits.append(z)
+                elif not hits:
+                    roots.append(RootInterval(factor, lo, hi, shift, s_lo, s_hi))
         except intpoly.RationalRootError as exc:
             hits = [exc.num // exc.den]
-        else:
-            # The one integer a cell may hold is the least one above its lower end.
-            hits = [z for lo, hi, shift, _s_lo, _s_hi in cells
-                    if (z := (lo >> shift) + 1) << shift < hi and intpoly.poly_eval(factor, z) == 0]
-            if not hits:
-                return ints + [RootInterval(factor, *cell) for cell in cells]
+        if not hits:
+            return ints + roots
         for z in hits:
             factor, rem = intpoly.synthetic_div(factor, z)
             if rem:
@@ -720,7 +743,6 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
     """
     int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=_integer_candidates(guesses, bound))
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
-    found = sum(int_roots.values())
     rest = sorted(guesses)
     for z, mult in int_roots.items():
         for _ in range(min(mult, len(rest))):
@@ -737,12 +759,13 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
     else:
         chain = intpoly.sturm_chain(residual)
         factors = intpoly.square_free_decomposition(residual, chain)
+    # integer_roots and the split divide exactly, so every eigenvalue is
+    # accounted for when each factor gives as many roots as its degree.
     for factor, mult in factors:
         values = _factor_roots(factor, bound, rest, chain)
-        counts.extend((v, mult) for v in values)
-        found += len(values) * mult
-    if found != len(coeffs) - 1:
-        raise ArithmeticError("failed to account for every quotient eigenvalue")
+        if len(values) != len(factor) - 1:
+            raise ArithmeticError("failed to account for every quotient eigenvalue")
+        counts += zip(values, itertools.repeat(mult))
     return counts
 
 

@@ -541,6 +541,20 @@ def test_sign_on_grid_coefficients_equals_the_dyadic_sign(p, m, num, root):
         assert intpoly.sign_at(scaled, num) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(0, 40).flatmap(lambda d: st.lists(st.integers(-(1 << 400), 1 << 400),
+                                                      min_size=d + 1, max_size=d + 1)).map(tuple),
+       a=st.integers(-(1 << 200), 1 << 200), b=st.integers(-(1 << 200), 1 << 200))
+@example(p=(7,), a=0, b=-1)
+@example(p=tuple(range(-20, 21)), a=-(1 << 200), b=(1 << 200) - 1)
+@example(p=_DEGREE_DROP, a=-1, b=1)
+def test_poly_eval_pair_is_two_evaluations(p, a, b):
+    """Guess placement reads both ends of a cell in one Horner pass with two
+    accumulators: the values poly_eval gives at a and at b, for degrees 0 to
+    40, coefficients up to 2^400 and points of either sign up to 2^200."""
+    assert intpoly.poly_eval_pair(p, a, b) == (intpoly.poly_eval(p, a), intpoly.poly_eval(p, b))
+
+
 def test_sturm_chain_gcd_calls(monkeypatch):
     """The gcds a chain takes, each as its number of arguments: one over all
     coefficients for primitive(p) and primitive(p'), then for each remainder
@@ -1008,19 +1022,30 @@ def _sixty_strings():
     return [random_block_string(rng) for _ in range(60)]
 
 
+# The evaluators of intpoly and the points each call evaluates: placement
+# reads both ends of a cell in one poly_eval_pair call.
+_EVALUATED_POINTS = (("sign_at", 1), ("poly_eval", 1), ("poly_eval_pair", 2))
+
+
 def _count_root_path_evaluations(monkeypatch, strings):
     """Run exact_spectrum on the strings and count: "signs", the sign
-    evaluations under isolate_real_roots and refine_root; "refine_signs",
-    those made by refine_root itself; "sturm", the Sturm evaluations made by
-    isolate_real_roots; and the calls of each of the two, under its own name."""
+    evaluations under isolate_real_roots and refine_root (sign_at calls,
+    and two for each poly_eval_pair call of guess placement);
+    "refine_signs", the sign_at calls made by refine_root itself; "sturm",
+    the Sturm evaluations made by isolate_real_roots; and the calls of each
+    of the two, under its own name."""
     counts, open_calls = {"signs": 0, "refine_signs": 0, "sturm": 0}, []
-    sign_at, sign_variations = intpoly.sign_at, intpoly._sign_variations
+    sign_at, sign_variations, eval_pair = intpoly.sign_at, intpoly._sign_variations, intpoly.poly_eval_pair
 
     def counting_sign_at(*args):
         if open_calls:
             counts["signs"] += 1
             counts["refine_signs"] += open_calls[-1] == "refine_root"
         return sign_at(*args)
+
+    def counting_eval_pair(*args):
+        counts["signs"] += 2 * bool(open_calls)
+        return eval_pair(*args)
 
     def counting_sign_variations(*args):
         counts["sturm"] += bool(open_calls) and open_calls[-1] == "isolate_real_roots"
@@ -1040,6 +1065,7 @@ def _count_root_path_evaluations(monkeypatch, strings):
         return wrapper
 
     monkeypatch.setattr(intpoly, "sign_at", counting_sign_at)
+    monkeypatch.setattr(intpoly, "poly_eval_pair", counting_eval_pair)
     monkeypatch.setattr(intpoly, "_sign_variations", counting_sign_variations)
     for name in ("isolate_real_roots", "refine_root"):
         monkeypatch.setattr(intpoly, name, tracked(name))
@@ -1176,6 +1202,27 @@ def test_placed_cells_are_the_oracle_cells_of_sturm_bisection(k, bits, data):
         assert [root_oracles.cell_fractions(cell) for cell in got] == want
 
 
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 6), bits=st.integers(7, 66), data=st.data())
+def test_placement_does_not_depend_on_the_order_of_the_guesses(k, bits, data):
+    """_guessed_cells takes the guesses in any order: on the strings of the
+    test above, the guesses reversed and shuffled certify the same cells as
+    in ascending order whenever both orders certify a cell for every root
+    of a factor.  (Degree-many certified cells are then the final-grid cells
+    of the roots, one each, so the cells are determined.)"""
+    n = data.draw(st.integers(max(128, 1 << bits), min(10 ** 20, 2 << bits)), label="n")
+    b = cut_block_string(random.Random(data.draw(st.integers(0, 2 ** 32), label="seed")), k, n)
+    factors, guesses = _residual_factors(b)
+    shuffled = data.draw(st.permutations(guesses), label="shuffled")
+    for factor, bound, _chain in factors:
+        total = intpoly.poly_degree(factor)
+        want = intpoly._guessed_cells(factor, bound, total, guesses)
+        for order in (guesses[::-1], shuffled):
+            got = intpoly._guessed_cells(factor, bound, total, order)
+            if want is not None and got is not None and len(want) == len(got) == total:
+                assert got == want
+
+
 def test_a_missing_guess_falls_back_to_sturm_bisection(monkeypatch):
     b = parse_block_string("0^3 1 0^2 1^4 0 1^2 0^5 1")
     [(factor, bound, chain)], guesses = _residual_factors(b)
@@ -1256,16 +1303,20 @@ def test_a_zero_sign_at_a_tree_point_falls_back_to_bisection(p, guesses, bound):
 
 
 def test_guessed_isolation_sign_evaluations_and_sturm_count(monkeypatch):
-    """For the 60 fixed criterion-4 strings of the test above: at most 1801
-    sign evaluations under isolate_real_roots and refine_root (2550 with
-    guess cells of width 2^-20, 7270 when isolation bisected with a Sturm
-    evaluation at every point), and no Sturm evaluation at all: the guesses
-    located every root, which the count over the whole line, read off the
-    chain's leading coefficients, certifies (it took two evaluations per
-    isolation, at -bound and bound, when the count was of (-bound, bound])."""
+    """For the 60 fixed criterion-4 strings of the test above: at most 752
+    sign evaluations under isolate_real_roots and refine_root, all of them
+    guess placement's, two for each poly_eval_pair call (751 points while
+    the value at each tree point was kept; the bound was 1801 sign_at calls
+    of an earlier placement, and counted none of the poly_eval calls that
+    replaced them; 2550 with guess cells of width 2^-20, 7270 when
+    isolation bisected with a Sturm evaluation at every point), and no Sturm
+    evaluation at all: the guesses located every root, which the count over
+    the whole line, read off the chain's leading coefficients, certifies (it
+    took two evaluations per isolation, at -bound and bound, when the count
+    was of (-bound, bound])."""
     counts = _count_root_path_evaluations(monkeypatch, _sixty_strings())
     assert counts["isolate_real_roots"] > 0
-    assert counts["signs"] <= 1801
+    assert counts["signs"] <= 752
     assert counts["sturm"] == 0
 
 
@@ -1291,17 +1342,18 @@ def _spectrum_small_pass_strings(seed: int) -> list[BlockString]:
 
 
 def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
-    """The sign evaluations (sign_at and poly_eval calls) that guess
-    placement (_guessed_cells) makes on the 500 strings of a spectrum_small
-    pass, random.Random(3): 5707.  They were 5709 with the four-cell
-    strings' guesses from eigvalsh rather than from their cubic, and 7365
-    with the guesses of stripped integer roots still placed."""
+    """The points that guess placement (_guessed_cells) evaluates on the
+    500 strings of a spectrum_small pass, random.Random(3): 5732, two for
+    each poly_eval_pair call.  They were 5707 while the value at each tree
+    point was kept and read again by a neighbouring cell, 5709 with the
+    four-cell strings' guesses from eigvalsh rather than from their cubic,
+    and 7365 with the guesses of stripped integer roots still placed."""
     signs, placing = [0], [0]
     guessed_cells = intpoly._guessed_cells
 
-    def counting(fn):
+    def counting(fn, points):
         def wrapper(*args):
-            signs[0] += placing[0] > 0
+            signs[0] += points * (placing[0] > 0)
             return fn(*args)
         return wrapper
 
@@ -1312,12 +1364,12 @@ def test_placement_sign_evaluations_on_a_spectrum_small_pass(monkeypatch):
         finally:
             placing[0] -= 1
 
-    for name in ("sign_at", "poly_eval"):
-        monkeypatch.setattr(intpoly, name, counting(getattr(intpoly, name)))
+    for name, points in _EVALUATED_POINTS:
+        monkeypatch.setattr(intpoly, name, counting(getattr(intpoly, name), points))
     monkeypatch.setattr(intpoly, "_guessed_cells", counting_guessed_cells)
     for b in _spectrum_small_pass_strings(3):
         exact_spectrum(b)
-    assert signs[0] == 5707
+    assert signs[0] == 5732
 
 
 # (k, n) of the k = 8-16 strings of the spectrum byte pin, cut by random.Random(8).
@@ -1371,20 +1423,21 @@ def test_integer_root_trial_divisions_on_a_spectrum_small_pass(monkeypatch):
 
 
 def test_placement_evaluations_on_a_spectrum_large_pass(monkeypatch):
-    """The sign_at and poly_eval calls that guess placement (_guessed_cells)
-    makes on the non-refused inputs of a spectrum_large pass, seed 1, per
-    input class: 462 in all, none above the 766 (386 sign_at, 380 poly_eval)
-    made when every guess from b = 128 on took Newton steps before any cell
-    was tried.  From b = 128 on each guess's own cell, then the secant steps
-    through cell ends, place every guess; below (k14, k16) the evaluations
-    are those of the neighbour search."""
+    """The points that guess placement (_guessed_cells) evaluates on the
+    non-refused inputs of a spectrum_large pass, seed 1, per input class,
+    two for each poly_eval_pair call: 482 in all (462 while the value at
+    each tree point was kept), none above the 766 (386 sign_at, 380
+    poly_eval) made when every guess from b = 128 on took Newton steps
+    before any cell was tried.  From b = 128 on each guess's own cell, then
+    the secant steps through cell ends, place every guess; below (k14, k16)
+    the evaluations are those of the neighbour search."""
     counts: dict[str, int] = {}
     placing, label = [0], [""]
 
-    def counting(fn):
+    def counting(fn, points):
         def wrapper(*args):
             if placing[0]:
-                counts[label[0]] = counts.get(label[0], 0) + 1
+                counts[label[0]] = counts.get(label[0], 0) + points
             return fn(*args)
         return wrapper
 
@@ -1396,8 +1449,8 @@ def test_placement_evaluations_on_a_spectrum_large_pass(monkeypatch):
             placing[0] -= 1
 
     guessed_cells = intpoly._guessed_cells
-    for name in ("sign_at", "poly_eval"):
-        monkeypatch.setattr(intpoly, name, counting(getattr(intpoly, name)))
+    for name, points in _EVALUATED_POINTS:
+        monkeypatch.setattr(intpoly, name, counting(getattr(intpoly, name), points))
     monkeypatch.setattr(intpoly, "_guessed_cells", counting_guessed_cells)
     [ops] = _bench_workloads().make_passes("spectrum_large", 1, 1)
     for op in ops:
@@ -1406,9 +1459,9 @@ def test_placement_evaluations_on_a_spectrum_large_pass(monkeypatch):
             exact_spectrum(BlockString(op.data))
     before = {"k8_n20000": 262, "k10_n2000": 164, "k12_n500": 188, "k14_n100": 54, "k16_n64": 62,
               "k2_n1e5-3e5": 36}
-    assert counts == {"k8_n20000": 145, "k10_n2000": 82, "k12_n500": 95, "k14_n100": 54, "k16_n64": 62,
+    assert counts == {"k8_n20000": 156, "k10_n2000": 88, "k12_n500": 98, "k14_n100": 54, "k16_n64": 62,
                       "k2_n1e5-3e5": 24}
-    assert all(counts[c] <= before[c] for c in before) and sum(counts.values()) == 462 < 766
+    assert all(counts[c] <= before[c] for c in before) and sum(counts.values()) == 482 < 766
 
 
 def test_a_stalled_secant_walk_gives_way_to_sturm_bisection():
@@ -1450,17 +1503,20 @@ def test_refinement_for_validate_at_n_10_300_takes_few_evaluations(monkeypatch):
     poly_eval.  Most of what is left is bisection of the two cells that
     Sturm bisection isolates: their guesses are about 10^284 from roots
     near 4, too far for Newton steps, which refine_root takes from the
-    midpoints of those cells too.  Guess placement (_guessed_cells) makes
-    56 evaluations, and the secant walks of those two guesses certify no
-    cell; Newton steps from every guess before any cell was tried made 60."""
+    midpoints of those cells too.  Guess placement (_guessed_cells)
+    evaluates 60 points, two for each poly_eval_pair call, and the secant
+    walks of those two guesses certify no cell, so each tries both
+    neighbours of the cell where it stops; keeping the value at each tree
+    point saved the 4 points those neighbours share with it (56).  Newton
+    steps from every guess before any cell was tried made 60 evaluations."""
     counts, scope = {}, [None]
 
-    def counting(name):
+    def counting(name, points):
         fn = getattr(intpoly, name)
 
         def wrapper(*args):
             if scope[0]:
-                counts[scope[0], name] = counts.get((scope[0], name), 0) + 1
+                counts[scope[0], name] = counts.get((scope[0], name), 0) + points
             return fn(*args)
         return wrapper
 
@@ -1475,11 +1531,11 @@ def test_refinement_for_validate_at_n_10_300_takes_few_evaluations(monkeypatch):
                 scope[0] = outer
         return wrapper
 
-    for name in ("sign_at", "poly_eval"):
-        monkeypatch.setattr(intpoly, name, counting(name))
+    for name, points in _EVALUATED_POINTS:
+        monkeypatch.setattr(intpoly, name, counting(name, points))
     for name in ("refine_root", "_guessed_cells"):
         monkeypatch.setattr(intpoly, name, scoped(name))
     exact_spectrum(parse_block_string(f"0^{10 ** 300} 1^5 0 1"))
     assert counts.get(("refine_root", "sign_at"), 0) <= 2100
     assert counts.get(("refine_root", "poly_eval"), 0) <= 100
-    assert counts.get(("_guessed_cells", "sign_at"), 0) + counts.get(("_guessed_cells", "poly_eval"), 0) == 56
+    assert sum(counts.get(("_guessed_cells", name), 0) for name, _points in _EVALUATED_POINTS) == 60
