@@ -96,22 +96,8 @@ def timed_round(packages: dict, strings: dict, first: int) -> dict[str, float]:
     return total
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git ref to compare the working tree against")
-    parser.add_argument("--workload", required=True, help="spectrum_small or spectrum_large")
-    parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--passes", type=int, default=3, help="passes of the workload per round")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.rounds < 1 or args.passes < 1:
-        parser.error("--rounds and --passes must be at least 1")
-    data = spectrum_inputs(args.workload, args.seed, args.passes)
-    with tempfile.TemporaryDirectory(prefix="inproc_pairs_") as tmp:
-        export_package(args.parent, Path(tmp))
-        sys.path[:0] = [tmp, str(ROOT / "src")]
-        sides = {"parent": importlib.import_module(PARENT_PACKAGE),
-                 "change": importlib.import_module("seidelchain")}
+def compare(args: argparse.Namespace, data: list, sides: dict) -> int:
+    """Check that both sides give the same spectra, then time and report them."""
     strings = {side: [package.BlockString(blocks) for blocks in data] for side, package in sides.items()}
     digests = {side: digest(package, strings[side]) for side, package in sides.items()}
     if digests["parent"] != digests["change"]:
@@ -131,6 +117,26 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  median paired ratio change / parent {statistics.median(ratios):.3f}, "
           f"change faster in {won} of {args.rounds} rounds")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git ref to compare the working tree against")
+    parser.add_argument("--workload", required=True, help="spectrum_small or spectrum_large")
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--passes", type=int, default=3, help="passes of the workload per round")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.passes < 1:
+        parser.error("--rounds and --passes must be at least 1")
+    data = spectrum_inputs(args.workload, args.seed, args.passes)
+    # The parent's files stay on disk while its package is in use.
+    with tempfile.TemporaryDirectory(prefix="inproc_pairs_") as tmp:
+        export_package(args.parent, Path(tmp))
+        sys.path[:0] = [tmp, str(ROOT / "src")]
+        sides = {"parent": importlib.import_module(PARENT_PACKAGE),
+                 "change": importlib.import_module("seidelchain")}
+        return compare(args, data, sides)
 
 
 if __name__ == "__main__":
