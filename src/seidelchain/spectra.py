@@ -496,8 +496,10 @@ class ExactSpectrum:
         n = self.n
         if n <= 0:
             raise ValueError("empty spectrum")
-        if _enclosed_sums_checked(self.entries, n):
-            return
+        for v, _m in self.entries:
+            if isinstance(v, RootInterval):
+                _assert_enclosed_sums(self.entries, n)
+                return
         for power, target in ((1, 0), (2, n * (n - 1))):
             if not _exact_power_sum_is(self.entries, power, target):
                 raise ValueError(f"spectrum identity failed: power {power} sum != {target}")
@@ -527,10 +529,8 @@ def _exact_power_sum_is(entries, power: int, target: int) -> bool:
     return rational == target * den and not any(radicals.values())
 
 
-def _enclosed_sums_checked(entries, n: int) -> bool:
-    """The trace and Frobenius identities by integer enclosures at 2^(2 bits),
-    in one pass over the entries; False, with nothing checked, when no value
-    is a root interval.
+def _assert_enclosed_sums(entries, n: int) -> None:
+    """The trace and Frobenius identities by integer enclosures at 2^(2 bits).
 
     bits is INTERVAL_BITS (40), the width of computed root cells, up to
     n < 2^28, and n.bit_length() + 12 beyond, where the cells are refined to
@@ -547,16 +547,13 @@ def _enclosed_sums_checked(entries, n: int) -> bool:
     scale = 2 * bits
     sum1 = sum2 = 0  # the exact sums of the integer values and their squares
     lo1 = hi1 = lo2 = hi2 = 0
-    interval = False
     for v, m in entries:
         if isinstance(v, int):
             sum1 += m * v
             sum2 += m * v * v
             continue
-        if isinstance(v, RootInterval):
-            interval = True
-            if refine:
-                v = v.refined(bits)
+        if refine and isinstance(v, RootInterval):
+            v = v.refined(bits)
         lo, hi = _enclosure(v, scale)
         if lo >= 0:
             sq_lo, sq_hi = lo * lo, hi * hi
@@ -570,14 +567,11 @@ def _enclosed_sums_checked(entries, n: int) -> bool:
         hi1 += hi
         lo2 += sq_lo
         hi2 += sq_hi
-    if not interval:
-        return False
     for power, target, lo_sum, hi_sum, shift in ((1, 0, lo1 + (sum1 << scale), hi1 + (sum1 << scale), scale),
                                                  (2, n * (n - 1), lo2 + (sum2 << 2 * scale),
                                                   hi2 + (sum2 << 2 * scale), 2 * scale)):
         if not (lo_sum <= target << shift <= hi_sum) or (hi_sum - lo_sum) >> shift:
             raise ValueError(f"spectrum identity failed: power {power} enclosure misses {target}")
-    return True
 
 
 def spectrum_from_counts(counts) -> ExactSpectrum:
@@ -743,6 +737,7 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
     """
     int_roots, residual = intpoly.integer_roots(coeffs, bound=bound, guesses=_integer_candidates(guesses, bound))
     counts: list[tuple[Eigenvalue, int]] = list(int_roots.items())
+    found = sum(int_roots.values())
     rest = sorted(guesses)
     for z, mult in int_roots.items():
         for _ in range(min(mult, len(rest))):
@@ -759,13 +754,12 @@ def _quotient_roots(coeffs: tuple[int, ...], bound: int, guesses: list[float],
     else:
         chain = intpoly.sturm_chain(residual)
         factors = intpoly.square_free_decomposition(residual, chain)
-    # integer_roots and the split divide exactly, so every eigenvalue is
-    # accounted for when each factor gives as many roots as its degree.
     for factor, mult in factors:
         values = _factor_roots(factor, bound, rest, chain)
-        if len(values) != len(factor) - 1:
-            raise ArithmeticError("failed to account for every quotient eigenvalue")
         counts += zip(values, itertools.repeat(mult))
+        found += len(values) * mult
+    if found != len(coeffs) - 1:
+        raise ArithmeticError("failed to account for every quotient eigenvalue")
     return counts
 
 

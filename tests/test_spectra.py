@@ -906,6 +906,36 @@ def test_validate_rejects_as_before():
     assert _validation(_perturbed(mixed, surd, "mult")) == "spectrum identity failed: power 1 enclosure misses 0"
 
 
+def test_validate_encloses_nothing_without_root_intervals(monkeypatch):
+    """Ints and surds alone are checked exactly: no value is enclosed, which
+    for a surd of n ~ 10^1000 would be an isqrt of some 16 700 bits."""
+    x = 10 ** 1000 - 1
+    surd_spectra = [exact_spectrum(BlockString(((1, x), (x, 5)))), exact_spectrum(parse_block_string("0 1^2 0^3 1"))]
+    assert all(isinstance(v, (int, Surd)) for sp in surd_spectra for v, _m in sp.entries)
+    monkeypatch.setattr(spectra, "_enclosure", _raise)
+    monkeypatch.setattr(spectra, "_assert_enclosed_sums", _raise)
+    for sp in surd_spectra:
+        sp.validate()
+
+
+@pytest.mark.parametrize("split", [
+    lambda factors: [(f, 2 * m) for f, m in factors],  # every factor's roots counted twice
+    lambda factors: factors[1:],  # a factor dropped
+], ids=["doubled", "dropped"])
+def test_quotient_roots_account_for_every_eigenvalue(monkeypatch, split):
+    """Each factor gives as many roots as its degree either way; only the
+    total over the integer roots and the factors' multiplicities shows that
+    the split does not add up to the charpoly's degree."""
+    b = parse_block_string("0 1 0^2 1^2 0^2 1")
+    q = quotient_matrix(b)
+    coeffs, guesses = char_poly(q).coeffs, spectra._quotient_guesses(q)
+    spectra._quotient_roots(coeffs, b.n, guesses)
+    decompose = intpoly.square_free_decomposition
+    monkeypatch.setattr(intpoly, "square_free_decomposition", lambda p, chain: split(decompose(p, chain)))
+    with pytest.raises(ArithmeticError, match="failed to account for every quotient eigenvalue"):
+        spectra._quotient_roots(coeffs, b.n, guesses)
+
+
 @settings(max_examples=60, deadline=None)
 @given(blocks=_BLOCKS, data=st.data())
 def test_validate_agrees_with_the_fraction_oracle(blocks, data):

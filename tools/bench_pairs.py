@@ -38,9 +38,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def export_ref(ref: str, dest: Path) -> None:
-    """Write the committed files of ref into dest."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+def export_ref(ref: str, dest: Path, *paths: str) -> None:
+    """Write the committed files of ref into dest, only those under paths when
+    any are given."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, *paths],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 

@@ -6,12 +6,12 @@ Usage (from the repository root):
     python3 tools/inproc_pairs.py --parent HEAD --workload spectrum_small
 
 The parent ref's ``src/seidelchain`` is exported with ``git archive`` into a
-fresh temporary directory under the package name ``seidelchain_parent`` (the
-package imports itself only relatively, so the rename is all it takes), and
-both packages are imported side by side into this one process.  The inputs
-are the non-refused spectrum operations of --passes passes of the workload
-(bench/workloads.py, drawn from --seed), each side's ``BlockString`` built
-once.  Before any timing, the sha256 over ``serialize()`` of every spectrum
+fresh temporary directory (tools/bench_pairs.py's export_ref) and renamed
+``seidelchain_parent`` (the package imports itself only relatively, so the
+rename is all it takes), and both packages are imported side by side into
+this one process.  The inputs are the non-refused spectrum operations of
+three passes of the workload (bench/workloads.py, seed 1), each side's
+``BlockString`` built once.  Before any timing, the sha256 over ``serialize()`` of every spectrum
 is taken on both sides; when the digests differ nothing is reported and the
 exit status is 1.
 
@@ -35,25 +35,25 @@ import hashlib
 import importlib
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_pairs import ROOT, export_ref
+
 PARENT_PACKAGE = "seidelchain_parent"
+PASSES = 3
+SEED = 1
 
 
 def export_package(ref: str, dest: Path) -> None:
     """Write ref's src/seidelchain into dest / PARENT_PACKAGE."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src/seidelchain"],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest), "--strip-components=1"], input=archive, check=True)
-    (dest / "seidelchain").rename(dest / PARENT_PACKAGE)
+    export_ref(ref, dest, "src/seidelchain")
+    (dest / "src" / "seidelchain").rename(dest / PARENT_PACKAGE)
 
 
-def spectrum_inputs(workload: str, seed: int, passes: int) -> list:
+def spectrum_inputs(workload: str) -> list:
     """The block tuples of the non-refused spectrum operations of the passes."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
@@ -62,7 +62,7 @@ def spectrum_inputs(workload: str, seed: int, passes: int) -> list:
         sys.path.pop(0)
     if workload not in workloads.NAMES:
         raise SystemExit(f"unknown workload {workload!r}; choose from {', '.join(workloads.NAMES)}")
-    ops = [op for ops in workloads.make_passes(workload, seed, passes) for op in ops]
+    ops = [op for ops in workloads.make_passes(workload, SEED, PASSES) for op in ops]
     data = [op.data for op in ops if op.kind == "spectrum" and not op.refuse]
     if not data:
         raise SystemExit(f"{workload} has no spectrum operations to time")
@@ -107,10 +107,10 @@ def compare(args: argparse.Namespace, data: list, sides: dict) -> int:
     seconds: dict[str, list[float]] = {"parent": [], "change": []}
     for r in range(args.rounds):
         for side, t in timed_round(sides, strings, r).items():
-            seconds[side].append(t / args.passes)
+            seconds[side].append(t / PASSES)
     ratios = [c / p for p, c in zip(seconds["parent"], seconds["change"])]
     won = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
-    print(f"{args.workload}: {len(data)} spectra in {args.passes} passes (seed {args.seed}), "
+    print(f"{args.workload}: {len(data)} spectra in {PASSES} passes (seed {SEED}), "
           f"{args.rounds} rounds, parent {args.parent} against the working tree; sha256 {digests['change']}")
     for side in ("parent", "change"):
         print(f"  {side:<6} median {statistics.median(seconds[side]) * 1e3:.2f} ms per pass")
@@ -124,12 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="git ref to compare the working tree against")
     parser.add_argument("--workload", required=True, help="spectrum_small or spectrum_large")
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--passes", type=int, default=3, help="passes of the workload per round")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.passes < 1:
-        parser.error("--rounds and --passes must be at least 1")
-    data = spectrum_inputs(args.workload, args.seed, args.passes)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    data = spectrum_inputs(args.workload)
     # The parent's files stay on disk while its package is in use.
     with tempfile.TemporaryDirectory(prefix="inproc_pairs_") as tmp:
         export_package(args.parent, Path(tmp))
