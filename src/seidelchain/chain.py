@@ -192,14 +192,24 @@ def cell_signs(b: BlockString) -> tuple[tuple[int, ...], ...]:
     )
 
 
+# The most vertices any graph consumer takes: the Seidel matrix and numeric
+# spectrum, and switching-only equivalence.  The search, the certificates,
+# canonical labelling and is_chain_graph take fewer.
+CHAIN_GRAPH_CAP = 2000
+
+
 def build_chain_graph(b: BlockString) -> ChainGraph:
     """Construct the chain graph of a block string.
 
     Every vertex of a cell is joined to every vertex of each cell with sign
     -1 (cell_signs): a vertex of the i-th 0-cell is adjacent to a vertex of
     the j-th 1-cell iff i <= j.  The result is connected: every 1-cell sees
-    the first 0-cell and every 0-cell is seen by the last 1-cell.
+    the first 0-cell and every 0-cell is seen by the last 1-cell.  A string
+    on more than CHAIN_GRAPH_CAP vertices is refused before any row is
+    built, at the cost of one sum over its k blocks.
     """
+    if b.n > CHAIN_GRAPH_CAP:
+        raise ValueError(f"chain graphs are capped at {CHAIN_GRAPH_CAP} vertices")
     cells = b.cells()
     masks = [((1 << size) - 1) << start for _lab, start, size in cells]
     rows: list[int] = []

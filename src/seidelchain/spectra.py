@@ -976,7 +976,7 @@ class EquiangularParams:
 
 def _negated_reciprocal(u: RootInterval) -> float:
     """-1/u as a float, from the midpoint of u's cell in one correctly rounded
-    division; for |u| > 1 it cannot overflow, and at worst underflows to 0."""
+    division; u's cell lies on one side of 0, so its midpoint is not 0."""
     return -(2 << u.shift) / (u.lo + u.hi)
 
 
@@ -987,13 +987,17 @@ def _reciprocal_abs(v: Eigenvalue, sp: ExactSpectrum) -> Union[Fraction, Surd, R
     p: x -> -1/x takes the roots of p one to one onto those of rev, and
     v's cell (lo, hi) / 2^shift, below -1, onto (2^shift / -lo, 2^shift / -hi),
     which therefore holds exactly one root of rev, 1/|v|.  rev is isolated
-    on [-1, 1] like any factor, its float guesses -1/u for each root u of p
-    that sp lists with |u| > 1; when rev also has roots outside [-1, 1],
-    the guessed cells fall short of its whole-line count and are certified
-    by the chain's count in (-1, 1] instead.  The isolating cell whose part
-    inside that image shows a sign change of rev holds 1/|v|; no other cell
-    can, since the image holds no other root.  That cell is refined to the
-    final grid.
+    on [-B, B], B the least power of two at or above its root bound, with
+    the float guess -1/u of each root u of p that sp lists.  An exact
+    spectrum lists every root of p, all real, so the degree-many cells the
+    guesses place certify rev with no Sturm chain; the chain is built only
+    where placement falls short.  A root inside (-1, 1) is refined to
+    2 * INTERVAL_BITS first, since -1/u of its 2^-INTERVAL_BITS cell can be
+    several cells off.  B is a power of two, so the window's final grid is
+    the 2^-INTERVAL_BITS dyadic grid of [-1, 1], and each cell is the one a
+    narrower window would give.  The isolating cell whose part inside v's
+    image shows a sign change of rev holds 1/|v|; no other cell can, since
+    the image holds no other root.  That cell is refined to the final grid.
     """
     if isinstance(v, int):
         return Fraction(1, -v)
@@ -1003,12 +1007,13 @@ def _reciprocal_abs(v: Eigenvalue, sp: ExactSpectrum) -> Union[Fraction, Surd, R
     rev = intpoly.primitive(tuple(v.poly[d - i] * (-1) ** (d - i) for i in range(d + 1)))
     # Computed cells are at most 2^-INTERVAL_BITS wide, so hi < 0 below -1.
     v = v.refined(INTERVAL_BITS)
-    guesses = [_negated_reciprocal(u) for u, _m in sp.entries
-               if isinstance(u, RootInterval) and u.poly == v.poly and abs(u.lo + u.hi) > 2 << u.shift]
+    guesses = [_negated_reciprocal(u if abs(u.lo + u.hi) > 2 << u.shift else u.refined(2 * INTERVAL_BITS))
+               for u, _m in sp.entries if isinstance(u, RootInterval) and u.poly == v.poly]
+    bound = 1 << (intpoly.root_bound(rev) - 1).bit_length()
     # The image's ends a < b as (numerator, denominator), and the signs of rev there.
     (a_num, a_den), (b_num, b_den) = (1 << v.shift, -v.lo), (1 << v.shift, -v.hi)
     s_a, s_b = intpoly.sign_at(rev, a_num, a_den), intpoly.sign_at(rev, b_num, b_den)
-    for lo, hi, shift, s_lo, s_hi in intpoly.isolate_real_roots(rev, 1, guesses):
+    for lo, hi, shift, s_lo, s_hi in intpoly.isolate_real_roots(rev, bound, guesses):
         # x / 2^shift against num / den is x * den against num * 2^shift.
         if lo * b_den < b_num << shift and a_num << shift < hi * a_den:  # the cell meets the image
             left = s_lo if lo * a_den >= a_num << shift else s_a

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,9 @@ from seidelchain import (
     is_chain_graph,
     parse_block_string,
 )
-from seidelchain.chain import cell_signs
+from seidelchain.chain import CHAIN_GRAPH_CAP, cell_signs
+from seidelchain.spectra import MATRIX_CAP
+from seidelchain.switching import CANONICAL_CAP, CERTIFICATE_CAP, PLAIN_CAP, SEARCH_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,31 @@ def test_bipartite_between_cell_classes():
         for v in range(g.n):
             side = zero_mask if (zero_mask >> v) & 1 else one_mask
             assert g.rows[v] & side == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_graph("0^1000000000 1"),
+    lambda: build_chain_graph(BlockString(((10 ** 300, 1),))),
+], ids=["chain_graph_1e9", "build_chain_graph_1e300"])
+def test_oversized_chain_graph_is_refused_before_any_row(build):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="capped at 2000 vertices"):
+            build()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05
+    assert peak < 100_000
+
+
+def test_chain_graph_cap_refuses_no_graph_a_consumer_takes():
+    with pytest.raises(ValueError, match="capped at 64 vertices"):
+        is_chain_graph(Graph.empty(65))
+    assert CHAIN_GRAPH_CAP >= max(MATRIX_CAP, PLAIN_CAP, SEARCH_CAP, CERTIFICATE_CAP, CANONICAL_CAP, 64)
+    assert build_chain_graph(BlockString(((1, CHAIN_GRAPH_CAP - 1),))).n == CHAIN_GRAPH_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ COMMANDS = [
     ["equiangular", "01^3 0^3 1^7"],
     ["equiangular", "0 1 0 1"],
     ["equiangular", "0 1^2 0^3 1^4 0 1"],
+    # Cosines whose reversal also has roots outside [-1, 1] (k = 8 and k = 16).
+    ["equiangular", "0 1^3 0^2 1^2 0^2 1 0 1^4 0 1 0 1^2 0^2 1 0^2 1^4"],
+    ["equiangular", "0^3 1 0^2 1^4 0^3 1^3 0^2 1^2 0^3 1 0 1^4 0 1^3 0^3 1^3 0 1^4 0 1^4 0 1^3 0^3 1^2 0 1 0^2 1^3 0 1^2 0 1^4"],
     ["cospectral", "--r", "5"],
     ["cospectral", "--max-n", "42"],
     ["cospectral", "--max-n", "10"],

@@ -138,9 +138,10 @@ def test_refused_oracle_graph_never_holds_an_n_by_n_array():
 
 
 def test_asymmetry_is_named_without_an_n_by_n_array():
-    # One flipped bit in a 3001-vertex chain graph: the n x n uint8 matrix
-    # alone would take 9 MB.
-    rows = list(build_chain_graph(parse_block_string("0^1500 1^1501")).rows)
+    # One flipped bit in the 3001 rows of 0^1500 1^1501, past the chain
+    # graph cap and so built here: each of vertices 0..1499 is joined to all
+    # of 1500..3000, and back.  The n x n uint8 matrix alone would take 9 MB.
+    rows = [((1 << 1501) - 1) << 1500] * 1500 + [(1 << 1500) - 1] * 1501
     rows[2999] ^= 1 << 3000
     tracemalloc.start()
     try:

@@ -1054,6 +1054,25 @@ def test_equiangular_cosine_of_the_second_root_below_minus_1(listed):
     assert float(cosine) == pytest.approx(1 / 1.5549581320871653)
 
 
+@pytest.mark.parametrize("k", [16, 24])
+def test_equiangular_cosine_builds_no_sturm_chain(k, monkeypatch):
+    """lambda_min's factor has a root inside (-1, 1), so its reversal has one
+    outside [-1, 1]; the guess -1/u of every root still places degree-many
+    cells, and no Sturm chain is built for the cosine."""
+    rng = random.Random(5)
+    sp = exact_spectrum(BlockString(tuple((rng.randint(1, 6), rng.randint(1, 6)) for _ in range(k))))
+    lam = sp.min_value
+    assert isinstance(lam, RootInterval)
+    assert any(isinstance(u, RootInterval) and u.poly == lam.poly and abs(u.lo + u.hi) < 2 << u.shift
+               for u, _m in sp.entries)
+    chains = []
+    monkeypatch.setattr(intpoly, "sturm_chain", lambda p, real=intpoly.sturm_chain: chains.append(p) or real(p))
+    cosine = equiangular_params(sp).cosine
+    assert chains == []
+    monkeypatch.undo()
+    assert cosine == root_oracles.reciprocal_abs(lam)
+
+
 def test_equiangular_cosine_needs_no_sturm_count_and_one_fraction():
     """The cosine is certified by one sign change on the reversal's isolating
     cells, so spectra counts no roots by Sturm sequence, builds the one shared
