@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from seidelchain import Graph, build_chain_graph, chain_graph, parse_block_string, seidel_matrix
+from seidelchain import Graph, chain_graph, seidel_matrix
 
 
 def _reference_check(n: int, rows: tuple[int, ...]) -> str | None:
@@ -125,12 +125,14 @@ def test_from_edges_rejects_endpoints_out_of_range(n, edges):
 
 
 def test_refused_oracle_graph_never_holds_an_n_by_n_array():
-    # 3001 vertices in two cells: the n x n uint8 matrix alone would take 9 MB.
-    b = parse_block_string("0^1500 1^1501")
+    # The 3001 rows of 0^1500 1^1501, past the chain graph cap and so built
+    # here: seidel_matrix itself must refuse them before any n x n array,
+    # whose uint8 matrix alone would take 9 MB.
+    rows = (((1 << 1501) - 1) << 1500,) * 1500 + ((1 << 1500) - 1,) * 1501
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="capped at 2000 vertices"):
-            seidel_matrix(build_chain_graph(b))
+        with pytest.raises(ValueError, match="numeric_spectrum is capped at 2000 vertices"):
+            seidel_matrix(Graph(3001, rows))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
