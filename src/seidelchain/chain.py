@@ -13,9 +13,9 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import record
 from .graphs import Graph
 
 _ATOM = re.compile(r"\s*([01])(?:\^(\d+))?")
@@ -47,7 +47,7 @@ def _digits(v: int) -> str:
     return sign + _digits(hi) + _digits(lo).rjust(k, "0")
 
 
-@dataclass(frozen=True)
+@record
 class BlockString:
     """Run-length form of an alternating block binary string.
 
@@ -161,7 +161,7 @@ def parse_block_string(text: str) -> BlockString:
     return BlockString(blocks)
 
 
-@dataclass(frozen=True)
+@record
 class ChainGraph(Graph):
     """A chain graph together with the block string that generated it.
 

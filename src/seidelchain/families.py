@@ -41,9 +41,9 @@ linear factors.  No root is isolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 
+from ._record import record
 from .chain import BlockString
 from .intpoly import four_cell_cubic
 # four_cell_class is imported to stay importable from here.
@@ -90,7 +90,7 @@ def unit_chain_spectrum(n: int, m: int) -> ExactSpectrum:
 # Cospectral pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CospectralPair:
     """Two inequivalent unit chains sharing an exact Seidel spectrum.
 
@@ -213,7 +213,7 @@ def integral_family_params(family_id: str, r: int) -> tuple[int, int]:
     return formula(r)
 
 
-@dataclass(frozen=True)
+@record
 class IntegralFamily:
     """One member of a Seidel-integral family: a unit chain, or for "SYM" the
     mirror chain 0^r 1^2r 0^2r 1^r (n = 6r, m = 2r)."""
@@ -272,7 +272,7 @@ def classify_integral_pair(n: int, m: int) -> tuple[str, ...]:
     return tuple(tags)
 
 
-@dataclass(frozen=True)
+@record
 class ScanHit:
     """One (n, m) whose unit chain 0 1^m 0^m 1^(n-2m-1) is Seidel integral.
 

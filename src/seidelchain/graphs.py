@@ -14,11 +14,12 @@ without runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import itemgetter, sub
 
 import numpy as np
+
+from ._record import record
 
 
 def _row_runs(rows: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -68,7 +69,7 @@ def _first_fault(n: int, rows: tuple[int, ...]) -> str:
     return f"adjacency not symmetric at ({v}, {w})"
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with bitmask rows."""
 

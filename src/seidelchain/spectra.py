@@ -70,13 +70,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from . import intpoly
+from ._record import record
 from .chain import BlockString, _digits, cell_signs
 from .graphs import Graph
 
@@ -116,7 +116,7 @@ def _reducing_factor(a: int, c: int, d: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
+@record
 class Surd:
     """The real quadratic irrational (a + sign*sqrt(d)) / c, d not square.
 
@@ -167,7 +167,7 @@ class Surd:
         return f"({_digits(self.a)}{s}√{_digits(self.d)})/{_digits(self.c)}"
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class RootInterval:
     """A real algebraic number: the unique root of `poly` inside the dyadic
     cell (lo / 2^shift, hi / 2^shift).
@@ -283,7 +283,7 @@ def value_to_string(v: Eigenvalue) -> str:
 # Matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SeidelMatrix:
     """Symmetric {-1, 0, +1} matrix with zero diagonal: J - I - 2A.
 
@@ -350,7 +350,7 @@ def seidel_matrix(g: Graph) -> SeidelMatrix:
     return SeidelMatrix._of_graph(s)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientMatrix:
     """Quotient of the Seidel matrix over the 2k-cell chain partition.
 
@@ -399,7 +399,7 @@ def _cell_sign_template(k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray
     return rows, sigma
 
 
-@dataclass(frozen=True)
+@record
 class CharPoly:
     """Monic integer characteristic polynomial, coefficients in ascending power order."""
 
@@ -429,7 +429,7 @@ def char_poly(q: QuotientMatrix) -> CharPoly:
 # Exact spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ExactSpectrum:
     """Eigenvalue multiset: ((value, multiplicity), ...) sorted ascending.
 
@@ -959,7 +959,7 @@ def is_integral(sp: ExactSpectrum) -> bool:
 # Equiangular line parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EquiangularParams:
     """Line system parameters read off a Seidel spectrum.
 

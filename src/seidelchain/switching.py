@@ -33,7 +33,6 @@ import hashlib
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -41,6 +40,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.typing import ArrayLike
 
+from ._record import record
 from .chain import ChainGraph
 from .graphs import Graph
 
@@ -236,7 +236,7 @@ def _gray_ranks(masks) -> np.ndarray:
 # Degree-profile search over a switching class
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SwitchingWitness:
     """A switching subset plus the degree multiset of the switched graph."""
 
@@ -290,8 +290,11 @@ class WitnessColumns(Sequence):
         return f"WitnessColumns({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
+    """The witnesses of a switching search, the number of subsets that
+    matched, and the number examined."""
+
     witnesses: Sequence[SwitchingWitness]
     match_count: int
     subsets_examined: int
@@ -538,7 +541,7 @@ def canonical_bits(g: Graph) -> int:
 # Switching-class certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ClassCertificate:
     """Complete invariant of a switching class up to isomorphism (a two-graph).
 

@@ -6,11 +6,14 @@ chosen so that construction keeps them as given: no canonical reduction,
 no conversion (bar SeidelMatrix's entries, which become an int8 array).
 """
 
-from dataclasses import FrozenInstanceError
+import importlib
+import pkgutil
+from dataclasses import FrozenInstanceError, is_dataclass
 from fractions import Fraction
 
 import pytest
 
+import seidelchain
 from seidelchain import (
     BlockString,
     ChainGraph,
@@ -185,3 +188,12 @@ def test_graph_post_init_is_looked_up_on_the_class(monkeypatch):
     assert calls == ["ChainGraph"]
     Graph(3, (6, 1, 1))
     assert calls == ["ChainGraph", "Graph"]
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    """The records come from seidelchain._record: a dataclass would compile
+    its generated methods again on every import of the package."""
+    for info in pkgutil.iter_modules(seidelchain.__path__):
+        module = importlib.import_module(f"seidelchain.{info.name}")
+        classes = [v for v in vars(module).values() if isinstance(v, type)]
+        assert not any(map(is_dataclass, classes)), info.name
