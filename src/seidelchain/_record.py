@@ -4,7 +4,8 @@
 library's record types.  A dataclass writes the source of its methods and
 compiles it as its module is imported, which took a fifth of a fresh import
 of the package; ``record`` makes the same methods as closures over the field
-names.  It keeps the dataclass behaviour that the library relies on:
+names and compiles nothing.  It keeps the dataclass behaviour that the
+library relies on:
 
 - The fields are the annotated names of the class and of its bases, in MRO
   order, the bases' first.  A class attribute of a field's name is that
@@ -29,13 +30,13 @@ A record is not a dataclass: ``dataclasses.fields``, ``asdict`` and
 from __future__ import annotations
 
 from operator import attrgetter
-from reprlib import recursive_repr
 
 _set = object.__setattr__
 
 
 def _frozen(message: str) -> Exception:
-    from dataclasses import FrozenInstanceError  # imported only to be raised
+    # Imported here: dataclasses adds about 1 ms to every command's import.
+    from dataclasses import FrozenInstanceError
 
     return FrozenInstanceError(message)
 
@@ -119,7 +120,6 @@ def record(cls: type | None = None, /, *, init: bool = True, eq: bool = True):
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 
-    @recursive_repr()
     def __repr__(self):
         return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
 
