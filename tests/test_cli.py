@@ -15,8 +15,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seidelchain import cli
+from seidelchain.chain import build_chain_graph, parse_block_string
 from seidelchain.cli import run
-from seidelchain.switching import check_certificate_size, check_plain_size, check_search_size
+from seidelchain.graphs import degree_sequence
+from seidelchain.switching import (
+    biregular_profile,
+    check_certificate_size,
+    check_plain_size,
+    check_search_size,
+    regular_profile,
+    search_class_by_degree_profile,
+    switch_on_subset,
+)
 
 
 def _run(argv):
@@ -355,6 +365,51 @@ def test_thousand_witness_text_and_csv_are_pinned(fmt, size, sha256):
     assert code == 0
     assert len(text) == size
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@st.composite
+def _searches(draw):
+    """A chain string on at most 12 vertices, written in caret form, and a
+    profile: regular, the top and bottom degree of one of its switchings, or
+    two degrees no vertex has (which match nothing)."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n // 2))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2 * k - 1, max_size=2 * k - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    text = " ".join(f"{'01'[i % 2]}^{size}" for i, size in enumerate(parts))
+    degrees = degree_sequence(switch_on_subset(build_chain_graph(parse_block_string(text)),
+                                               draw(st.integers(0, (1 << n) - 1))))
+    profile = draw(st.sampled_from(["regular", "switching", "none"]))
+    if profile == "switching" and degrees[0] != degrees[-1]:
+        return text, f"biregular:{degrees[0]},{degrees[-1]}"
+    if profile == "none":
+        return text, f"biregular:{n},{n + 1}"
+    return text, "regular"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_searches())
+@example(("0 1^2 0^2 1", "biregular:2,4"))
+@example(("0 1^5 0^5 1", "biregular:12,13"))
+def test_switch_search_json_is_json_dumps_of_the_witnesses(search):
+    """switch-search --all prints json.dumps(indent=2) of its witnesses read
+    one by one off the search, whatever it matched."""
+    text, label = search
+    b = parse_block_string(text)
+    a, _, c = label.partition(":")[2].partition(",")
+    profile = biregular_profile(int(a), int(c)) if c else regular_profile
+    res = search_class_by_degree_profile(build_chain_graph(b), profile, all_witnesses=True)
+    doc = {"status": "ok", "payload": {
+        "string": b.caret(),
+        "n": b.n,
+        "profile": label,
+        "count": res.match_count,
+        "subsets_examined": res.subsets_examined,
+        "witnesses": [{"subsetBits": "0x%x" % w.subset, "degrees": list(w.degrees),
+                       "splitPerCell": list(w.split_per_cell)} for w in res.witnesses],
+    }}
+    assert _run(["--format", "json", "switch-search", text, "--profile", label, "--all"]) == (
+        0, json.dumps(doc, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])

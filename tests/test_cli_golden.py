@@ -45,6 +45,8 @@ COMMANDS = [
     ["switch-search", "01^5 0^5 1^4", "--profile", "regular"],
     ["switch-search", "01^5 0^5 1^4", "--profile", "biregular:7,8"],
     ["switch-search", "0 1^2 0^2 1", "--profile", "regular", "--all"],
+    # 12 witnesses in 5 orbits.
+    ["switch-search", "0 1^2 0^2 1", "--profile", "biregular:2,4", "--all"],
     ["switch-search", "0 1^2 0^2 1", "--profile", "biregular:1,2"],
     _THREADED,
     ["--threads", "2"] + _THREADED,
