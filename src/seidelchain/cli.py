@@ -12,16 +12,13 @@ JSON is written by `_json_text`, whose bytes equal json.dumps(doc, indent=2).
 CPython's json uses its C encoder only when no indent is given, so the
 writer gathers the pieces of the document itself, two spaces per level,
 joins them once, and leaves the escaping of strings to json's C function
-encode_basestring_ascii.  A record list is written column by column: each
-column in one pass, each stored value rendered once, and each record as one
-fill of a %-template.  A record list is a `_RecordList`, which holds its
-columns and may store a value shared by many records once, or a list of
-four or more dicts with the same keys in the same order.  switch-search
-passes its witnesses as a `_RecordList` read off the search's columns, so
-each orbit's degrees and split are rendered once in every format.  On the
-1000-witness switch-search --all (362 KB) the writer takes about 0.7 ms
-where json.dumps(indent=2) takes about 13 ms (best of 5 x 50, on a 2-core
-x86 VM).
+encode_basestring_ascii.  Its one record case is switch-search's
+witnesses, which the payload holds as the search's WitnessColumns:
+`_witness_columns` gives every format their rows with each orbit's degrees
+and split rendered once, and the writer fills one %-template per witness.
+On the 1000-witness switch-search --all (362 KB) the writer takes about
+0.65 ms where json.dumps(indent=2) takes about 12 ms (best of 5 x 50, on
+a 2-core x86 VM).
 
 Exit codes: 0 success, 1 computation error (caps, degenerate inputs, failed
 verification), 2 usage errors (unknown command, bad arguments, malformed
@@ -60,6 +57,7 @@ from .spectra import (
     value_to_string,
 )
 from .switching import (
+    WitnessColumns,
     biregular_profile,
     check_certificate_size,
     check_plain_size,
@@ -124,33 +122,6 @@ def _text(value) -> str:
         num = _digits(value.numerator)
         return num if value.denominator == 1 else f"{num}/{_digits(value.denominator)}"
     return str(value)
-
-
-class _RecordList:
-    """A list of dicts with one non-empty key tuple, held column by column.
-
-    columns[j] holds the values of keys[j] as (values, index): record i has
-    values[index[i]], or values[i] where index is None.  An indexed column
-    holds each shared value once (the witnesses of one orbit share their
-    degrees and split), so a renderer formats it once.
-    """
-
-    __slots__ = ("keys", "columns")
-
-    def __init__(self, keys: tuple[str, ...], columns):
-        self.keys, self.columns = keys, columns
-
-    def __len__(self) -> int:
-        values, index = self.columns[0]
-        return len(values if index is None else index)
-
-    def column(self, key: str, render=None) -> list:
-        """The column of key, record by record; render, if given, maps the
-        stored values to one text each."""
-        values, index = self.columns[self.keys.index(key)]
-        if render is not None:
-            values = render(values)
-        return values if index is None else list(map(values.__getitem__, index))
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +224,17 @@ def _cmd_switch_search(args) -> dict:
         "profile": label,
         "count": res.match_count,
         "subsets_examined": res.subsets_examined,
-        "witnesses": _witness_records(res.witnesses),
+        "witnesses": res.witnesses,
     }
 
 
-def _witness_records(witnesses) -> _RecordList:
-    """The subsetBits, degrees and splitPerCell records of search witnesses,
-    read off their columns: degrees and split are held once per orbit."""
-    degrees, splits = zip(*witnesses.orbits) if witnesses.orbits else ((), ())
-    return _RecordList(("subsetBits", "degrees", "splitPerCell"), (
-        (list(map("0x%x".__mod__, witnesses.masks)), None),
-        (degrees, witnesses.orbit_of),
-        (splits, witnesses.orbit_of),
-    ))
+def _witness_columns(w: WitnessColumns, render):
+    """One (hex mask, degrees, split) row per witness, read off the columns
+    of w: degrees and split go through render once per orbit."""
+    degrees = [render(d) for d, _ in w.orbits]
+    splits = [render(s) for _, s in w.orbits]
+    return zip(map(hex, w.masks), map(degrees.__getitem__, w.orbit_of),
+               map(splits.__getitem__, w.orbit_of))
 
 
 def _cmd_equivalent(args) -> dict:
@@ -349,10 +318,8 @@ def _text_switch_search(p: dict) -> list[str]:
         f"string: {p['string']}   profile {p['profile']}",
         f"matches: {p['count']} over {p['subsets_examined']} switchings",
     ]
-    w = p["witnesses"]
-    degrees = w.column("degrees", lambda ds: [f" degrees {list(d)}" for d in ds])
-    splits = w.column("splitPerCell", lambda ss: [f" split {list(s)}" for s in ss])
-    lines.extend(map("  subset %s%s%s".__mod__, zip(w.column("subsetBits"), degrees, splits)))
+    rows = _witness_columns(p["witnesses"], lambda v: str(list(v)))
+    lines.extend(map("  subset %s degrees %s split %s".__mod__, rows))
     return lines
 
 
@@ -397,14 +364,9 @@ def _csv_quotient(p: dict) -> tuple[list[str], list[list]]:
 
 
 def _csv_switch_search(p: dict) -> tuple[list[str], list]:
-    """The witness rows, column by column: each orbit's degrees and split
-    are joined once."""
-    w = p["witnesses"]
-    if not len(w):
-        return list(w.keys), [["", "", ""]]
-    joined = lambda values: [" ".join(map(str, v)) for v in values]  # noqa: E731
-    return list(w.keys), list(zip(w.column("subsetBits"), w.column("degrees", joined),
-                                  w.column("splitPerCell", joined)))
+    """The witness rows, or one empty row where there are none."""
+    rows = list(_witness_columns(p["witnesses"], lambda v: " ".join(map(str, v))))
+    return ["subsetBits", "degrees", "splitPerCell"], rows or [["", "", ""]]
 
 
 def _csv_verify_tables(report: dict) -> tuple[list[str], list[list]]:
@@ -416,41 +378,15 @@ def _csv_verify_tables(report: dict) -> tuple[list[str], list[list]]:
     ]
 
 
-# The fewest dicts _json_text writes as a record list.  Building the columns
-# and the template costs about 8 us, which a list of three or fewer records
-# does not win back.
-_RECORDS_MIN = 4
-
-
-def _json_column(values, pad: str) -> list[str]:
-    """_json_text of each value, the values all starting on lines with pad."""
-    if set(map(type, values)) == {str}:
-        return list(map(encode_basestring_ascii, values))
-    return [_json_text(v, pad) for v in values]
-
-
-def _json_records(records: _RecordList, pad: str) -> list[str]:
-    """_json_text of each record, column by column: each column is rendered
-    in one pass, and each record is one template fill.  The columns are
-    freed on return, before the caller joins the records."""
-    inner = pad + "  "
-    columns = [records.column(k, functools.partial(_json_column, pad=inner)) for k in records.keys]
-    fields = ("," + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                                for k in records.keys)
-    template = "{" + inner + fields + pad + "}"
-    return [template % row for row in zip(*columns)]
-
-
 def _json_text(value, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2) renders it; pad is the newline and
     indent of the line it starts on.
 
     Dict keys must be strings.  A list of exact ints is joined in one call,
-    a _RecordList, and a list of at least _RECORDS_MIN dicts with the same
-    keys in the same order, go through _json_records, and any leaf other
-    than a string, int, bool or None (a float) is left to json.dumps, which
-    also refuses what json refuses.  The pieces of the whole document are
-    joined once, so a large list is not copied again at each level above it.
+    search witnesses are one template fill each, and any leaf other than a
+    string, int, bool or None (a float) is left to json.dumps, which also
+    refuses what json refuses.  The pieces of the whole document are joined
+    once, so a large list is not copied again at each level above it.
     """
     parts: list[str] = []
     _json_parts(value, pad, parts)
@@ -469,29 +405,26 @@ def _json_parts(value, pad: str, parts: list[str]) -> None:
         parts.append("false")
     elif isinstance(value, int):
         parts.append(_digits(value))
-    elif isinstance(value, (list, tuple, _RecordList)):
+    elif isinstance(value, (list, tuple, WitnessColumns)):
         if not len(value):
             parts.append("[]")
             return
         inner = pad + "  "
         sep = "," + inner
         parts.append("[" + inner)
-        if isinstance(value, _RecordList):
-            parts.append(sep.join(_json_records(value, inner)))
+        if isinstance(value, WitnessColumns):
+            field = inner + "  "
+            template = ("{" + field + '"subsetBits": "%s",' + field + '"degrees": %s,'
+                        + field + '"splitPerCell": %s' + inner + "}")
+            rows = _witness_columns(value, functools.partial(_json_text, pad=field))
+            parts.append(sep.join(map(template.__mod__, rows)))
+        elif set(map(type, value)) == {int}:
+            parts.append(sep.join(map(_digits, value)))
         else:
-            kinds = set(map(type, value))
-            # Key tuples, not keys views: those compare as sets.
-            keys = tuple(value[0]) if kinds == {dict} and len(value) >= _RECORDS_MIN else ()
-            if kinds == {int}:
-                parts.append(sep.join(map(_digits, value)))
-            elif keys and set(map(tuple, value)) == {keys}:
-                records = _RecordList(keys, [([r[k] for r in value], None) for k in keys])
-                parts.append(sep.join(_json_records(records, inner)))
-            else:
-                for i, x in enumerate(value):
-                    if i:
-                        parts.append(sep)
-                    _json_parts(x, inner, parts)
+            for i, x in enumerate(value):
+                if i:
+                    parts.append(sep)
+                _json_parts(x, inner, parts)
         parts.append(pad + "]")
     elif isinstance(value, dict):
         if not value:

@@ -298,10 +298,6 @@ _DOCUMENTS = st.recursive(
 def test_json_writer_equals_json_dumps_indent_2(doc):
     want = json.dumps(doc, indent=2)
     assert cli._json_text(doc) == want
-    # Every record list, short ones too, through the column-by-column path.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_RECORDS_MIN", 1)
-        assert cli._json_text(doc) == want
 
 
 def test_json_writer_refuses_what_json_refuses():
