@@ -405,6 +405,19 @@ def _json_parts(value, pad: str, parts: list[str]) -> None:
         parts.append("false")
     elif isinstance(value, int):
         parts.append(_digits(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{" + inner
+        for k, v in value.items():
+            parts.append(lead + encode_basestring_ascii(k) + ": ")
+            lead = "," + inner
+            _json_parts(v, inner, parts)
+        parts.append(pad + "}")
+    # After dict, which then skips the isinstance check of WitnessColumns, an
+    # abstract Sequence: that check costs twice that of a plain type.
     elif isinstance(value, (list, tuple, WitnessColumns)):
         if not len(value):
             parts.append("[]")
@@ -412,7 +425,7 @@ def _json_parts(value, pad: str, parts: list[str]) -> None:
         inner = pad + "  "
         sep = "," + inner
         parts.append("[" + inner)
-        if isinstance(value, WitnessColumns):
+        if type(value) is WitnessColumns:
             field = inner + "  "
             template = ("{" + field + '"subsetBits": "%s",' + field + '"degrees": %s,'
                         + field + '"splitPerCell": %s' + inner + "}")
@@ -426,17 +439,6 @@ def _json_parts(value, pad: str, parts: list[str]) -> None:
                     parts.append(sep)
                 _json_parts(x, inner, parts)
         parts.append(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = pad + "  "
-        lead = "{" + inner
-        for k, v in value.items():
-            parts.append(lead + encode_basestring_ascii(k) + ": ")
-            lead = "," + inner
-            _json_parts(v, inner, parts)
-        parts.append(pad + "}")
     else:
         parts.append(json.dumps(value))
 
