@@ -410,7 +410,7 @@ def test_switch_search_json_is_json_dumps_of_the_witnesses(search):
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_thousand_witness_command_budget(fmt):
-    # A loose budget: about 1.5 ms in json, 1 in text and 1.7 in csv on a 2-core x86 VM.
+    # A loose budget: about 1.2 ms in json, 0.8 in text and 1.35 in csv on a 2-core x86 VM.
     argv = ["--format", fmt] + _THOUSAND_WITNESSES
     times = []
     for _ in range(3):
